@@ -113,21 +113,30 @@ def _collect(op: FrozenOp, path: str, arrays_out: Dict[str, np.ndarray]) -> dict
     return {"type": op.kind, "config": config, "children": child_specs}
 
 
-def _build(spec: dict, path: str, arrays_by_dir: Dict[str, Dict[str, np.ndarray]]) -> FrozenOp:
+def _build(spec: dict, path: str, arrays_by_dir: Dict[str, Dict[str, np.ndarray]],
+           source: Path) -> FrozenOp:
+    kind = spec.get("type")
+    op_type = frozen_op_types().get(kind)
+    if op_type is None:
+        raise CheckpointError(f"{source}: op {path!r} has unknown frozen op type {kind!r}")
     children = {}
-    for name, child_spec in spec["children"].items():
+    for name, child_spec in spec.get("children", {}).items():
         if isinstance(child_spec, list):
             children[name] = [
-                _build(item, f"{path}/{name}.{index}", arrays_by_dir)
+                _build(item, f"{path}/{name}.{index}", arrays_by_dir, source)
                 for index, item in enumerate(child_spec)
             ]
         else:
-            children[name] = _build(child_spec, f"{path}/{name}", arrays_by_dir)
-    op_types = frozen_op_types()
-    kind = spec["type"]
-    if kind not in op_types:
-        raise ValueError(f"unknown frozen op type {kind!r} in checkpoint")
-    return op_types[kind].from_state(spec["config"], arrays_by_dir.get(path, {}), children)
+            children[name] = _build(child_spec, f"{path}/{name}", arrays_by_dir, source)
+    try:
+        return op_type.from_state(spec.get("config", {}), arrays_by_dir.get(path, {}),
+                                  children)
+    except KeyError as error:
+        # from_state names what is missing: "config key 'packed.axis'",
+        # "array 'bias'", "child op 'conv1'".
+        raise CheckpointError(
+            f"{source}: op {path!r} ({kind}) is missing {error.args[0]} "
+            "(truncated or corrupted)") from error
 
 
 def save_frozen(model: FrozenModel, path) -> Path:
@@ -183,14 +192,7 @@ def load_frozen(path) -> FrozenModel:
             raise CheckpointError(
                 f"{path}: frozen checkpoint is missing {len(missing)} of "
                 f"{len(manifest)} arrays (truncated or corrupted): {missing[:8]}")
-    try:
-        root = _build(spec["root"], "root", arrays_by_dir)
-    except KeyError as error:
-        # Pre-manifest checkpoints can still be missing arrays; name the
-        # file and the key instead of surfacing a bare KeyError from _build.
-        raise CheckpointError(
-            f"{path}: frozen checkpoint is missing array {error} "
-            "(truncated or corrupted)") from error
+    root = _build(spec.get("root", {}), "root", arrays_by_dir, path)
     model = FrozenModel(root, spec["family"], meta=spec.get("meta"))
     compute_dtype = model.meta.get("compute_dtype")
     if compute_dtype is not None:

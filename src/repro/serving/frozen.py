@@ -24,19 +24,27 @@ floats.
 
 Supported model families out of the box: ``Sequential`` compositions, MLP,
 VGG, ResNet (basic + bottleneck), MobileNet-v2, TinyYOLO, and the
-encoder-decoder Transformer (including greedy decoding).  New architectures
-register a freezer with :func:`register_freezer`.
+encoder-decoder Transformer (including greedy decoding).  To add an op,
+declare its fields once on a :class:`FrozenOp` subclass -- ``_config`` for
+JSON settings, ``_array`` for NumPy arrays, ``_child`` for one frozen op or a
+list of them -- and register it with ``@_register_op``: serialization,
+:func:`iter_ops`, :meth:`FrozenModel.cast` and
+:meth:`FrozenModel.storage_report` all read those declarations.  Then map the
+live module onto it: a row of ``_FREEZER_TABLE`` when the op's fields carry
+the same names as the module's attributes, otherwise a function registered
+with :func:`register_freezer`.
 
 The frozen Transformer additionally exposes an **incremental decode** path
 (:meth:`FrozenSeq2SeqTransformer.decode_step` over a :class:`DecodeCache`):
 each generated token's K/V projections are appended to a per-sequence cache
 and attention runs over the cached prefix -- O(T) per token instead of the
-O(T^2) full recompute.  With cache quantization off the cached path's greedy
-tokens are bit-identical to :meth:`FrozenSeq2SeqTransformer.greedy_decode`
-(and, on BLAS-regime-stable shapes, the per-step logits are bit-identical
-too -- see :func:`_row_matmul`); with an :class:`ActivationQuantizer`
-attached the cache itself lives on the BFP grid, trading bounded divergence
-for the paper's activation-format memory footprint.
+O(T^2) full recompute.  :meth:`FrozenModel.predict` decodes this way.  With
+cache quantization off the cached path's greedy tokens are bit-identical to
+the recompute oracle :meth:`FrozenSeq2SeqTransformer.greedy_decode` (and, on
+BLAS-regime-stable shapes, the per-step logits are bit-identical too -- see
+:func:`_row_matmul`); with an :class:`ActivationQuantizer` attached the cache
+itself lives on the BFP grid, trading bounded divergence for the paper's
+activation-format memory footprint.
 
 One serving-relevant caveat: BFP activation quantization shares its exponent
 window across the whole tensor, so with a narrow window (``exponent_bits``
@@ -47,6 +55,9 @@ should prefer it when exact batch-invariance matters.
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+import functools
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -55,7 +66,7 @@ from ..core.bfp import BFPConfig, BFPTensor, bfp_quantize, bfp_quantize_tensor
 from ..core.kernels import LayoutCache, layout_cache_enabled
 from ..core.memory_layout import compact_bfp_arrays, restore_bfp_tensor
 from ..formats.base import TensorKind
-from ..formats.registry import get_format
+from ..formats.registry import available_formats, get_format
 from ..models.mlp import MLP
 from ..models.mobilenet import InvertedResidual, MobileNetV2
 from ..models.resnet import BasicBlock, BottleneckBlock, ResNet
@@ -66,13 +77,8 @@ from ..nn import attention as attention_mod
 from ..nn import functional as F
 from ..nn import modules as M
 from ..nn.attention import causal_mask
-from ..nn.quantized import (
-    BFPScheme,
-    FASTScheme,
-    FormatScheme,
-    QuantizedConv2d,
-    QuantizedLinear,
-)
+from ..nn.quantized import BFPScheme, FASTScheme, FormatScheme
+from ..nn.tensor import Tensor
 
 __all__ = [
     "FrozenOp",
@@ -131,28 +137,54 @@ class ActivationQuantizer:
 
 
 class FormatActivationQuantizer:
-    """Activation quantizer backed by a registered scalar/block NumberFormat."""
+    """Activation quantizer backed by a scalar/block :class:`NumberFormat`.
 
-    def __init__(self, format_name: str):
-        self.format_name = format_name
-        self.number_format = get_format(format_name)
+    Quantizes with the format instance it is given (at freeze time, a copy
+    of the scheme's own), not one re-resolved by name: several formats name
+    their instances by their parameters (``flexpoint_m16``), which the
+    registry cannot resolve.
+    """
+
+    def __init__(self, number_format):
+        self.number_format = number_format
         self._rng = np.random.default_rng(0)
 
     def __call__(self, values: np.ndarray) -> np.ndarray:
         return self.number_format.quantize(values, kind=TensorKind.ACTIVATION, rng=self._rng)
 
     def config(self) -> dict:
-        return {"type": "format", "name": self.format_name}
+        return {"type": "format", "name": _registry_name(self.number_format)}
+
+
+def _registry_name(number_format) -> str:
+    """A format-registry name whose :func:`get_format` rebuilds ``number_format``.
+
+    That is the format's own name when the registry resolves it (``int8``,
+    ``bfp_e3_m4_g16``), else the registry key whose default instance carries
+    the same name (``flexpoint`` for ``flexpoint_m16``).
+    """
+    for name in (number_format.name, *available_formats()):
+        try:
+            if get_format(name).name == number_format.name:
+                return name
+        except KeyError:
+            continue
+    raise ValueError(
+        f"number format {number_format.name!r} cannot be rebuilt from the format "
+        "registry; register it with repro.formats.register_format to save it")
 
 
 def _quantizer_from_config(config: Optional[dict]):
     if config is None:
         return None
-    if config["type"] == "bfp":
-        return ActivationQuantizer(config["mantissa_bits"], config["group_size"],
-                                   config["exponent_bits"])
-    if config["type"] == "format":
-        return FormatActivationQuantizer(config["name"])
+    kind = config.get("type")
+    if kind == "bfp":
+        return ActivationQuantizer(**_take(config, ("mantissa_bits", "group_size",
+                                                    "exponent_bits"),
+                                           "config key", prefix="quantizer."))
+    if kind == "format":
+        return FormatActivationQuantizer(get_format(
+            _take(config, ("name",), "config key", prefix="quantizer.")["name"]))
     raise ValueError(f"unknown activation quantizer config {config!r}")
 
 
@@ -178,6 +210,10 @@ def _pack_weight(weight_data: np.ndarray, mantissa_bits: int, group_size: int,
     return packed, packed.to_float()
 
 
+_PACKED_META = ("shape", "axis", "pad", "moved_shape", "mantissa_bits", "group_size",
+                "exponent_bits")
+
+
 def _packed_meta(packed: BFPTensor) -> dict:
     return {
         "shape": list(packed.shape),
@@ -191,14 +227,16 @@ def _packed_meta(packed: BFPTensor) -> dict:
 
 
 def _packed_from_meta(meta: dict, arrays: Dict[str, np.ndarray]) -> BFPTensor:
+    meta = _take(meta, _PACKED_META, "config key", prefix="packed.")
     config = BFPConfig(
         mantissa_bits=meta["mantissa_bits"],
         group_size=meta["group_size"],
         exponent_bits=meta["exponent_bits"],
         rounding="nearest",
     )
-    return restore_bfp_tensor(arrays, config, meta["shape"], meta["axis"],
-                              meta["pad"], meta["moved_shape"])
+    return restore_bfp_tensor(_take(arrays, ("signs", "mantissas", "exponents"), "array"),
+                              config, meta["shape"], meta["axis"], meta["pad"],
+                              meta["moved_shape"])
 
 
 def _freeze_scheme(scheme, weight_data: np.ndarray):
@@ -224,46 +262,65 @@ def _freeze_scheme(scheme, weight_data: np.ndarray):
         # two-level policies, so the conservative snapshot is the widest
         # mantissa the policy can choose.
         activation_bits = max(scheme.policy.supported_bits)
-        config = scheme.config
-        packed, values = _pack_weight(weight_data, weight_bits,
-                                      config.group_size, config.exponent_bits)
-        quantizer = ActivationQuantizer(activation_bits, config.group_size,
-                                        config.exponent_bits)
-        descriptor = {"kind": "bfp", "weight_bits": int(weight_bits),
-                      "activation_bits": int(activation_bits),
-                      "group_size": config.group_size,
-                      "exponent_bits": config.exponent_bits,
-                      "frozen_from": "fast_adaptive"}
-        return values, packed, quantizer, descriptor
-    if isinstance(scheme, BFPScheme):
+    elif isinstance(scheme, BFPScheme):
         weight_bits = scheme.bits[TensorKind.WEIGHT]
         activation_bits = scheme.bits[TensorKind.ACTIVATION]
-        config = scheme.config
-        packed, values = _pack_weight(weight_data, weight_bits,
-                                      config.group_size, config.exponent_bits)
-        quantizer = ActivationQuantizer(activation_bits, config.group_size,
-                                        config.exponent_bits)
-        descriptor = {"kind": "bfp", "weight_bits": int(weight_bits),
-                      "activation_bits": int(activation_bits),
-                      "group_size": config.group_size,
-                      "exponent_bits": config.exponent_bits}
-        return values, packed, quantizer, descriptor
-    if isinstance(scheme, FormatScheme):
+    elif isinstance(scheme, FormatScheme):
         values = scheme.number_format.quantize(
             weight_data, kind=TensorKind.WEIGHT, rng=np.random.default_rng(0))
-        quantizer = FormatActivationQuantizer(scheme.number_format.name)
-        descriptor = {"kind": "format", "name": scheme.number_format.name}
-        return values, None, quantizer, descriptor
-    raise TypeError(f"cannot freeze quantization scheme {type(scheme).__name__}")
+        quantizer = FormatActivationQuantizer(copy.deepcopy(scheme.number_format))
+        return values, None, quantizer, {"kind": "format", "name": scheme.number_format.name}
+    else:
+        raise TypeError(f"cannot freeze quantization scheme {type(scheme).__name__}")
+    config = scheme.config
+    packed, values = _pack_weight(weight_data, weight_bits,
+                                  config.group_size, config.exponent_bits)
+    quantizer = ActivationQuantizer(activation_bits, config.group_size,
+                                    config.exponent_bits)
+    descriptor = {"kind": "bfp", "weight_bits": int(weight_bits),
+                  "activation_bits": int(activation_bits),
+                  "group_size": config.group_size,
+                  "exponent_bits": config.exponent_bits}
+    if isinstance(scheme, FASTScheme):
+        descriptor["frozen_from"] = "fast_adaptive"
+    return values, packed, quantizer, descriptor
 
 
 # --------------------------------------------------------------------------- #
-# Frozen op base + registry of op types (for checkpoint reconstruction)
+# Frozen op base: declared fields + registry of op types (for checkpoints)
 # --------------------------------------------------------------------------- #
+def _role(role: str):
+    return lambda **kwargs: dataclasses.field(metadata={"role": role}, **kwargs)
+
+
+#: Field declarations of a frozen op: a JSON-serializable setting, a NumPy
+#: array, or a child op (one :class:`FrozenOp` or a list of them).
+_config, _array, _child = _role("config"), _role("array"), _role("child")
+
+
+@functools.lru_cache(maxsize=None)
+def _declared(cls: type, role: str) -> Tuple[str, ...]:
+    """Names of ``cls``'s fields declared with ``role``, in declaration order."""
+    if not dataclasses.is_dataclass(cls):
+        return ()
+    return tuple(f.name for f in dataclasses.fields(cls) if f.metadata.get("role") == role)
+
+
+def _take(source: dict, names, what: str, prefix: str = "") -> dict:
+    """``{name: source[name]}``; a missing name raises ``KeyError("<what> '<name>'")``,
+    which the checkpoint loader reports with the file and op path."""
+    for name in names:
+        if name not in source:
+            raise KeyError(f"{what} '{prefix}{name}'")
+    return {name: source[name] for name in names}
+
+
 _OP_TYPES: Dict[str, type] = {}
 
 
 def _register_op(cls):
+    """Make ``cls`` a dataclass over its declared fields and register its kind."""
+    cls = dataclasses.dataclass(eq=False, repr=False)(cls)
     _OP_TYPES[cls.kind] = cls
     return cls
 
@@ -274,7 +331,12 @@ def frozen_op_types() -> Dict[str, type]:
 
 
 class FrozenOp:
-    """A grad-free inference op.  ``run`` maps arrays to arrays."""
+    """A grad-free inference op.  ``run`` maps arrays to arrays.
+
+    Registered subclasses declare their fields with ``_config`` / ``_array``
+    / ``_child``; :meth:`state`, :meth:`from_state` and :meth:`child_ops`
+    read those declarations, so no op writes its layout out by hand.
+    """
 
     kind = "op"
 
@@ -283,14 +345,21 @@ class FrozenOp:
 
     def state(self) -> Tuple[dict, Dict[str, np.ndarray], dict]:
         """Serialization triple: (config JSON dict, arrays, child ops)."""
-        return {}, {}, {}
+        return tuple({name: getattr(self, name) for name in _declared(type(self), role)}
+                     for role in ("config", "array", "child"))
 
     @classmethod
     def from_state(cls, config: dict, arrays: Dict[str, np.ndarray], children: dict):
-        return cls()
+        return cls(**_take(config, _declared(cls, "config"), "config key"),
+                   **_take(arrays, _declared(cls, "array"), "array"),
+                   **_take(children, _declared(cls, "child"), "child op"))
 
     def child_ops(self) -> List["FrozenOp"]:
-        return []
+        ops = []
+        for name in _declared(type(self), "child"):
+            value = getattr(self, name)
+            ops.extend(value if isinstance(value, list) else [value])
+        return ops
 
 
 def iter_ops(op: FrozenOp):
@@ -303,114 +372,84 @@ def iter_ops(op: FrozenOp):
 # --------------------------------------------------------------------------- #
 # Leaf ops
 # --------------------------------------------------------------------------- #
-def _weight_state(op, config: dict, arrays: Dict[str, np.ndarray]) -> None:
-    """Shared packed-vs-raw weight serialization for linear/conv ops."""
-    if op.packed is not None:
-        config["packed"] = _packed_meta(op.packed)
-        arrays.update(compact_bfp_arrays(op.packed))
-    else:
-        arrays["weight"] = op.weight
-    if op.bias is not None:
-        arrays["bias"] = op.bias
+@dataclasses.dataclass(eq=False, repr=False)
+class _WeightedOp(FrozenOp):
+    """Base of the ops whose weight is quantized at freeze time.
 
+    Holds the one hand-written codec: a packed weight is stored as its
+    compact BFP integer arrays plus a ``packed`` config entry, a raw weight
+    as itself.  On load ``bias`` is optional (bias-free layers), and
+    ``quantizer``, ``scheme`` and a conv's ``groups`` may be missing, as in
+    checkpoints written before they existed.
+    """
 
-def _weight_from_state(config: dict, arrays: Dict[str, np.ndarray]):
-    """Invert :func:`_weight_state`; returns ``(weight, bias, packed)``."""
-    packed = None
-    if "packed" in config:
-        packed = _packed_from_meta(config["packed"], arrays)
-        weight = packed.to_float()
-    else:
-        weight = arrays["weight"]
-    return weight, arrays.get("bias"), packed
+    weight: np.ndarray = _array()
+    bias: Optional[np.ndarray] = _array()
+    quantizer: object = dataclasses.field(default=None, kw_only=True)
+    packed: Optional[BFPTensor] = dataclasses.field(default=None, kw_only=True)
+    scheme_desc: Optional[dict] = dataclasses.field(default=None, kw_only=True)
+
+    def __post_init__(self):
+        self.scheme_desc = self.scheme_desc or {"kind": "identity"}
+
+    def _quantize_input(self, x: np.ndarray) -> np.ndarray:
+        return x if self.quantizer is None else self.quantizer(x)
+
+    def state(self):
+        config, _, _ = super().state()
+        config["quantizer"] = None if self.quantizer is None else self.quantizer.config()
+        config["scheme"] = self.scheme_desc
+        arrays: Dict[str, np.ndarray] = {}
+        if self.packed is not None:
+            config["packed"] = _packed_meta(self.packed)
+            arrays.update(compact_bfp_arrays(self.packed))
+        else:
+            arrays["weight"] = self.weight
+        if self.bias is not None:
+            arrays["bias"] = self.bias
+        return config, arrays, {}
+
+    @classmethod
+    def from_state(cls, config, arrays, children):
+        packed = None
+        if "packed" in config:
+            packed = _packed_from_meta(config["packed"], arrays)
+            weight = packed.to_float()
+        else:
+            weight = _take(arrays, ("weight",), "array")["weight"]
+        settings = _take({"groups": 1, **config}, _declared(cls, "config"), "config key")
+        return cls(weight=weight, bias=arrays.get("bias"), **settings,
+                   quantizer=_quantizer_from_config(config.get("quantizer")),
+                   packed=packed, scheme_desc=config.get("scheme"))
 
 
 @_register_op
-class FrozenLinear(FrozenOp):
+class FrozenLinear(_WeightedOp):
     """``y = quantize(x) @ W_q.T + b`` with the weight quantized at freeze time."""
 
     kind = "linear"
 
-    def __init__(self, weight: np.ndarray, bias: Optional[np.ndarray],
-                 quantizer=None, packed: Optional[BFPTensor] = None,
-                 scheme_desc: Optional[dict] = None):
-        self.weight = np.asarray(weight)
-        self.bias = None if bias is None else np.asarray(bias)
-        self.quantizer = quantizer
-        self.packed = packed
-        self.scheme_desc = scheme_desc or {"kind": "identity"}
-
     def run(self, x: np.ndarray) -> np.ndarray:
-        if self.quantizer is not None:
-            x = self.quantizer(x)
         # matmul against the transposed view, exactly like F.linear's
         # ``x @ weight.swapaxes(-1, -2)``.
-        out = np.matmul(x, self.weight.T)
+        out = np.matmul(self._quantize_input(x), self.weight.T)
         if self.bias is not None:
             out = out + self.bias
         return out
 
-    def state(self):
-        config = {
-            "quantizer": None if self.quantizer is None else self.quantizer.config(),
-            "scheme": self.scheme_desc,
-        }
-        arrays: Dict[str, np.ndarray] = {}
-        _weight_state(self, config, arrays)
-        return config, arrays, {}
-
-    @classmethod
-    def from_state(cls, config, arrays, children):
-        weight, bias, packed = _weight_from_state(config, arrays)
-        return cls(weight, bias,
-                   quantizer=_quantizer_from_config(config.get("quantizer")),
-                   packed=packed, scheme_desc=config.get("scheme"))
-
 
 @_register_op
-class FrozenConv2d(FrozenOp):
+class FrozenConv2d(_WeightedOp):
     """Frozen convolution: shared im2col forward, freeze-time-quantized weight."""
 
     kind = "conv2d"
-
-    def __init__(self, weight: np.ndarray, bias: Optional[np.ndarray],
-                 stride: int, padding: int, groups: int = 1,
-                 quantizer=None, packed: Optional[BFPTensor] = None,
-                 scheme_desc: Optional[dict] = None):
-        self.weight = np.asarray(weight)
-        self.bias = None if bias is None else np.asarray(bias)
-        self.stride = int(stride)
-        self.padding = int(padding)
-        self.groups = int(groups)
-        self.quantizer = quantizer
-        self.packed = packed
-        self.scheme_desc = scheme_desc or {"kind": "identity"}
+    stride: int = _config()
+    padding: int = _config()
+    groups: int = _config(default=1)
 
     def run(self, x: np.ndarray) -> np.ndarray:
-        if self.quantizer is not None:
-            x = self.quantizer(x)
-        return F.conv2d_infer(x, self.weight, self.bias, stride=self.stride,
-                              padding=self.padding, groups=self.groups)
-
-    def state(self):
-        config = {
-            "stride": self.stride,
-            "padding": self.padding,
-            "groups": self.groups,
-            "quantizer": None if self.quantizer is None else self.quantizer.config(),
-            "scheme": self.scheme_desc,
-        }
-        arrays: Dict[str, np.ndarray] = {}
-        _weight_state(self, config, arrays)
-        return config, arrays, {}
-
-    @classmethod
-    def from_state(cls, config, arrays, children):
-        weight, bias, packed = _weight_from_state(config, arrays)
-        return cls(weight, bias, config["stride"], config["padding"],
-                   config.get("groups", 1),
-                   quantizer=_quantizer_from_config(config.get("quantizer")),
-                   packed=packed, scheme_desc=config.get("scheme"))
+        return F.conv2d_infer(self._quantize_input(x), self.weight, self.bias,
+                              stride=self.stride, padding=self.padding, groups=self.groups)
 
 
 @_register_op
@@ -418,14 +457,11 @@ class FrozenBatchNorm2d(FrozenOp):
     """Eval-mode batch norm over frozen running statistics."""
 
     kind = "batchnorm2d"
-
-    def __init__(self, mean: np.ndarray, var: np.ndarray,
-                 weight: np.ndarray, bias: np.ndarray, eps: float):
-        self.mean = np.asarray(mean)
-        self.var = np.asarray(var)
-        self.weight = np.asarray(weight)
-        self.bias = np.asarray(bias)
-        self.eps = float(eps)
+    mean: np.ndarray = _array()
+    var: np.ndarray = _array()
+    weight: np.ndarray = _array()
+    bias: np.ndarray = _array()
+    eps: float = _config()
 
     def run(self, x: np.ndarray) -> np.ndarray:
         mean = self.mean.reshape(1, -1, 1, 1)
@@ -433,25 +469,13 @@ class FrozenBatchNorm2d(FrozenOp):
         normalized = (x - mean) / ((var + self.eps) ** 0.5)
         return normalized * self.weight.reshape(1, -1, 1, 1) + self.bias.reshape(1, -1, 1, 1)
 
-    def state(self):
-        return ({"eps": self.eps},
-                {"mean": self.mean, "var": self.var,
-                 "weight": self.weight, "bias": self.bias}, {})
-
-    @classmethod
-    def from_state(cls, config, arrays, children):
-        return cls(arrays["mean"], arrays["var"], arrays["weight"], arrays["bias"],
-                   config["eps"])
-
 
 @_register_op
 class FrozenLayerNorm(FrozenOp):
     kind = "layernorm"
-
-    def __init__(self, weight: np.ndarray, bias: np.ndarray, eps: float):
-        self.weight = np.asarray(weight)
-        self.bias = np.asarray(bias)
-        self.eps = float(eps)
+    weight: np.ndarray = _array()
+    bias: np.ndarray = _array()
+    eps: float = _config()
 
     def run(self, x: np.ndarray) -> np.ndarray:
         # Replicates Tensor.mean/var exactly: sum * (1/count), then the
@@ -464,30 +488,14 @@ class FrozenLayerNorm(FrozenOp):
         normalized = centered / ((var + self.eps) ** 0.5)
         return normalized * self.weight + self.bias
 
-    def state(self):
-        return {"eps": self.eps}, {"weight": self.weight, "bias": self.bias}, {}
-
-    @classmethod
-    def from_state(cls, config, arrays, children):
-        return cls(arrays["weight"], arrays["bias"], config["eps"])
-
 
 @_register_op
 class FrozenEmbedding(FrozenOp):
     kind = "embedding"
-
-    def __init__(self, weight: np.ndarray):
-        self.weight = np.asarray(weight)
+    weight: np.ndarray = _array()
 
     def run(self, indices: np.ndarray) -> np.ndarray:
         return self.weight[np.asarray(indices, dtype=np.int64)]
-
-    def state(self):
-        return {}, {"weight": self.weight}, {}
-
-    @classmethod
-    def from_state(cls, config, arrays, children):
-        return cls(arrays["weight"])
 
 
 @_register_op
@@ -504,22 +512,13 @@ class FrozenReLU(FrozenOp):
 @_register_op
 class FrozenLeakyReLU(FrozenOp):
     kind = "leaky_relu"
-
-    def __init__(self, negative_slope: float = 0.1):
-        self.negative_slope = float(negative_slope)
+    negative_slope: float = _config(default=0.1)
 
     def run(self, x):
         # Dtype-preserving form of ``x * where(x > 0, 1.0, slope)``:
         # identical values (x * 1.0 == x exactly) without materializing a
         # float64 scale array that would promote a float32 pipeline.
         return np.where(x > 0, x, x * self.negative_slope)
-
-    def state(self):
-        return {"negative_slope": self.negative_slope}, {}, {}
-
-    @classmethod
-    def from_state(cls, config, arrays, children):
-        return cls(config["negative_slope"])
 
 
 @_register_op
@@ -552,39 +551,21 @@ class FrozenGELU(FrozenOp):
 @_register_op
 class FrozenMaxPool2d(FrozenOp):
     kind = "max_pool2d"
-
-    def __init__(self, kernel_size: int, stride: Optional[int] = None):
-        self.kernel_size = int(kernel_size)
-        self.stride = None if stride is None else int(stride)
+    kernel_size: int = _config()
+    stride: Optional[int] = _config(default=None)
 
     def run(self, x):
         return F.max_pool2d_infer(x, self.kernel_size, self.stride)
-
-    def state(self):
-        return {"kernel_size": self.kernel_size, "stride": self.stride}, {}, {}
-
-    @classmethod
-    def from_state(cls, config, arrays, children):
-        return cls(config["kernel_size"], config["stride"])
 
 
 @_register_op
 class FrozenAvgPool2d(FrozenOp):
     kind = "avg_pool2d"
-
-    def __init__(self, kernel_size: int, stride: Optional[int] = None):
-        self.kernel_size = int(kernel_size)
-        self.stride = None if stride is None else int(stride)
+    kernel_size: int = _config()
+    stride: Optional[int] = _config(default=None)
 
     def run(self, x):
         return F.avg_pool2d_infer(x, self.kernel_size, self.stride)
-
-    def state(self):
-        return {"kernel_size": self.kernel_size, "stride": self.stride}, {}, {}
-
-    @classmethod
-    def from_state(cls, config, arrays, children):
-        return cls(config["kernel_size"], config["stride"])
 
 
 @_register_op
@@ -598,37 +579,19 @@ class FrozenGlobalAvgPool2d(FrozenOp):
 @_register_op
 class FrozenFlatten(FrozenOp):
     kind = "flatten"
-
-    def __init__(self, start_dim: int = 1):
-        self.start_dim = int(start_dim)
+    start_dim: int = _config(default=1)
 
     def run(self, x):
         return x.reshape(x.shape[:self.start_dim] + (-1,))
-
-    def state(self):
-        return {"start_dim": self.start_dim}, {}, {}
-
-    @classmethod
-    def from_state(cls, config, arrays, children):
-        return cls(config["start_dim"])
 
 
 @_register_op
 class FrozenTranspose(FrozenOp):
     kind = "transpose"
-
-    def __init__(self, axes):
-        self.axes = tuple(int(a) for a in axes)
+    axes: Tuple[int, ...] = _config()
 
     def run(self, x):
         return x.transpose(self.axes)
-
-    def state(self):
-        return {"axes": list(self.axes)}, {}, {}
-
-    @classmethod
-    def from_state(cls, config, arrays, children):
-        return cls(config["axes"])
 
 
 @_register_op
@@ -642,24 +605,12 @@ class FrozenIdentity(FrozenOp):
 @_register_op
 class FrozenSequential(FrozenOp):
     kind = "sequential"
-
-    def __init__(self, ops: List[FrozenOp]):
-        self.ops = list(ops)
+    ops: List[FrozenOp] = _child()
 
     def run(self, x):
         for op in self.ops:
             x = op.run(x)
         return x
-
-    def state(self):
-        return {}, {}, {"ops": self.ops}
-
-    @classmethod
-    def from_state(cls, config, arrays, children):
-        return cls(children["ops"])
-
-    def child_ops(self):
-        return list(self.ops)
 
 
 # --------------------------------------------------------------------------- #
@@ -668,11 +619,9 @@ class FrozenSequential(FrozenOp):
 @_register_op
 class FrozenBasicBlock(FrozenOp):
     kind = "basic_block"
-
-    def __init__(self, conv1: FrozenOp, conv2: FrozenOp, shortcut: FrozenOp):
-        self.conv1 = conv1
-        self.conv2 = conv2
-        self.shortcut = shortcut
+    conv1: FrozenOp = _child()
+    conv2: FrozenOp = _child()
+    shortcut: FrozenOp = _child()
 
     def run(self, x):
         out = self.conv1.run(x)
@@ -681,26 +630,14 @@ class FrozenBasicBlock(FrozenOp):
         out = out + self.shortcut.run(x)
         return np.maximum(out, 0.0)
 
-    def state(self):
-        return {}, {}, {"conv1": self.conv1, "conv2": self.conv2, "shortcut": self.shortcut}
-
-    @classmethod
-    def from_state(cls, config, arrays, children):
-        return cls(children["conv1"], children["conv2"], children["shortcut"])
-
-    def child_ops(self):
-        return [self.conv1, self.conv2, self.shortcut]
-
 
 @_register_op
 class FrozenBottleneckBlock(FrozenOp):
     kind = "bottleneck_block"
-
-    def __init__(self, conv1, conv2, conv3, shortcut):
-        self.conv1 = conv1
-        self.conv2 = conv2
-        self.conv3 = conv3
-        self.shortcut = shortcut
+    conv1: FrozenOp = _child()
+    conv2: FrozenOp = _child()
+    conv3: FrozenOp = _child()
+    shortcut: FrozenOp = _child()
 
     def run(self, x):
         out = self.conv1.run(x)
@@ -711,28 +648,14 @@ class FrozenBottleneckBlock(FrozenOp):
         out = out + self.shortcut.run(x)
         return np.maximum(out, 0.0)
 
-    def state(self):
-        return {}, {}, {"conv1": self.conv1, "conv2": self.conv2,
-                        "conv3": self.conv3, "shortcut": self.shortcut}
-
-    @classmethod
-    def from_state(cls, config, arrays, children):
-        return cls(children["conv1"], children["conv2"], children["conv3"],
-                   children["shortcut"])
-
-    def child_ops(self):
-        return [self.conv1, self.conv2, self.conv3, self.shortcut]
-
 
 @_register_op
 class FrozenInvertedResidual(FrozenOp):
     kind = "inverted_residual"
-
-    def __init__(self, expand, depthwise, project, use_residual: bool):
-        self.expand = expand
-        self.depthwise = depthwise
-        self.project = project
-        self.use_residual = bool(use_residual)
+    expand: FrozenOp = _child()
+    depthwise: FrozenOp = _child()
+    project: FrozenOp = _child()
+    use_residual: bool = _config()
 
     def run(self, x):
         out = self.expand.run(x)
@@ -742,41 +665,16 @@ class FrozenInvertedResidual(FrozenOp):
             out = out + x
         return out
 
-    def state(self):
-        return ({"use_residual": self.use_residual}, {},
-                {"expand": self.expand, "depthwise": self.depthwise,
-                 "project": self.project})
-
-    @classmethod
-    def from_state(cls, config, arrays, children):
-        return cls(children["expand"], children["depthwise"], children["project"],
-                   config["use_residual"])
-
-    def child_ops(self):
-        return [self.expand, self.depthwise, self.project]
-
 
 @_register_op
 class FrozenMLP(FrozenOp):
     kind = "mlp"
-
-    def __init__(self, layers: FrozenOp):
-        self.layers = layers
+    layers: FrozenOp = _child()
 
     def run(self, x):
         if x.ndim > 2:
             x = x.reshape(x.shape[:1] + (-1,))
         return self.layers.run(x)
-
-    def state(self):
-        return {}, {}, {"layers": self.layers}
-
-    @classmethod
-    def from_state(cls, config, arrays, children):
-        return cls(children["layers"])
-
-    def child_ops(self):
-        return [self.layers]
 
 
 # --------------------------------------------------------------------------- #
@@ -851,16 +749,15 @@ class DecodeCache:
         return self._k[layer][:, :, :filled], self._v[layer][:, :, :filled]
 
 
+
 @_register_op
 class FrozenMultiHeadAttention(FrozenOp):
     kind = "multi_head_attention"
-
-    def __init__(self, q_proj, k_proj, v_proj, out_proj, num_heads: int):
-        self.q_proj = q_proj
-        self.k_proj = k_proj
-        self.v_proj = v_proj
-        self.out_proj = out_proj
-        self.num_heads = int(num_heads)
+    q_proj: FrozenLinear = _child()
+    k_proj: FrozenLinear = _child()
+    v_proj: FrozenLinear = _child()
+    out_proj: FrozenLinear = _child()
+    num_heads: int = _config()
 
     def _split_heads(self, x):
         batch, length, embed = x.shape
@@ -872,6 +769,19 @@ class FrozenMultiHeadAttention(FrozenOp):
         return (self._split_heads(self.k_proj.run(x)),
                 self._split_heads(self.v_proj.run(x)))
 
+    def _attend(self, q, k, v, mask, product=np.matmul):
+        # Python-float scale: an np.float64 scalar would promote float32.
+        scores = product(q, k.transpose(0, 1, 3, 2)) * float(1.0 / np.sqrt(q.shape[-1]))
+        if mask is not None:
+            scores = scores + mask
+        shifted = scores - scores.max(axis=-1, keepdims=True)
+        exps = np.exp(shifted)
+        weights = exps / exps.sum(axis=-1, keepdims=True)
+        attended = product(weights, v)
+        batch, _, length, _ = attended.shape
+        merged = attended.transpose(0, 2, 1, 3).reshape(batch, length, -1)
+        return self.out_proj.run(merged)
+
     def run(self, query, key=None, value=None, mask=None, cached_kv=None):
         key = query if key is None else key
         value = key if value is None else value
@@ -881,18 +791,7 @@ class FrozenMultiHeadAttention(FrozenOp):
         else:
             k = self._split_heads(self.k_proj.run(key))
             v = self._split_heads(self.v_proj.run(value))
-        head_dim = q.shape[-1]
-        # Python-float scale: an np.float64 scalar would promote float32.
-        scores = np.matmul(q, k.transpose(0, 1, 3, 2)) * float(1.0 / np.sqrt(head_dim))
-        if mask is not None:
-            scores = scores + mask
-        shifted = scores - scores.max(axis=-1, keepdims=True)
-        exps = np.exp(shifted)
-        weights = exps / exps.sum(axis=-1, keepdims=True)
-        attended = np.matmul(weights, v)
-        batch, _, length, _ = attended.shape
-        merged = attended.transpose(0, 2, 1, 3).reshape(batch, length, -1)
-        return self.out_proj.run(merged)
+        return self._attend(q, k, v, mask)
 
     def run_step(self, query, k, v, mask=None, *, first_step=False):
         """One-token attention over cached split-head K/V.
@@ -908,96 +807,44 @@ class FrozenMultiHeadAttention(FrozenOp):
         single-row kernel instead.
         """
         q = self._split_heads(self.q_proj.run(query))
-        head_dim = q.shape[-1]
-        product = np.matmul if first_step else _row_matmul
-        scores = product(q, k.transpose(0, 1, 3, 2)) * float(1.0 / np.sqrt(head_dim))
-        if mask is not None:
-            scores = scores + mask
-        shifted = scores - scores.max(axis=-1, keepdims=True)
-        exps = np.exp(shifted)
-        weights = exps / exps.sum(axis=-1, keepdims=True)
-        attended = product(weights, v)
-        merged = attended.transpose(0, 2, 1, 3).reshape(attended.shape[0], 1, -1)
-        return self.out_proj.run(merged)
-
-    def state(self):
-        return ({"num_heads": self.num_heads}, {},
-                {"q_proj": self.q_proj, "k_proj": self.k_proj,
-                 "v_proj": self.v_proj, "out_proj": self.out_proj})
-
-    @classmethod
-    def from_state(cls, config, arrays, children):
-        return cls(children["q_proj"], children["k_proj"], children["v_proj"],
-                   children["out_proj"], config["num_heads"])
-
-    def child_ops(self):
-        return [self.q_proj, self.k_proj, self.v_proj, self.out_proj]
+        return self._attend(q, k, v, mask, np.matmul if first_step else _row_matmul)
 
 
 @_register_op
 class FrozenFeedForward(FrozenOp):
     kind = "feed_forward"
-
-    def __init__(self, fc1, fc2):
-        self.fc1 = fc1
-        self.fc2 = fc2
+    fc1: FrozenLinear = _child()
+    fc2: FrozenLinear = _child()
 
     def run(self, x):
         hidden = self.fc1.run(x)
         hidden = np.maximum(hidden, 0.0)
         return self.fc2.run(hidden)
 
-    def state(self):
-        return {}, {}, {"fc1": self.fc1, "fc2": self.fc2}
-
-    @classmethod
-    def from_state(cls, config, arrays, children):
-        return cls(children["fc1"], children["fc2"])
-
-    def child_ops(self):
-        return [self.fc1, self.fc2]
-
 
 @_register_op
 class FrozenEncoderLayer(FrozenOp):
     kind = "encoder_layer"
-
-    def __init__(self, self_attention, feed_forward, norm1, norm2):
-        self.self_attention = self_attention
-        self.feed_forward = feed_forward
-        self.norm1 = norm1
-        self.norm2 = norm2
+    self_attention: FrozenMultiHeadAttention = _child()
+    feed_forward: FrozenFeedForward = _child()
+    norm1: FrozenLayerNorm = _child()
+    norm2: FrozenLayerNorm = _child()
 
     def run(self, x, mask=None):
         x = x + self.self_attention.run(self.norm1.run(x), mask=mask)
         x = x + self.feed_forward.run(self.norm2.run(x))
         return x
 
-    def state(self):
-        return {}, {}, {"self_attention": self.self_attention,
-                        "feed_forward": self.feed_forward,
-                        "norm1": self.norm1, "norm2": self.norm2}
-
-    @classmethod
-    def from_state(cls, config, arrays, children):
-        return cls(children["self_attention"], children["feed_forward"],
-                   children["norm1"], children["norm2"])
-
-    def child_ops(self):
-        return [self.self_attention, self.feed_forward, self.norm1, self.norm2]
-
 
 @_register_op
 class FrozenDecoderLayer(FrozenOp):
     kind = "decoder_layer"
-
-    def __init__(self, self_attention, cross_attention, feed_forward, norm1, norm2, norm3):
-        self.self_attention = self_attention
-        self.cross_attention = cross_attention
-        self.feed_forward = feed_forward
-        self.norm1 = norm1
-        self.norm2 = norm2
-        self.norm3 = norm3
+    self_attention: FrozenMultiHeadAttention = _child()
+    cross_attention: FrozenMultiHeadAttention = _child()
+    feed_forward: FrozenFeedForward = _child()
+    norm1: FrozenLayerNorm = _child()
+    norm2: FrozenLayerNorm = _child()
+    norm3: FrozenLayerNorm = _child()
 
     def run(self, x, memory, self_mask=None, memory_mask=None, memory_kv=None):
         # ``memory_kv`` short-circuits the cross-attention K/V projections of
@@ -1023,45 +870,22 @@ class FrozenDecoderLayer(FrozenOp):
         x = x + self.feed_forward.run(self.norm3.run(x))
         return x
 
-    def state(self):
-        return {}, {}, {"self_attention": self.self_attention,
-                        "cross_attention": self.cross_attention,
-                        "feed_forward": self.feed_forward,
-                        "norm1": self.norm1, "norm2": self.norm2, "norm3": self.norm3}
-
-    @classmethod
-    def from_state(cls, config, arrays, children):
-        return cls(children["self_attention"], children["cross_attention"],
-                   children["feed_forward"], children["norm1"], children["norm2"],
-                   children["norm3"])
-
-    def child_ops(self):
-        return [self.self_attention, self.cross_attention, self.feed_forward,
-                self.norm1, self.norm2, self.norm3]
-
 
 @_register_op
 class FrozenSeq2SeqTransformer(FrozenOp):
     """Frozen encoder-decoder Transformer with teacher-forced and greedy paths."""
 
     kind = "seq2seq_transformer"
-
-    def __init__(self, embedding: FrozenEmbedding, positional: np.ndarray,
-                 encoder_layers: List[FrozenEncoderLayer],
-                 decoder_layers: List[FrozenDecoderLayer],
-                 encoder_norm: FrozenLayerNorm, decoder_norm: FrozenLayerNorm,
-                 output_projection: FrozenLinear,
-                 embed_dim: int, max_length: int, pad_index: int):
-        self.embedding = embedding
-        self.positional = np.asarray(positional)
-        self.encoder_layers = list(encoder_layers)
-        self.decoder_layers = list(decoder_layers)
-        self.encoder_norm = encoder_norm
-        self.decoder_norm = decoder_norm
-        self.output_projection = output_projection
-        self.embed_dim = int(embed_dim)
-        self.max_length = int(max_length)
-        self.pad_index = int(pad_index)
+    embedding: FrozenEmbedding = _child()
+    positional: np.ndarray = _array()
+    encoder_layers: List[FrozenEncoderLayer] = _child()
+    decoder_layers: List[FrozenDecoderLayer] = _child()
+    encoder_norm: FrozenLayerNorm = _child()
+    decoder_norm: FrozenLayerNorm = _child()
+    output_projection: FrozenLinear = _child()
+    embed_dim: int = _config()
+    max_length: int = _config()
+    pad_index: int = _config()
 
     def _embed(self, tokens: np.ndarray) -> np.ndarray:
         tokens = np.asarray(tokens, dtype=np.int64)
@@ -1172,16 +996,13 @@ class FrozenSeq2SeqTransformer(FrozenOp):
         return self.output_projection.run(decoded)
 
     def greedy_decode(self, src_tokens: np.ndarray, bos_index: int, eos_index: int,
-                      max_length: Optional[int] = None, *,
-                      early_retirement: bool = True) -> np.ndarray:
-        """Full-recompute greedy decode (the O(T^2) reference path).
+                      max_length: Optional[int] = None) -> np.ndarray:
+        """Full-recompute greedy decode: the O(T^2) oracle that tests and
+        benchmarks hold :meth:`greedy_decode_cached` to.
 
-        Finished rows are retired from the compute: once a row emits EOS it
-        stops flowing through the decoder (its remaining positions are pad by
-        definition), so ragged batches pay for their active rows only.  The
-        decoded token matrix is identical either way (``early_retirement``
-        exists so tests can pin that); cross-attention memory K/V are
-        projected once up front instead of once per step.
+        Every step re-runs the decoder over the whole prefix of every row;
+        cross-attention memory K/V are projected once up front instead of
+        once per step.
         """
         max_length = max_length if max_length is not None else self.max_length
         src_tokens = np.asarray(src_tokens, dtype=np.int64)
@@ -1191,50 +1012,14 @@ class FrozenSeq2SeqTransformer(FrozenOp):
         generated = np.full((batch, 1), bos_index, dtype=np.int64)
         finished = np.zeros(batch, dtype=bool)
         for _ in range(max_length - 1):
-            next_tokens = np.full(batch, self.pad_index, dtype=np.int64)
-            if early_retirement and finished.any():
-                active = np.flatnonzero(~finished)
-                decoded = self.decode(
-                    generated[active], memory[active],
-                    memory_kv=tuple((k[active], v[active]) for k, v in memory_kv))
-                logits = self.output_projection.run(decoded)[:, -1, :]
-                next_tokens[active] = logits.argmax(axis=-1)
-            else:
-                decoded = self.decode(generated, memory, memory_kv=memory_kv)
-                logits = self.output_projection.run(decoded)[:, -1, :]
-                next_tokens = np.where(finished, self.pad_index,
-                                       logits.argmax(axis=-1))
+            decoded = self.decode(generated, memory, memory_kv=memory_kv)
+            logits = self.output_projection.run(decoded)[:, -1, :]
+            next_tokens = np.where(finished, self.pad_index, logits.argmax(axis=-1))
             generated = np.concatenate([generated, next_tokens[:, None]], axis=1)
             finished = finished | (next_tokens == eos_index)
             if finished.all():
                 break
         return generated
-
-    def state(self):
-        config = {"embed_dim": self.embed_dim, "max_length": self.max_length,
-                  "pad_index": self.pad_index}
-        arrays = {"positional": self.positional}
-        children = {
-            "embedding": self.embedding,
-            "encoder_layers": self.encoder_layers,
-            "decoder_layers": self.decoder_layers,
-            "encoder_norm": self.encoder_norm,
-            "decoder_norm": self.decoder_norm,
-            "output_projection": self.output_projection,
-        }
-        return config, arrays, children
-
-    @classmethod
-    def from_state(cls, config, arrays, children):
-        return cls(children["embedding"], arrays["positional"],
-                   children["encoder_layers"], children["decoder_layers"],
-                   children["encoder_norm"], children["decoder_norm"],
-                   children["output_projection"], config["embed_dim"],
-                   config["max_length"], config["pad_index"])
-
-    def child_ops(self):
-        return ([self.embedding] + self.encoder_layers + self.decoder_layers
-                + [self.encoder_norm, self.decoder_norm, self.output_projection])
 
 
 # --------------------------------------------------------------------------- #
@@ -1266,106 +1051,75 @@ def freeze_module(module: M.Module) -> FrozenOp:
     )
 
 
-@register_freezer(QuantizedLinear)
-def _freeze_quantized_linear(module: QuantizedLinear) -> FrozenLinear:
-    values, packed, quantizer, desc = _freeze_scheme(module.scheme, module.weight.data)
-    bias = None if module.bias is None else module.bias.data.copy()
-    return FrozenLinear(values, bias, quantizer=quantizer, packed=packed,
-                        scheme_desc=desc)
+def _freeze_fields(op_cls: type, module: M.Module, **values) -> FrozenOp:
+    """Build ``op_cls`` from ``module``'s attributes of the same names.
+
+    Config values become plain Python scalars (JSON-serializable), arrays are
+    copied out of their parameters/buffers, child modules are frozen
+    recursively (a ``ModuleList`` into a list of ops).  ``values`` supplies
+    fields the module does not hold under the op's name.
+    """
+    for role in ("config", "array", "child"):
+        for name in _declared(op_cls, role):
+            if name in values:
+                continue
+            value = getattr(module, name)
+            if role == "config":
+                value = value.item() if isinstance(value, np.generic) else value
+            elif role == "array":
+                value = None if value is None else (
+                    value.data if isinstance(value, Tensor) else value).copy()
+            elif isinstance(value, M.ModuleList):
+                value = [freeze_module(item) for item in value]
+            else:
+                value = freeze_module(value)
+            values[name] = value
+    return op_cls(**values)
 
 
-@register_freezer(M.Linear)
-def _freeze_linear(module: M.Linear) -> FrozenLinear:
-    bias = None if module.bias is None else module.bias.data.copy()
-    return FrozenLinear(module.weight.data.copy(), bias)
+#: Live module type -> frozen op whose fields carry the module's attribute names.
+_FREEZER_TABLE = {
+    M.LayerNorm: FrozenLayerNorm,
+    M.Embedding: FrozenEmbedding,
+    M.ReLU: FrozenReLU,
+    M.LeakyReLU: FrozenLeakyReLU,
+    M.Sigmoid: FrozenSigmoid,
+    M.Tanh: FrozenTanh,
+    M.GELU: FrozenGELU,
+    M.MaxPool2d: FrozenMaxPool2d,
+    M.AvgPool2d: FrozenAvgPool2d,
+    M.GlobalAvgPool2d: FrozenGlobalAvgPool2d,
+    M.Flatten: FrozenFlatten,
+    M.Dropout: FrozenIdentity,  # eval-mode dropout; the training branch is stripped
+    M.Identity: FrozenIdentity,
+    BasicBlock: FrozenBasicBlock,
+    BottleneckBlock: FrozenBottleneckBlock,
+    InvertedResidual: FrozenInvertedResidual,
+    MLP: FrozenMLP,
+    attention_mod.MultiHeadAttention: FrozenMultiHeadAttention,
+    attention_mod.FeedForward: FrozenFeedForward,
+    attention_mod.TransformerEncoderLayer: FrozenEncoderLayer,
+    attention_mod.TransformerDecoderLayer: FrozenDecoderLayer,
+    Seq2SeqTransformer: FrozenSeq2SeqTransformer,
+}
+_FREEZERS.update({module_type: functools.partial(_freeze_fields, op_cls)
+                  for module_type, op_cls in _FREEZER_TABLE.items()})
 
 
-@register_freezer(QuantizedConv2d)
-def _freeze_quantized_conv(module: QuantizedConv2d) -> FrozenConv2d:
-    values, packed, quantizer, desc = _freeze_scheme(module.scheme, module.weight.data)
-    bias = None if module.bias is None else module.bias.data.copy()
-    return FrozenConv2d(values, bias, module.stride, module.padding, module.groups,
-                        quantizer=quantizer, packed=packed, scheme_desc=desc)
-
-
-@register_freezer(M.Conv2d)
-def _freeze_conv(module: M.Conv2d) -> FrozenConv2d:
-    bias = None if module.bias is None else module.bias.data.copy()
-    return FrozenConv2d(module.weight.data.copy(), bias, module.stride,
-                        module.padding, module.groups)
+@register_freezer(M.Linear, M.Conv2d)
+def _freeze_weighted(module) -> _WeightedOp:
+    """Plain or quantized Linear/Conv2d: resolve the scheme, pack the weight once."""
+    values, packed, quantizer, desc = _freeze_scheme(getattr(module, "scheme", None),
+                                                     module.weight.data)
+    op_cls = FrozenConv2d if isinstance(module, M.Conv2d) else FrozenLinear
+    return _freeze_fields(op_cls, module, weight=values, quantizer=quantizer,
+                          packed=packed, scheme_desc=desc)
 
 
 @register_freezer(M.BatchNorm2d)
 def _freeze_batchnorm(module: M.BatchNorm2d) -> FrozenBatchNorm2d:
-    return FrozenBatchNorm2d(module.running_mean.copy(), module.running_var.copy(),
-                             module.weight.data.copy(), module.bias.data.copy(),
-                             module.eps)
-
-
-@register_freezer(M.LayerNorm)
-def _freeze_layernorm(module: M.LayerNorm) -> FrozenLayerNorm:
-    return FrozenLayerNorm(module.weight.data.copy(), module.bias.data.copy(), module.eps)
-
-
-@register_freezer(M.Embedding)
-def _freeze_embedding(module: M.Embedding) -> FrozenEmbedding:
-    return FrozenEmbedding(module.weight.data.copy())
-
-
-@register_freezer(M.ReLU)
-def _freeze_relu(module) -> FrozenReLU:
-    return FrozenReLU()
-
-
-@register_freezer(M.LeakyReLU)
-def _freeze_leaky_relu(module: M.LeakyReLU) -> FrozenLeakyReLU:
-    return FrozenLeakyReLU(module.negative_slope)
-
-
-@register_freezer(M.Sigmoid)
-def _freeze_sigmoid(module) -> FrozenSigmoid:
-    return FrozenSigmoid()
-
-
-@register_freezer(M.Tanh)
-def _freeze_tanh(module) -> FrozenTanh:
-    return FrozenTanh()
-
-
-@register_freezer(M.GELU)
-def _freeze_gelu(module) -> FrozenGELU:
-    return FrozenGELU()
-
-
-@register_freezer(M.MaxPool2d)
-def _freeze_max_pool(module: M.MaxPool2d) -> FrozenMaxPool2d:
-    return FrozenMaxPool2d(module.kernel_size, module.stride)
-
-
-@register_freezer(M.AvgPool2d)
-def _freeze_avg_pool(module: M.AvgPool2d) -> FrozenAvgPool2d:
-    return FrozenAvgPool2d(module.kernel_size, module.stride)
-
-
-@register_freezer(M.GlobalAvgPool2d)
-def _freeze_global_avg_pool(module) -> FrozenGlobalAvgPool2d:
-    return FrozenGlobalAvgPool2d()
-
-
-@register_freezer(M.Flatten)
-def _freeze_flatten(module: M.Flatten) -> FrozenFlatten:
-    return FrozenFlatten(module.start_dim)
-
-
-@register_freezer(M.Dropout)
-def _freeze_dropout(module) -> FrozenIdentity:
-    # Eval-mode dropout is the identity; the training branch is stripped.
-    return FrozenIdentity()
-
-
-@register_freezer(M.Identity)
-def _freeze_identity(module) -> FrozenIdentity:
-    return FrozenIdentity()
+    return _freeze_fields(FrozenBatchNorm2d, module, mean=module.running_mean.copy(),
+                          var=module.running_var.copy())
 
 
 @register_freezer(M.Sequential)
@@ -1373,101 +1127,30 @@ def _freeze_sequential(module: M.Sequential) -> FrozenSequential:
     return FrozenSequential([freeze_module(child) for child in module])
 
 
-@register_freezer(BasicBlock)
-def _freeze_basic_block(module: BasicBlock) -> FrozenBasicBlock:
-    return FrozenBasicBlock(freeze_module(module.conv1), freeze_module(module.conv2),
-                            freeze_module(module.shortcut))
-
-
-@register_freezer(BottleneckBlock)
-def _freeze_bottleneck_block(module: BottleneckBlock) -> FrozenBottleneckBlock:
-    return FrozenBottleneckBlock(freeze_module(module.conv1), freeze_module(module.conv2),
-                                 freeze_module(module.conv3), freeze_module(module.shortcut))
-
-
-@register_freezer(InvertedResidual)
-def _freeze_inverted_residual(module: InvertedResidual) -> FrozenInvertedResidual:
-    return FrozenInvertedResidual(freeze_module(module.expand),
-                                  freeze_module(module.depthwise),
-                                  freeze_module(module.project),
-                                  module.use_residual)
-
-
-@register_freezer(MLP)
-def _freeze_mlp(module: MLP) -> FrozenMLP:
-    return FrozenMLP(freeze_module(module.layers))
+def _chain(module: M.Module, *parts) -> FrozenSequential:
+    """A frozen sequence of ``module``'s named submodules and literal ops."""
+    return FrozenSequential([part if isinstance(part, FrozenOp)
+                             else freeze_module(getattr(module, part)) for part in parts])
 
 
 @register_freezer(VGG)
 def _freeze_vgg(module: VGG) -> FrozenSequential:
-    return FrozenSequential([freeze_module(module.features), freeze_module(module.pool),
-                             freeze_module(module.classifier)])
+    return _chain(module, "features", "pool", "classifier")
 
 
 @register_freezer(ResNet)
 def _freeze_resnet(module: ResNet) -> FrozenSequential:
-    return FrozenSequential([freeze_module(module.stem), FrozenReLU(),
-                             freeze_module(module.stages), freeze_module(module.pool),
-                             freeze_module(module.classifier)])
+    return _chain(module, "stem", FrozenReLU(), "stages", "pool", "classifier")
 
 
 @register_freezer(MobileNetV2)
 def _freeze_mobilenet(module: MobileNetV2) -> FrozenSequential:
-    return FrozenSequential([freeze_module(module.stem), freeze_module(module.blocks),
-                             freeze_module(module.head), freeze_module(module.pool),
-                             freeze_module(module.classifier)])
+    return _chain(module, "stem", "blocks", "head", "pool", "classifier")
 
 
 @register_freezer(TinyYOLO)
 def _freeze_tiny_yolo(module: TinyYOLO) -> FrozenSequential:
-    return FrozenSequential([freeze_module(module.backbone), freeze_module(module.head),
-                             FrozenTranspose((0, 2, 3, 1))])
-
-
-@register_freezer(attention_mod.MultiHeadAttention)
-def _freeze_mha(module: attention_mod.MultiHeadAttention) -> FrozenMultiHeadAttention:
-    return FrozenMultiHeadAttention(freeze_module(module.q_proj),
-                                    freeze_module(module.k_proj),
-                                    freeze_module(module.v_proj),
-                                    freeze_module(module.out_proj),
-                                    module.num_heads)
-
-
-@register_freezer(attention_mod.FeedForward)
-def _freeze_feed_forward(module: attention_mod.FeedForward) -> FrozenFeedForward:
-    return FrozenFeedForward(freeze_module(module.fc1), freeze_module(module.fc2))
-
-
-@register_freezer(attention_mod.TransformerEncoderLayer)
-def _freeze_encoder_layer(module) -> FrozenEncoderLayer:
-    return FrozenEncoderLayer(freeze_module(module.self_attention),
-                              freeze_module(module.feed_forward),
-                              freeze_module(module.norm1), freeze_module(module.norm2))
-
-
-@register_freezer(attention_mod.TransformerDecoderLayer)
-def _freeze_decoder_layer(module) -> FrozenDecoderLayer:
-    return FrozenDecoderLayer(freeze_module(module.self_attention),
-                              freeze_module(module.cross_attention),
-                              freeze_module(module.feed_forward),
-                              freeze_module(module.norm1), freeze_module(module.norm2),
-                              freeze_module(module.norm3))
-
-
-@register_freezer(Seq2SeqTransformer)
-def _freeze_seq2seq(module: Seq2SeqTransformer) -> FrozenSeq2SeqTransformer:
-    return FrozenSeq2SeqTransformer(
-        freeze_module(module.embedding),
-        module.positional.copy(),
-        [freeze_module(layer) for layer in module.encoder_layers],
-        [freeze_module(layer) for layer in module.decoder_layers],
-        freeze_module(module.encoder_norm),
-        freeze_module(module.decoder_norm),
-        freeze_module(module.output_projection),
-        module.embed_dim,
-        module.max_length,
-        module.pad_index,
-    )
+    return _chain(module, "backbone", "head", FrozenTranspose((0, 2, 3, 1)))
 
 
 # --------------------------------------------------------------------------- #
@@ -1478,9 +1161,9 @@ class FrozenModel:
 
     ``predict`` runs the grad-free forward on a NumPy batch.  For sequence
     models the inputs are integer token batches and prediction greedy-decodes
-    using the ``bos_index``/``eos_index`` recorded in ``meta``; for every
-    other family the inputs are float batches and prediction returns logits
-    (or raw detection maps for YOLO).
+    with the KV cache, using the ``bos_index``/``eos_index`` recorded in
+    ``meta``; for every other family the inputs are float batches and
+    prediction returns logits (or raw detection maps for YOLO).
     """
 
     FORMAT_VERSION = 1
@@ -1495,7 +1178,8 @@ class FrozenModel:
         if self.family == "seq2seq":
             bos = self.meta.get("bos_index", 1)
             eos = self.meta.get("eos_index", 2)
-            return self.root.greedy_decode(np.asarray(inputs, dtype=np.int64), bos, eos)
+            return self.root.greedy_decode_cached(np.asarray(inputs, dtype=np.int64),
+                                                  bos, eos)
         compute_dtype = self.meta.get("compute_dtype")
         if compute_dtype is not None:
             return self.root.run(np.asarray(inputs).astype(compute_dtype, copy=False))
@@ -1517,10 +1201,10 @@ class FrozenModel:
         """
         dtype = np.dtype(dtype)
         for op in iter_ops(self.root):
-            for attr in ("weight", "bias", "mean", "var", "positional"):
-                value = getattr(op, attr, None)
+            for name in _declared(type(op), "array"):
+                value = getattr(op, name)
                 if isinstance(value, np.ndarray) and np.issubdtype(value.dtype, np.floating):
-                    setattr(op, attr, value.astype(dtype, copy=False))
+                    setattr(op, name, value.astype(dtype, copy=False))
         self.meta["compute_dtype"] = dtype.name
         return self
 
@@ -1538,22 +1222,13 @@ class FrozenModel:
         packed_bits = 0
         raw_values = 0
         for op in iter_ops(self.root):
-            if isinstance(op, (FrozenLinear, FrozenConv2d)):
-                if op.packed is not None:
-                    packed_values += op.packed.num_values
-                    packed_bits += op.packed.storage_bits()
-                else:
-                    raw_values += op.weight.size
-                if op.bias is not None:
-                    raw_values += op.bias.size
-            elif isinstance(op, (FrozenBatchNorm2d, FrozenLayerNorm)):
-                raw_values += op.weight.size + op.bias.size
-                if isinstance(op, FrozenBatchNorm2d):
-                    raw_values += op.mean.size + op.var.size
-            elif isinstance(op, FrozenEmbedding):
-                raw_values += op.weight.size
-            elif isinstance(op, FrozenSeq2SeqTransformer):
-                raw_values += op.positional.size
+            arrays = {name: getattr(op, name) for name in _declared(type(op), "array")}
+            packed = getattr(op, "packed", None)
+            if packed is not None:
+                del arrays["weight"]  # stored as packed BFP, not raw values
+                packed_values += packed.num_values
+                packed_bits += packed.storage_bits()
+            raw_values += sum(array.size for array in arrays.values() if array is not None)
         raw_bits = raw_values * 32
         total_values = packed_values + raw_values
         total_bits = packed_bits + raw_bits

@@ -1,5 +1,7 @@
 """Checkpoint round-trips: freeze -> save -> load -> bit-identical outputs."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -161,6 +163,31 @@ class TestCorruptCheckpoints:
         arrays["__spec__"] = np.array('{"format": "repro-frozen", truncated')
         np.savez(path, **arrays)
         with pytest.raises(CheckpointError, match="spec is corrupted"):
+            load_frozen(path)
+
+    def _rewrite_spec(self, path, edit):
+        with np.load(path) as data:
+            arrays = {key: data[key] for key in data.files}
+        spec = json.loads(str(arrays["__spec__"][()]))
+        edit(spec)
+        arrays["__spec__"] = np.array(json.dumps(spec))
+        np.savez(path, **arrays)
+
+    def test_unknown_op_type_names_file_and_op(self, tmp_path):
+        path = self._frozen_path(tmp_path)
+        self._rewrite_spec(path, lambda spec: spec["root"]["children"]["layers"]
+                           ["children"]["ops"][1].update(type="warp_drive"))
+        with pytest.raises(CheckpointError,
+                           match=r"mlp\.npz: op 'root/layers/ops\.1' .*'warp_drive'"):
+            load_frozen(path)
+
+    def test_missing_config_key_named_as_config_key(self, tmp_path):
+        path = self._frozen_path(tmp_path)
+        self._rewrite_spec(path, lambda spec: spec["root"]["children"]["layers"]
+                           ["children"]["ops"][0]["config"]["packed"].pop("axis"))
+        with pytest.raises(CheckpointError,
+                           match=r"mlp\.npz: op 'root/layers/ops\.0' \(linear\) is "
+                                 r"missing config key 'packed\.axis'"):
             load_frozen(path)
 
     def test_state_checkpoint_architecture_mismatch_names_keys(self, tmp_path):

@@ -5,6 +5,7 @@ import pytest
 
 from repro import nn
 from repro.core.bfp import BFPConfig
+from repro.formats.registry import available_formats
 from repro.models import (
     MLP,
     mobilenet_v2,
@@ -14,9 +15,14 @@ from repro.models import (
     vgg11,
 )
 from repro.nn.quantized import BFPScheme, quantized_modules
-from repro.serving import InferenceEngine, freeze, freeze_module
+from repro.serving import InferenceEngine, freeze, freeze_module, load_frozen, save_frozen
 from repro.serving.frozen import FrozenConv2d, FrozenLinear, iter_ops
-from repro.training.schedules import FASTSchedule, FixedBFPSchedule, FP32Schedule
+from repro.training.schedules import (
+    FASTSchedule,
+    FixedBFPSchedule,
+    FormatSchedule,
+    FP32Schedule,
+)
 
 CONFIG = BFPConfig(exponent_bits=8, group_size=16)
 NARROW_CONFIG = BFPConfig(exponent_bits=3, group_size=16)
@@ -85,6 +91,21 @@ class TestBitIdentity:
         live = model.greedy_decode(src, bos_index=1, eos_index=2)
         frozen = freeze(model, meta={"bos_index": 1, "eos_index": 2})
         np.testing.assert_array_equal(frozen.predict(src), live)
+
+
+class TestFormatSchedules:
+    @pytest.mark.parametrize("format_name", available_formats())
+    def test_frozen_matches_live_and_roundtrips(self, format_name, rng, tmp_path):
+        """Every registered format freezes bit-identically and reloads from
+        its saved spec -- including the formats whose instance names
+        (``flexpoint_m16``, ``tile_bfp_m12_t24``) are not registry names."""
+        model, input_shape = FAMILY_BUILDERS["mlp"](np.random.default_rng(4))
+        attach(model, FormatSchedule(format_name))
+        inputs = rng.standard_normal(input_shape)
+        frozen = freeze(model)
+        np.testing.assert_array_equal(frozen.predict(inputs), live_logits(model, inputs))
+        loaded = load_frozen(save_frozen(frozen, tmp_path / f"{format_name}.npz"))
+        np.testing.assert_array_equal(loaded.predict(inputs), frozen.predict(inputs))
 
 
 class TestFastAdaptiveSnapshot:

@@ -109,13 +109,6 @@ class TestIncrementalDecodeNumerics:
             root.greedy_decode_cached(src, BOS, EOS),
             root.greedy_decode(src, BOS, EOS))
 
-    def test_early_retirement_identical_tokens(self, rng):
-        root = frozen_seq2seq(seed=7).root
-        src = rng.integers(3, 30, size=(8, 6))
-        np.testing.assert_array_equal(
-            root.greedy_decode(src, BOS, EOS, early_retirement=True),
-            root.greedy_decode(src, BOS, EOS, early_retirement=False))
-
     def test_memory_kv_precompute_identical(self, rng):
         root = frozen_seq2seq().root
         src = rng.integers(3, 30, size=(3, 8))
