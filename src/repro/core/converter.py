@@ -24,7 +24,75 @@ import numpy as np
 from . import kernels
 from .bfp import BFPConfig, bfp_quantize_tensor, BFPTensor
 
-__all__ = ["ConversionResult", "BFPConverter", "relative_improvement"]
+__all__ = ["AdaptiveConversion", "ConversionResult", "BFPConverter", "relative_improvement"]
+
+
+def _improvement_ratio(low: np.ndarray, high: np.ndarray) -> float:
+    """Equation 2 from the two quantized results, summed in float64.
+
+    Both results lie on BFP grids with the same exponents, so ``high - low``
+    is exact in their own dtype as well as in float64; the sums run over
+    contiguous float64 arrays, so float32 and float64 inputs of the same
+    values give the same ``r`` to the last bit.
+    """
+    denominator = float(np.abs(low, dtype=np.float64).sum())
+    difference = np.subtract(high, low, dtype=np.float64)
+    numerator = float(np.abs(difference, out=difference).sum())
+    if denominator == 0.0:
+        # An all-zero low-precision tensor means everything was truncated
+        # away; any non-zero difference is an infinite relative improvement.
+        return float("inf") if numerator > 0.0 else 0.0
+    return numerator / denominator
+
+
+class AdaptiveConversion:
+    """One BFP conversion of a tensor at both FAST precisions (Figure 14).
+
+    The grouping and the shared-exponent search run once; the low- and
+    high-precision nearest results come from those exponents, and the
+    relative improvement ``r(X)`` of Equation 2 is read off the two results
+    -- the by-product Algorithm 1 needs, exactly as in the hardware
+    converter, whose 4-bit result is two 2-bit chunks (Section V-D).
+    :meth:`quantize` then returns the result at the chosen width: one of
+    the two nearest results, or a fresh rounding (e.g. stochastic) from the
+    same exponents.
+
+    Quantization runs in float32 for float32 tensors and in float64
+    otherwise, and results come back in the tensor's floating dtype;
+    ``layout`` is passed to
+    :class:`~repro.core.kernels.GroupedTensor`, whose lifetime rule applies.
+    """
+
+    def __init__(self, x, config: Optional[BFPConfig] = None, low_bits: int = 2,
+                 high_bits: int = 4, layout=None):
+        if config is None:
+            config = BFPConfig()
+        x = np.asarray(x)
+        self._dtype = x.dtype if np.issubdtype(x.dtype, np.floating) else np.dtype(np.float64)
+        if x.dtype != np.float32 and x.dtype != np.float64:
+            # A layout for the original dtype cannot group the float64 copy.
+            x, layout = x.astype(np.float64), None
+        self._grouped = kernels.GroupedTensor(x, config.group_size, config.exponent_bits,
+                                              layout=layout)
+        low = self._grouped.quantize(low_bits)
+        high = self._grouped.quantize(high_bits)
+        self._nearest = {low_bits: low, high_bits: high}
+        self.relative_improvement = _improvement_ratio(low, high)
+
+    def quantize(self, mantissa_bits: int, rounding: str = "nearest", rng=None,
+                 noise_bits: Optional[int] = 8) -> np.ndarray:
+        """The tensor quantized at ``mantissa_bits``, in its own shape and dtype.
+
+        Nearest rounding at either precision returns the result already
+        computed for ``r(X)``; any other width or rounding mode quantizes
+        once more from the same exponents, drawing noise of the same shape
+        (and from the same stream) as :func:`~repro.core.bfp.bfp_quantize`.
+        """
+        grouped = self._nearest.get(mantissa_bits) if rounding == "nearest" else None
+        if grouped is None:
+            grouped = self._grouped.quantize(mantissa_bits, rounding, rng=rng,
+                                             noise_bits=noise_bits)
+        return self._grouped.ungroup(grouped).astype(self._dtype, copy=False)
 
 
 def relative_improvement(x, config: Optional[BFPConfig] = None, low_bits: int = 2, high_bits: int = 4) -> float:
@@ -37,25 +105,15 @@ def relative_improvement(x, config: Optional[BFPConfig] = None, low_bits: int = 
     means low precision is losing significant information.
 
     The shared exponents do not depend on the mantissa width, so the grouping
-    and exponent derivation are done once and reused for both precisions --
-    this function runs on every FAST-Adaptive precision decision, making it a
-    hot path in its own right.  Padded positions quantize to zero at both
-    precisions and therefore do not perturb either sum.
+    and exponent derivation are done once and reused for both precisions
+    (:class:`AdaptiveConversion`).  There is no float64 copy of the tensor:
+    float32 tensors are quantized in float32 -- bit-identical to float64
+    quantization of the same values -- and only the two sums accumulate in
+    float64, so ``r`` equals the float64 computation exactly.  Padded
+    positions quantize to zero at both precisions and therefore do not
+    perturb either sum.
     """
-    if config is None:
-        config = BFPConfig()
-    x = np.asarray(x, dtype=np.float64)
-    groups, _, _ = kernels.resolve_groups(x, config.group_size, axis=-1)
-    exponents = kernels.shared_exponents(groups, config.exponent_bits)
-    low, _, _ = kernels.quantize_groups(groups, exponents, low_bits, "nearest")
-    high, _, _ = kernels.quantize_groups(groups, exponents, high_bits, "nearest")
-    denominator = float(np.abs(low).sum())
-    numerator = float(np.abs(high - low).sum())
-    if denominator == 0.0:
-        # An all-zero low-precision tensor means everything was truncated
-        # away; any non-zero difference is an infinite relative improvement.
-        return float("inf") if numerator > 0.0 else 0.0
-    return numerator / denominator
+    return AdaptiveConversion(x, config, low_bits, high_bits).relative_improvement
 
 
 @dataclass

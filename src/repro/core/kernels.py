@@ -47,6 +47,7 @@ __all__ = [
     "group_for_quantization",
     "shared_exponents",
     "quantize_groups",
+    "GroupedTensor",
     "bfp_quantize_fast",
     "group_values_reference",
     "shared_exponents_reference",
@@ -423,6 +424,55 @@ def quantize_groups(
     return quantized, signs, mantissas
 
 
+class GroupedTensor:
+    """One tensor after grouping and the shared-exponent search (Figure 4a).
+
+    The shared exponents do not depend on the mantissa width, so a grouped
+    tensor can be quantized at several widths -- and with different rounding
+    modes -- from one grouping and one ``|x|``/group-max/exponent pass.  This
+    is how the hardware converter produces both the 2- and 4-bit results of
+    a tensor from one conversion (Section V-D).
+
+    ``groups`` may be a view of the caller's tensor or of a layout's padded
+    workspace, so a ``GroupedTensor`` is valid until the next grouping
+    through the same :class:`GroupedLayout`.
+    """
+
+    __slots__ = ("shape", "dtype", "axis", "groups", "pad", "moved_shape",
+                 "group_max", "exponents", "_magnitudes")
+
+    def __init__(self, x, group_size: int, exponent_bits: Optional[int] = 8,
+                 axis: int = -1, layout: Optional[GroupedLayout] = None):
+        x = np.asarray(x)
+        self.shape = x.shape
+        self.dtype = x.dtype if np.issubdtype(x.dtype, np.floating) else np.float64
+        self.axis = axis
+        self.groups, self.pad, self.moved_shape = resolve_groups(
+            x, group_size, axis=axis, layout=layout)
+        self._magnitudes = np.abs(self.groups)
+        self.group_max = _fold_group_max(self._magnitudes)
+        self.exponents = _exponents_from_group_max(self.group_max, exponent_bits)
+
+    def quantize(self, mantissa_bits: int, rounding: str = "nearest", rng=None,
+                 noise_bits: Optional[int] = 8) -> np.ndarray:
+        """Quantized groups at ``mantissa_bits`` (see :func:`quantize_groups`).
+
+        The first call takes over the ``|x|`` buffer of the exponent search
+        as its working buffer, saving one full-size pass; later calls derive
+        their own.  Either way the result is the same.
+        """
+        magnitudes, self._magnitudes = self._magnitudes, None
+        quantized, _, _ = quantize_groups(
+            self.groups, self.exponents, mantissa_bits, rounding, rng=rng,
+            noise_bits=noise_bits, magnitudes=magnitudes, group_max=self.group_max)
+        return quantized
+
+    def ungroup(self, quantized: np.ndarray) -> np.ndarray:
+        """Quantized groups back in the tensor's shape and floating dtype."""
+        result = ungroup_values_reference(quantized, self.pad, self.moved_shape, axis=self.axis)
+        return result.reshape(self.shape).astype(self.dtype, copy=False)
+
+
 def bfp_quantize_fast(
     x,
     mantissa_bits: int = 4,
@@ -444,18 +494,9 @@ def bfp_quantize_fast(
     """
     profiler = _PROFILER
     start = time.perf_counter() if profiler is not None else 0.0
-    x = np.asarray(x)
-    original_dtype = x.dtype if np.issubdtype(x.dtype, np.floating) else np.float64
-    groups, pad, moved_shape = resolve_groups(x, group_size, axis=axis, layout=layout)
-    magnitudes = np.abs(groups)
-    group_max = _fold_group_max(magnitudes)
-    exponents = _exponents_from_group_max(group_max, exponent_bits)
-    quantized, _, _ = quantize_groups(
-        groups, exponents, mantissa_bits, rounding,
-        rng=rng, noise_bits=noise_bits, magnitudes=magnitudes, group_max=group_max,
-    )
-    result = ungroup_values_reference(quantized, pad, moved_shape, axis=axis)
-    result = result.reshape(x.shape).astype(original_dtype, copy=False)
+    grouped = GroupedTensor(x, group_size, exponent_bits, axis=axis, layout=layout)
+    result = grouped.ungroup(grouped.quantize(mantissa_bits, rounding, rng=rng,
+                                              noise_bits=noise_bits))
     if profiler is not None:
         profiler.record("bfp_quantize_fast", time.perf_counter() - start,
                         result.size)

@@ -21,8 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
 from .bfp import BFPConfig
 from .converter import relative_improvement
 
@@ -304,23 +302,49 @@ class FASTAdaptivePolicy(PrecisionPolicy):
         """
         if tensor is None:
             raise ValueError("FASTAdaptivePolicy.decide requires the tensor values")
-        key = (tensor_kind, layer_index)
-        cached = self._cache.get(key)
-        if cached is not None and iteration - cached[0] < self.evaluation_interval:
-            bits = cached[1]
-            r_value = cached[2]
-        else:
-            r_value = relative_improvement(
-                np.asarray(tensor), self.config, self.low_bits, self.high_bits
-            )
-            eps = self.threshold(layer_index, iteration)
-            bits = self.low_bits if r_value < eps else self.high_bits
-            self._cache[key] = (iteration, bits, r_value)
+        decision = self.cached_decision(tensor_kind, layer_index, iteration)
+        if decision is not None:
+            return decision
+        r_value = relative_improvement(tensor, self.config, self.low_bits, self.high_bits)
+        return self.decide_from_improvement(tensor_kind, layer_index, iteration, r_value)
+
+    def cached_decision(self, tensor_kind: str, layer_index: int,
+                        iteration: int) -> Optional[PrecisionDecision]:
+        """The memoized decision inside ``evaluation_interval``, else ``None``.
+
+        ``None`` means ``r(X)`` is due at this iteration: a converter that
+        produces it as a by-product (see
+        :class:`~repro.core.converter.AdaptiveConversion`) passes it to
+        :meth:`decide_from_improvement`.
+        """
+        cached = self._cache.get((tensor_kind, layer_index))
+        if cached is None or iteration - cached[0] >= self.evaluation_interval:
+            return None
+        return PrecisionDecision(
+            layer_index,
+            iteration,
+            tensor_kind,
+            cached[1],
+            relative_improvement=cached[2],
+            threshold=self.threshold(layer_index, iteration),
+        )
+
+    def decide_from_improvement(self, tensor_kind: str, layer_index: int, iteration: int,
+                                r_value: float) -> PrecisionDecision:
+        """Algorithm 1's comparison of ``r(X)`` with ``ε(l, i)``; refreshes the memo.
+
+        ``r_value`` must be :func:`~repro.core.converter.relative_improvement`
+        of the tensor under this policy's ``config``, ``low_bits`` and
+        ``high_bits``.  Like :meth:`decide`, nothing is recorded.
+        """
+        eps = self.threshold(layer_index, iteration)
+        bits = self.low_bits if r_value < eps else self.high_bits
+        self._cache[(tensor_kind, layer_index)] = (iteration, bits, r_value)
         return PrecisionDecision(
             layer_index,
             iteration,
             tensor_kind,
             bits,
             relative_improvement=r_value,
-            threshold=self.threshold(layer_index, iteration),
+            threshold=eps,
         )

@@ -20,6 +20,7 @@ from collections import OrderedDict
 from typing import Callable, Optional, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .tensor import Tensor, as_tensor
 
@@ -241,13 +242,15 @@ def col2im(
         # values in the same order as) a single offset scatter, without
         # materializing a batch-sized int64 positions array every backward
         # pass.
+        # ``cols`` may be a transposed view of the convolution's fat patch
+        # matrix; bincount converts each image's (features, positions)
+        # block to contiguous float64 itself.
         flat = _scatter_indices(input_shape, kernel_h, kernel_w, stride, padding, k, i, j)
         positions = flat.ravel()
         per_image = channels * padded_h * padded_w
-        weights = np.ascontiguousarray(cols, dtype=np.float64).reshape(batch, -1)
         padded = np.empty((batch, per_image), dtype=np.float64)
         for image in range(batch):
-            padded[image] = np.bincount(positions, weights=weights[image],
+            padded[image] = np.bincount(positions, weights=cols[image].reshape(-1),
                                         minlength=per_image)
         padded = padded.reshape(batch, channels, padded_h, padded_w)
         if scatter_dtype != np.float64:
@@ -260,6 +263,26 @@ def col2im(
     return padded[:, :, padding:-padding, padding:-padding]
 
 
+def _gather_fat(x: np.ndarray, kernel_h: int, kernel_w: int, stride: int, padding: int,
+                out_h: int, out_w: int) -> np.ndarray:
+    """Patch matrix in the fat ``(C*kh*kw, N*out_h*out_w)`` layout.
+
+    Rows are ordered like :func:`im2col`'s (channel, kernel row, kernel
+    column) and columns run over (image, output position), so each group of
+    a grouped convolution is a contiguous block of rows.  One copy out of a
+    strided window view -- no index arrays, no transpose of an
+    ``(N, F, L)`` gather.
+    """
+    if padding:
+        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    batch, channels = x.shape[:2]
+    windows = sliding_window_view(x, (kernel_h, kernel_w), axis=(2, 3))
+    windows = windows[:, :, ::stride, ::stride][:, :, :out_h, :out_w]
+    fat = np.empty((channels, kernel_h, kernel_w, batch, out_h, out_w), dtype=x.dtype)
+    np.copyto(fat, windows.transpose(1, 4, 5, 0, 2, 3))
+    return fat.reshape(channels * kernel_h * kernel_w, batch * out_h * out_w)
+
+
 def _conv2d_forward(
     x_data: np.ndarray,
     weight_data: np.ndarray,
@@ -267,28 +290,23 @@ def _conv2d_forward(
     stride: int,
     padding: int,
     groups: int,
-    need_cols: bool = True,
 ):
     """Pure-array convolution forward shared by autograd and serving.
 
-    Returns ``(out_data, cols, out_h, out_w)``; ``cols`` is the
-    ``(batch, features, positions)`` im2col patch matrix the backward pass
-    contracts against (``None`` when ``need_cols=False``).
+    Returns ``(out_data, cols, out_h, out_w)``; ``cols`` is the patch matrix
+    the backward pass contracts against.  The patch gather is recorded under
+    the ``im2col`` kernel name.
 
-    On the fast path the products run as one *fat* GEMM over the flattened
-    (batch, position) axis -- a single ``(O, F) x (F, N*L)`` product instead
-    of a batched matmul looping ``batch`` GEMM slices -- which keeps BLAS in
-    its efficient blocking regime (measured ~2.5x over the per-slice loop at
-    batch 16).  This is exactly where batched serving throughput comes from.
-    Grad-free callers (``need_cols=False``) gather the patches directly in
-    the fat ``(features, batch*positions)`` layout, skipping the transpose
-    copy; the gathered values and GEMM shape are identical either way, so
-    autograd and serving produce bit-identical outputs.
-
-    Grouped convolutions use the same decomposition per group: the patch
-    rows are channel-major, so a ``(groups, features, N*L)`` view of the
-    columns gives exactly the per-group blocks (the depthwise case,
-    ``Og=1, F=k*k``, is pathological for a per-slice loop).
+    On the fast path ``cols`` is the fat ``(features, batch*positions)``
+    matrix of :func:`_gather_fat` and the product is one ``(O, F) x (F, N*L)``
+    GEMM over the flattened (batch, position) axis instead of a batched
+    matmul looping ``batch`` GEMM slices, which keeps BLAS in its efficient
+    blocking regime.  Grouped convolutions use the same decomposition per
+    group: a ``(groups, features, N*L)`` view of the fat matrix gives exactly
+    the per-group blocks (the depthwise case, ``Og=1, F=k*k``, is
+    pathological for a per-slice loop).  On the reference path (fast path
+    disabled) ``cols`` is the ``(batch, features, positions)`` im2col
+    matrix and the products are ``np.einsum`` contractions.
     """
     profiler = _PROFILER
     start = time.perf_counter() if profiler is not None else 0.0
@@ -297,28 +315,18 @@ def _conv2d_forward(
     k, i, j, out_h, out_w = im2col_indices(x_data.shape, kernel_h, kernel_w, stride, padding)
     fast = _CONV_FAST_ENABLED
     positions = out_h * out_w
-    use_fat_gather = fast and batch > 1 and not need_cols
-    if use_fat_gather:
-        padded = (np.pad(x_data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-                  if padding else x_data)
-        batch_index = np.arange(batch).reshape(1, batch, 1)
-        # (features_total, batch, positions), contiguous in the fat layout.
-        fat = padded[batch_index, k[:, None, :], i[:, None, :], j[:, None, :]]
-        cols = None
+    gather_start = time.perf_counter() if profiler is not None else 0.0
+    if fast:
+        cols = _gather_fat(x_data, kernel_h, kernel_w, stride, padding, out_h, out_w)
     else:
         cols = _gather_patches(x_data, k, i, j, padding)
-        fat = None
+    if profiler is not None:
+        profiler.record("im2col", time.perf_counter() - gather_start, cols.size)
     if groups == 1:
         weight_matrix = weight_data.reshape(out_channels, -1)
         if fast:
-            if batch == 1:
-                out_data = np.matmul(weight_matrix, cols[0])[None]
-            else:
-                if fat is None:
-                    fat = cols.transpose(1, 0, 2)
-                cols_fat = fat.reshape(weight_matrix.shape[1], -1)
-                out_data = np.matmul(weight_matrix, cols_fat)
-                out_data = out_data.reshape(out_channels, batch, positions).transpose(1, 0, 2)
+            out_data = np.matmul(weight_matrix, cols)
+            out_data = out_data.reshape(out_channels, batch, positions).transpose(1, 0, 2)
         else:
             out_data = np.einsum("of,nfl->nol", weight_matrix, cols)
     else:
@@ -326,16 +334,9 @@ def _conv2d_forward(
         out_per_group = out_channels // groups
         weight_grouped = weight_data.reshape(groups, out_per_group, features)
         if fast:
-            if batch == 1:
-                out_data = np.matmul(weight_grouped,
-                                     cols.reshape(batch, groups, features, -1)[0])[None]
-            else:
-                if fat is None:
-                    fat = cols.reshape(batch, groups, features, -1).transpose(1, 2, 0, 3)
-                cols_fat = fat.reshape(groups, features, -1)
-                out_data = np.matmul(weight_grouped, cols_fat)
-                out_data = (out_data.reshape(groups, out_per_group, batch, positions)
-                            .transpose(2, 0, 1, 3))
+            out_data = np.matmul(weight_grouped, cols.reshape(groups, features, -1))
+            out_data = (out_data.reshape(groups, out_per_group, batch, positions)
+                        .transpose(2, 0, 1, 3))
         else:
             out_data = np.einsum("gof,ngfl->ngol", weight_grouped,
                                  cols.reshape(batch, groups, features, -1))
@@ -359,13 +360,13 @@ def conv2d_infer(
 ) -> np.ndarray:
     """Grad-free convolution on plain arrays (the serving fast path).
 
-    Runs the exact forward computation of :func:`conv2d` -- same gather
-    indices, same matmul -- without building tensors or retaining the patch
+    Runs the exact forward computation of :func:`conv2d` -- same patch
+    gather, same matmul -- without building tensors or retaining the patch
     matrix for a backward pass.
     """
     out, _, _, _ = _conv2d_forward(np.asarray(x), np.asarray(weight),
                                    None if bias is None else np.asarray(bias),
-                                   stride, padding, groups, need_cols=False)
+                                   stride, padding, groups)
     return out
 
 
@@ -384,6 +385,11 @@ def conv2d(
     training path sees the same matrix products as the hardware.  ``groups``
     runs a grouped convolution (depthwise when ``groups == channels``) as a
     single batched product over the group axis.
+
+    On the fast path the backward pass reuses the forward's fat patch matrix
+    ``cols`` (features x batch*positions): ``grad_W = grad @ colsᵀ`` and
+    ``grad_cols = Wᵀ @ grad`` are one GEMM each (per group), with the output
+    gradient brought into the same (channel, batch*position) layout once.
     """
     x = as_tensor(x)
     weight = as_tensor(weight)
@@ -394,56 +400,42 @@ def conv2d(
             f"conv2d shape mismatch: input channels {x.shape[1]}, weight "
             f"{weight.shape}, groups {groups}"
         )
+    fast = _CONV_FAST_ENABLED
     out_data, cols, out_h, out_w = _conv2d_forward(
         x.data, weight.data, None if bias is None else bias.data,
         stride, padding, groups)
-    fast = _CONV_FAST_ENABLED
     input_shape = x.shape
     out_per_group = out_channels // groups
     features = in_per_group * kernel_h * kernel_w
+    positions = out_h * out_w
 
     def backward(grad):
-        if groups == 1:
-            grad_matrix = grad.reshape(batch, out_channels, -1)
-            weight_matrix = weight.data.reshape(out_channels, -1)
-            if weight.requires_grad:
-                if fast:
-                    # One large GEMM over the (batch, position) axes; no
-                    # batched (N, O, F) intermediate to materialize/reduce.
-                    grad_weight = np.tensordot(grad_matrix, cols, axes=([0, 2], [0, 2]))
-                else:
-                    grad_weight = np.einsum("nol,nfl->of", grad_matrix, cols)
-                weight._accumulate(grad_weight.reshape(weight.shape))
-            if bias is not None and bias.requires_grad:
-                bias._accumulate(grad_matrix.sum(axis=(0, 2)))
-            if x.requires_grad:
-                if fast:
-                    grad_cols = np.matmul(weight_matrix.T, grad_matrix)
-                else:
-                    grad_cols = np.einsum("of,nol->nfl", weight_matrix, grad_matrix)
-                grad_x = col2im(grad_cols, input_shape, kernel_h, kernel_w, stride, padding)
-                x._accumulate(grad_x)
-            return
-        grad_matrix = grad.reshape(batch, groups, out_per_group, -1)
-        cols_grouped = cols.reshape(batch, groups, features, -1)
-        weight_grouped = weight.data.reshape(groups, out_per_group, features)
-        if weight.requires_grad:
-            if fast:
-                grad_weight = np.matmul(
-                    grad_matrix, np.swapaxes(cols_grouped, -1, -2)).sum(axis=0)
-            else:
-                grad_weight = np.einsum("ngol,ngfl->gof", grad_matrix, cols_grouped)
-            weight._accumulate(grad_weight.reshape(weight.shape))
+        grad_matrix = grad.reshape(batch, groups, out_per_group, positions)
         if bias is not None and bias.requires_grad:
             bias._accumulate(grad_matrix.sum(axis=(0, 3)).reshape(-1))
-        if x.requires_grad:
-            if fast:
-                grad_cols = np.matmul(np.swapaxes(weight_grouped, -1, -2), grad_matrix)
-            else:
+        weight_grouped = weight.data.reshape(groups, out_per_group, features)
+        grad_weight = grad_cols = None
+        if fast:
+            # (groups, Og, batch*positions): the output gradient in the fat layout.
+            grad_fat = grad_matrix.transpose(1, 2, 0, 3).reshape(groups, out_per_group, -1)
+            if weight.requires_grad:
+                grad_weight = np.matmul(grad_fat, cols.reshape(groups, features, -1)
+                                        .transpose(0, 2, 1))
+            if x.requires_grad:
+                grad_cols = np.matmul(weight_grouped.transpose(0, 2, 1), grad_fat)
+                # col2im takes (batch, features, positions): a transposed view.
+                grad_cols = grad_cols.reshape(-1, batch, positions).transpose(1, 0, 2)
+        else:
+            cols_grouped = cols.reshape(batch, groups, features, -1)
+            if weight.requires_grad:
+                grad_weight = np.einsum("ngol,ngfl->gof", grad_matrix, cols_grouped)
+            if x.requires_grad:
                 grad_cols = np.einsum("gof,ngol->ngfl", weight_grouped, grad_matrix)
-            grad_cols = grad_cols.reshape(batch, groups * features, -1)
-            grad_x = col2im(grad_cols, input_shape, kernel_h, kernel_w, stride, padding)
-            x._accumulate(grad_x)
+                grad_cols = grad_cols.reshape(batch, groups * features, -1)
+        if grad_weight is not None:
+            weight._accumulate(grad_weight.reshape(weight.shape))
+        if grad_cols is not None:
+            x._accumulate(col2im(grad_cols, input_shape, kernel_h, kernel_w, stride, padding))
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     return Tensor._make(out_data, parents, backward, "conv2d")
@@ -453,7 +445,7 @@ def conv2d(
 # Pooling
 # --------------------------------------------------------------------------- #
 def _pool_uses_reshape(height: int, width: int, kernel_size: int, stride: int) -> bool:
-    """Whether the non-overlapping reshape fast path applies."""
+    """Whether the non-overlapping (tiled windows) fast path applies."""
     return (_CONV_FAST_ENABLED and stride == kernel_size
             and height % kernel_size == 0 and width % kernel_size == 0)
 
@@ -481,26 +473,42 @@ def _pool_cols(x_data: np.ndarray, kernel_size: int, stride: int):
     return _gather_patches(folded, k, i, j, 0), folded.shape, out_h, out_w
 
 
-def max_pool2d_infer(x: np.ndarray, kernel_size: int, stride: Optional[int] = None) -> np.ndarray:
-    """Grad-free max pooling on plain arrays (same values as :func:`max_pool2d`).
+def _max_pool_windows(x: np.ndarray, kernel_size: int):
+    """Non-overlapping max pooling with argmax's first-winner rule.
 
-    The non-overlapping case reduces ``kernel*kernel`` strided views with
-    ``np.maximum`` instead of materializing the window tensor: max selection
-    returns the same value regardless of comparison order, so this is
-    value-identical to the autograd path while skipping its big transpose
-    copy (the autograd path needs the window layout for argmax indices;
-    inference does not).
+    Returns ``(out, stack)``: ``stack[t]`` is window element ``t``
+    (row-major in the window, the im2col row order) of every window, copied
+    once out of a strided view of ``x`` into contiguous memory.
+    ``np.maximum`` over the stack gives every peak value, but its choice
+    between ``-0.0`` and ``+0.0`` (or between NaN payloads) is not
+    argmax's.  So the few windows whose peak is zero or NaN take the element
+    ``argmax`` picks -- the first maximal one, or the first NaN.
     """
+    batch, channels, height, width = x.shape
+    window = kernel_size * kernel_size
+    stack = np.empty((window, batch, channels, height // kernel_size, width // kernel_size),
+                     dtype=x.dtype)
+    for t in range(window):
+        stack[t] = x[:, :, t // kernel_size::kernel_size, t % kernel_size::kernel_size]
+    out = np.maximum.reduce(stack)
+    ties = np.flatnonzero(~(np.abs(out) > 0))
+    if ties.size:
+        candidates = stack.reshape(window, -1)[:, ties]
+        out.reshape(-1)[ties] = candidates[candidates.argmax(axis=0), np.arange(ties.size)]
+    return out, stack
+
+
+def max_pool2d_infer(x: np.ndarray, kernel_size: int, stride: Optional[int] = None) -> np.ndarray:
+    """Grad-free max pooling on plain arrays (bit-identical to :func:`max_pool2d`)."""
     x = np.asarray(x)
     stride = stride if stride is not None else kernel_size
     batch, channels, height, width = x.shape
     if _pool_uses_reshape(height, width, kernel_size, stride):
-        return np.maximum.reduce([
-            x[:, :, di::kernel_size, dj::kernel_size]
-            for di in range(kernel_size) for dj in range(kernel_size)
-        ])
+        return _max_pool_windows(x, kernel_size)[0]
     cols, _, out_h, out_w = _pool_cols(x, kernel_size, stride)
-    return cols.max(axis=1).reshape(batch, channels, out_h, out_w)
+    max_idx = cols.argmax(axis=1)
+    out = np.take_along_axis(cols, max_idx[:, None, :], axis=1)[:, 0, :]
+    return out.reshape(batch, channels, out_h, out_w)
 
 
 def avg_pool2d_infer(x: np.ndarray, kernel_size: int, stride: Optional[int] = None) -> np.ndarray:
@@ -518,35 +526,40 @@ def max_pool2d(x: Tensor, kernel_size: int, stride: Optional[int] = None) -> Ten
     """Max pooling over square windows (NCHW layout).
 
     Non-overlapping pooling (``stride == kernel_size``, dimensions divisible)
-    takes a reshape-based fast path: windows become the (contiguous) last
-    axis, whose argmax is several times faster than the strided axis-1 argmax
-    of the im2col path.  Window elements appear in the same row-major order
-    either way and no window overlaps another, so outputs and gradients are
-    bit-identical between the two paths.
+    takes a strided fast path: the ``kernel*kernel`` window elements are
+    strided views of the input, reduced with ``np.maximum``, and the backward
+    pass scatters the gradient through first-winner masks taken in window
+    order (:func:`_max_pool_windows`).  That is the element ``argmax`` picks
+    on the im2col path -- ties, signed zeros and NaN included -- so outputs
+    and gradients are bit-identical between the two paths.
     """
     x = as_tensor(x)
     stride = stride if stride is not None else kernel_size
     batch, channels, height, width = x.shape
     if _pool_uses_reshape(height, width, kernel_size, stride):
-        out_h, out_w = height // kernel_size, width // kernel_size
-        window = kernel_size * kernel_size
-        windows = _pool_windows(x.data, kernel_size)
-        max_idx = windows.argmax(axis=-1)
-        out_data = np.take_along_axis(windows, max_idx[..., None], axis=-1)[..., 0]
+        out_data, stack = _max_pool_windows(x.data, kernel_size)
 
         def backward(grad):
             if not x.requires_grad:
                 return
-            grad_windows = np.zeros_like(windows)
-            np.put_along_axis(
-                grad_windows, max_idx[..., None],
-                grad.reshape(batch, channels, out_h, out_w, 1), axis=-1,
-            )
-            grad_x = (
-                grad_windows.reshape(batch, channels, out_h, out_w, kernel_size, kernel_size)
-                .transpose(0, 1, 2, 4, 3, 5)
-                .reshape(x.shape)
-            )
+            # Each input is in exactly one window: the first winner receives
+            # the gradient's bits (a product with a 0/1 mask is exact, NaN
+            # and -0.0 included), every other input +0.0.
+            has_nan = bool(np.isnan(out_data).any())
+            bits = np.dtype(f"u{out_data.dtype.itemsize}")
+            grad_bits = np.asarray(grad, dtype=out_data.dtype).view(bits)
+            grad_x = np.empty(x.shape, dtype=out_data.dtype)
+            grad_x_bits = grad_x.view(bits)
+            taken = np.zeros(out_data.shape, dtype=bool)
+            for t, element in enumerate(stack):
+                hit = element == out_data
+                if has_nan:
+                    hit |= np.isnan(element)
+                winner = hit > taken
+                taken |= hit
+                di, dj = divmod(t, kernel_size)
+                np.multiply(grad_bits, winner,
+                            out=grad_x_bits[:, :, di::kernel_size, dj::kernel_size])
             x._accumulate(grad_x)
 
         return Tensor._make(out_data, (x,), backward, "max_pool2d")

@@ -31,8 +31,9 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from ..core.bfp import BFPConfig, bfp_quantize
+from ..core.converter import AdaptiveConversion
 from ..core.kernels import LayoutCache, layout_cache_enabled
-from ..core.precision_policy import PrecisionPolicy
+from ..core.precision_policy import FASTAdaptivePolicy, PrecisionPolicy
 from ..formats.base import NumberFormat, TensorKind
 from . import functional as F
 from .modules import Conv2d, Linear, Module
@@ -198,9 +199,13 @@ class FASTScheme(QuantizationScheme):
     The scheme stores the layer index it is attached to and the current
     training iteration (updated by the trainer each step).  Every quantize
     call asks the policy for the mantissa width of that tensor kind, then
-    quantizes with it -- mirroring how the hardware BFP converter evaluates
-    ``r(X)`` as a by-product of conversion and picks the chunk count for the
-    very tensor being converted.
+    quantizes with it.  When ``r(X)`` is due (every ``evaluation_interval``
+    iterations of a :class:`~repro.core.precision_policy.FASTAdaptivePolicy`
+    that groups like this scheme), activations and gradients take it from
+    their own conversion (:class:`~repro.core.converter.AdaptiveConversion`)
+    -- as the hardware BFP converter produces ``r(X)`` as a by-product of
+    conversion and picks the chunk count for the very tensor being
+    converted -- and the policy only compares it with ``ε(l, i)``.
 
     Decision selection is split from quantization: the policy's
     :meth:`~repro.core.precision_policy.PrecisionPolicy.decide` is pure, so
@@ -232,27 +237,61 @@ class FASTScheme(QuantizationScheme):
         # instead of asking (and recording with) the policy a second time.
         self._pending_weight_bits = None
 
+    def _rounding(self, kind: str) -> str:
+        if kind == TensorKind.GRADIENT and self.stochastic_gradients:
+            return "stochastic"
+        return "nearest"
+
+    def _layout(self, values: np.ndarray):
+        return (self._layouts.layout_for(values, self.config.group_size)
+                if layout_cache_enabled() else None)
+
     def _quantize_with_bits(self, values: np.ndarray, kind: str, bits: int) -> np.ndarray:
         self._last_bits[kind] = bits
-        rounding = "nearest"
-        if kind == TensorKind.GRADIENT and self.stochastic_gradients:
-            rounding = "stochastic"
         values = np.asarray(values)
-        layout = (self._layouts.layout_for(values, self.config.group_size)
-                  if layout_cache_enabled() else None)
         return bfp_quantize(
             values,
             mantissa_bits=bits,
             group_size=self.config.group_size,
             exponent_bits=self.config.exponent_bits,
-            rounding=rounding,
+            rounding=self._rounding(kind),
             rng=self.rng,
-            layout=layout,
+            layout=self._layout(values),
         )
 
+    def _converter_computes_statistic(self) -> bool:
+        """Whether this scheme's conversion can produce the policy's ``r(X)``:
+        a FAST-Adaptive policy grouping like this scheme does."""
+        policy = self.policy
+        return (isinstance(policy, FASTAdaptivePolicy)
+                and policy.config.group_size == self.config.group_size
+                and policy.config.exponent_bits == self.config.exponent_bits)
+
     def _quantize(self, values: np.ndarray, kind: str) -> np.ndarray:
+        if (self._converter_computes_statistic() and self.policy.cached_decision(
+                kind, self.layer_index, self.iteration) is None):
+            return self._convert_adaptive(values, kind)
         bits = self.policy.select(kind, self.layer_index, self.iteration, tensor=values)
         return self._quantize_with_bits(values, kind, bits)
+
+    def _convert_adaptive(self, values: np.ndarray, kind: str) -> np.ndarray:
+        """An evaluation iteration: ``r(X)`` is a by-product of the conversion.
+
+        One grouping and exponent search yields both nearest results and
+        ``r(X)``; the policy compares it with ``ε(l, i)`` and the chosen
+        result is returned (stochastic rounding quantizes once more from the
+        same exponents).  Bit-identical to ``policy.select`` followed by
+        :meth:`_quantize_with_bits`, noise stream included.
+        """
+        policy = self.policy
+        values = np.asarray(values)
+        conversion = AdaptiveConversion(values, self.config, policy.low_bits,
+                                        policy.high_bits, layout=self._layout(values))
+        decision = policy.decide_from_improvement(kind, self.layer_index, self.iteration,
+                                                  conversion.relative_improvement)
+        policy.record(decision)
+        self._last_bits[kind] = decision.mantissa_bits
+        return conversion.quantize(decision.mantissa_bits, self._rounding(kind), rng=self.rng)
 
     def weight_cache_token(self, values: Optional[np.ndarray] = None):
         if values is None:

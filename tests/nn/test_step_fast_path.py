@@ -2,7 +2,9 @@
 
 * memoized im2col/scatter indices (and their cached/uncached equivalence),
 * the BLAS/bincount convolution path vs. the einsum/add.at reference,
-* the reshape-based non-overlapping max-pool fast path,
+* the fat-layout convolution gather and backward GEMMs,
+* the strided non-overlapping max-pool fast path (first-winner masks),
+* the ``im2col`` kernel metric of the convolution gather,
 * dtype preservation in ``dropout`` and ``one_hot``.
 """
 
@@ -148,6 +150,83 @@ class TestGroupedConvFastPath:
             F.conv2d_infer(x, w, b, padding=1, groups=2), expected)
 
 
+class TestFatLayoutConvGeometry:
+    """The fat-layout gather and backward GEMMs against the einsum reference."""
+
+    GEOMETRIES = {
+        # name: (x shape, weight shape, stride, padding, groups)
+        "stride2": ((2, 3, 9, 9), (4, 3, 3, 3), 2, 1, 1),
+        "padding0": ((2, 3, 8, 8), (5, 3, 3, 3), 1, 0, 1),
+        "padding2": ((2, 3, 6, 6), (4, 3, 3, 3), 1, 2, 1),
+        "groups2": ((3, 4, 7, 7), (6, 2, 3, 3), 1, 1, 2),
+        "depthwise": ((2, 5, 8, 8), (5, 1, 3, 3), 2, 1, 5),
+        "batch1": ((1, 3, 8, 8), (4, 3, 3, 3), 1, 1, 1),
+        "non_square": ((2, 3, 7, 11), (4, 3, 3, 2), 2, 1, 1),
+        "non_square_grouped": ((1, 6, 5, 9), (6, 3, 2, 3), 1, 0, 2),
+    }
+
+    def run_conv(self, fast, name):
+        x_shape, w_shape, stride, padding, groups = self.GEOMETRIES[name]
+        rng = np.random.default_rng(3)
+        F.set_conv_fast_path_enabled(fast)
+        x = Tensor(rng.standard_normal(x_shape), requires_grad=True)
+        w = Tensor(rng.standard_normal(w_shape), requires_grad=True)
+        b = Tensor(rng.standard_normal(w_shape[0]), requires_grad=True)
+        out = F.conv2d(x, w, b, stride=stride, padding=padding, groups=groups)
+        (out * out).sum().backward()
+        infer = F.conv2d_infer(x.data, w.data, b.data, stride=stride, padding=padding,
+                               groups=groups)
+        return out.data, x.grad, w.grad, b.grad, infer
+
+    @pytest.mark.parametrize("name", sorted(GEOMETRIES))
+    def test_matches_einsum_reference(self, name):
+        fast = self.run_conv(True, name)
+        slow = self.run_conv(False, name)
+        for fast_arr, slow_arr in zip(fast, slow):
+            assert fast_arr.shape == slow_arr.shape
+            np.testing.assert_allclose(fast_arr, slow_arr, rtol=1e-10, atol=1e-10)
+
+    @pytest.mark.parametrize("name", sorted(GEOMETRIES))
+    def test_infer_bit_equals_autograd_forward(self, name):
+        out, _, _, _, infer = self.run_conv(True, name)
+        assert_bits_equal(infer, out)
+
+    def test_fat_gather_holds_im2col_patches(self, rng):
+        x = rng.standard_normal((3, 4, 7, 6))
+        _, _, _, out_h, out_w = F.im2col_indices(x.shape, 3, 2, 2, 1)
+        cols = F.im2col(x, 3, 2, 2, 1)
+        fat = F._gather_fat(x, 3, 2, 2, 1, out_h, out_w)
+        np.testing.assert_array_equal(
+            fat, cols.transpose(1, 0, 2).reshape(cols.shape[1], -1))
+
+
+class _RecordingProfiler:
+    def __init__(self):
+        self.records = []
+
+    def record(self, kernel, seconds, elements=0):
+        self.records.append((kernel, elements))
+
+
+class TestConvIm2colMetric:
+    @pytest.mark.parametrize("fast", [True, False])
+    def test_one_forward_records_one_im2col(self, rng, fast):
+        F.set_conv_fast_path_enabled(fast)
+        x = Tensor(rng.standard_normal((2, 3, 8, 6)))
+        w = Tensor(rng.standard_normal((4, 3, 3, 3)))
+        profiler = _RecordingProfiler()
+        previous = F.set_profiler(profiler)
+        try:
+            out = F.conv2d(x, w, stride=2, padding=1)
+            F.conv2d_infer(x.data, w.data, stride=2, padding=1)
+        finally:
+            F.set_profiler(previous)
+        patches = 3 * 3 * 3 * 2 * out.shape[2] * out.shape[3]
+        im2col = [elements for kernel, elements in profiler.records if kernel == "im2col"]
+        assert im2col == [patches, patches]
+        assert [kernel for kernel, _ in profiler.records].count("conv2d_forward") == 2
+
+
 class TestAvgPoolFastPath:
     def run_pool(self, x, fast, kernel, stride=None):
         F.set_conv_fast_path_enabled(fast)
@@ -189,13 +268,70 @@ class TestAvgPoolFastPath:
                                       F.avg_pool2d(Tensor(x), 3, 2).data)
 
 
+def assert_bits_equal(actual, expected):
+    """Bit-for-bit equality: tells -0.0 from +0.0 and compares NaN payloads."""
+    assert actual.dtype == expected.dtype and actual.shape == expected.shape
+    np.testing.assert_array_equal(np.ascontiguousarray(actual).view(np.uint8),
+                                  np.ascontiguousarray(expected).view(np.uint8))
+
+
+def pool_edge_cases(kernel, dtype):
+    """Ties, NaN windows and signed-zero windows at every window position."""
+    rng = np.random.default_rng(kernel)
+    side = 4 * kernel
+    x = rng.integers(-2, 3, size=(2, 3, side, side)).astype(dtype)
+    x[0, 0, 0, :] = np.nan                       # NaN in the first window row
+    x[0, 0, kernel + 1, kernel + 1] = np.nan     # a NaN mid-window
+    x[0, 1, :kernel, :kernel] = -0.0             # all-zero window, -0.0 first
+    x[0, 1, 0, kernel - 1] = 0.0
+    x[0, 1, :kernel, kernel:2 * kernel] = 0.0    # all-zero window, +0.0 first
+    x[0, 1, kernel - 1, 2 * kernel - 1] = -0.0
+    x[1, 2, :kernel, :kernel] = -1.0             # zeros tied below negatives
+    x[1, 2, kernel - 1, 0] = -0.0
+    x[1, 2, kernel - 1, 1] = 0.0
+    return x
+
+
 class TestMaxPoolFastPath:
-    def run_pool(self, x, fast, kernel, stride=None):
+    def run_pool(self, x, fast, kernel, stride=None, grad=None):
         F.set_conv_fast_path_enabled(fast)
         tensor = Tensor(x, requires_grad=True)
         out = F.max_pool2d(tensor, kernel, stride)
-        out.sum().backward()
+        if grad is None:
+            out.sum().backward()
+        else:
+            out.backward(grad)
         return out.data, tensor.grad
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("kernel", [2, 3])
+    def test_strided_path_bit_equals_im2col_on_edge_cases(self, kernel, dtype):
+        x = pool_edge_cases(kernel, dtype)
+        out_shape = (2, 3, 4, 4)
+        # Distinct gradients per output, so a wrong winner cannot hide.
+        grad = (np.arange(np.prod(out_shape)).reshape(out_shape) + 1).astype(dtype)
+        fast_out, fast_grad = self.run_pool(x, True, kernel, grad=grad)
+        slow_out, slow_grad = self.run_pool(x, False, kernel, grad=grad)
+        assert fast_out.dtype == fast_grad.dtype == dtype
+        assert np.isnan(fast_out).any() and np.signbit(fast_out[fast_out == 0]).any()
+        assert_bits_equal(fast_out, slow_out)
+        assert_bits_equal(fast_grad, slow_grad)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("kernel", [2, 3])
+    def test_infer_bit_equals_autograd_forward(self, kernel, dtype):
+        x = pool_edge_cases(kernel, dtype)
+        autograd = F.max_pool2d(Tensor(x), kernel).data
+        assert_bits_equal(F.max_pool2d_infer(x, kernel), autograd)
+        F.set_conv_fast_path_enabled(False)
+        assert_bits_equal(F.max_pool2d_infer(x, kernel), autograd)
+
+    def test_first_winner_takes_the_gradient(self):
+        # All four elements tie: argmax's rule sends the gradient to the first.
+        x = np.array([[[[-0.0, 0.0], [0.0, -0.0]]]])
+        out, grad = self.run_pool(x, True, 2, grad=np.array([[[[5.0]]]]))
+        assert_bits_equal(out, np.array([[[[-0.0]]]]))
+        assert_bits_equal(grad, np.array([[[[5.0, 0.0], [0.0, 0.0]]]]))
 
     @pytest.mark.parametrize("shape,kernel", [((2, 3, 8, 8), 2), ((1, 2, 6, 6), 3)])
     def test_reshape_path_bit_equals_im2col(self, rng, shape, kernel):
