@@ -16,6 +16,7 @@ both precisions from a single conversion.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from typing import Optional
 
@@ -72,6 +73,7 @@ class AdaptiveConversion:
         if x.dtype != np.float32 and x.dtype != np.float64:
             # A layout for the original dtype cannot group the float64 copy.
             x, layout = x.astype(np.float64), None
+        self._unrecorded_start = time.perf_counter()
         self._grouped = kernels.GroupedTensor(x, config.group_size, config.exponent_bits,
                                               layout=layout)
         low = self._grouped.quantize(low_bits)
@@ -87,12 +89,23 @@ class AdaptiveConversion:
         computed for ``r(X)``; any other width or rounding mode quantizes
         once more from the same exponents, drawing noise of the same shape
         (and from the same stream) as :func:`~repro.core.bfp.bfp_quantize`.
+
+        Each call is one conversion of the tensor, so an installed kernel
+        profiler records it as ``bfp_quantize_fast``; the first call's time
+        includes the shared grouping, exponent search and ``r(X)``.
         """
+        start, self._unrecorded_start = self._unrecorded_start, None
+        if start is None:
+            start = time.perf_counter()
         grouped = self._nearest.get(mantissa_bits) if rounding == "nearest" else None
         if grouped is None:
             grouped = self._grouped.quantize(mantissa_bits, rounding, rng=rng,
                                              noise_bits=noise_bits)
-        return self._grouped.ungroup(grouped).astype(self._dtype, copy=False)
+        result = self._grouped.ungroup(grouped).astype(self._dtype, copy=False)
+        profiler = kernels._PROFILER
+        if profiler is not None:
+            profiler.record("bfp_quantize_fast", time.perf_counter() - start, result.size)
+        return result
 
 
 def relative_improvement(x, config: Optional[BFPConfig] = None, low_bits: int = 2, high_bits: int = 4) -> float:

@@ -298,6 +298,10 @@ def _fold_group_max(magnitudes: np.ndarray) -> np.ndarray:
     size = magnitudes.shape[-1]
     if size == 0:
         return np.zeros(magnitudes.shape[:-1], dtype=magnitudes.dtype)
+    if size == 1:
+        # A copy, never a view: callers may consume ``magnitudes`` as a
+        # working buffer while the group maxima are still in use.
+        return magnitudes[..., 0].copy()
     while size > 1:
         half = size // 2
         folded = np.maximum(magnitudes[..., :half], magnitudes[..., half:2 * half])
@@ -439,7 +443,7 @@ class GroupedTensor:
     """
 
     __slots__ = ("shape", "dtype", "axis", "groups", "pad", "moved_shape",
-                 "group_max", "exponents", "_magnitudes")
+                 "group_max", "exponents")
 
     def __init__(self, x, group_size: int, exponent_bits: Optional[int] = 8,
                  axis: int = -1, layout: Optional[GroupedLayout] = None):
@@ -449,22 +453,15 @@ class GroupedTensor:
         self.axis = axis
         self.groups, self.pad, self.moved_shape = resolve_groups(
             x, group_size, axis=axis, layout=layout)
-        self._magnitudes = np.abs(self.groups)
-        self.group_max = _fold_group_max(self._magnitudes)
+        self.group_max = _fold_group_max(np.abs(self.groups))
         self.exponents = _exponents_from_group_max(self.group_max, exponent_bits)
 
     def quantize(self, mantissa_bits: int, rounding: str = "nearest", rng=None,
                  noise_bits: Optional[int] = 8) -> np.ndarray:
-        """Quantized groups at ``mantissa_bits`` (see :func:`quantize_groups`).
-
-        The first call takes over the ``|x|`` buffer of the exponent search
-        as its working buffer, saving one full-size pass; later calls derive
-        their own.  Either way the result is the same.
-        """
-        magnitudes, self._magnitudes = self._magnitudes, None
+        """Quantized groups at ``mantissa_bits`` (see :func:`quantize_groups`)."""
         quantized, _, _ = quantize_groups(
             self.groups, self.exponents, mantissa_bits, rounding, rng=rng,
-            noise_bits=noise_bits, magnitudes=magnitudes, group_max=self.group_max)
+            noise_bits=noise_bits, group_max=self.group_max)
         return quantized
 
     def ungroup(self, quantized: np.ndarray) -> np.ndarray:
@@ -494,9 +491,18 @@ def bfp_quantize_fast(
     """
     profiler = _PROFILER
     start = time.perf_counter() if profiler is not None else 0.0
-    grouped = GroupedTensor(x, group_size, exponent_bits, axis=axis, layout=layout)
-    result = grouped.ungroup(grouped.quantize(mantissa_bits, rounding, rng=rng,
-                                              noise_bits=noise_bits))
+    x = np.asarray(x)
+    original_dtype = x.dtype if np.issubdtype(x.dtype, np.floating) else np.float64
+    groups, pad, moved_shape = resolve_groups(x, group_size, axis=axis, layout=layout)
+    magnitudes = np.abs(groups)
+    group_max = _fold_group_max(magnitudes)
+    exponents = _exponents_from_group_max(group_max, exponent_bits)
+    quantized, _, _ = quantize_groups(
+        groups, exponents, mantissa_bits, rounding,
+        rng=rng, noise_bits=noise_bits, magnitudes=magnitudes, group_max=group_max,
+    )
+    result = ungroup_values_reference(quantized, pad, moved_shape, axis=axis)
+    result = result.reshape(x.shape).astype(original_dtype, copy=False)
     if profiler is not None:
         profiler.record("bfp_quantize_fast", time.perf_counter() - start,
                         result.size)

@@ -268,11 +268,14 @@ class FASTScheme(QuantizationScheme):
                 and policy.config.exponent_bits == self.config.exponent_bits)
 
     def _quantize(self, values: np.ndarray, kind: str) -> np.ndarray:
-        if (self._converter_computes_statistic() and self.policy.cached_decision(
-                kind, self.layer_index, self.iteration) is None):
+        if not self._converter_computes_statistic():
+            bits = self.policy.select(kind, self.layer_index, self.iteration, tensor=values)
+            return self._quantize_with_bits(values, kind, bits)
+        decision = self.policy.cached_decision(kind, self.layer_index, self.iteration)
+        if decision is None:
             return self._convert_adaptive(values, kind)
-        bits = self.policy.select(kind, self.layer_index, self.iteration, tensor=values)
-        return self._quantize_with_bits(values, kind, bits)
+        self.policy.record(decision)
+        return self._quantize_with_bits(values, kind, decision.mantissa_bits)
 
     def _convert_adaptive(self, values: np.ndarray, kind: str) -> np.ndarray:
         """An evaluation iteration: ``r(X)`` is a by-product of the conversion.

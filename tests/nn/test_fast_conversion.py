@@ -13,14 +13,33 @@ computed at all.
 import numpy as np
 import pytest
 
+from repro.core import kernels
 from repro.core.bfp import BFPConfig, bfp_quantize
-from repro.core.converter import relative_improvement
+from repro.core.converter import AdaptiveConversion, relative_improvement
 from repro.core.precision_policy import FASTAdaptivePolicy
 from repro.core.rounding import NoisePool
 from repro.nn import quantized
 from repro.nn.quantized import FASTScheme
 
 CONFIG = BFPConfig(exponent_bits=3, group_size=16)
+# One value per group: each group maximum is the value's own magnitude.
+SINGLETON_CONFIG = BFPConfig(exponent_bits=3, group_size=1)
+CONFIGS = {"group16": CONFIG, "group1": SINGLETON_CONFIG}
+
+
+def reference_improvement(values, config, low_bits=2, high_bits=4):
+    """Equation 2 on a float64 copy, quantizing each width separately."""
+    groups, _, _ = kernels.resolve_groups(np.asarray(values, dtype=np.float64),
+                                          config.group_size)
+    low = kernels.quantize_groups(groups, kernels.shared_exponents(groups, config.exponent_bits),
+                                  low_bits)[0]
+    high = kernels.quantize_groups(groups, kernels.shared_exponents(groups, config.exponent_bits),
+                                   high_bits)[0]
+    denominator = float(np.abs(low).sum())
+    numerator = float(np.abs(high - low).sum())
+    if denominator == 0.0:
+        return float("inf") if numerator > 0.0 else 0.0
+    return numerator / denominator
 
 
 def padded_tensor(dtype):
@@ -45,10 +64,10 @@ def clamped_tensor(dtype):
 TENSORS = {"padded": padded_tensor, "zeros": zero_tensor, "clamped": clamped_tensor}
 
 
-def make_scheme(seed=7, evaluation_interval=1):
-    policy = FASTAdaptivePolicy(total_layers=3, total_iterations=20, config=CONFIG,
+def make_scheme(seed=7, evaluation_interval=1, config=CONFIG):
+    policy = FASTAdaptivePolicy(total_layers=3, total_iterations=20, config=config,
                                 evaluation_interval=evaluation_interval)
-    scheme = FASTScheme(policy, layer_index=1, config=CONFIG,
+    scheme = FASTScheme(policy, layer_index=1, config=config,
                         stochastic_gradients=True, rng=NoisePool(seed, capacity=4096))
     return policy, scheme
 
@@ -57,24 +76,28 @@ def make_scheme(seed=7, evaluation_interval=1):
 @pytest.mark.parametrize("name", sorted(TENSORS))
 @pytest.mark.parametrize("kind,rounding", [("activation", "nearest"),
                                            ("gradient", "stochastic")])
-def test_fused_conversion_matches_unfused(dtype, name, kind, rounding):
+@pytest.mark.parametrize("config_name", sorted(CONFIGS))
+def test_fused_conversion_matches_unfused(dtype, name, kind, rounding, config_name):
+    config = CONFIGS[config_name]
     values = TENSORS[name](dtype)
-    policy, scheme = make_scheme()
+    policy, scheme = make_scheme(config=config)
     out = getattr(scheme, f"quantize_{kind}")(values)
 
     decision = policy.history[-1]
     assert decision.tensor_kind == kind
-    expected_r = relative_improvement(values.astype(np.float64), CONFIG,
+    expected_r = relative_improvement(values.astype(np.float64), config,
                                       policy.low_bits, policy.high_bits)
     assert decision.relative_improvement == expected_r
+    assert expected_r == reference_improvement(values, config,
+                                               policy.low_bits, policy.high_bits)
     assert decision.threshold == policy.threshold(1, 0)
     bits = policy.low_bits if expected_r < decision.threshold else policy.high_bits
     assert decision.mantissa_bits == bits
     assert scheme.precision_setting()[kind] == bits
 
     reference_pool = NoisePool(7, capacity=4096)
-    expected = bfp_quantize(values, mantissa_bits=bits, group_size=CONFIG.group_size,
-                            exponent_bits=CONFIG.exponent_bits, rounding=rounding,
+    expected = bfp_quantize(values, mantissa_bits=bits, group_size=config.group_size,
+                            exponent_bits=config.exponent_bits, rounding=rounding,
                             rng=reference_pool)
     assert out.dtype == expected.dtype == dtype
     assert out.shape == values.shape
@@ -96,10 +119,56 @@ def test_relative_improvement_float32_equals_float64():
     rng = np.random.default_rng(2)
     wide = rng.standard_normal((256, 96)) * np.exp2(rng.integers(-30, 30, size=(256, 1)))
     tensors = [make(np.float32) for make in TENSORS.values()] + [wide.astype(np.float32)]
-    for config in (CONFIG, BFPConfig(exponent_bits=8, group_size=16)):
+    for config in (CONFIG, SINGLETON_CONFIG, BFPConfig(exponent_bits=8, group_size=16),
+                   BFPConfig(exponent_bits=8, group_size=1)):
         for values in tensors:
-            assert (relative_improvement(values, config)
-                    == relative_improvement(values.astype(np.float64), config))
+            expected = reference_improvement(values, config)
+            assert relative_improvement(values, config) == expected
+            assert relative_improvement(values.astype(np.float64), config) == expected
+
+
+def test_conversion_quantizes_each_width_from_intact_exponents():
+    """Every width of one conversion matches its own single-width conversion,
+    whatever the call order -- also with one value per group, where the
+    group maxima are the magnitudes themselves."""
+    values = np.array([[-0.3, 0.7, -1.9, 0.0, -5e-3, 2.5]])
+    for config in (SINGLETON_CONFIG, CONFIG):
+        conversion = AdaptiveConversion(values, config)
+        for bits in (2, 4, 3, 2, 8):
+            expected = bfp_quantize(values, mantissa_bits=bits, group_size=config.group_size,
+                                    exponent_bits=config.exponent_bits)
+            np.testing.assert_array_equal(conversion.quantize(bits), expected)
+        assert conversion.relative_improvement == reference_improvement(values, config)
+    single = AdaptiveConversion(np.array([[-0.3]]), SINGLETON_CONFIG)
+    assert single.relative_improvement == 0.25
+    assert single.quantize(4)[0, 0] == -0.3125
+
+
+class _RecordingProfiler:
+    def __init__(self):
+        self.records = []
+
+    def record(self, kernel, seconds, elements=0):
+        self.records.append((kernel, elements))
+
+
+def test_fused_conversion_records_one_bfp_quantize_fast():
+    """The kernel metric counts one conversion per A/G quantization, on
+    evaluation iterations (fused) and memoized ones alike."""
+    policy, scheme = make_scheme(evaluation_interval=2)
+    values = padded_tensor(np.float32)
+    profiler = _RecordingProfiler()
+    previous = kernels.set_profiler(profiler)
+    try:
+        for iteration in range(3):
+            scheme.iteration = iteration
+            scheme.quantize_activation(values)
+            scheme.quantize_gradient(values)
+    finally:
+        kernels.set_profiler(previous)
+    conversions = [elements for kernel, elements in profiler.records
+                   if kernel == "bfp_quantize_fast"]
+    assert conversions == [values.size] * 6
 
 
 def test_statistic_only_on_evaluation_iterations(monkeypatch):
