@@ -324,8 +324,8 @@ def _run_continuous(frozen, mix, qps, duration_s, seed) -> dict:
         def poll():
             while not stop.is_set():
                 stats = server.stats()
-                occupancy.append((stats["cache"]["utilization"],
-                                  stats["active_sequences"]))
+                occupancy.append((stats.cache["utilization"],
+                                  stats.active_sequences))
                 stop.wait(0.01)
 
         poller = threading.Thread(target=poll, daemon=True)
@@ -341,7 +341,7 @@ def _run_continuous(frozen, mix, qps, duration_s, seed) -> dict:
     utilizations = [u for u, _ in occupancy] or [0.0]
     actives = [a for _, a in occupancy] or [0]
     return _report_point(report, extra={
-        "mean_batch_per_step": stats["mean_batch_per_step"],
+        "mean_batch_per_step": stats.mean_batch_per_step,
         "cache_utilization_peak": max(utilizations),
         "cache_utilization_mean": float(np.mean(utilizations)),
         "active_sequences_peak": int(max(actives)),

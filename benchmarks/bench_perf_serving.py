@@ -259,7 +259,7 @@ def bench_family(family: str, num_requests: int, max_batch_size: int, rng) -> di
         batched_wall = time.perf_counter() - start
         stats = server.stats()
     batched_rps = num_requests / batched_wall
-    mean_batch = stats["mean_batch_size"]
+    mean_batch = stats.mean_batch_size
     batched_latency_p50 = float(np.percentile([r.timing.total_ms for r in results], 50))
 
     return {
@@ -322,7 +322,7 @@ def bench_degraded(num_requests: int, rng) -> dict:
                 failed += 1
         wall = time.perf_counter() - start
         stats = server.stats()
-        final_state = stats["state"]
+        final_state = stats.state
 
     assert len(latencies) + shed + failed == num_requests, \
         "degraded mode: request accounting does not close"
@@ -342,9 +342,9 @@ def bench_degraded(num_requests: int, rng) -> dict:
         "latency_ms_p50": float(np.percentile(latencies, 50)),
         "latency_ms_p95": float(np.percentile(latencies, 95)),
         "latency_ms_p99": float(np.percentile(latencies, 99)),
-        "requeues": stats["requeues"],
-        "engine_crashes": stats["engine_crashes"],
-        "engine_restarts": stats["engine_restarts"],
+        "requeues": stats.requeues,
+        "engine_crashes": stats.engine_crashes,
+        "engine_restarts": stats.engine_restarts,
         "final_state": final_state,
         "faults_injected": faulty.log.as_dict(),
     }

@@ -84,7 +84,7 @@ def main() -> None:
         tokens = sum(r.timing.steps for r in results)
         print(f"  {len(results)} sequences, {tokens} tokens in {wall_ms:.0f} ms "
               f"({tokens / wall_ms * 1e3:.0f} tok/s)")
-        print(f"  mean batch per decode step: {stats['mean_batch_per_step']:.1f} "
+        print(f"  mean batch per decode step: {stats.mean_batch_per_step:.1f} "
               f"(max_active={server.config.max_active})")
 
     # --- 3. Quantized KV cache: paper-format cache memory ------------------
@@ -94,7 +94,7 @@ def main() -> None:
         src = np.asarray([t for t in validation.sources[0]
                           if t != dataset.pad_index])
         result = server.generate(src, max_new_tokens=dataset.sequence_length)
-        cache = server.stats()["cache"]
+        cache = server.stats().cache
         print(f"  hyp={decode_tokens(result.tokens, dataset)} "
               f"({result.timing.finish_reason})")
         print(f"  cache format: {cache['compression_vs_fp32']:.1f}x smaller "

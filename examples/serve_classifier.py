@@ -119,7 +119,7 @@ def main() -> None:
         stats = server.stats()
     print(f"  batched:       {len(requests) / batched_wall:.0f} req/s "
           f"({single_wall / batched_wall:.1f}x), mean batch "
-          f"{stats['mean_batch_size']:.1f}, p50 latency {stats['latency_ms_p50']:.2f} ms")
+          f"{stats.mean_batch_size:.1f}, p50 latency {stats.latency_ms_p50:.2f} ms")
     example = results[0]
     print(f"  per-request accounting: queue {example.timing.queue_ms:.2f} ms + "
           f"compute {example.timing.compute_ms:.2f} ms in a batch of "

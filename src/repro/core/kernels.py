@@ -320,6 +320,10 @@ def _exponents_from_group_max(group_max: np.ndarray, exponent_bits: Optional[int
     if exponent_bits is not None and exponents.size and np.any(nonzero):
         window = (1 << exponent_bits) - 1
         top = int(exponents[nonzero].max())
+        if top < MIN_EXPONENT:
+            # Every value is below 2**MIN_EXPONENT: zero groups take the top
+            # exponent so they stay inside the window instead of above it.
+            exponents[~nonzero] = top
         np.maximum(exponents, top - window, out=exponents)
     return exponents
 
@@ -330,8 +334,10 @@ def shared_exponents(groups: np.ndarray, exponent_bits: Optional[int] = None) ->
     Equivalent to ``floor(log2(max |group|))`` -- but exact, because ``frexp``
     reads the exponent field instead of rounding a transcendental: for
     ``x = m * 2**e`` with ``m in [0.5, 1)``, ``floor(log2(x))`` is ``e - 1``.
-    All-zero groups receive :data:`MIN_EXPONENT`; the optional
-    ``exponent_bits`` window clamp matches the reference implementation.
+    All-zero groups receive :data:`MIN_EXPONENT`, lowered to the top
+    exponent when an ``exponent_bits`` window applies and every value is
+    below ``2**MIN_EXPONENT``; the window clamp matches the reference
+    implementation.
     """
     group_max = _fold_group_max(np.abs(np.asarray(groups)))
     return _exponents_from_group_max(group_max, exponent_bits)
@@ -549,6 +555,7 @@ def shared_exponents_reference(groups: np.ndarray, exponent_bits: Optional[int] 
     if exponent_bits is not None and exponents.size and np.any(nonzero):
         window = (1 << exponent_bits) - 1
         top = int(exponents[nonzero].max())
+        exponents[~nonzero] = min(MIN_EXPONENT, top)
         floor_exp = top - window
         exponents = np.maximum(exponents, floor_exp)
     return exponents

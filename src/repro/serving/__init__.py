@@ -28,11 +28,15 @@ Fault-tolerance semantics (the robustness layer):
 * **Deadlines** -- ``submit(request, deadline_ms=50)`` bounds a request's
   time in the server.  Expired requests are shed *before* batch assembly
   (no engine time wasted) and their futures raise ``DeadlineExceeded``;
-  shed counts appear in ``stats()["shed_deadline"]``.
-* **Admission control** -- ``BatchingConfig(max_queue_depth=N)`` bounds
-  unresolved work.  ``admission_policy="reject"`` raises
+  shed counts appear in ``stats().shed_deadline``.
+* **Admission control** -- one gate (``server.AdmissionGate``) behind all
+  three front ends: ``max_queue_depth=N`` on ``BatchingConfig``,
+  ``ClusterConfig`` (cluster-wide) or ``GenerationConfig`` bounds
+  unresolved requests.  ``admission_policy="reject"`` raises
   ``ServerOverloaded`` at capacity; ``"block"`` waits up to
-  ``block_timeout_ms`` first.  ``shed_watermark`` sheds expired work
+  ``block_timeout_ms`` first.  A request's unit of capacity returns when
+  its future resolves, cancellation included, and ``stats().rejected``
+  counts every refusal.  ``shed_watermark`` sheds expired work
   proactively (oldest first) when the backlog grows past it.
 * **Poison isolation** -- payloads are validated at submit time
   (``InvalidRequest``); a failed multi-request batch is bisected and the

@@ -66,14 +66,15 @@ from ..observability.metrics import LatencyHistogram
 from .engine import EngineCrash, EngineStats, InferenceEngine
 from .faults import FaultInjectingEngine, FaultPlan, TransientEngineError
 from .server import (
+    AdmissionGate,
     BatchingConfig,
     InferenceServer,
     InvalidRequest,
     ServerClosed,
-    ServerOverloaded,
     ServerStats,
     ServerUnavailable,
     ServingError,
+    validate_admission,
     validate_payload,
 )
 from .transport import ShmRing
@@ -231,10 +232,7 @@ class ClusterConfig:
     def __post_init__(self):
         if self.routing not in ("round_robin", "least_loaded"):
             raise ValueError("routing must be 'round_robin' or 'least_loaded'")
-        if self.admission_policy not in ("reject", "block"):
-            raise ValueError("admission_policy must be 'reject' or 'block'")
-        if self.max_queue_depth is not None and self.max_queue_depth < 1:
-            raise ValueError("max_queue_depth must be >= 1 (or None)")
+        validate_admission(self)
         if self.slot_size < 1 or self.ring_slots < 1:
             raise ValueError("slot_size and ring_slots must be >= 1")
 
@@ -773,11 +771,9 @@ class ShardedServer:
         self._closed = False  # guarded-by: _close_lock
         self._latency_hist = LatencyHistogram("cluster_request_latency_ms")  # guarded-by: _stats_lock
         self._completed = 0  # guarded-by: _stats_lock
-        self._rejected = 0  # guarded-by: _stats_lock
         self._first_enqueued: Optional[float] = None  # guarded-by: _stats_lock
         self._last_completed: Optional[float] = None  # guarded-by: _stats_lock
-        self._capacity = (threading.Semaphore(self.config.max_queue_depth)
-                          if self.config.max_queue_depth is not None else None)
+        self._gate = AdmissionGate(self.config, "cluster")
         self._shards: List[_Shard] = []
         engines: List[RemoteEngine] = []
         try:
@@ -860,21 +856,6 @@ class ShardedServer:
     # -------------------------------------------------------------- #
     # Submission
     # -------------------------------------------------------------- #
-    def _admit(self) -> None:
-        if self._capacity is None:
-            return
-        if self.config.admission_policy == "reject":
-            admitted = self._capacity.acquire(blocking=False)
-        else:
-            admitted = self._capacity.acquire(
-                timeout=self.config.block_timeout_ms / 1e3)
-        if not admitted:
-            with self._stats_lock:
-                self._rejected += 1
-            raise ServerOverloaded(
-                f"cluster at capacity ({self.config.max_queue_depth} unresolved "
-                f"requests, policy={self.config.admission_policy!r})")
-
     def submit(self, request, model: Optional[str] = None,
                deadline_ms: Optional[float] = None) -> "Future":
         """Route one request to a shard; returns the shard's future.
@@ -891,14 +872,7 @@ class ShardedServer:
         if self.config.batching.validate_requests:
             validate_payload(payload)
         family = self._resolve_family(model)
-        self._admit()
-        released = [False]
-
-        def _release(_future=None):
-            if self._capacity is not None and not released[0]:
-                released[0] = True
-                self._capacity.release()
-
+        release = self._gate.admit()
         now = time.monotonic()
         with self._stats_lock:
             if self._first_enqueued is None:
@@ -916,10 +890,9 @@ class ShardedServer:
                 raise last_error if last_error is not None else ServerUnavailable(
                     f"no shard of model {family!r} accepted the request")
         except BaseException:
-            _release()
+            release()
             raise
-        if self._capacity is not None:
-            future.add_done_callback(_release)
+        future.add_done_callback(release)
         future.add_done_callback(self._record_completion)
         return future
 
@@ -987,7 +960,6 @@ class ShardedServer:
             mean = self._latency_hist.mean
             p50, p95, p99 = self._latency_hist.percentiles()
             completed = self._completed
-            rejected = self._rejected
             first = self._first_enqueued
             last = self._last_completed
         states = [s.state for s in shard_stats]
@@ -1015,7 +987,7 @@ class ShardedServer:
             queue_depth=sum(s.queue_depth for s in shard_stats),
             shed_deadline=sum(s.shed_deadline for s in shard_stats),
             shed_watermark=sum(s.shed_watermark for s in shard_stats),
-            rejected=rejected + sum(s.rejected for s in shard_stats),
+            rejected=self._gate.rejected + sum(s.rejected for s in shard_stats),
             requeues=sum(s.requeues for s in shard_stats),
             failed_requests=sum(s.failed_requests for s in shard_stats),
             nonfinite_outputs=sum(s.nonfinite_outputs for s in shard_stats),

@@ -22,7 +22,7 @@ __all__ = ["EngineCrash", "EngineStats", "InferenceEngine"]
 
 @dataclass(frozen=True)
 class EngineStats:
-    """Typed engine-side counters (mapping-compatible like ``ServerStats``).
+    """Typed engine-side counters.
 
     The first block applies to every engine.  The ``Optional`` block is
     populated only by :class:`~repro.serving.cluster.RemoteEngine`, whose
@@ -43,14 +43,6 @@ class EngineStats:
     respawns: Optional[int] = None
     oversized_transfers: Optional[int] = None
     warmup_seconds: Optional[float] = None
-
-    def __getitem__(self, key: str):
-        if not isinstance(key, str) or not hasattr(self, key):
-            raise KeyError(key)
-        return getattr(self, key)
-
-    def keys(self):
-        return [f.name for f in fields(self)]
 
     def as_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}

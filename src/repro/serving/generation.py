@@ -47,8 +47,8 @@ import queue
 import threading
 import time
 import traceback
-from concurrent.futures import Future
-from dataclasses import dataclass
+from concurrent.futures import CancelledError, Future
+from dataclasses import dataclass, fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -62,11 +62,14 @@ from .frozen import (
     FrozenSeq2SeqTransformer,
 )
 from .server import (
+    AdmissionGate,
     DeadlineExceeded,
     InvalidRequest,
     ServerClosed,
     ServerOverloaded,
     ServerUnavailable,
+    settle,
+    validate_admission,
 )
 
 __all__ = [
@@ -420,18 +423,14 @@ class GenerationConfig:
     def __post_init__(self):
         if self.max_active <= 0:
             raise ValueError(f"max_active must be positive, got {self.max_active}")
-        if self.admission_policy not in ("reject", "block"):
-            raise ValueError(f"admission_policy must be 'reject' or 'block', "
-                             f"got {self.admission_policy!r}")
-        if self.max_queue_depth is not None and self.max_queue_depth <= 0:
-            raise ValueError("max_queue_depth must be positive when set")
+        validate_admission(self)
         if self.block_tokens <= 0:
             raise ValueError("block_tokens must be positive")
 
 
 @dataclass(frozen=True)
 class GenerationStats:
-    """Counters + latency summaries; mapping-compatible like ServerStats."""
+    """Counters + latency summaries (``cache`` is a :class:`CacheStats` dict)."""
 
     submitted: int
     completed: int
@@ -452,13 +451,7 @@ class GenerationStats:
     cache: dict
 
     def as_dict(self) -> dict:
-        return dict(self.__dict__)
-
-    def __getitem__(self, key):
-        return self.__dict__[key]
-
-    def keys(self):
-        return self.__dict__.keys()
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 # --------------------------------------------------------------------------- #
@@ -518,13 +511,11 @@ class GenerationServer:
         self._closed = False  # guarded-by: _lock
         self._draining = False  # guarded-by: _lock
         self._failure: Optional[str] = None  # guarded-by: _lock
-        self._capacity = (threading.Semaphore(self.config.max_queue_depth)
-                          if self.config.max_queue_depth else None)
+        self._gate = AdmissionGate(self.config, "generation server")
         # Stats (guarded by _lock).
         self._submitted = 0  # guarded-by: _lock
         self._completed = 0  # guarded-by: _lock
         self._failed = 0  # guarded-by: _lock
-        self._rejected = 0  # guarded-by: _lock
         self._tokens = 0  # guarded-by: _lock
         self._steps = 0  # guarded-by: _lock
         self._step_batch_total = 0  # guarded-by: _lock
@@ -565,41 +556,31 @@ class GenerationServer:
             raise InvalidRequest(f"max_new_tokens must be positive, got {steps}")
         steps = min(steps, self.root.max_length - 1)
         if self.cache.blocks_for(steps) > self.cache.total_blocks:
-            with self._lock:
-                self._rejected += 1
-            raise CacheExhausted(
+            raise self._gate.reject(CacheExhausted(
                 f"sequence needs {self.cache.blocks_for(steps)} cache blocks "
-                f"but the pool only has {self.cache.total_blocks}")
-        if self._capacity is not None:
-            if self.config.admission_policy == "reject":
-                admitted = self._capacity.acquire(blocking=False)
-            else:
-                admitted = self._capacity.acquire(
-                    timeout=self.config.block_timeout_ms / 1e3)
-            if not admitted:
-                with self._lock:
-                    self._rejected += 1
-                raise ServerOverloaded(
-                    f"generation server at capacity ({self.config.max_queue_depth} "
-                    f"unresolved sequences, policy="
-                    f"{self.config.admission_policy!r})")
+                f"but the pool only has {self.cache.total_blocks}"))
+        release = self._gate.admit()
         stream = TokenStream()
-        if self._capacity is not None:
-            stream.future.add_done_callback(lambda _f: self._capacity.release())
         now = time.monotonic()
         deadline = None if deadline_ms is None else now + deadline_ms / 1e3
         sequence = _Sequence(next(self._seq_ids), src, steps, deadline,
                              stream, now)
         with self._lock:
             if self._closed or self._draining:
-                self._fail_locked(sequence, ServerClosed("server is closed"))
-                raise ServerClosed("generation server is closed")
-            if self._failure is not None:
-                self._fail_locked(sequence, ServerUnavailable(self._failure))
-                raise ServerUnavailable(
+                refused = ServerClosed("generation server is closed")
+            elif self._failure is not None:
+                refused = ServerUnavailable(
                     f"generation server is unavailable: {self._failure}")
-            self._submitted += 1
-        self._pending.put(sequence)
+            else:
+                refused = None
+                self._submitted += 1
+                # Under the lock, so close() cannot finish between the
+                # check and the put and strand the sequence.
+                self._pending.put(sequence)
+        if refused is not None:
+            release()
+            raise refused
+        stream.future.add_done_callback(release)
         self._wake.set()
         return stream
 
@@ -632,7 +613,7 @@ class GenerationServer:
                 if closed and not draining:
                     self._abort_everything(ServerClosed("server is closed"))
                     return
-                self._retire_expired()
+                self._retire()
                 self._admit()
                 if not self._active:
                     if draining and self._pending.empty():
@@ -648,13 +629,17 @@ class GenerationServer:
             self._abort_everything(ServerUnavailable(
                 "generation scheduler died; see server.failure for traceback"))
 
-    def _retire_expired(self) -> None:
+    def _retire(self) -> None:
+        """Before a decode step: drop sequences their caller cancelled and
+        fail those whose deadline expired."""
         now = time.monotonic()
-        for sequence in [s for s in self._active
-                         if s.deadline is not None and now > s.deadline]:
-            self._finish_failure(sequence, DeadlineExceeded(
-                f"deadline expired mid-generation after "
-                f"{len(sequence.generated)} tokens"))
+        for sequence in list(self._active):
+            if sequence.stream.future.cancelled():
+                self._finish(sequence, error=CancelledError())
+            elif sequence.deadline is not None and now > sequence.deadline:
+                self._finish(sequence, error=DeadlineExceeded(
+                    f"deadline expired mid-generation after "
+                    f"{len(sequence.generated)} tokens"))
 
     def _admit(self) -> None:
         admitted = []
@@ -664,14 +649,17 @@ class GenerationServer:
             except queue.Empty:
                 break
             now = time.monotonic()
+            if sequence.stream.future.cancelled():
+                self._finish(sequence, error=CancelledError())
+                continue
             if sequence.deadline is not None and now > sequence.deadline:
-                self._fail_pending(sequence, DeadlineExceeded(
+                self._finish(sequence, error=DeadlineExceeded(
                     "deadline expired while queued for admission"))
                 continue
             with self._lock:
                 closed = self._closed and not self._draining
             if closed:
-                self._fail_pending(sequence, ServerClosed("server is closed"))
+                self._finish(sequence, error=ServerClosed("server is closed"))
                 continue
             if not self.cache.can_reserve(sequence.max_new_tokens):
                 # Pool momentarily full: put it back and stop admitting; a
@@ -787,9 +775,9 @@ class GenerationServer:
                     self._ttft_hist.observe(ttft_ms)
             sequence.stream._emit(token)
             if token == self.eos_index:
-                self._finish_success(sequence, "eos")
+                self._finish(sequence, self._result(sequence, "eos"))
             elif len(sequence.generated) >= sequence.max_new_tokens:
-                self._finish_success(sequence, "length")
+                self._finish(sequence, self._result(sequence, "length"))
         with self._lock:
             self._steps += 1
             self._step_batch_total += len(batch)
@@ -815,47 +803,33 @@ class GenerationServer:
                 finish_reason=reason,
             ))
 
-    def _finish_success(self, sequence: _Sequence, reason: str) -> None:
-        self._detach(sequence)
-        result = self._result(sequence, reason)
-        with self._lock:
-            self._completed += 1
-        sequence.stream.future.set_result(result)
-        sequence.stream._close()
-
-    def _finish_failure(self, sequence: _Sequence, error: Exception) -> None:
-        self._detach(sequence)
-        with self._lock:
-            self._failed += 1
-        sequence.stream.future.set_exception(error)
-        sequence.stream._close()
-
-    def _detach(self, sequence: _Sequence) -> None:
+    def _finish(self, sequence: _Sequence,
+                result: Optional[GenerationResult] = None,
+                error: Optional[BaseException] = None) -> None:
+        """The one way a sequence leaves the server: free its blocks,
+        resolve its future (unless the caller cancelled it), close its
+        stream.  A cancelled sequence counts as failed."""
         if sequence in self._active:
             self._active.remove(sequence)
             self._batch_mkv = None
         self.cache.release(sequence.seq_id)
-
-    def _fail_pending(self, sequence: _Sequence, error: Exception) -> None:
+        resolved = settle(sequence.stream.future, result, error)
         with self._lock:
-            self._failed += 1
-        sequence.stream.future.set_exception(error)
-        sequence.stream._close()
-
-    def _fail_locked(self, sequence: _Sequence, error: Exception) -> None:
-        # Caller failed before enqueue: resolve so the stream never hangs.
-        sequence.stream.future.set_exception(error)
+            if resolved and error is None:
+                self._completed += 1
+            else:
+                self._failed += 1
         sequence.stream._close()
 
     def _abort_everything(self, error: Exception) -> None:
         for sequence in list(self._active):
-            self._finish_failure(sequence, error)
+            self._finish(sequence, error=error)
         while True:
             try:
                 sequence = self._pending.get_nowait()
             except queue.Empty:
                 break
-            self._fail_pending(sequence, error)
+            self._finish(sequence, error=error)
 
     # ------------------------------ observability --------------------- #
     def _generation_metrics(self):
@@ -923,7 +897,7 @@ class GenerationServer:
                 submitted=self._submitted,
                 completed=self._completed,
                 failed=self._failed,
-                rejected=self._rejected,
+                rejected=self._gate.rejected,
                 tokens_generated=self._tokens,
                 decode_steps=self._steps,
                 mean_batch_per_step=(self._step_batch_total / self._steps

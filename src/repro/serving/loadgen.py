@@ -30,6 +30,7 @@ import math
 import threading
 import time
 from collections import Counter
+from concurrent.futures import Future
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Tuple
 
@@ -59,6 +60,125 @@ def poisson_arrivals(qps: float, duration_s: float, seed: int = 0) -> np.ndarray
         extra = np.cumsum(rng.exponential(1.0 / qps, size=draw)) + offsets[-1]
         offsets = np.concatenate([offsets, extra])
     return offsets[offsets < duration_s]
+
+
+@dataclass(frozen=True)
+class _OpenLoopRun:
+    """What the shared open-loop driver measured (frozen after the drain)."""
+
+    sent: int
+    completed: int
+    latency: LatencyHistogram     # scheduled arrival -> resolution
+    errors: Tuple[Tuple[str, int], ...]
+    window_s: float               # first scheduled arrival -> last success
+    peak_in_flight: int
+    max_slip_ms: float
+    drain_s: float
+
+
+def _open_loop(mix: Sequence, pools: Sequence[Tuple], fire: Callable, *,
+               qps: float, duration_s: float, seed: int,
+               drain_timeout_s: float,
+               on_success: Optional[Callable] = None) -> _OpenLoopRun:
+    """The one open-loop run behind both generators.
+
+    Arrivals follow ``poisson_arrivals(qps, duration_s, seed)``; each is
+    assigned a ``mix`` entry by weight (seeded with ``seed + 1``) and takes
+    that entry's next item from ``pools`` round-robin.  ``fire(entry,
+    item)`` submits it and returns a future; a synchronous raise counts as
+    a failure by exception type.  ``on_success(result, scheduled, sent_at)``
+    runs under the driver's lock for every successful completion.  After
+    the last arrival the driver waits up to ``drain_timeout_s`` for the
+    outstanding futures, counts the rest as ``"Unresolved"``, and then
+    ignores late completions, so everything it and ``on_success`` recorded
+    is final when it returns.
+    """
+    offsets = poisson_arrivals(qps, duration_s, seed=seed)
+    rng = np.random.default_rng(seed + 1)
+    weights = np.array([entry.weight for entry in mix], dtype=np.float64)
+    entry_ids = rng.choice(len(mix), size=len(offsets), p=weights / weights.sum())
+    cursors = [0] * len(mix)
+
+    lock = threading.Lock()
+    # Bounded memory at any offered load: quantiles come from the same
+    # log-scale histogram the servers use, not a retained sample list.
+    latency = LatencyHistogram("loadgen_latency_ms")
+    errors: Counter = Counter()
+    completed = in_flight = peak = 0
+    finished = False
+    outstanding = threading.Semaphore(0)
+
+    def _finish(scheduled: float, sent_at: float, future) -> None:
+        nonlocal completed, in_flight, last_completion
+        now = time.monotonic()
+        error = future.exception()
+        with lock:
+            if not finished:
+                in_flight -= 1
+                if error is None:
+                    completed += 1
+                    latency.observe((now - scheduled) * 1e3)
+                    last_completion = max(last_completion, now)
+                    if on_success is not None:
+                        on_success(future.result(), scheduled, sent_at)
+                else:
+                    errors[type(error).__name__] += 1
+        outstanding.release()
+
+    start = last_completion = time.monotonic()
+    max_slip = 0.0
+    sent = 0
+    fired = 0
+    for offset, entry_id in zip(offsets, entry_ids):
+        scheduled = start + float(offset)
+        delay = scheduled - time.monotonic()
+        if delay > 0:
+            time.sleep(delay)
+        else:
+            max_slip = max(max_slip, -delay)
+        cursor = cursors[entry_id]
+        cursors[entry_id] = cursor + 1
+        pool = pools[entry_id]
+        sent += 1
+        sent_at = time.monotonic()
+        try:
+            future = fire(mix[entry_id], pool[cursor % len(pool)])
+        except Exception as error:  # noqa: BLE001 - rejection is data
+            with lock:
+                errors[type(error).__name__] += 1
+            continue
+        fired += 1
+        with lock:
+            in_flight += 1
+            peak = max(peak, in_flight)
+        future.add_done_callback(
+            lambda fut, scheduled=scheduled, sent_at=sent_at:
+                _finish(scheduled, sent_at, fut))
+
+    # Drain: wait for every in-flight future (bounded).
+    drain_deadline = time.monotonic() + drain_timeout_s
+    drained = 0
+    while drained < fired:
+        remaining = drain_deadline - time.monotonic()
+        if remaining <= 0 or not outstanding.acquire(timeout=max(remaining, 0.01)):
+            break
+        drained += 1
+
+    end = time.monotonic()
+    with lock:
+        finished = True
+        if drained < fired:
+            errors["Unresolved"] += fired - drained
+        return _OpenLoopRun(
+            sent=sent,
+            completed=completed,
+            latency=latency,
+            errors=tuple(sorted(errors.items())),
+            window_s=max(last_completion - start, duration_s),
+            peak_in_flight=peak,
+            max_slip_ms=max_slip * 1e3,
+            drain_s=max(end - start - duration_s, 0.0),
+        )
 
 
 @dataclass(frozen=True)
@@ -153,99 +273,33 @@ class OpenLoopGenerator:
         self.seed = int(seed)
         self.drain_timeout_s = float(drain_timeout_s)
 
+    def _fire(self, family: FamilyLoad, payload) -> Future:
+        if family.model is not None:
+            return self.submit(payload, model=family.model,
+                               deadline_ms=self.deadline_ms)
+        if self.deadline_ms is not None:
+            return self.submit(payload, deadline_ms=self.deadline_ms)
+        return self.submit(payload)
+
     def run(self) -> LoadReport:
-        offsets = poisson_arrivals(self.qps, self.duration_s, seed=self.seed)
-        rng = np.random.default_rng(self.seed + 1)
-        weights = np.array([family.weight for family in self.mix], dtype=np.float64)
-        family_ids = rng.choice(len(self.mix), size=len(offsets),
-                                p=weights / weights.sum())
-        per_family_cursor = [0] * len(self.mix)
-
-        lock = threading.Lock()
-        # Bounded memory at any offered load: quantiles come from the same
-        # log-scale histogram the servers use, not a retained sample list.
-        latency_hist = LatencyHistogram("loadgen_latency_ms")
-        errors: Counter = Counter()
-        completed = [0]
-        last_completion = [0.0]
-        outstanding = threading.Semaphore(0)
-
-        def _finish(scheduled: float, future) -> None:
-            now = time.monotonic()
-            error = future.exception()
-            with lock:
-                if error is None:
-                    completed[0] += 1
-                    latency_hist.observe((now - scheduled) * 1e3)
-                    last_completion[0] = max(last_completion[0], now)
-                else:
-                    errors[type(error).__name__] += 1
-            outstanding.release()
-
-        start = time.monotonic()
-        max_slip = 0.0
-        sent = 0
-        fired = 0
-        for offset, family_id in zip(offsets, family_ids):
-            scheduled = start + float(offset)
-            delay = scheduled - time.monotonic()
-            if delay > 0:
-                time.sleep(delay)
-            else:
-                max_slip = max(max_slip, -delay)
-            family = self.mix[family_id]
-            cursor = per_family_cursor[family_id]
-            per_family_cursor[family_id] = cursor + 1
-            payload = family.payloads[cursor % len(family.payloads)]
-            sent += 1
-            try:
-                if family.model is not None:
-                    future = self.submit(payload, model=family.model,
-                                         deadline_ms=self.deadline_ms)
-                elif self.deadline_ms is not None:
-                    future = self.submit(payload, deadline_ms=self.deadline_ms)
-                else:
-                    future = self.submit(payload)
-            except Exception as error:  # noqa: BLE001 - rejection is data
-                with lock:
-                    errors[type(error).__name__] += 1
-                continue
-            fired += 1
-            future.add_done_callback(
-                lambda fut, scheduled=scheduled: _finish(scheduled, fut))
-
-        # Drain: wait for every in-flight future (bounded).
-        drain_deadline = time.monotonic() + self.drain_timeout_s
-        drained = 0
-        while drained < fired:
-            remaining = drain_deadline - time.monotonic()
-            if remaining <= 0 or not outstanding.acquire(timeout=max(remaining, 0.01)):
-                with lock:
-                    errors["Unresolved"] += fired - drained
-                break
-            drained += 1
-
-        end = time.monotonic()
-        with lock:
-            mean = latency_hist.mean
-            p50, p95, p99 = latency_hist.percentiles()
-            done = completed[0]
-            error_counts = tuple(sorted(errors.items()))
-        window = max(last_completion[0] - start, self.duration_s) if done else self.duration_s
+        run = _open_loop(self.mix, [family.payloads for family in self.mix],
+                         self._fire, qps=self.qps, duration_s=self.duration_s,
+                         seed=self.seed, drain_timeout_s=self.drain_timeout_s)
+        p50, p95, p99 = run.latency.percentiles()
         return LoadReport(
             offered_qps=self.qps,
             duration_s=self.duration_s,
-            sent=sent,
-            completed=done,
-            failed=sent - done,
-            goodput_rps=done / window if window > 0 else float("nan"),
-            latency_ms_mean=mean,
+            sent=run.sent,
+            completed=run.completed,
+            failed=run.sent - run.completed,
+            goodput_rps=run.completed / run.window_s,
+            latency_ms_mean=run.latency.mean,
             latency_ms_p50=p50,
             latency_ms_p95=p95,
             latency_ms_p99=p99,
-            max_slip_ms=max_slip * 1e3,
-            drain_s=max(end - start - self.duration_s, 0.0),
-            errors=error_counts,
+            max_slip_ms=run.max_slip_ms,
+            drain_s=run.drain_s,
+            errors=run.errors,
         )
 
 
@@ -322,9 +376,10 @@ class GenerationLoadGenerator:
     ``submit(prompt, max_new_tokens=..., deadline_ms=...)`` must return a
     future resolving to a ``GenerationResult``
     (:meth:`repro.serving.generation.GenerationServer.submit` qualifies).
-    Mirrors :class:`OpenLoopGenerator`: arrivals fire on schedule regardless
-    of completions, a synchronous admission rejection counts as a failure,
-    and quantiles come from bounded histograms.
+    Runs the same open loop as :class:`OpenLoopGenerator`: arrivals fire
+    on schedule regardless of completions, a synchronous admission
+    rejection counts as a failure, and quantiles come from bounded
+    histograms.
     """
 
     def __init__(self, submit: Callable, mix: Sequence[SequenceLoad], *,
@@ -341,119 +396,47 @@ class GenerationLoadGenerator:
         self.seed = int(seed)
         self.drain_timeout_s = float(drain_timeout_s)
 
+    def _fire(self, load: SequenceLoad, prompt) -> Future:
+        if self.deadline_ms is not None:
+            return self.submit(prompt, max_new_tokens=load.max_new_tokens,
+                               deadline_ms=self.deadline_ms)
+        return self.submit(prompt, max_new_tokens=load.max_new_tokens)
+
     def run(self) -> GenerationLoadReport:
-        offsets = poisson_arrivals(self.qps, self.duration_s, seed=self.seed)
-        rng = np.random.default_rng(self.seed + 1)
-        weights = np.array([load.weight for load in self.mix], dtype=np.float64)
-        load_ids = rng.choice(len(self.mix), size=len(offsets),
-                              p=weights / weights.sum())
-        cursors = [0] * len(self.mix)
+        ttft = LatencyHistogram("loadgen_generation_ttft_ms")
+        tokens = 0
 
-        lock = threading.Lock()
-        latency_hist = LatencyHistogram("loadgen_generation_latency_ms")
-        ttft_hist = LatencyHistogram("loadgen_generation_ttft_ms")
-        errors: Counter = Counter()
-        completed = [0]
-        tokens = [0]
-        last_completion = [0.0]
-        in_flight = [0]
-        peak = [0]
-        outstanding = threading.Semaphore(0)
+        def _record(result, scheduled: float, sent_at: float) -> None:
+            nonlocal tokens
+            tokens += int(result.tokens.shape[0]) - 1
+            # Charge generator slip to TTFT too: scheduled -> first token,
+            # not sent -> first token.
+            ttft.observe((sent_at - scheduled) * 1e3 + result.timing.ttft_ms)
 
-        def _finish(scheduled: float, sent_at: float, future) -> None:
-            now = time.monotonic()
-            error = future.exception()
-            with lock:
-                in_flight[0] -= 1
-                if error is None:
-                    result = future.result()
-                    completed[0] += 1
-                    tokens[0] += int(result.tokens.shape[0]) - 1
-                    latency_hist.observe((now - scheduled) * 1e3)
-                    # Charge generator slip to TTFT too: scheduled -> first
-                    # token, not sent -> first token.
-                    ttft_hist.observe((sent_at - scheduled) * 1e3
-                                      + result.timing.ttft_ms)
-                    last_completion[0] = max(last_completion[0], now)
-                else:
-                    errors[type(error).__name__] += 1
-            outstanding.release()
-
-        start = time.monotonic()
-        max_slip = 0.0
-        sent = 0
-        fired = 0
-        for offset, load_id in zip(offsets, load_ids):
-            scheduled = start + float(offset)
-            delay = scheduled - time.monotonic()
-            if delay > 0:
-                time.sleep(delay)
-            else:
-                max_slip = max(max_slip, -delay)
-            load = self.mix[load_id]
-            cursor = cursors[load_id]
-            cursors[load_id] = cursor + 1
-            prompt = load.prompts[cursor % len(load.prompts)]
-            sent += 1
-            sent_at = time.monotonic()
-            try:
-                if self.deadline_ms is not None:
-                    future = self.submit(prompt,
-                                         max_new_tokens=load.max_new_tokens,
-                                         deadline_ms=self.deadline_ms)
-                else:
-                    future = self.submit(prompt,
-                                         max_new_tokens=load.max_new_tokens)
-            except Exception as error:  # noqa: BLE001 - rejection is data
-                with lock:
-                    errors[type(error).__name__] += 1
-                continue
-            fired += 1
-            with lock:
-                in_flight[0] += 1
-                peak[0] = max(peak[0], in_flight[0])
-            future.add_done_callback(
-                lambda fut, scheduled=scheduled, sent_at=sent_at:
-                    _finish(scheduled, sent_at, fut))
-
-        drain_deadline = time.monotonic() + self.drain_timeout_s
-        drained = 0
-        while drained < fired:
-            remaining = drain_deadline - time.monotonic()
-            if remaining <= 0 or not outstanding.acquire(timeout=max(remaining, 0.01)):
-                with lock:
-                    errors["Unresolved"] += fired - drained
-                break
-            drained += 1
-
-        end = time.monotonic()
-        with lock:
-            ttft_mean = ttft_hist.mean
-            ttft_p50, ttft_p95, ttft_p99 = ttft_hist.percentiles()
-            p50, p95, p99 = latency_hist.percentiles()
-            done = completed[0]
-            total_tokens = tokens[0]
-            error_counts = tuple(sorted(errors.items()))
-            top = peak[0]
-        window = max(last_completion[0] - start, self.duration_s) if done else self.duration_s
+        run = _open_loop(self.mix, [load.prompts for load in self.mix],
+                         self._fire, qps=self.qps, duration_s=self.duration_s,
+                         seed=self.seed, drain_timeout_s=self.drain_timeout_s,
+                         on_success=_record)
+        ttft_p50, ttft_p95, ttft_p99 = ttft.percentiles()
+        p50, p95, p99 = run.latency.percentiles()
         return GenerationLoadReport(
             offered_qps=self.qps,
             duration_s=self.duration_s,
-            sent=sent,
-            completed=done,
-            failed=sent - done,
-            tokens_generated=total_tokens,
-            tokens_per_second=total_tokens / window if window > 0 else float("nan"),
-            goodput_sps=done / window if window > 0 else float("nan"),
-            ttft_ms_mean=ttft_mean,
+            sent=run.sent,
+            completed=run.completed,
+            failed=run.sent - run.completed,
+            tokens_generated=tokens,
+            tokens_per_second=tokens / run.window_s,
+            goodput_sps=run.completed / run.window_s,
+            ttft_ms_mean=ttft.mean,
             ttft_ms_p50=ttft_p50,
             ttft_ms_p95=ttft_p95,
             ttft_ms_p99=ttft_p99,
             latency_ms_p50=p50,
             latency_ms_p95=p95,
             latency_ms_p99=p99,
-            peak_concurrent_streams=top,
-            max_slip_ms=max_slip * 1e3,
-            drain_s=max(end - start - self.duration_s, 0.0),
-            errors=error_counts,
+            peak_concurrent_streams=run.peak_in_flight,
+            max_slip_ms=run.max_slip_ms,
+            drain_s=run.drain_s,
+            errors=run.errors,
         )

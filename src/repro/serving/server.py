@@ -58,9 +58,9 @@ import queue
 import threading
 import time
 import traceback
-from concurrent.futures import Future
+from concurrent.futures import Future, InvalidStateError
 from dataclasses import dataclass, field, fields
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -69,6 +69,7 @@ from ..observability.metrics import LatencyHistogram
 from .engine import EngineCrash, InferenceEngine
 
 __all__ = [
+    "AdmissionGate",
     "BatchingConfig",
     "RequestTiming",
     "InferenceResult",
@@ -81,6 +82,8 @@ __all__ = [
     "ServerClosed",
     "ServerUnavailable",
     "NonFiniteOutput",
+    "settle",
+    "validate_admission",
     "validate_payload",
 ]
 
@@ -116,6 +119,100 @@ class ServerUnavailable(ServingError):
 
 class NonFiniteOutput(ServingError):
     """Output validation found NaN/inf in this request's output row."""
+
+
+def validate_admission(config) -> None:
+    """Check the admission fields every serving config shares:
+    ``max_queue_depth``, ``admission_policy`` and ``block_timeout_ms``."""
+    if config.max_queue_depth is not None and config.max_queue_depth < 1:
+        raise ValueError("max_queue_depth must be >= 1 (or None)")
+    if config.admission_policy not in ("reject", "block"):
+        raise ValueError("admission_policy must be 'reject' or 'block'")
+    if config.block_timeout_ms < 0:
+        raise ValueError("block_timeout_ms must be >= 0")
+
+
+def _release_nothing(_future=None) -> None:
+    pass
+
+
+class AdmissionGate:
+    """Bounded admission, the one implementation behind every front end.
+
+    The gate holds ``config.max_queue_depth`` units of capacity (unbounded
+    when ``None``); every admitted request holds one until it resolves.  At
+    capacity, policy ``"reject"`` raises :class:`ServerOverloaded` at once
+    and ``"block"`` waits up to ``block_timeout_ms`` for a unit first.  The
+    gate counts every rejection, including those a server decides itself
+    (:meth:`reject`).
+    """
+
+    def __init__(self, config, label: str):
+        self.config = config
+        self.label = label
+        self._capacity = (threading.Semaphore(config.max_queue_depth)
+                          if config.max_queue_depth is not None else None)
+        self._lock = threading.Lock()
+        self._rejected = 0  # guarded-by: _lock
+
+    @property
+    def rejected(self) -> int:
+        with self._lock:
+            return self._rejected
+
+    def reject(self, error: ServingError) -> ServingError:
+        """Count a rejection and return ``error`` for the caller to raise."""
+        with self._lock:
+            self._rejected += 1
+        return error
+
+    def admit(self) -> Callable[..., None]:
+        """Take one unit of capacity or raise :class:`ServerOverloaded`.
+
+        Returns the unit's release.  Register it with the request future's
+        ``add_done_callback`` so it runs when the future resolves,
+        cancellation included; call it directly on a path where no future
+        was made.  It frees the unit exactly once however often it runs.
+        """
+        capacity = self._capacity
+        if capacity is None:
+            return _release_nothing
+        if self.config.admission_policy == "reject":
+            admitted = capacity.acquire(blocking=False)
+        else:
+            admitted = capacity.acquire(timeout=self.config.block_timeout_ms / 1e3)
+        if not admitted:
+            raise self.reject(ServerOverloaded(
+                f"{self.label} at capacity ({self.config.max_queue_depth} "
+                f"unresolved requests, policy={self.config.admission_policy!r})"))
+        held = [capacity]
+
+        def release(_future=None) -> None:
+            try:
+                unit = held.pop()  # atomic: only the first caller gets it
+            except IndexError:
+                return
+            unit.release()
+
+        return release
+
+
+def settle(future: Future, result=None,
+           error: Optional[BaseException] = None) -> bool:
+    """Resolve ``future`` with ``result`` (or ``error``) unless it is done.
+
+    A caller may cancel a pending future at any moment, so checking
+    ``done()`` before ``set_result`` is a race; this is how every server
+    resolves a request.  Returns whether this call resolved the future.
+    """
+    try:
+        if error is None:
+            future.set_result(result)
+        else:
+            future.set_exception(error)
+    except InvalidStateError:
+        return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -207,12 +304,7 @@ class BatchingConfig:
         if self.pad_lengths is not None:
             object.__setattr__(self, "pad_lengths",
                                tuple(sorted(int(l) for l in self.pad_lengths)))
-        if self.max_queue_depth is not None and self.max_queue_depth < 1:
-            raise ValueError("max_queue_depth must be >= 1 (or None)")
-        if self.admission_policy not in ("reject", "block"):
-            raise ValueError("admission_policy must be 'reject' or 'block'")
-        if self.block_timeout_ms < 0:
-            raise ValueError("block_timeout_ms must be >= 0")
+        validate_admission(self)
         if self.shed_watermark is not None and self.shed_watermark < 1:
             raise ValueError("shed_watermark must be >= 1 (or None)")
         if self.max_retries < 0:
@@ -236,9 +328,6 @@ class ServerStats:
     top-level object aggregates the cluster and ``shards`` holds one per-shard
     :class:`ServerStats` (with ``shards`` empty in turn), so per-shard
     queue depth, sheds, rejects, retries, and restarts stay inspectable.
-
-    Supports mapping-style access (``stats["requests"]``, ``dict(stats)``)
-    so report/benchmark code can treat it like the dict it replaced.
     """
 
     state: str
@@ -263,14 +352,6 @@ class ServerStats:
     oversized_transfers: int = 0
     workers: int = 1
     shards: Tuple["ServerStats", ...] = field(default=())
-
-    def __getitem__(self, key: str):
-        if not isinstance(key, str) or not hasattr(self, key):
-            raise KeyError(key)
-        return getattr(self, key)
-
-    def keys(self):
-        return [f.name for f in fields(self)]
 
     def as_dict(self) -> dict:
         """A plain-dict rendering (shards rendered recursively)."""
@@ -373,8 +454,7 @@ class InferenceServer:
         # resolve.
         self._submit_lock = threading.Lock()
         self._stats_lock = threading.Lock()
-        self._capacity = (threading.Semaphore(self.config.max_queue_depth)
-                          if self.config.max_queue_depth is not None else None)
+        self._gate = AdmissionGate(self.config, "server")
         # Worker-owned batching state.  Instance attributes (not _run
         # locals) so the failure paths -- worker death, engine failure,
         # drain cancellation -- can resolve every pending future.
@@ -396,7 +476,6 @@ class InferenceServer:
         self._inflight = 0  # guarded-by: _stats_lock
         self._shed_deadline = 0  # guarded-by: _stats_lock
         self._shed_watermark = 0  # guarded-by: _stats_lock
-        self._rejected = 0  # guarded-by: _stats_lock
         self._requeues = 0  # guarded-by: _stats_lock
         self._failed_requests = 0  # guarded-by: _stats_lock
         self._nonfinite_outputs = 0  # guarded-by: _stats_lock
@@ -413,21 +492,6 @@ class InferenceServer:
     # -------------------------------------------------------------- #
     def _validate_payload(self, payload: np.ndarray) -> None:
         validate_payload(payload)
-
-    def _admit(self) -> None:
-        """Admission control: acquire one unit of queue capacity or raise."""
-        if self._capacity is None:
-            return
-        if self.config.admission_policy == "reject":
-            admitted = self._capacity.acquire(blocking=False)
-        else:
-            admitted = self._capacity.acquire(timeout=self.config.block_timeout_ms / 1e3)
-        if not admitted:
-            with self._stats_lock:
-                self._rejected += 1
-            raise ServerOverloaded(
-                f"server at capacity ({self.config.max_queue_depth} unresolved "
-                f"requests, policy={self.config.admission_policy!r})")
 
     def submit(self, request, deadline_ms: Optional[float] = None) -> "Future[InferenceResult]":
         """Enqueue one request; returns a future resolving to an
@@ -451,14 +515,13 @@ class InferenceServer:
                     f"token request of length {payload.shape[0]} exceeds the largest "
                     f"bucket length {self.config.pad_lengths[-1]}")
         admit_started = time.monotonic() if trace_id is not None else 0.0
-        self._admit()
+        release = self._gate.admit()
         if trace_id is not None:
             tracer.add_event("admit", admit_started,
                              time.monotonic() - admit_started,
                              args={"trace_id": trace_id, "server": self.name})
         future: "Future[InferenceResult]" = Future()
-        if self._capacity is not None:
-            future.add_done_callback(lambda _f: self._capacity.release())
+        future.add_done_callback(release)
         future.add_done_callback(self._on_resolved)
         now = time.monotonic()
         with self._stats_lock:
@@ -583,8 +646,7 @@ class InferenceServer:
     # Worker: request lifecycle
     # -------------------------------------------------------------- #
     def _fail_request(self, request: _Request, error: BaseException) -> None:
-        if not request.future.done():
-            request.future.set_exception(error)
+        if settle(request.future, error=error):
             with self._stats_lock:
                 if isinstance(error, DeadlineExceeded):
                     self._shed_deadline += 1
@@ -777,8 +839,7 @@ class InferenceServer:
                 transport_ms=transport_ms,
                 trace_id=request.trace_id,
             )
-            if not request.future.done():
-                request.future.set_result(InferenceResult(outputs[index], timing))
+            settle(request.future, InferenceResult(outputs[index], timing))
             if request.trace_id is not None and tracer is not None and tracer.armed:
                 args = {"trace_id": request.trace_id, "server": self.name}
                 tracer.add_event("queue", request.enqueued,
@@ -1007,7 +1068,6 @@ class InferenceServer:
                 "queue_depth": self._inflight,
                 "shed_deadline": self._shed_deadline,
                 "shed_watermark": self._shed_watermark,
-                "rejected": self._rejected,
                 "requeues": self._requeues,
                 "failed_requests": self._failed_requests,
                 "nonfinite_outputs": self._nonfinite_outputs,
@@ -1021,6 +1081,7 @@ class InferenceServer:
             state=state,
             requests=completed,
             batches=batches,
+            rejected=self._gate.rejected,
             mean_batch_size=(batched / batches) if batches else float("nan"),
             latency_ms_mean=mean,
             latency_ms_p50=p50,

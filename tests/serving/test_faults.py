@@ -126,9 +126,9 @@ class TestPoisonIsolation:
                     np.testing.assert_array_equal(result.output, expected)
                     assert result.timing.retries >= 1  # rode through a bisection
             stats = server.stats()
-        assert stats["failed_requests"] == 1
-        assert stats["requeues"] > 0
-        assert stats["state"] == "healthy"
+        assert stats.failed_requests == 1
+        assert stats.requeues > 0
+        assert stats.state == "healthy"
         assert engine.log.poison_hits >= 2  # original batch + poisoned halves
 
     def test_one_in_n_poison_every_healthy_request_resolves(self, rng):
@@ -152,8 +152,8 @@ class TestPoisonIsolation:
                     expected = engine.model.predict(inputs[index][None])[0]
                     np.testing.assert_array_equal(result.output, expected)
             stats = server.stats()
-        assert stats["failed_requests"] == len(poison_indices)
-        assert stats["requests"] == 24 - len(poison_indices)
+        assert stats.failed_requests == len(poison_indices)
+        assert stats.requests == 24 - len(poison_indices)
 
 
 class TestTransientErrors:
@@ -175,8 +175,8 @@ class TestTransientErrors:
             with pytest.raises(TransientEngineError):
                 future.result(timeout=10)
             stats = server.stats()
-        assert stats["failed_requests"] == 1
-        assert stats["requeues"] == 2  # bounded by max_retries
+        assert stats.failed_requests == 1
+        assert stats.requeues == 2  # bounded by max_retries
 
 
 class TestNaNOutputIsolation:
@@ -201,8 +201,8 @@ class TestNaNOutputIsolation:
                     expected = engine.model.predict(inputs[index][None])[0]
                     np.testing.assert_array_equal(result.output, expected)
             stats = server.stats()
-        assert stats["nonfinite_outputs"] == 1
-        assert stats["requests"] == 4  # plug + 3 healthy
+        assert stats.nonfinite_outputs == 1
+        assert stats.requests == 4  # plug + 3 healthy
 
 
 class TestDeadlines:
@@ -224,7 +224,7 @@ class TestDeadlines:
             assert loose_result.timing.deadline_ms == 10_000.0
             assert free.result(timeout=10).timing.deadline_ms is None
             stats = server.stats()
-        assert stats["shed_deadline"] == 1
+        assert stats.shed_deadline == 1
         # The shed request never cost an engine call.
         assert engine.log.calls == 3
 
@@ -244,8 +244,8 @@ class TestDeadlines:
                 with pytest.raises(DeadlineExceeded):
                     future.result(timeout=10)
             stats = server.stats()
-        assert stats["shed_deadline"] == 4
-        assert stats["shed_watermark"] >= 1  # proactively shed, not at assembly
+        assert stats.shed_deadline == 4
+        assert stats.shed_watermark >= 1  # proactively shed, not at assembly
 
 
 class TestAdmissionControl:
@@ -265,7 +265,7 @@ class TestAdmissionControl:
             # Capacity released on resolution: admission works again.
             assert server.predict(rng.standard_normal(32), timeout=10) is not None
             stats = server.stats()
-        assert stats["rejected"] == 1
+        assert stats.rejected == 1
 
     def test_block_policy_times_out_then_raises(self, rng):
         gate = threading.Event()
@@ -307,13 +307,13 @@ class TestEngineSupervision:
             doomed = server.submit(rng.standard_normal(32))
             with pytest.raises(EngineCrash, match="crashed while serving"):
                 doomed.result(timeout=10)
-            assert wait_until(lambda: server.stats()["state"] == "healthy")
+            assert wait_until(lambda: server.stats().state == "healthy")
             # Subsequent traffic is served by the restarted engine.
             result = server.predict(rng.standard_normal(32), timeout=10)
             assert result.output.shape == (4,)
             stats = server.stats()
-        assert stats["engine_crashes"] == 1
-        assert stats["engine_restarts"] == 1
+        assert stats.engine_crashes == 1
+        assert stats.engine_restarts == 1
         assert engine.log.rewarm_attempts >= 1
 
     def test_unrecoverable_crash_refuses_new_work(self, rng):
@@ -324,7 +324,7 @@ class TestEngineSupervision:
         doomed = server.submit(rng.standard_normal(32))
         with pytest.raises(EngineCrash):
             doomed.result(timeout=10)
-        assert wait_until(lambda: server.stats()["state"] == "failed")
+        assert wait_until(lambda: server.stats().state == "failed")
         with pytest.raises(ServerUnavailable, match="rewarm attempts failed"):
             server.submit(rng.standard_normal(32))
         server.close()  # clean close: handled failure, not a worker bug
@@ -344,14 +344,14 @@ class TestEngineSupervision:
                     future.result(timeout=30)  # every future must resolve
                 except (ServingError, EngineCrash, TransientEngineError):
                     failures += 1
-            assert wait_until(lambda: server.stats()["state"] == "healthy")
+            assert wait_until(lambda: server.stats().state == "healthy")
             # The server recovered: follow-up traffic completes.
             follow_up = [server.submit(row) for row in inputs[:10]]
             resolved = sum(1 for f in follow_up
                            if not isinstance(f.exception(timeout=30), Exception))
             stats = server.stats()
         assert engine.log.crashes == 1
-        assert stats["engine_restarts"] == 1
+        assert stats.engine_restarts == 1
         assert failures <= len(inputs) // 6  # transient blips mostly retried away
         assert resolved >= 9
 

@@ -265,6 +265,6 @@ class TestEngine:
         outputs = engine.predict(rng.standard_normal(input_shape))
         assert outputs.shape == (input_shape[0], 10)
         stats = engine.stats()
-        assert stats["calls"] == 1  # warmup is untimed-for-stats
-        assert stats["samples"] == input_shape[0]
-        assert stats["throughput_sps"] > 0
+        assert stats.calls == 1  # warmup is untimed-for-stats
+        assert stats.samples == input_shape[0]
+        assert stats.throughput_sps > 0

@@ -227,7 +227,7 @@ class TestGenerationServer:
             futures = [server.submit(src, max_new_tokens=cap)
                        for src, cap in zip(sources, caps)]
             batched = [f.result(timeout=60).tokens for f in futures]
-        assert server.stats()["decode_steps"] > 0
+        assert server.stats().decode_steps > 0
         with GenerationServer(frozen, GenerationConfig(max_active=1)) as server:
             solo = [server.generate(src, max_new_tokens=cap, timeout=60).tokens
                     for src, cap in zip(sources, caps)]
@@ -276,9 +276,51 @@ class TestGenerationServer:
                 assert first_step_done.wait(timeout=30)
                 with pytest.raises(DeadlineExceeded):
                     stream.result(timeout=60)
-            assert server.stats()["failed"] == 1
+            assert server.stats().failed == 1
         finally:
             root.decode_step = original
+
+    def test_cancelled_sequence_retires_without_harming_the_server(self, rng):
+        """Cancelling one of three in-flight sequences retires it before the
+        next decode step and leaves its companions' tokens and the
+        scheduler untouched."""
+        frozen = frozen_seq2seq(seed=3)
+        sources = prompts(rng, 3)
+        with GenerationServer(frozen, GenerationConfig(max_active=1)) as server:
+            solo = [server.generate(src, max_new_tokens=12, timeout=60).tokens
+                    for src in sources]
+        root = frozen.root
+        original = root.decode_step
+        futures = []
+        steps = []  # (rows, whether futures[1] was cancelled at step start)
+        all_active = threading.Event()
+
+        def slow_decode_step(tokens, *args, **kwargs):
+            steps.append((len(tokens), len(futures) > 1 and futures[1].cancelled()))
+            logits = original(tokens, *args, **kwargs)
+            if len(tokens) == 3:
+                all_active.set()
+            time.sleep(0.02)
+            return logits
+
+        root.decode_step = slow_decode_step
+        try:
+            with GenerationServer(frozen, GenerationConfig(max_active=3)) as server:
+                for src in sources:
+                    futures.append(server.submit(src, max_new_tokens=12))
+                assert all_active.wait(timeout=30)
+                assert futures[1].cancel()
+                for index in (0, 2):
+                    np.testing.assert_array_equal(
+                        futures[index].result(timeout=60).tokens, solo[index])
+                assert server.failure is None
+                again = server.generate(sources[1], max_new_tokens=12, timeout=60)
+                np.testing.assert_array_equal(again.tokens, solo[1])
+                assert server.cache.free_blocks == server.cache.total_blocks
+        finally:
+            root.decode_step = original
+        # Only a step already under way when cancel() landed may carry it.
+        assert sum(rows == 3 and cancelled for rows, cancelled in steps) <= 1
 
     def test_drain_completes_active_sequences(self, rng):
         frozen = frozen_seq2seq()
@@ -297,7 +339,7 @@ class TestGenerationServer:
         with GenerationServer(frozen, config) as server:
             with pytest.raises(ServerOverloaded):
                 server.submit(rng.integers(3, 30, size=6), max_new_tokens=16)
-            assert server.stats()["rejected"] == 1
+            assert server.stats().rejected == 1
 
     def test_pool_contention_queues_instead_of_corrupting(self, rng):
         """Blocks for one worst-case sequence only: requests serialize."""
@@ -309,9 +351,9 @@ class TestGenerationServer:
             results = [f.result(timeout=60) for f in futures]
         assert all(r.tokens[0] == BOS for r in results)
         stats = server.stats()
-        assert stats["completed"] == 3
-        assert stats["mean_batch_per_step"] <= 1.0 + 1e-9
-        assert stats["cache"]["blocks_in_use"] == 0
+        assert stats.completed == 3
+        assert stats.mean_batch_per_step <= 1.0 + 1e-9
+        assert stats.cache["blocks_in_use"] == 0
 
     def test_invalid_requests(self):
         frozen = frozen_seq2seq()
@@ -330,7 +372,7 @@ class TestGenerationServer:
             result = server.generate(rng.integers(3, 30, size=8),
                                      max_new_tokens=8, timeout=60)
         assert result.tokens.shape[0] >= 2
-        assert server.stats()["cache"]["compression_vs_fp32"] > 3.0
+        assert server.stats().cache["compression_vs_fp32"] > 3.0
 
 
 class TestGenerationObservability:

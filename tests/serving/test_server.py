@@ -149,18 +149,16 @@ class TestAccountingAndErrors:
                 future.result(timeout=10)
             stats = server.stats()
         # stats() is a typed ServerStats dataclass (shared with the sharded
-        # server); attribute access is the API, mapping access is kept for
-        # report code that treats it like the dict it replaced.
+        # server); attribute access is the API, as_dict() the plain-dict view.
         assert isinstance(stats, ServerStats)
         assert stats.requests == 16
         assert stats.batches >= 2
         assert stats.latency_ms_p95 >= stats.latency_ms_p50 > 0
         assert stats.throughput_rps > 0
         assert stats.workers == 1 and stats.shards == ()
-        assert stats["requests"] == stats.requests  # mapping compatibility
-        assert dict(stats)["batches"] == stats.batches
-        with pytest.raises(KeyError):
-            stats["no_such_counter"]
+        assert stats.as_dict()["batches"] == stats.batches
+        with pytest.raises(AttributeError):
+            stats.no_such_counter
         assert stats.as_dict()["requests"] == 16
 
     def test_engine_failure_propagates_to_futures(self):

@@ -78,13 +78,13 @@ class TestEngineStats:
         stats = engine.stats()
         assert isinstance(stats, EngineStats)
         assert stats.calls == 1 and stats.samples == 2
-        # Mapping compatibility: the pre-dataclass dict idioms still work.
-        assert stats["calls"] == 1
-        assert "throughput_sps" in stats.keys()
-        assert dict(stats)["samples"] == 2
+        # Attribute access is the API; as_dict() is the plain-dict view.
+        assert stats.calls == 1
+        assert "throughput_sps" in stats.as_dict()
+        assert stats.as_dict()["samples"] == 2
         assert stats.as_dict()["calls"] == 1
-        with pytest.raises(KeyError):
-            stats["no_such_counter"]
+        with pytest.raises(AttributeError):
+            stats.no_such_counter
         # Remote-only fields stay None for the in-process engine.
         assert stats.pid is None and stats.respawns is None
 
@@ -96,7 +96,7 @@ class TestEngineStats:
             stats = cluster._shards[0].engine.stats()
         assert isinstance(stats, EngineStats)
         assert stats.alive is True and isinstance(stats.pid, int)
-        assert stats["respawns"] == 0
+        assert stats.respawns == 0
 
 
 class TestInProcessTracing:
