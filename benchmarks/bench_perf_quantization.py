@@ -1,10 +1,11 @@
 """Performance-regression benchmark: reference vs. fast-path BFP quantization.
 
-Times the seed reference implementation (`bfp_quantize_reference`) against the
-fused fast-path kernel that `bfp_quantize` now dispatches to, across tensor
-sizes, group sizes and rounding modes, and verifies on every run that the fast
-path is bit-exact (nearest/truncate) or seed-reproducible (stochastic) against
-the reference.  Emits a JSON report so CI can detect speed regressions.
+Times the seed reference implementation
+(`repro.reference.bfp_quantize_reference`) against the fused fast-path kernel
+that `bfp_quantize` now dispatches to, across tensor sizes, group sizes and
+rounding modes, and verifies on every run that the fast path is bit-exact
+(nearest/truncate) or seed-reproducible (stochastic) against the reference.
+Emits a JSON report so CI can detect speed regressions.
 
 Usage::
 
@@ -35,7 +36,8 @@ from pathlib import Path
 import numpy as np
 
 from repro.core import bfp, kernels
-from repro.core.kernels import bfp_quantize_fast, bfp_quantize_reference
+from repro.core.kernels import bfp_quantize_fast
+from repro.reference import bfp_quantize_reference
 from repro.core.rounding import LFSR, NoisePool, VectorizedLFSR
 
 from bench_utils import print_banner, print_rows

@@ -1,14 +1,24 @@
 """Performance benchmark: end-to-end quantized training step, fast vs. uncached.
 
 PR 1 made the `bfp_quantize` kernel fast; this benchmark measures the whole
-training step (forward + backward + optimizer update) with every step-level
-cache enabled against the uncached path:
+training step (forward + backward + optimizer update) of the production code
+against an uncached arm.  The production step has:
 
 * persistent grouped-layout caches (`repro.core.kernels.LayoutCache`),
 * memoized im2col/scatter indices and the BLAS/bincount convolution path
   (`repro.nn.functional`),
 * pooled stochastic-rounding noise (`repro.core.rounding.NoisePool`),
 * version+bits-keyed weight caching, including the FAST-Adaptive scheme.
+
+The uncached arm is the step as it ran before those caches existed.  It is
+composed from the golden models in `repro.reference`: for the duration of
+the arm, `uncached_step()` patches `repro.nn.functional`'s `conv2d`,
+`max_pool2d`, `avg_pool2d`, `col2im` and `im2col_indices` and
+`repro.core.kernels.resolve_groups` with their `repro.reference`
+namesakes (einsum convolution products with a per-group loop, im2col
+pooling, the `np.add.at` scatter, indices rebuilt per call, a layout
+derived per conversion), and the schedule draws noise per call instead of
+from a pool.  Production code has no switch for any of this.
 
 Small CNN / MLP / transformer configurations run under three schemes (fixed
 BFP with nearest gradients, fixed BFP with stochastic gradients, and
@@ -40,6 +50,7 @@ beat the float64 step on the MLP/transformer gates.
 """
 
 import argparse
+import contextlib
 import json
 import platform
 import sys
@@ -48,12 +59,12 @@ from pathlib import Path
 
 import numpy as np
 
-from repro import nn
+from repro import nn, reference
 from repro.core import kernels
 from repro.core.bfp import BFPConfig, bfp_quantize_tensor
-from repro.core.kernels import bfp_quantize_fast, bfp_quantize_reference
+from repro.core.kernels import bfp_quantize_fast
 from repro.core.rounding import NoisePool
-from repro.hardware.fmac import fmac_dot_product, fmac_dot_product_reference
+from repro.hardware.fmac import fmac_dot_product
 from repro.models.mlp import MLP
 from repro.models.transformer import Seq2SeqTransformer
 from repro.nn import functional as F
@@ -90,20 +101,28 @@ REFERENCE_GENERATOR_MS = 13.0
 
 
 # --------------------------------------------------------------------------- #
-# Fast-path switches
+# The uncached arm
 # --------------------------------------------------------------------------- #
-def set_fast_path(enabled: bool) -> None:
-    """Toggle every step-level cache this PR introduced.
+#: Production ops the uncached arm replaces with their `repro.reference`
+#: namesakes.
+UNCACHED_OPS = (
+    (F, "conv2d"), (F, "max_pool2d"), (F, "avg_pool2d"), (F, "col2im"),
+    (F, "im2col_indices"), (kernels, "resolve_groups"),
+)
 
-    The *uncached* arm is the step as it ran before the fast path existed:
-    layout re-derivation per conversion, im2col indices rebuilt per call,
-    einsum convolution products, `np.add.at` scatter, per-call noise draws.
-    """
-    kernels.set_layout_cache_enabled(enabled)
-    F.set_im2col_cache_enabled(enabled)
-    F.set_conv_fast_path_enabled(enabled)
-    kernels.default_layout_cache().clear()
-    F.clear_im2col_cache()
+
+@contextlib.contextmanager
+def uncached_step():
+    """Run the pre-fast-path step: each op in `UNCACHED_OPS` is patched with
+    its golden model until the block exits."""
+    saved = [(owner, name, getattr(owner, name)) for owner, name in UNCACHED_OPS]
+    for owner, name in UNCACHED_OPS:
+        setattr(owner, name, getattr(reference, name))
+    try:
+        yield
+    finally:
+        for owner, name, original in saved:
+            setattr(owner, name, original)
 
 
 # --------------------------------------------------------------------------- #
@@ -202,31 +221,33 @@ def run_training(config: str, scheme: str, steps: int, fast: bool,
     kernels, optimizer -- in float32 (models are built at float64 and cast,
     so both dtypes start from the identical weight stream).
     """
-    set_fast_path(fast)
-    model, loss_fn = CONFIG_BUILDERS[config](seed=0, dtype=dtype)
-    schedule = build_schedule(scheme, noise_pool=fast, total_iterations=steps)
-    if stochastic_override is not None:
-        schedule.stochastic_gradients = stochastic_override
-    schedule.prepare(model, steps)
-    optimizer = nn.SGD(model.parameters(), lr=0.01)
-    losses = []
-    times = []
-    # One untimed warmup step primes every cache (and the uncached arm's
-    # allocator) so the timed region measures steady-state iterations.
-    for step in range(steps + 1):
-        schedule.on_iteration(max(step - 1, 0))
-        start = time.perf_counter()
-        loss = loss_fn(model)
-        optimizer.zero_grad()
-        loss.backward()
-        optimizer.step()
-        elapsed = time.perf_counter() - start
-        if step > 0:
-            times.append(elapsed)
-            if collect_losses:
+    kernels.default_layout_cache().clear()
+    F.clear_im2col_cache()
+    with contextlib.nullcontext() if fast else uncached_step():
+        model, loss_fn = CONFIG_BUILDERS[config](seed=0, dtype=dtype)
+        schedule = build_schedule(scheme, noise_pool=fast, total_iterations=steps)
+        if stochastic_override is not None:
+            schedule.stochastic_gradients = stochastic_override
+        schedule.prepare(model, steps)
+        optimizer = nn.SGD(model.parameters(), lr=0.01)
+        losses = []
+        times = []
+        # One untimed warmup step primes every cache (and the uncached arm's
+        # allocator) so the timed region measures steady-state iterations.
+        for step in range(steps + 1):
+            schedule.on_iteration(max(step - 1, 0))
+            start = time.perf_counter()
+            loss = loss_fn(model)
+            optimizer.zero_grad()
+            loss.backward()
+            optimizer.step()
+            elapsed = time.perf_counter() - start
+            if step > 0:
+                times.append(elapsed)
+                if collect_losses:
+                    losses.append(loss.item())
+            elif collect_losses:
                 losses.append(loss.item())
-        elif collect_losses:
-            losses.append(loss.item())
     return float(np.median(times)), losses
 
 
@@ -242,15 +263,13 @@ def verify_layout_cache() -> None:
     for shape, group_size, axis in cases:
         for dtype in (np.float32, np.float64):
             values = rng.standard_normal(shape).astype(dtype)
-            kernels.set_layout_cache_enabled(True)
             kernels.default_layout_cache().clear()
             first = bfp_quantize_fast(values, 4, group_size, 8, "nearest", axis=axis)
             second = bfp_quantize_fast(values, 4, group_size, 8, "nearest", axis=axis)
-            kernels.set_layout_cache_enabled(False)
-            uncached = bfp_quantize_fast(values, 4, group_size, 8, "nearest", axis=axis)
+            with uncached_step():
+                uncached = bfp_quantize_fast(values, 4, group_size, 8, "nearest", axis=axis)
             assert np.array_equal(first, uncached), (shape, dtype, axis, "cached != uncached")
             assert np.array_equal(first, second), (shape, dtype, axis, "cache hit changed result")
-    kernels.set_layout_cache_enabled(True)
 
 
 def verify_noise_pool() -> None:
@@ -267,7 +286,7 @@ def verify_noise_pool() -> None:
     # Fast vs. reference quantization with equal pooled sources is bit-exact.
     values = np.random.default_rng(5).standard_normal(4096)
     fast = bfp_quantize_fast(values, 4, 16, 8, "stochastic", rng=NoisePool(7))
-    ref = bfp_quantize_reference(values, 4, 16, 8, "stochastic", rng=NoisePool(7))
+    ref = reference.bfp_quantize_reference(values, 4, 16, 8, "stochastic", rng=NoisePool(7))
     assert np.array_equal(fast, ref), "pooled stochastic path not seed-reproducible"
 
 
@@ -279,7 +298,7 @@ def verify_fmac() -> None:
         b = bfp_quantize_tensor(rng.standard_normal(size), mantissa_bits=bits_b,
                                 group_size=16, exponent_bits=8)
         fast = fmac_dot_product(a, b)
-        ref = fmac_dot_product_reference(a, b)
+        ref = reference.fmac_dot_product_reference(a, b)
         assert fast.value == ref.value and fast.passes == ref.passes, (size, bits_a, bits_b)
 
 
@@ -287,7 +306,7 @@ def verify_training_equivalence(steps: int) -> float:
     """Deterministic fast-vs-uncached training runs must agree tightly.
 
     The BLAS convolution products accumulate in a different (blocked) order
-    than einsum, so this comparison is allclose rather than bit-equal;
+    than the reference einsum, so this comparison is allclose rather than bit-equal;
     everything else on the fast path is bit-exact.  Returns the worst
     relative loss deviation observed.
     """
@@ -397,9 +416,7 @@ def main(argv=None) -> int:
     verify_noise_pool()
     verify_fmac()
     worst_deviation = verify_training_equivalence(equivalence_steps)
-    set_fast_path(True)
     worst_f32_deviation = verify_compute_dtype(equivalence_steps)
-    set_fast_path(True)
     print(f"equivalence harness: PASS (layout cache/noise pool/fmac bit-exact; "
           f"deterministic training worst relative loss deviation {worst_deviation:.2e}; "
           f"f32-vs-f64 worst relative loss deviation {worst_f32_deviation:.2e})")
@@ -430,10 +447,8 @@ def main(argv=None) -> int:
             "uncached_ms_per_step": slow_s * 1e3,
             "speedup": slow_s / fast_s,
         })
-    set_fast_path(True)
 
     dtype_results = bench_compute_dtype(dtype_cases, steps)
-    set_fast_path(True)
 
     noise = bench_noise_pool(noise_repeats)
 

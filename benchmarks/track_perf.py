@@ -8,6 +8,10 @@ fast-vs-reference.  CI runs it after the `--quick` benchmarks and uploads the
 trajectory as a workflow artifact; developers run it after a full benchmark
 pass and commit the appended lines with the PR that changed performance.
 
+A row must be a measurement: the script appends nothing and exits non-zero
+when a new row's summary equals one already recorded at another commit, the
+mark of a report copied forward instead of re-run.
+
 Usage::
 
     PYTHONPATH=src python benchmarks/track_perf.py
@@ -161,6 +165,11 @@ def summarize_generation(report: dict) -> dict:
     }
 
 
+def _measurement(row: dict) -> tuple:
+    """What a re-run must change: the benchmark and its summary."""
+    return row["benchmark"], json.dumps(row["summary"], sort_keys=True)
+
+
 SUMMARIZERS = {
     "perf_quantization.json": ("bench_perf_quantization", summarize_quantization),
     "perf_train_step.json": ("bench_perf_train_step", summarize_train_step),
@@ -183,29 +192,46 @@ def main(argv=None) -> int:
     recorded_at = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     commit = git_commit(Path(__file__).resolve().parent.parent)
 
-    appended = 0
+    entries = []
+    for filename, (benchmark, summarize) in SUMMARIZERS.items():
+        path = args.results_dir / filename
+        if not path.exists():
+            print(f"skip {filename}: not found", file=sys.stderr)
+            continue
+        report = json.loads(path.read_text())
+        entry = {
+            "recorded_at": recorded_at,
+            "commit": commit,
+            "benchmark": benchmark,
+            "mode": report.get("mode"),
+            "numpy": report.get("numpy"),
+            "machine": report.get("machine"),
+            "summary": summarize(report),
+        }
+        if args.label:
+            entry["label"] = args.label
+        entries.append(entry)
+
+    recorded = {}
+    if output.exists():
+        for line in output.read_text().splitlines():
+            if line.strip():
+                row = json.loads(line)
+                recorded[_measurement(row)] = row.get("commit")
+    copies = [entry for entry in entries
+              if recorded.get(_measurement(entry), commit) != commit]
+    for entry in copies:
+        print(f"refusing {entry['benchmark']}: its summary equals the row recorded at "
+              f"commit {recorded[_measurement(entry)]}; re-run the benchmark instead of "
+              "copying its report", file=sys.stderr)
+    if copies:
+        return 1
+
     with output.open("a") as handle:
-        for filename, (benchmark, summarize) in SUMMARIZERS.items():
-            path = args.results_dir / filename
-            if not path.exists():
-                print(f"skip {filename}: not found", file=sys.stderr)
-                continue
-            report = json.loads(path.read_text())
-            entry = {
-                "recorded_at": recorded_at,
-                "commit": commit,
-                "benchmark": benchmark,
-                "mode": report.get("mode"),
-                "numpy": report.get("numpy"),
-                "machine": report.get("machine"),
-                "summary": summarize(report),
-            }
-            if args.label:
-                entry["label"] = args.label
+        for entry in entries:
             handle.write(json.dumps(entry, sort_keys=True) + "\n")
-            appended += 1
-    print(f"appended {appended} entries to {output}")
-    return 0 if appended else 1
+    print(f"appended {len(entries)} entries to {output}")
+    return 0 if entries else 1
 
 
 if __name__ == "__main__":

@@ -28,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from . import kernels
-from .kernels import MIN_EXPONENT
+from .kernels import MIN_EXPONENT, ungroup_values
 
 __all__ = [
     "BFPConfig",
@@ -131,16 +131,9 @@ def group_values(x: np.ndarray, group_size: int, axis: int = -1):
     ``group_size`` the returned ``groups`` is a view of ``x`` -- treat it as
     read-only.
     """
-    return kernels.group_for_quantization(x, group_size, axis=axis)
-
-
-def ungroup_values(groups: np.ndarray, pad: int, moved_shape, axis: int = -1) -> np.ndarray:
-    """Invert :func:`group_values`, restoring the original array layout."""
-    rows = groups.reshape(groups.shape[0], -1)
-    if pad:
-        rows = rows[:, :-pad]
-    moved = rows.reshape(moved_shape)
-    return np.moveaxis(moved, -1, axis)
+    x = np.asarray(x)
+    layout = kernels.GroupedLayout(x.shape, kernels.grouping_dtype(x), group_size, axis=axis)
+    return layout.group(x), layout.pad, layout.moved_shape
 
 
 def compute_group_exponents(groups: np.ndarray, exponent_bits: Optional[int] = None) -> np.ndarray:

@@ -19,21 +19,21 @@ with a fused implementation that is bit-compatible with it:
   reference chain of ~8 temporaries, and the grouping step avoids the pad
   copy entirely when the grouped axis is already divisible by ``group_size``.
 
-The original seed implementation is preserved verbatim as
-:func:`bfp_quantize_reference` / :func:`quantize_groups_reference`; it is the
-golden model for the equivalence tests and the baseline for
+The seed implementation lives on verbatim in :mod:`repro.reference`; it is
+the golden model for the equivalence tests and the baseline for
 ``benchmarks/bench_perf_quantization.py``.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from collections import OrderedDict
 from typing import Optional
 
 import numpy as np
 
-from .rounding import RoundingMode, VALID_MODES, apply_rounding, draw_noise
+from .rounding import RoundingMode, VALID_MODES, draw_noise
 
 __all__ = [
     "MIN_EXPONENT",
@@ -41,18 +41,13 @@ __all__ = [
     "GroupedLayout",
     "LayoutCache",
     "default_layout_cache",
-    "layout_cache_enabled",
-    "set_layout_cache_enabled",
+    "grouping_dtype",
     "resolve_groups",
-    "group_for_quantization",
+    "ungroup_values",
     "shared_exponents",
     "quantize_groups",
     "GroupedTensor",
     "bfp_quantize_fast",
-    "group_values_reference",
-    "shared_exponents_reference",
-    "quantize_groups_reference",
-    "bfp_quantize_reference",
 ]
 
 #: Exponent assigned to all-zero groups.  Matches the smallest normal FP32
@@ -99,7 +94,7 @@ class GroupedLayout:
     padded tensors through one layout (e.g. the process-wide default cache
     from multiple threads) would race on the workspace.  The training
     substrate is single-threaded; multi-threaded callers must pass explicit
-    per-thread layouts or disable the default cache.
+    per-thread layouts.
     """
 
     __slots__ = (
@@ -127,10 +122,11 @@ class GroupedLayout:
     def group(self, x: np.ndarray) -> np.ndarray:
         """Reshape ``x`` into ``(rows, n_groups, group_size)`` groups.
 
-        Returns a read-only-by-convention view of ``x`` when no pad or copy
-        is needed, otherwise a view of the layout's reusable workspace (valid
-        until the next call).
+        ``x`` is cast to the layout's dtype.  Returns a read-only-by-convention
+        view of ``x`` when no pad or copy is needed, otherwise a view of the
+        layout's reusable workspace (valid until the next call).
         """
+        x = np.asarray(x, dtype=self.dtype)
         if x.ndim == 0:
             x = x.reshape(1)
         if x.shape != self.shape:
@@ -155,7 +151,7 @@ class GroupedLayout:
 
     def ungroup(self, groups: np.ndarray, original_shape) -> np.ndarray:
         """Invert :meth:`group`, restoring ``original_shape``."""
-        result = ungroup_values_reference(groups, self.pad, self.moved_shape, axis=self.axis)
+        result = ungroup_values(groups, self.pad, self.moved_shape, axis=self.axis)
         return result.reshape(original_shape)
 
 
@@ -202,13 +198,11 @@ class LayoutCache:
 
     def layout_for(self, x: np.ndarray, group_size: int, axis: int = -1) -> GroupedLayout:
         """Layout for an array, resolving non-float dtypes the way grouping does."""
-        dtype = x.dtype if np.issubdtype(x.dtype, np.floating) else np.float64
         shape = x.shape if x.ndim else (1,)
-        return self.get(shape, dtype, group_size, axis=axis)
+        return self.get(shape, grouping_dtype(x), group_size, axis=axis)
 
 
 _DEFAULT_LAYOUT_CACHE = LayoutCache()
-_LAYOUT_CACHE_ENABLED = True
 
 
 def default_layout_cache() -> LayoutCache:
@@ -216,77 +210,49 @@ def default_layout_cache() -> LayoutCache:
     return _DEFAULT_LAYOUT_CACHE
 
 
-def layout_cache_enabled() -> bool:
-    return _LAYOUT_CACHE_ENABLED
-
-
-def set_layout_cache_enabled(enabled: bool) -> bool:
-    """Enable/disable the default layout cache; returns the previous setting.
-
-    Benchmarks use this to time the uncached path; the cached and uncached
-    paths are bit-identical (asserted by ``tests/core/test_layout_cache.py``).
-    """
-    global _LAYOUT_CACHE_ENABLED
-    previous = _LAYOUT_CACHE_ENABLED
-    _LAYOUT_CACHE_ENABLED = bool(enabled)
-    return previous
+def grouping_dtype(x: np.ndarray) -> np.dtype:
+    """The floating dtype ``x`` is grouped and quantized in (integers -> float64)."""
+    return x.dtype if np.issubdtype(x.dtype, np.floating) else np.dtype(np.float64)
 
 
 def resolve_groups(x, group_size: int, axis: int = -1, layout: Optional[GroupedLayout] = None):
-    """Group ``x`` for quantization through a layout when one is available.
+    """Group ``x`` for quantization through a layout.
 
     Single entry point for the three grouping consumers (fake quantization,
     packed quantization, ``relative_improvement``): an explicit ``layout`` is
-    validated and used, otherwise one comes from the default cache (when
-    enabled), otherwise the uncached :func:`group_for_quantization` runs.
+    validated and used, otherwise one comes from the default cache.
     Returns ``(groups, pad, moved_shape)``.
     """
     x = np.asarray(x)
     if layout is not None:
         ndim = max(x.ndim, 1)
         normalized_axis = axis + ndim if axis < 0 else axis
-        expected_dtype = x.dtype if np.issubdtype(x.dtype, np.floating) else np.float64
+        expected_dtype = grouping_dtype(x)
         if (layout.group_size != int(group_size) or layout.axis != normalized_axis
                 or layout.dtype != expected_dtype):
             raise ValueError(
                 f"layout built for (group_size={layout.group_size}, axis={layout.axis}, "
                 f"dtype={layout.dtype}); got (group_size={group_size}, "
                 f"axis={normalized_axis}, dtype={expected_dtype})")
-    elif _LAYOUT_CACHE_ENABLED:
+    else:
         layout = _DEFAULT_LAYOUT_CACHE.layout_for(x, group_size, axis=axis)
-    if layout is not None:
-        values = x if x.dtype == layout.dtype else x.astype(layout.dtype)
-        return layout.group(values), layout.pad, layout.moved_shape
-    return group_for_quantization(x, group_size, axis=axis)
+    return layout.group(x), layout.pad, layout.moved_shape
+
+
+def ungroup_values(groups: np.ndarray, pad: int, moved_shape, axis: int = -1) -> np.ndarray:
+    """Invert grouping (:meth:`GroupedLayout.group`), restoring the array layout.
+
+    The row length is spelled out, not inferred, so zero-size tensors ungroup too.
+    """
+    rows = groups.reshape(groups.shape[0], math.prod(groups.shape[1:]))
+    if pad:
+        rows = rows[:, :-pad]
+    return np.moveaxis(rows.reshape(moved_shape), -1, axis)
 
 
 # --------------------------------------------------------------------------- #
 # Fast path
 # --------------------------------------------------------------------------- #
-def group_for_quantization(x, group_size: int, axis: int = -1):
-    """Reshape ``x`` into BFP groups, preserving its floating dtype.
-
-    Returns ``(groups, pad, moved_shape)`` with ``groups`` of shape
-    ``(rows, n_groups, group_size)``.  When the grouped axis is contiguous and
-    already divisible by ``group_size`` the result is a *view* of ``x`` -- no
-    copy is made, so callers must treat ``groups`` as read-only.
-    """
-    x = np.asarray(x)
-    if not np.issubdtype(x.dtype, np.floating):
-        x = x.astype(np.float64)
-    if x.ndim == 0:
-        x = x.reshape(1)
-    moved = np.moveaxis(x, axis, -1)
-    moved_shape = moved.shape
-    length = moved_shape[-1]
-    rows = moved.reshape(-1, length)
-    pad = (-length) % group_size
-    if pad:
-        padded = np.zeros((rows.shape[0], length + pad), dtype=rows.dtype)
-        padded[:, :length] = rows
-        rows = padded
-    return rows.reshape(rows.shape[0], -1, group_size), pad, moved_shape
-
 
 def _fold_group_max(magnitudes: np.ndarray) -> np.ndarray:
     """``magnitudes.max(axis=-1)`` via a halving tree of ``np.maximum``.
@@ -455,7 +421,7 @@ class GroupedTensor:
                  axis: int = -1, layout: Optional[GroupedLayout] = None):
         x = np.asarray(x)
         self.shape = x.shape
-        self.dtype = x.dtype if np.issubdtype(x.dtype, np.floating) else np.float64
+        self.dtype = grouping_dtype(x)
         self.axis = axis
         self.groups, self.pad, self.moved_shape = resolve_groups(
             x, group_size, axis=axis, layout=layout)
@@ -472,7 +438,7 @@ class GroupedTensor:
 
     def ungroup(self, quantized: np.ndarray) -> np.ndarray:
         """Quantized groups back in the tensor's shape and floating dtype."""
-        result = ungroup_values_reference(quantized, self.pad, self.moved_shape, axis=self.axis)
+        result = ungroup_values(quantized, self.pad, self.moved_shape, axis=self.axis)
         return result.reshape(self.shape).astype(self.dtype, copy=False)
 
 
@@ -491,14 +457,13 @@ def bfp_quantize_fast(
 
     ``layout`` may pass a :class:`GroupedLayout` for the input's exact
     ``(shape, dtype, axis, group_size)``; when omitted one is fetched from the
-    default :class:`LayoutCache` (if enabled) so repeated conversions of
+    default :class:`LayoutCache` so repeated conversions of
     same-shaped tensors -- the per-iteration W/A/G pattern of training --
     skip layout re-derivation and reuse the padded-grouping workspace.
     """
     profiler = _PROFILER
     start = time.perf_counter() if profiler is not None else 0.0
     x = np.asarray(x)
-    original_dtype = x.dtype if np.issubdtype(x.dtype, np.floating) else np.float64
     groups, pad, moved_shape = resolve_groups(x, group_size, axis=axis, layout=layout)
     magnitudes = np.abs(groups)
     group_max = _fold_group_max(magnitudes)
@@ -507,97 +472,9 @@ def bfp_quantize_fast(
         groups, exponents, mantissa_bits, rounding,
         rng=rng, noise_bits=noise_bits, magnitudes=magnitudes, group_max=group_max,
     )
-    result = ungroup_values_reference(quantized, pad, moved_shape, axis=axis)
-    result = result.reshape(x.shape).astype(original_dtype, copy=False)
+    result = ungroup_values(quantized, pad, moved_shape, axis=axis)
+    result = result.reshape(x.shape).astype(grouping_dtype(x), copy=False)
     if profiler is not None:
         profiler.record("bfp_quantize_fast", time.perf_counter() - start,
                         result.size)
     return result
-
-
-# --------------------------------------------------------------------------- #
-# Reference path (the seed implementation, kept verbatim as the golden model)
-# --------------------------------------------------------------------------- #
-def group_values_reference(x: np.ndarray, group_size: int, axis: int = -1):
-    """Seed grouping: always upcasts to float64 and copies when padding."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 0:
-        x = x.reshape(1)
-    moved = np.moveaxis(x, axis, -1)
-    moved_shape = moved.shape
-    length = moved_shape[-1]
-    rows = moved.reshape(-1, length)
-    pad = (-length) % group_size
-    if pad:
-        rows = np.concatenate([rows, np.zeros((rows.shape[0], pad), dtype=np.float64)],
-                              axis=1)
-    groups = rows.reshape(rows.shape[0], -1, group_size)
-    return groups, pad, moved_shape
-
-
-def ungroup_values_reference(groups: np.ndarray, pad: int, moved_shape, axis: int = -1) -> np.ndarray:
-    """Invert :func:`group_values_reference`."""
-    rows = groups.reshape(groups.shape[0], -1)
-    if pad:
-        rows = rows[:, :-pad]
-    moved = rows.reshape(moved_shape)
-    return np.moveaxis(moved, -1, axis)
-
-
-def shared_exponents_reference(groups: np.ndarray, exponent_bits: Optional[int] = None) -> np.ndarray:
-    """Seed exponent derivation via ``floor(log2(max |group|))``."""
-    magnitudes = np.abs(groups)
-    group_max = magnitudes.max(axis=-1)
-    exponents = np.full(group_max.shape, MIN_EXPONENT, dtype=np.int64)
-    nonzero = group_max > 0
-    with np.errstate(divide="ignore"):
-        exponents[nonzero] = np.floor(np.log2(group_max[nonzero])).astype(np.int64)
-    if exponent_bits is not None and exponents.size and np.any(nonzero):
-        window = (1 << exponent_bits) - 1
-        top = int(exponents[nonzero].max())
-        exponents[~nonzero] = min(MIN_EXPONENT, top)
-        floor_exp = top - window
-        exponents = np.maximum(exponents, floor_exp)
-    return exponents
-
-
-def quantize_groups_reference(
-    groups: np.ndarray,
-    exponents: np.ndarray,
-    mantissa_bits: int,
-    rounding: str,
-    rng,
-    noise_bits: Optional[int],
-):
-    """Seed quantization of grouped values; returns ``(quantized, signs, mantissas, scales)``."""
-    scales = np.power(2.0, exponents.astype(np.float64) - (mantissa_bits - 1))
-    scaled = groups / scales[..., None]
-    rounded = apply_rounding(scaled, rounding, rng=rng, noise_bits=noise_bits)
-    limit = (1 << mantissa_bits) - 1
-    rounded = np.clip(rounded, -limit, limit)
-    signs = np.sign(rounded).astype(np.int8)
-    mantissas = np.abs(rounded).astype(np.int64)
-    quantized = rounded * scales[..., None]
-    return quantized, signs, mantissas, scales
-
-
-def bfp_quantize_reference(
-    x,
-    mantissa_bits: int = 4,
-    group_size: int = 16,
-    exponent_bits: Optional[int] = 8,
-    rounding: str = "nearest",
-    axis: int = -1,
-    rng=None,
-    noise_bits: Optional[int] = 8,
-) -> np.ndarray:
-    """The seed ``bfp_quantize`` implementation, kept as the golden reference."""
-    x = np.asarray(x)
-    original_dtype = x.dtype if np.issubdtype(x.dtype, np.floating) else np.float64
-    groups, pad, moved_shape = group_values_reference(x, group_size, axis=axis)
-    exponents = shared_exponents_reference(groups, exponent_bits)
-    quantized, _, _, _ = quantize_groups_reference(
-        groups, exponents, mantissa_bits, rounding, rng, noise_bits
-    )
-    result = ungroup_values_reference(quantized, pad, moved_shape, axis=axis)
-    return result.reshape(x.shape).astype(original_dtype)

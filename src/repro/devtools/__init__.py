@@ -3,10 +3,11 @@
 Three layers, all opt-in and wired into CI:
 
 * :mod:`.lint` -- an AST-based lint engine with project-specific rules
-  (RL001-RL006) that turn the repo's load-bearing conventions (dtype
+  (RL001-RL007) that turn the repo's load-bearing conventions (dtype
   purity, ``Parameter.version`` bumps, the observability gate, lock
-  discipline, seeded randomness, narrow excepts) into machine-checked
-  errors.  CLI: ``python -m repro.devtools.lint src tests benchmarks``.
+  discipline, seeded randomness, narrow excepts, golden models kept out
+  of production code) into machine-checked errors.
+  CLI: ``python -m repro.devtools.lint src tests benchmarks``.
 * :mod:`.lockcheck` -- a dynamic lock-order detector: an instrumented
   ``threading.Lock`` that records the per-thread acquisition graph and
   fails on cycles (potential ABBA deadlocks) or on registered shared

@@ -15,6 +15,7 @@ RL003     observability/profiling calls not behind the module-global gate
 RL004     ``# guarded-by: _lock`` attributes accessed without the lock
 RL005     unseeded ``np.random.*`` / ``random.*`` in ``src/``
 RL006     bare/overbroad ``except`` in worker and supervision loops
+RL007     ``repro.reference`` (golden models) used or redefined in ``src/``
 ========  ==================================================================
 
 Suppressions (always give a one-line reason after ``--``)::

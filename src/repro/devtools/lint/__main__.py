@@ -28,7 +28,7 @@ def _find_repo_root(start: Path) -> Path:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.devtools.lint",
-        description="Project-specific static analysis (rules RL001-RL006).",
+        description="Project-specific static analysis (rules RL001-RL007).",
     )
     parser.add_argument(
         "paths", nargs="*", default=["src"], help="files/directories to lint"

@@ -1,4 +1,4 @@
-"""Project-specific lint rules RL001-RL006.
+"""Project-specific lint rules RL001-RL007.
 
 Each rule encodes one convention this repo previously enforced only by
 review (see PERFORMANCE.md "Correctness tooling" for the catalog and the
@@ -23,6 +23,7 @@ __all__ = [
     "LockDisciplineRule",
     "SeededRandomRule",
     "BroadExceptRule",
+    "ReferenceIsolationRule",
     "default_rules",
 ]
 
@@ -559,6 +560,46 @@ class BroadExceptRule(Rule):
             )
 
 
+# --------------------------------------------------------------------------- #
+# RL007 -- golden models imported or defined in production code
+# --------------------------------------------------------------------------- #
+class ReferenceIsolationRule(Rule):
+    """A production module imports ``repro.reference`` or defines a
+    ``*_reference`` function.  Golden models live in ``repro/reference.py``
+    and only tests and benchmarks use them, so an edit to a golden model
+    cannot change production output.
+    """
+
+    code = "RL007"
+    name = "reference-isolation"
+    description = "repro.reference imported or *_reference defined outside repro/reference.py"
+
+    def applies(self, path: str) -> bool:
+        return _in_src(path) and not path.endswith("repro/reference.py")
+
+    def check(self, ctx: LintContext) -> Iterable[Finding]:
+        package = ctx.path.split("src/", 1)[-1].split("/")[:-1]
+        for node in ast.walk(ctx.tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if node.name.endswith("_reference"):
+                    yield ctx.finding(self.code, node, f"golden model `{node.name}` "
+                                      "belongs in repro/reference.py")
+                continue
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                # Resolve ``from .. import x`` against this module's package.
+                base = package[:len(package) + 1 - node.level] if node.level else []
+                module = ".".join(base + ([node.module] if node.module else []))
+                names = [module] + [f"{module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            if any(name == "repro.reference" or name.startswith("repro.reference.")
+                   for name in names):
+                yield ctx.finding(self.code, node, "production code imports "
+                                  "repro.reference; only tests and benchmarks may")
+
+
 ALL_RULES: Tuple[type, ...] = (
     DtypePromotionRule,
     VersionBumpRule,
@@ -566,6 +607,7 @@ ALL_RULES: Tuple[type, ...] = (
     LockDisciplineRule,
     SeededRandomRule,
     BroadExceptRule,
+    ReferenceIsolationRule,
 )
 
 

@@ -26,7 +26,6 @@ __all__ = [
     "FMACResult",
     "fmac_group_dot",
     "fmac_dot_product",
-    "fmac_dot_product_reference",
     "bfp_matmul",
 ]
 
@@ -123,8 +122,9 @@ def fmac_dot_product(a: BFPTensor, b: BFPTensor, chunk_bits: int = 2) -> FMACRes
     :func:`bfp_matmul`: one integer contraction per chunk pair over all
     groups replaces the per-group Python loop.  Each group's partial sums
     accumulate over chunk pairs first and groups second -- exactly the order
-    of the scalar :func:`fmac_group_dot` walk (kept as
-    :func:`fmac_dot_product_reference`), so the result is bit-identical.
+    of the scalar :func:`fmac_group_dot` walk (the golden model
+    :func:`repro.reference.fmac_dot_product_reference`), so the result is
+    bit-identical.
     """
     if a.shape != b.shape:
         raise ValueError("operands must have the same shape")
@@ -149,38 +149,6 @@ def fmac_dot_product(a: BFPTensor, b: BFPTensor, chunk_bits: int = 2) -> FMACRes
     per_group_passes = passes_required(a.mantissa_bits, b.mantissa_bits, chunk_bits)
     passes = per_group_passes * int(exps_a.size)
     multiplications = passes * a.group_size
-    return FMACResult(value=total, passes=passes, multiplications=multiplications)
-
-
-def fmac_dot_product_reference(a: BFPTensor, b: BFPTensor, chunk_bits: int = 2) -> FMACResult:
-    """The original per-group Python walk, kept as the golden model.
-
-    ``tests/hardware/test_fmac.py`` asserts :func:`fmac_dot_product` matches
-    this loop bit-for-bit (value, passes and multiplication counts).
-    """
-    if a.shape != b.shape:
-        raise ValueError("operands must have the same shape")
-    if a.group_size != b.group_size:
-        raise ValueError("operands must share a group size")
-    signs_a = a.signs.reshape(-1, a.group_size)
-    signs_b = b.signs.reshape(-1, b.group_size)
-    mant_a = a.mantissas.reshape(-1, a.group_size)
-    mant_b = b.mantissas.reshape(-1, b.group_size)
-    exps_a = a.exponents.reshape(-1)
-    exps_b = b.exponents.reshape(-1)
-
-    total = 0.0
-    passes = 0
-    multiplications = 0
-    for group in range(exps_a.size):
-        result = fmac_group_dot(
-            signs_a[group], mant_a[group], int(exps_a[group]), a.mantissa_bits,
-            signs_b[group], mant_b[group], int(exps_b[group]), b.mantissa_bits,
-            chunk_bits=chunk_bits,
-        )
-        total += result.value
-        passes += result.passes
-        multiplications += result.multiplications
     return FMACResult(value=total, passes=passes, multiplications=multiplications)
 
 

@@ -40,11 +40,7 @@ __all__ = [
     "quantize_gradient",
     "one_hot",
     "linear",
-    "im2col_cache_enabled",
-    "set_im2col_cache_enabled",
     "clear_im2col_cache",
-    "conv_fast_path_enabled",
-    "set_conv_fast_path_enabled",
     "set_profiler",
 ]
 
@@ -62,51 +58,15 @@ def set_profiler(profiler) -> object:
     _PROFILER = profiler
     return previous
 
-#: When enabled (default), convolution forward/backward products run through
-#: BLAS ``matmul`` instead of ``np.einsum`` and ``col2im`` scatters through a
-#: single ``np.bincount`` instead of the unbuffered ``np.add.at``.  The
-#: bincount scatter walks the same (index, value) sequence as ``add.at`` and
-#: is bit-identical; the BLAS products use a different (blocked) accumulation
-#: order and agree to rounding error.  Benchmarks disable this to time the
-#: pre-fast-path step.
-_CONV_FAST_ENABLED = True
-
-
-def conv_fast_path_enabled() -> bool:
-    return _CONV_FAST_ENABLED
-
-
-def set_conv_fast_path_enabled(enabled: bool) -> bool:
-    """Enable/disable the BLAS/bincount convolution path; returns the previous setting."""
-    global _CONV_FAST_ENABLED
-    previous = _CONV_FAST_ENABLED
-    _CONV_FAST_ENABLED = bool(enabled)
-    return previous
-
 
 # --------------------------------------------------------------------------- #
 # im2col-based convolution
 # --------------------------------------------------------------------------- #
 #: Memoized gather-index arrays keyed on the convolution geometry.  Layer
-#: geometry is fixed across a training run, so each conv/pool layer derives
-#: its (k, i, j) arrays exactly once instead of several times per step (the
-#: forward previously built them twice -- inside ``im2col`` and again for the
-#: output size -- and the backward a third time for ``col2im``).
+#: geometry is fixed across a training run, so each layer derives its
+#: (k, i, j) arrays once instead of on every im2col/col2im call.
 _IM2COL_CACHE: "OrderedDict[tuple, tuple]" = OrderedDict()
 _IM2COL_CACHE_MAX = 256
-_IM2COL_CACHE_ENABLED = True
-
-
-def im2col_cache_enabled() -> bool:
-    return _IM2COL_CACHE_ENABLED
-
-
-def set_im2col_cache_enabled(enabled: bool) -> bool:
-    """Enable/disable im2col index memoization; returns the previous setting."""
-    global _IM2COL_CACHE_ENABLED
-    previous = _IM2COL_CACHE_ENABLED
-    _IM2COL_CACHE_ENABLED = bool(enabled)
-    return previous
 
 
 def clear_im2col_cache() -> None:
@@ -115,7 +75,8 @@ def clear_im2col_cache() -> None:
     _SCATTER_CACHE.clear()
 
 
-def _build_im2col_indices(channels, height, width, kernel_h, kernel_w, stride, padding):
+def _output_size(channels, height, width, kernel_h, kernel_w, stride, padding):
+    """``(out_h, out_w)`` of a convolution or pooling window sweep."""
     out_h = (height + 2 * padding - kernel_h) // stride + 1
     out_w = (width + 2 * padding - kernel_w) // stride + 1
     if out_h <= 0 or out_w <= 0:
@@ -124,7 +85,11 @@ def _build_im2col_indices(channels, height, width, kernel_h, kernel_w, stride, p
             f"(N, {channels}, {height}, {width}), "
             f"kernel ({kernel_h}, {kernel_w}), stride {stride}, padding {padding}"
         )
+    return out_h, out_w
 
+
+def _build_im2col_indices(channels, height, width, kernel_h, kernel_w, stride, padding):
+    out_h, out_w = _output_size(channels, height, width, kernel_h, kernel_w, stride, padding)
     i0 = np.repeat(np.arange(kernel_h), kernel_w)
     i0 = np.tile(i0, channels)
     i1 = stride * np.repeat(np.arange(out_h), out_w)
@@ -149,22 +114,19 @@ def im2col_indices(
 
     The arrays depend only on ``(C, H, W, kernel, stride, padding)`` -- not
     the batch size -- and are memoized on that key (returned read-only; do
-    not mutate them).  Disable with :func:`set_im2col_cache_enabled` to
-    measure the uncached path.
+    not mutate them).
     """
     _, channels, height, width = input_shape
     key = (channels, height, width, kernel_h, kernel_w, stride, padding)
-    if _IM2COL_CACHE_ENABLED:
-        cached = _IM2COL_CACHE.get(key)
-        if cached is not None:
-            _IM2COL_CACHE.move_to_end(key)
-            return cached
+    cached = _IM2COL_CACHE.get(key)
+    if cached is not None:
+        _IM2COL_CACHE.move_to_end(key)
+        return cached
     entry = _build_im2col_indices(channels, height, width, kernel_h, kernel_w,
                                   stride, padding)
-    if _IM2COL_CACHE_ENABLED:
-        _IM2COL_CACHE[key] = entry
-        while len(_IM2COL_CACHE) > _IM2COL_CACHE_MAX:
-            _IM2COL_CACHE.popitem(last=False)
+    _IM2COL_CACHE[key] = entry
+    while len(_IM2COL_CACHE) > _IM2COL_CACHE_MAX:
+        _IM2COL_CACHE.popitem(last=False)
     return entry
 
 
@@ -194,18 +156,16 @@ def _scatter_indices(input_shape, kernel_h, kernel_w, stride, padding, k, i, j):
     """Flattened (C*kh*kw, out_h*out_w) scatter positions into the padded image."""
     _, channels, height, width = input_shape
     key = (channels, height, width, kernel_h, kernel_w, stride, padding)
-    if _IM2COL_CACHE_ENABLED:
-        cached = _SCATTER_CACHE.get(key)
-        if cached is not None:
-            _SCATTER_CACHE.move_to_end(key)
-            return cached
+    cached = _SCATTER_CACHE.get(key)
+    if cached is not None:
+        _SCATTER_CACHE.move_to_end(key)
+        return cached
     padded_w = width + 2 * padding
     flat = (k * (height + 2 * padding) + i) * padded_w + j
     flat.flags.writeable = False
-    if _IM2COL_CACHE_ENABLED:
-        _SCATTER_CACHE[key] = flat
-        while len(_SCATTER_CACHE) > _SCATTER_CACHE_MAX:
-            _SCATTER_CACHE.popitem(last=False)
+    _SCATTER_CACHE[key] = flat
+    while len(_SCATTER_CACHE) > _SCATTER_CACHE_MAX:
+        _SCATTER_CACHE.popitem(last=False)
     return flat
 
 
@@ -219,16 +179,15 @@ def col2im(
 ) -> np.ndarray:
     """Scatter columns back into image space (adjoint of :func:`im2col`).
 
-    On the fast path the scatter is a single ``np.bincount`` over flattened
-    positions, which is several times faster than the unbuffered
-    ``np.add.at``.  For float64 columns it is bit-identical to ``add.at``:
-    both walk the same (index, value) sequence in the same order, so every
-    output element accumulates its contributions identically.  The output
-    dtype always matches the columns' floating dtype: ``np.bincount`` only
-    accumulates in float64, so float32 columns are accumulated in float64
-    and rounded once at the end -- at least as accurate as the chained
-    float32 adds of ``add.at`` -- keeping a float32 pipeline float32 end to
-    end without falling back to the slow scatter.
+    The scatter is a single ``np.bincount`` over flattened positions, which
+    is several times faster than the unbuffered ``np.add.at`` of the
+    golden model (:func:`repro.reference.col2im`).  For float64 columns it
+    is bit-identical to ``add.at``: both walk the same (index, value)
+    sequence in the same order, so every output element accumulates its
+    contributions identically.  The output dtype always matches the
+    columns' floating dtype: ``np.bincount`` only accumulates in float64, so
+    float32 columns are accumulated in float64 and rounded once at the end
+    -- at least as accurate as the chained float32 adds of ``add.at``.
     """
     batch, channels, height, width = input_shape
     cols = np.asarray(cols)
@@ -236,28 +195,23 @@ def col2im(
     k, i, j, _, _ = im2col_indices(input_shape, kernel_h, kernel_w, stride, padding)
     padded_h = height + 2 * padding
     padded_w = width + 2 * padding
-    if _CONV_FAST_ENABLED:
-        # One bincount per image over the memoized flat positions: batch
-        # images scatter to disjoint outputs, so this equals (and walks
-        # values in the same order as) a single offset scatter, without
-        # materializing a batch-sized int64 positions array every backward
-        # pass.
-        # ``cols`` may be a transposed view of the convolution's fat patch
-        # matrix; bincount converts each image's (features, positions)
-        # block to contiguous float64 itself.
-        flat = _scatter_indices(input_shape, kernel_h, kernel_w, stride, padding, k, i, j)
-        positions = flat.ravel()
-        per_image = channels * padded_h * padded_w
-        padded = np.empty((batch, per_image), dtype=np.float64)
-        for image in range(batch):
-            padded[image] = np.bincount(positions, weights=cols[image].reshape(-1),
-                                        minlength=per_image)
-        padded = padded.reshape(batch, channels, padded_h, padded_w)
-        if scatter_dtype != np.float64:
-            padded = padded.astype(scatter_dtype)
-    else:
-        padded = np.zeros((batch, channels, padded_h, padded_w), dtype=scatter_dtype)
-        np.add.at(padded, (slice(None), k, i, j), cols)
+    # One bincount per image over the memoized flat positions: batch images
+    # scatter to disjoint outputs, so this equals (and walks values in the
+    # same order as) a single offset scatter, without materializing a
+    # batch-sized int64 positions array every backward pass.
+    # ``cols`` may be a transposed view of the convolution's fat patch
+    # matrix; bincount converts each image's (features, positions) block to
+    # contiguous float64 itself.
+    flat = _scatter_indices(input_shape, kernel_h, kernel_w, stride, padding, k, i, j)
+    positions = flat.ravel()
+    per_image = channels * padded_h * padded_w
+    padded = np.empty((batch, per_image), dtype=np.float64)
+    for image in range(batch):
+        padded[image] = np.bincount(positions, weights=cols[image].reshape(-1),
+                                    minlength=per_image)
+    padded = padded.reshape(batch, channels, padded_h, padded_w)
+    if scatter_dtype != np.float64:
+        padded = padded.astype(scatter_dtype)
     if padding == 0:
         return padded
     return padded[:, :, padding:-padding, padding:-padding]
@@ -297,50 +251,36 @@ def _conv2d_forward(
     the backward pass contracts against.  The patch gather is recorded under
     the ``im2col`` kernel name.
 
-    On the fast path ``cols`` is the fat ``(features, batch*positions)``
-    matrix of :func:`_gather_fat` and the product is one ``(O, F) x (F, N*L)``
-    GEMM over the flattened (batch, position) axis instead of a batched
-    matmul looping ``batch`` GEMM slices, which keeps BLAS in its efficient
+    ``cols`` is the fat ``(features, batch*positions)`` matrix of
+    :func:`_gather_fat` and the product is one ``(O, F) x (F, N*L)`` GEMM
+    over the flattened (batch, position) axis instead of a batched matmul
+    looping ``batch`` GEMM slices, which keeps BLAS in its efficient
     blocking regime.  Grouped convolutions use the same decomposition per
     group: a ``(groups, features, N*L)`` view of the fat matrix gives exactly
     the per-group blocks (the depthwise case, ``Og=1, F=k*k``, is
-    pathological for a per-slice loop).  On the reference path (fast path
-    disabled) ``cols`` is the ``(batch, features, positions)`` im2col
-    matrix and the products are ``np.einsum`` contractions.
+    pathological for a per-slice loop).  The golden model is the einsum
+    convolution of :func:`repro.reference.conv2d`.
     """
     profiler = _PROFILER
     start = time.perf_counter() if profiler is not None else 0.0
-    batch = x_data.shape[0]
+    batch, channels, height, width = x_data.shape
     out_channels, in_per_group, kernel_h, kernel_w = weight_data.shape
-    k, i, j, out_h, out_w = im2col_indices(x_data.shape, kernel_h, kernel_w, stride, padding)
-    fast = _CONV_FAST_ENABLED
+    out_h, out_w = _output_size(channels, height, width, kernel_h, kernel_w, stride, padding)
     positions = out_h * out_w
     gather_start = time.perf_counter() if profiler is not None else 0.0
-    if fast:
-        cols = _gather_fat(x_data, kernel_h, kernel_w, stride, padding, out_h, out_w)
-    else:
-        cols = _gather_patches(x_data, k, i, j, padding)
+    cols = _gather_fat(x_data, kernel_h, kernel_w, stride, padding, out_h, out_w)
     if profiler is not None:
         profiler.record("im2col", time.perf_counter() - gather_start, cols.size)
     if groups == 1:
-        weight_matrix = weight_data.reshape(out_channels, -1)
-        if fast:
-            out_data = np.matmul(weight_matrix, cols)
-            out_data = out_data.reshape(out_channels, batch, positions).transpose(1, 0, 2)
-        else:
-            out_data = np.einsum("of,nfl->nol", weight_matrix, cols)
+        out_data = np.matmul(weight_data.reshape(out_channels, -1), cols)
+        out_data = out_data.reshape(out_channels, batch, positions).transpose(1, 0, 2)
     else:
         features = in_per_group * kernel_h * kernel_w
         out_per_group = out_channels // groups
         weight_grouped = weight_data.reshape(groups, out_per_group, features)
-        if fast:
-            out_data = np.matmul(weight_grouped, cols.reshape(groups, features, -1))
-            out_data = (out_data.reshape(groups, out_per_group, batch, positions)
-                        .transpose(2, 0, 1, 3))
-        else:
-            out_data = np.einsum("gof,ngfl->ngol", weight_grouped,
-                                 cols.reshape(batch, groups, features, -1))
-        out_data = out_data.reshape(batch, out_channels, -1)
+        out_data = np.matmul(weight_grouped, cols.reshape(groups, features, -1))
+        out_data = (out_data.reshape(groups, out_per_group, batch, positions)
+                    .transpose(2, 0, 1, 3).reshape(batch, out_channels, -1))
     if bias_data is not None:
         out_data = out_data + bias_data.reshape(1, -1, 1)
     out_data = out_data.reshape(batch, out_channels, out_h, out_w)
@@ -386,8 +326,8 @@ def conv2d(
     runs a grouped convolution (depthwise when ``groups == channels``) as a
     single batched product over the group axis.
 
-    On the fast path the backward pass reuses the forward's fat patch matrix
-    ``cols`` (features x batch*positions): ``grad_W = grad @ colsᵀ`` and
+    The backward pass reuses the forward's fat patch matrix ``cols``
+    (features x batch*positions): ``grad_W = grad @ colsᵀ`` and
     ``grad_cols = Wᵀ @ grad`` are one GEMM each (per group), with the output
     gradient brought into the same (channel, batch*position) layout once.
     """
@@ -400,7 +340,6 @@ def conv2d(
             f"conv2d shape mismatch: input channels {x.shape[1]}, weight "
             f"{weight.shape}, groups {groups}"
         )
-    fast = _CONV_FAST_ENABLED
     out_data, cols, out_h, out_w = _conv2d_forward(
         x.data, weight.data, None if bias is None else bias.data,
         stride, padding, groups)
@@ -413,28 +352,17 @@ def conv2d(
         grad_matrix = grad.reshape(batch, groups, out_per_group, positions)
         if bias is not None and bias.requires_grad:
             bias._accumulate(grad_matrix.sum(axis=(0, 3)).reshape(-1))
-        weight_grouped = weight.data.reshape(groups, out_per_group, features)
-        grad_weight = grad_cols = None
-        if fast:
-            # (groups, Og, batch*positions): the output gradient in the fat layout.
-            grad_fat = grad_matrix.transpose(1, 2, 0, 3).reshape(groups, out_per_group, -1)
-            if weight.requires_grad:
-                grad_weight = np.matmul(grad_fat, cols.reshape(groups, features, -1)
-                                        .transpose(0, 2, 1))
-            if x.requires_grad:
-                grad_cols = np.matmul(weight_grouped.transpose(0, 2, 1), grad_fat)
-                # col2im takes (batch, features, positions): a transposed view.
-                grad_cols = grad_cols.reshape(-1, batch, positions).transpose(1, 0, 2)
-        else:
-            cols_grouped = cols.reshape(batch, groups, features, -1)
-            if weight.requires_grad:
-                grad_weight = np.einsum("ngol,ngfl->gof", grad_matrix, cols_grouped)
-            if x.requires_grad:
-                grad_cols = np.einsum("gof,ngol->ngfl", weight_grouped, grad_matrix)
-                grad_cols = grad_cols.reshape(batch, groups * features, -1)
-        if grad_weight is not None:
+        # (groups, Og, batch*positions): the output gradient in the fat layout.
+        grad_fat = grad_matrix.transpose(1, 2, 0, 3).reshape(groups, out_per_group, -1)
+        if weight.requires_grad:
+            grad_weight = np.matmul(grad_fat, cols.reshape(groups, features, -1)
+                                    .transpose(0, 2, 1))
             weight._accumulate(grad_weight.reshape(weight.shape))
-        if grad_cols is not None:
+        if x.requires_grad:
+            grad_cols = np.matmul(weight.data.reshape(groups, out_per_group, features)
+                                  .transpose(0, 2, 1), grad_fat)
+            # col2im takes (batch, features, positions): a transposed view.
+            grad_cols = grad_cols.reshape(-1, batch, positions).transpose(1, 0, 2)
             x._accumulate(col2im(grad_cols, input_shape, kernel_h, kernel_w, stride, padding))
 
     parents = (x, weight) if bias is None else (x, weight, bias)
@@ -445,24 +373,11 @@ def conv2d(
 # Pooling
 # --------------------------------------------------------------------------- #
 def _pool_uses_reshape(height: int, width: int, kernel_size: int, stride: int) -> bool:
-    """Whether the non-overlapping (tiled windows) fast path applies."""
-    return (_CONV_FAST_ENABLED and stride == kernel_size
-            and height % kernel_size == 0 and width % kernel_size == 0)
+    """Whether the windows tile the input, so the strided route applies.
 
-
-def _pool_windows(x_data: np.ndarray, kernel_size: int) -> np.ndarray:
-    """Non-overlapping pooling windows as the (contiguous) last axis.
-
-    Output shape ``(batch, channels, out_h, out_w, kernel*kernel)``; window
-    elements appear in the same row-major order as the im2col path's rows.
+    Overlapping or ragged windows need the im2col route.
     """
-    batch, channels, height, width = x_data.shape
-    out_h, out_w = height // kernel_size, width // kernel_size
-    return (
-        x_data.reshape(batch, channels, out_h, kernel_size, out_w, kernel_size)
-        .transpose(0, 1, 2, 4, 3, 5)
-        .reshape(batch, channels, out_h, out_w, kernel_size * kernel_size)
-    )
+    return stride == kernel_size and height % kernel_size == 0 and width % kernel_size == 0
 
 
 def _pool_cols(x_data: np.ndarray, kernel_size: int, stride: int):
@@ -499,44 +414,29 @@ def _max_pool_windows(x: np.ndarray, kernel_size: int):
 
 
 def max_pool2d_infer(x: np.ndarray, kernel_size: int, stride: Optional[int] = None) -> np.ndarray:
-    """Grad-free max pooling on plain arrays (bit-identical to :func:`max_pool2d`)."""
-    x = np.asarray(x)
-    stride = stride if stride is not None else kernel_size
-    batch, channels, height, width = x.shape
-    if _pool_uses_reshape(height, width, kernel_size, stride):
-        return _max_pool_windows(x, kernel_size)[0]
-    cols, _, out_h, out_w = _pool_cols(x, kernel_size, stride)
-    max_idx = cols.argmax(axis=1)
-    out = np.take_along_axis(cols, max_idx[:, None, :], axis=1)[:, 0, :]
-    return out.reshape(batch, channels, out_h, out_w)
+    """Grad-free max pooling on plain arrays: the forward of :func:`max_pool2d`."""
+    return max_pool2d(Tensor(x), kernel_size, stride).data
 
 
 def avg_pool2d_infer(x: np.ndarray, kernel_size: int, stride: Optional[int] = None) -> np.ndarray:
-    """Grad-free average pooling on plain arrays (same numerics as :func:`avg_pool2d`)."""
-    x = np.asarray(x)
-    stride = stride if stride is not None else kernel_size
-    batch, channels, height, width = x.shape
-    if _pool_uses_reshape(height, width, kernel_size, stride):
-        return _pool_windows(x, kernel_size).mean(axis=-1)
-    cols, _, out_h, out_w = _pool_cols(x, kernel_size, stride)
-    return cols.mean(axis=1).reshape(batch, channels, out_h, out_w)
+    """Grad-free average pooling on plain arrays: the forward of :func:`avg_pool2d`."""
+    return avg_pool2d(Tensor(x), kernel_size, stride).data
 
 
 def max_pool2d(x: Tensor, kernel_size: int, stride: Optional[int] = None) -> Tensor:
     """Max pooling over square windows (NCHW layout).
 
     Non-overlapping pooling (``stride == kernel_size``, dimensions divisible)
-    takes a strided fast path: the ``kernel*kernel`` window elements are
+    takes a strided route: the ``kernel*kernel`` window elements are
     strided views of the input, reduced with ``np.maximum``, and the backward
     pass scatters the gradient through first-winner masks taken in window
     order (:func:`_max_pool_windows`).  That is the element ``argmax`` picks
-    on the im2col path -- ties, signed zeros and NaN included -- so outputs
-    and gradients are bit-identical between the two paths.
+    on the im2col route -- ties, signed zeros and NaN included -- so outputs
+    and gradients are bit-identical between the two routes.
     """
     x = as_tensor(x)
     stride = stride if stride is not None else kernel_size
-    batch, channels, height, width = x.shape
-    if _pool_uses_reshape(height, width, kernel_size, stride):
+    if _pool_uses_reshape(*x.shape[2:], kernel_size, stride):
         out_data, stack = _max_pool_windows(x.data, kernel_size)
 
         def backward(grad):
@@ -563,7 +463,12 @@ def max_pool2d(x: Tensor, kernel_size: int, stride: Optional[int] = None) -> Ten
             x._accumulate(grad_x)
 
         return Tensor._make(out_data, (x,), backward, "max_pool2d")
+    return _max_pool2d_im2col(x, kernel_size, stride)
 
+
+def _max_pool2d_im2col(x: Tensor, kernel_size: int, stride: int) -> Tensor:
+    """Max pooling through an im2col patch matrix (any window geometry)."""
+    batch, channels = x.shape[:2]
     cols, folded_shape, out_h, out_w = _pool_cols(x.data, kernel_size, stride)
     max_idx = cols.argmax(axis=1)
     out_data = np.take_along_axis(cols, max_idx[:, None, :], axis=1)[:, 0, :]
@@ -584,11 +489,11 @@ def max_pool2d(x: Tensor, kernel_size: int, stride: Optional[int] = None) -> Ten
 def avg_pool2d(x: Tensor, kernel_size: int, stride: Optional[int] = None) -> Tensor:
     """Average pooling over square windows (NCHW layout).
 
-    Non-overlapping pooling takes the same reshape-based fast path as
+    Non-overlapping pooling takes the same reshape-based route as
     :func:`max_pool2d`: the window mean reduces the contiguous last axis, and
     the backward pass spreads ``grad / window`` by the inverse reshape
     instead of an im2col scatter.  The backward map is bit-identical to the
-    im2col path (each input receives exactly one ``grad / window``
+    im2col route (each input receives exactly one ``grad / window``
     contribution either way); the forward mean agrees to reduction-order
     rounding error -- NumPy's pairwise reduction visits the same elements
     but may pair them differently across memory layouts -- and is exact for
@@ -597,10 +502,13 @@ def avg_pool2d(x: Tensor, kernel_size: int, stride: Optional[int] = None) -> Ten
     x = as_tensor(x)
     stride = stride if stride is not None else kernel_size
     batch, channels, height, width = x.shape
-    window = kernel_size * kernel_size
     if _pool_uses_reshape(height, width, kernel_size, stride):
+        window = kernel_size * kernel_size
         out_h, out_w = height // kernel_size, width // kernel_size
-        windows = _pool_windows(x.data, kernel_size)
+        # (batch, channels, out_h, out_w, window): the window elements in the
+        # im2col route's row-major order along the last axis.
+        windows = (x.data.reshape(batch, channels, out_h, kernel_size, out_w, kernel_size)
+                   .transpose(0, 1, 2, 4, 3, 5).reshape(batch, channels, out_h, out_w, window))
         out_data = windows.mean(axis=-1)
 
         def backward(grad):
@@ -615,7 +523,13 @@ def avg_pool2d(x: Tensor, kernel_size: int, stride: Optional[int] = None) -> Ten
             x._accumulate(np.ascontiguousarray(grad_x))
 
         return Tensor._make(out_data, (x,), backward, "avg_pool2d")
+    return _avg_pool2d_im2col(x, kernel_size, stride)
 
+
+def _avg_pool2d_im2col(x: Tensor, kernel_size: int, stride: int) -> Tensor:
+    """Average pooling through an im2col patch matrix (any window geometry)."""
+    batch, channels = x.shape[:2]
+    window = kernel_size * kernel_size
     cols, folded_shape, out_h, out_w = _pool_cols(x.data, kernel_size, stride)
     out_data = cols.mean(axis=1).reshape(batch, channels, out_h, out_w)
 

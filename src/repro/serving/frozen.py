@@ -63,7 +63,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from ..core.bfp import BFPConfig, BFPTensor, bfp_quantize, bfp_quantize_tensor
-from ..core.kernels import LayoutCache, layout_cache_enabled
+from ..core.kernels import LayoutCache
 from ..core.memory_layout import compact_bfp_arrays, restore_bfp_tensor
 from ..formats.base import TensorKind
 from ..formats.registry import available_formats, get_format
@@ -116,15 +116,13 @@ class ActivationQuantizer:
         self._layouts = LayoutCache(max_entries=16)
 
     def __call__(self, values: np.ndarray) -> np.ndarray:
-        layout = (self._layouts.layout_for(values, self.group_size)
-                  if layout_cache_enabled() else None)
         return bfp_quantize(
             values,
             mantissa_bits=self.mantissa_bits,
             group_size=self.group_size,
             exponent_bits=self.exponent_bits,
             rounding="nearest",
-            layout=layout,
+            layout=self._layouts.layout_for(values, self.group_size),
         )
 
     def config(self) -> dict:

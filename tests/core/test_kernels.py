@@ -14,14 +14,10 @@ from hypothesis.extra import numpy as hnp
 
 from repro.core import kernels
 from repro.core.bfp import bfp_quantize, bfp_quantize_tensor, compute_group_exponents, group_values
-from repro.core.kernels import (
-    bfp_quantize_fast,
-    bfp_quantize_reference,
-    shared_exponents,
-    shared_exponents_reference,
-)
+from repro.core.kernels import bfp_quantize_fast, shared_exponents
 from repro.core.rounding import LFSR, VectorizedLFSR
 from repro.nn.functional import col2im, im2col
+from repro.reference import bfp_quantize_reference, shared_exponents_reference
 
 
 class TestFastPathBitExact:
@@ -97,6 +93,18 @@ class TestFastPathBitExact:
             np.testing.assert_array_equal(fast, ref)
 
 
+@pytest.mark.parametrize("shape", [(0, 16), (0, 3, 16), (2, 0, 16), (3, 0)])
+def test_zero_size_tensors_convert(shape):
+    """A zero-size dimension converts to an empty array of the input's shape
+    and floating dtype, through fake quantization, a GroupedTensor and the
+    packed round trip."""
+    values = np.zeros(shape)
+    grouped = kernels.GroupedTensor(values, 16)
+    for result in (bfp_quantize(values), grouped.ungroup(grouped.quantize(4)),
+                   bfp_quantize_tensor(values).to_float()):
+        assert result.shape == shape and result.dtype == np.float64
+
+
 class TestFrexpExponents:
     def test_matches_log2_reference_at_exact_powers_of_two(self):
         """Regression: frexp and the old log2 path agree at exact powers of two."""
@@ -152,7 +160,7 @@ class TestDtypePropagation:
 
     def test_grouping_avoids_copy_when_aligned(self, rng):
         values = rng.standard_normal((4, 32))
-        groups, pad, _ = kernels.group_for_quantization(values, 16)
+        groups, pad, _ = group_values(values, 16)
         assert pad == 0
         assert np.shares_memory(groups, values)
 

@@ -3,27 +3,29 @@
 import numpy as np
 import pytest
 
+from repro import reference
 from repro.core import kernels
 from repro.core.bfp import bfp_quantize_tensor
-from repro.core.kernels import (
-    GroupedLayout,
-    LayoutCache,
-    bfp_quantize_fast,
-    default_layout_cache,
-    layout_cache_enabled,
-    set_layout_cache_enabled,
-)
+from repro.core.kernels import GroupedLayout, LayoutCache, bfp_quantize_fast, default_layout_cache
 from repro.core.rounding import NoisePool
 
 
 @pytest.fixture(autouse=True)
 def _fresh_cache_state():
-    """Every test starts with an enabled, empty default cache."""
-    previous = set_layout_cache_enabled(True)
+    """Every test starts with an empty default cache."""
     default_layout_cache().clear()
     yield
-    set_layout_cache_enabled(previous)
     default_layout_cache().clear()
+
+
+@pytest.fixture
+def uncached(monkeypatch):
+    """Run a conversion with grouping as it was before the layout caches."""
+    def run(convert, *args, **kwargs):
+        with monkeypatch.context() as patch:
+            patch.setattr(kernels, "resolve_groups", reference.resolve_groups)
+            return convert(*args, **kwargs)
+    return run
 
 
 class TestGroupedLayout:
@@ -32,8 +34,8 @@ class TestGroupedLayout:
                                         ((33,), 16, -1), ((6, 50), 16, 0),
                                         ((2, 3, 40), 17, 1)]:
             values = rng.standard_normal(shape)
-            groups_ref, pad_ref, moved_ref = kernels.group_values_reference(values, group_size,
-                                                                            axis=axis)
+            groups_ref, pad_ref, moved_ref = reference.group_values_reference(
+                values, group_size, axis=axis)
             layout = GroupedLayout(shape, np.float64, group_size, axis=axis)
             assert layout.pad == pad_ref
             assert layout.moved_shape == moved_ref
@@ -71,24 +73,20 @@ class TestCachedQuantizationBitExactness:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("mode", ["nearest", "truncate"])
-    def test_cached_matches_uncached(self, rng, dtype, mode):
+    def test_cached_matches_uncached(self, rng, uncached, dtype, mode):
         for shape, group_size, axis in self.SHAPES:
             values = rng.standard_normal(shape).astype(dtype)
             cached = bfp_quantize_fast(values, 4, group_size, 8, mode, axis=axis)
             repeat = bfp_quantize_fast(values, 4, group_size, 8, mode, axis=axis)
-            set_layout_cache_enabled(False)
-            uncached = bfp_quantize_fast(values, 4, group_size, 8, mode, axis=axis)
-            set_layout_cache_enabled(True)
-            np.testing.assert_array_equal(cached, uncached)
+            fresh = uncached(bfp_quantize_fast, values, 4, group_size, 8, mode, axis=axis)
+            np.testing.assert_array_equal(cached, fresh)
             np.testing.assert_array_equal(cached, repeat)
 
-    def test_cached_stochastic_seed_reproducible(self, rng):
+    def test_cached_stochastic_seed_reproducible(self, rng, uncached):
         values = rng.standard_normal((7, 130))
         cached = bfp_quantize_fast(values, 4, 16, 8, "stochastic", rng=NoisePool(3))
-        set_layout_cache_enabled(False)
-        uncached = bfp_quantize_fast(values, 4, 16, 8, "stochastic", rng=NoisePool(3))
-        set_layout_cache_enabled(True)
-        np.testing.assert_array_equal(cached, uncached)
+        fresh = uncached(bfp_quantize_fast, values, 4, 16, 8, "stochastic", rng=NoisePool(3))
+        np.testing.assert_array_equal(cached, fresh)
 
     def test_result_never_aliases_the_workspace(self, rng):
         """Back-to-back conversions of the same shape must not clobber results."""
@@ -99,16 +97,15 @@ class TestCachedQuantizationBitExactness:
         bfp_quantize_fast(second_in, 4, 16, 8, "nearest")
         np.testing.assert_array_equal(first, first_copy)
 
-    def test_packed_quantization_matches_uncached(self, rng):
+    def test_packed_quantization_matches_uncached(self, rng, uncached):
         values = rng.standard_normal((5, 50))
         cached = bfp_quantize_tensor(values, mantissa_bits=4, group_size=16, exponent_bits=8)
-        set_layout_cache_enabled(False)
-        uncached = bfp_quantize_tensor(values, mantissa_bits=4, group_size=16, exponent_bits=8)
-        set_layout_cache_enabled(True)
-        np.testing.assert_array_equal(cached.signs, uncached.signs)
-        np.testing.assert_array_equal(cached.mantissas, uncached.mantissas)
-        np.testing.assert_array_equal(cached.exponents, uncached.exponents)
-        np.testing.assert_array_equal(cached.to_float(), uncached.to_float())
+        fresh = uncached(bfp_quantize_tensor, values, mantissa_bits=4, group_size=16,
+                         exponent_bits=8)
+        np.testing.assert_array_equal(cached.signs, fresh.signs)
+        np.testing.assert_array_equal(cached.mantissas, fresh.mantissas)
+        np.testing.assert_array_equal(cached.exponents, fresh.exponents)
+        np.testing.assert_array_equal(cached.to_float(), fresh.to_float())
 
 
 class TestLayoutCache:
@@ -163,18 +160,8 @@ class TestLayoutCache:
         layout = cache.layout_for(np.arange(32), 16)
         assert layout.dtype == np.float64
 
-    def test_disable_bypasses_default_cache(self, rng):
-        values = rng.standard_normal((3, 50))
-        set_layout_cache_enabled(False)
-        assert not layout_cache_enabled()
-        before = len(default_layout_cache())
-        bfp_quantize_fast(values, 4, 16, 8, "nearest")
-        assert len(default_layout_cache()) == before
-
-    def test_integer_input_quantizes_identically(self):
+    def test_integer_input_quantizes_identically(self, uncached):
         values = np.arange(-20, 30).reshape(5, 10)
         cached = bfp_quantize_fast(values, 4, 16, 8, "nearest")
-        set_layout_cache_enabled(False)
-        uncached = bfp_quantize_fast(values, 4, 16, 8, "nearest")
-        set_layout_cache_enabled(True)
-        np.testing.assert_array_equal(cached, uncached)
+        fresh = uncached(bfp_quantize_fast, values, 4, 16, 8, "nearest")
+        np.testing.assert_array_equal(cached, fresh)

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.core.kernels import bfp_quantize_fast, bfp_quantize_reference
+from repro.core.kernels import bfp_quantize_fast
 from repro.core.rounding import LFSR, NoisePool, VectorizedLFSR, draw_noise
+from repro.reference import bfp_quantize_reference
 
 
 class TestDeterminism:

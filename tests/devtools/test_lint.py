@@ -24,6 +24,7 @@ from repro.devtools.lint.rules import (
     DtypePromotionRule,
     GateDisciplineRule,
     LockDisciplineRule,
+    ReferenceIsolationRule,
     SeededRandomRule,
     VersionBumpRule,
 )
@@ -388,6 +389,57 @@ class TestBroadExcept:
                 except Exception as exc:  # noqa: BLE001 - supervision boundary
                     log(exc)
         """, path=SERVING_PATH)
+        assert findings == []
+
+
+# --------------------------------------------------------------------------- #
+# RL007 golden models out of production code
+# --------------------------------------------------------------------------- #
+class TestReferenceIsolation:
+    @pytest.mark.parametrize("statement", [
+        "import repro.reference",
+        "import repro.reference as golden",
+        "from repro import reference",
+        "from repro.reference import conv2d",
+        "from .. import reference",
+        "from ..reference import bfp_quantize_reference",
+    ])
+    def test_flags_production_import(self, statement):
+        findings = run(ReferenceIsolationRule, statement + "\n",
+                       path="src/repro/core/kernels.py")
+        assert codes(findings) == ["RL007"]
+
+    def test_flags_reference_defined_in_production(self):
+        findings = run(ReferenceIsolationRule, """
+            def ungroup_values_reference(groups):
+                return groups
+        """, path="src/repro/core/kernels.py")
+        assert codes(findings) == ["RL007"]
+        assert "ungroup_values_reference" in findings[0].message
+
+    @pytest.mark.parametrize("path", ["src/repro/reference.py", "tests/core/test_kernels.py"])
+    def test_quiet_in_reference_module_and_outside_src(self, path):
+        findings = run(ReferenceIsolationRule, """
+            from repro import reference
+            def group_values_reference(x, group_size):
+                return reference.group_values_reference(x, group_size)
+        """, path=path)
+        assert findings == []
+
+    def test_quiet_on_lookalike_names(self):
+        findings = run(ReferenceIsolationRule, """
+            from . import references
+            from ..core import kernels
+            import repro.referenced
+            def reference_sentences(indices):
+                return indices
+        """, path="src/repro/data/translation.py")
+        assert findings == []
+
+    def test_inline_suppression(self):
+        findings = run(ReferenceIsolationRule, """
+            from repro import reference  # repro-lint: disable=RL007 -- test
+        """, path="src/repro/core/kernels.py")
         assert findings == []
 
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.core.bfp import bfp_quantize, bfp_quantize_tensor
 from repro.core.chunks import passes_required
 from repro.hardware.fmac import bfp_matmul, fmac_dot_product, fmac_group_dot
+from repro.reference import fmac_dot_product_reference
 
 
 def quantize_vector(values, mantissa_bits, group_size=16):
@@ -168,13 +169,12 @@ class TestVectorizedMatmulEquivalence:
 
 class TestVectorizedDotProduct:
     """fmac_dot_product routes through the chunk-pair einsum; the scalar
-    per-group walk is kept as fmac_dot_product_reference and must agree
+    per-group walk, repro.reference.fmac_dot_product_reference, must agree
     bit-for-bit (value, passes and multiplication counts)."""
 
     @pytest.mark.parametrize("size", [16, 33, 64, 100, 7])
     @pytest.mark.parametrize("bits_a,bits_b", [(4, 4), (2, 4), (4, 2), (2, 2), (5, 3)])
     def test_matches_scalar_reference(self, rng, size, bits_a, bits_b):
-        from repro.hardware.fmac import fmac_dot_product_reference
         a = quantize_vector(rng.standard_normal(size) * 10.0 ** rng.integers(-3, 3, size=size),
                             bits_a)
         b = quantize_vector(rng.standard_normal(size), bits_b)
@@ -185,7 +185,6 @@ class TestVectorizedDotProduct:
         assert fast.multiplications == ref.multiplications
 
     def test_wide_chunks_match_scalar_reference(self, rng):
-        from repro.hardware.fmac import fmac_dot_product_reference
         a = quantize_vector(rng.standard_normal(48), 6)
         b = quantize_vector(rng.standard_normal(48), 6)
         fast = fmac_dot_product(a, b, chunk_bits=3)

@@ -1,9 +1,11 @@
-"""Tests for the step-level fast paths in ``repro.nn.functional``:
+"""Tests for the step-level fast paths in ``repro.nn.functional``, each
+against its golden model in :mod:`repro.reference`:
 
-* memoized im2col/scatter indices (and their cached/uncached equivalence),
-* the BLAS/bincount convolution path vs. the einsum/add.at reference,
+* memoized im2col/scatter indices vs. indices built afresh,
+* the BLAS/bincount convolution vs. the einsum/add.at reference,
 * the fat-layout convolution gather and backward GEMMs,
-* the strided non-overlapping max-pool fast path (first-winner masks),
+* the strided non-overlapping max-pool route (first-winner masks) vs.
+  im2col pooling,
 * the ``im2col`` kernel metric of the convolution gather,
 * dtype preservation in ``dropout`` and ``one_hot``.
 """
@@ -11,19 +13,16 @@
 import numpy as np
 import pytest
 
+from repro import reference
 from repro.nn import functional as F
 from repro.nn.tensor import Tensor
 
 
 @pytest.fixture(autouse=True)
-def _fast_path_defaults():
-    """Each test starts from the enabled defaults with empty index caches."""
-    prev_cache = F.set_im2col_cache_enabled(True)
-    prev_conv = F.set_conv_fast_path_enabled(True)
+def _empty_index_caches():
+    """Each test starts with empty index caches."""
     F.clear_im2col_cache()
     yield
-    F.set_im2col_cache_enabled(prev_cache)
-    F.set_conv_fast_path_enabled(prev_conv)
     F.clear_im2col_cache()
 
 
@@ -42,8 +41,7 @@ class TestIm2colMemoization:
     def test_memoized_indices_match_fresh_build(self):
         shape = (4, 5, 9, 7)
         cached = F.im2col_indices(shape, 3, 2, 2, 1)
-        F.set_im2col_cache_enabled(False)
-        fresh = F.im2col_indices(shape, 3, 2, 2, 1)
+        fresh = reference.im2col_indices(shape, 3, 2, 2, 1)
         for a, b in zip(cached, fresh):
             np.testing.assert_array_equal(a, b)
 
@@ -56,30 +54,20 @@ class TestIm2colMemoization:
         with pytest.raises(ValueError, match="empty"):
             F.im2col_indices((1, 1, 2, 2), 5, 5, 1, 0)
 
-    def test_disabled_cache_stores_nothing(self):
-        F.set_im2col_cache_enabled(False)
-        F.clear_im2col_cache()
-        F.im2col_indices((2, 3, 8, 8), 3, 3, 1, 1)
-        assert not F.im2col_cache_enabled()
-        F.set_im2col_cache_enabled(True)
-        first = F.im2col_indices((2, 3, 8, 8), 3, 3, 1, 1)
-        assert first[0] is F.im2col_indices((2, 3, 8, 8), 3, 3, 1, 1)[0]
-
 
 class TestConvFastPath:
-    def run_conv(self, rng, fast, stride=1, padding=1):
-        F.set_conv_fast_path_enabled(fast)
+    def run_conv(self, rng, conv2d, stride=1, padding=1):
         x = Tensor(rng.standard_normal((2, 3, 8, 8)), requires_grad=True)
         w = Tensor(rng.standard_normal((4, 3, 3, 3)), requires_grad=True)
         b = Tensor(rng.standard_normal(4), requires_grad=True)
-        out = F.conv2d(x, w, b, stride=stride, padding=padding)
+        out = conv2d(x, w, b, stride=stride, padding=padding)
         out.sum().backward()
         return out.data, x.grad, w.grad, b.grad
 
     @pytest.mark.parametrize("stride,padding", [(1, 1), (2, 0), (1, 2)])
     def test_matmul_path_matches_einsum(self, stride, padding):
-        fast = self.run_conv(np.random.default_rng(0), True, stride, padding)
-        slow = self.run_conv(np.random.default_rng(0), False, stride, padding)
+        fast = self.run_conv(np.random.default_rng(0), F.conv2d, stride, padding)
+        slow = self.run_conv(np.random.default_rng(0), reference.conv2d, stride, padding)
         for fast_arr, slow_arr in zip(fast, slow):
             np.testing.assert_allclose(fast_arr, slow_arr, rtol=1e-12, atol=1e-12)
 
@@ -88,8 +76,7 @@ class TestConvFastPath:
         out_side = (8 + 2 * 1 - 2) // 1 + 1
         cols = rng.standard_normal((3, 3 * 4, out_side * out_side))
         fast = F.col2im(cols, shape, 2, 2, 1, 1)
-        F.set_conv_fast_path_enabled(False)
-        slow = F.col2im(cols, shape, 2, 2, 1, 1)
+        slow = reference.col2im(cols, shape, 2, 2, 1, 1)
         np.testing.assert_array_equal(fast, slow)
 
     def test_col2im_float32_keeps_dtype(self, rng):
@@ -102,8 +89,7 @@ class TestConvFastPath:
         agrees with the float32 ``add.at`` reference to rounding error."""
         cols = rng.standard_normal((2, 1 * 9, 64)).astype(np.float32)
         fast = F.col2im(cols, (2, 1, 8, 8), 3, 3, 1, 1)
-        F.set_conv_fast_path_enabled(False)
-        slow = F.col2im(cols, (2, 1, 8, 8), 3, 3, 1, 1)
+        slow = reference.col2im(cols, (2, 1, 8, 8), 3, 3, 1, 1)
         assert fast.dtype == slow.dtype == np.float32
         np.testing.assert_allclose(fast, slow, rtol=1e-5, atol=1e-6)
 
@@ -112,11 +98,14 @@ class TestGroupedConvFastPath:
     def run_grouped(self, rng, fast, groups, cin, cout, stride=1, padding=1):
         from repro import nn
 
-        F.set_conv_fast_path_enabled(fast)
         layer = nn.Conv2d(cin, cout, 3, stride=stride, padding=padding,
                           groups=groups, rng=np.random.default_rng(7))
         x = Tensor(rng.standard_normal((2, cin, 8, 8)), requires_grad=True)
-        out = layer(x)
+        if fast:
+            out = layer(x)
+        else:
+            out = reference.conv2d(x, layer.weight, layer.bias, stride=stride,
+                                   padding=padding, groups=groups)
         (out * out).sum().backward()
         result = (out.data, x.grad, layer.weight.grad, layer.bias.grad)
         layer.zero_grad()
@@ -165,30 +154,31 @@ class TestFatLayoutConvGeometry:
         "non_square_grouped": ((1, 6, 5, 9), (6, 3, 2, 3), 1, 0, 2),
     }
 
-    def run_conv(self, fast, name):
+    def run_conv(self, conv2d, name):
+        """``(out, grad_x, grad_w, grad_b)`` of one geometry, plus the
+        ``conv2d_infer`` result on the same inputs."""
         x_shape, w_shape, stride, padding, groups = self.GEOMETRIES[name]
         rng = np.random.default_rng(3)
-        F.set_conv_fast_path_enabled(fast)
         x = Tensor(rng.standard_normal(x_shape), requires_grad=True)
         w = Tensor(rng.standard_normal(w_shape), requires_grad=True)
         b = Tensor(rng.standard_normal(w_shape[0]), requires_grad=True)
-        out = F.conv2d(x, w, b, stride=stride, padding=padding, groups=groups)
+        out = conv2d(x, w, b, stride=stride, padding=padding, groups=groups)
         (out * out).sum().backward()
         infer = F.conv2d_infer(x.data, w.data, b.data, stride=stride, padding=padding,
                                groups=groups)
-        return out.data, x.grad, w.grad, b.grad, infer
+        return (out.data, x.grad, w.grad, b.grad), infer
 
     @pytest.mark.parametrize("name", sorted(GEOMETRIES))
     def test_matches_einsum_reference(self, name):
-        fast = self.run_conv(True, name)
-        slow = self.run_conv(False, name)
-        for fast_arr, slow_arr in zip(fast, slow):
+        fast, infer = self.run_conv(F.conv2d, name)
+        slow, _ = self.run_conv(reference.conv2d, name)
+        for fast_arr, slow_arr in zip(fast + (infer,), slow + slow[:1]):
             assert fast_arr.shape == slow_arr.shape
             np.testing.assert_allclose(fast_arr, slow_arr, rtol=1e-10, atol=1e-10)
 
     @pytest.mark.parametrize("name", sorted(GEOMETRIES))
     def test_infer_bit_equals_autograd_forward(self, name):
-        out, _, _, _, infer = self.run_conv(True, name)
+        (out, _, _, _), infer = self.run_conv(F.conv2d, name)
         assert_bits_equal(infer, out)
 
     def test_fat_gather_holds_im2col_patches(self, rng):
@@ -209,9 +199,7 @@ class _RecordingProfiler:
 
 
 class TestConvIm2colMetric:
-    @pytest.mark.parametrize("fast", [True, False])
-    def test_one_forward_records_one_im2col(self, rng, fast):
-        F.set_conv_fast_path_enabled(fast)
+    def test_one_forward_records_one_im2col(self, rng):
         x = Tensor(rng.standard_normal((2, 3, 8, 6)))
         w = Tensor(rng.standard_normal((4, 3, 3, 3)))
         profiler = _RecordingProfiler()
@@ -229,9 +217,8 @@ class TestConvIm2colMetric:
 
 class TestAvgPoolFastPath:
     def run_pool(self, x, fast, kernel, stride=None):
-        F.set_conv_fast_path_enabled(fast)
         tensor = Tensor(x, requires_grad=True)
-        out = F.avg_pool2d(tensor, kernel, stride)
+        out = (F.avg_pool2d if fast else reference.avg_pool2d)(tensor, kernel, stride)
         out.sum().backward()
         return out.data, tensor.grad
 
@@ -294,9 +281,8 @@ def pool_edge_cases(kernel, dtype):
 
 class TestMaxPoolFastPath:
     def run_pool(self, x, fast, kernel, stride=None, grad=None):
-        F.set_conv_fast_path_enabled(fast)
         tensor = Tensor(x, requires_grad=True)
-        out = F.max_pool2d(tensor, kernel, stride)
+        out = (F.max_pool2d if fast else reference.max_pool2d)(tensor, kernel, stride)
         if grad is None:
             out.sum().backward()
         else:
@@ -323,8 +309,7 @@ class TestMaxPoolFastPath:
         x = pool_edge_cases(kernel, dtype)
         autograd = F.max_pool2d(Tensor(x), kernel).data
         assert_bits_equal(F.max_pool2d_infer(x, kernel), autograd)
-        F.set_conv_fast_path_enabled(False)
-        assert_bits_equal(F.max_pool2d_infer(x, kernel), autograd)
+        assert_bits_equal(reference.max_pool2d(Tensor(x), kernel).data, autograd)
 
     def test_first_winner_takes_the_gradient(self):
         # All four elements tie: argmax's rule sends the gradient to the first.
