@@ -17,6 +17,11 @@ Usage::
 fast path is slower than the reference on the standard (m=4, g=16) nearest
 configuration -- the perf-regression gate.
 
+Both modes also time one evaluation-iteration gradient conversion
+(``AdaptiveConversion`` then a stochastic requantize, see
+:func:`evaluation_iteration_case`) and report its ms/call ungated, so the
+trajectory tracks the FAST converter kernel itself.
+
 Also gates the runtime invariant sanitizer (:mod:`repro.devtools.sanitize`):
 with the sanitizer *uninstalled*, packed-tensor construction
 (``bfp_quantize_tensor``) must cost within 1% of a baseline replay of the
@@ -36,6 +41,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.core import bfp, kernels
+from repro.core.converter import AdaptiveConversion
 from repro.core.kernels import bfp_quantize_fast
 from repro.reference import bfp_quantize_reference
 from repro.core.rounding import LFSR, NoisePool, VectorizedLFSR
@@ -137,6 +143,27 @@ def run_case(size, group_size, mantissa_bits, rounding, repeats, lfsr=False, poo
         "fast_ms": fast_time * 1e3,
         "speedup": ref_time / fast_time,
     }
+
+
+def evaluation_iteration_case(repeats: int) -> dict:
+    """A FAST-Adaptive gradient on an evaluation iteration, per call (ungated).
+
+    ``AdaptiveConversion`` of a (32, 32, 32, 32) float32 gradient -- one
+    grouping and exponent search, both nearest widths and ``r(X)`` -- then
+    the stochastic requantize at the low width from pooled noise: the
+    conversion a layer's gradient gets every ``evaluation_interval`` steps.
+    """
+    shape = (32, 32, 32, 32)
+    values = make_input(int(np.prod(shape))).reshape(shape)
+    config = bfp.BFPConfig(mantissa_bits=4, group_size=16, exponent_bits=8)
+    noise_pool = NoisePool(0, capacity=1 << 21)
+
+    def run():
+        conversion = AdaptiveConversion(values, config, low_bits=2, high_bits=4)
+        return conversion.quantize(2, "stochastic", rng=noise_pool)
+
+    return {"case": "adaptive_conversion+stochastic", "shape": list(shape),
+            "ms_per_call": best_time(run, repeats) * 1e3}
 
 
 @dataclass
@@ -249,6 +276,11 @@ def main(argv=None) -> int:
     print_rows(["size", "g", "m", "rounding", "ref (ms)", "fast (ms)", "speedup"], rows,
                title="BFP quantization timings (best of {} runs)".format(repeats))
 
+    evaluation = evaluation_iteration_case(repeats)
+    print(f"\nevaluation-iteration gradient ({evaluation['case']}, "
+          f"{'x'.join(map(str, evaluation['shape']))} float32): "
+          f"{evaluation['ms_per_call']:.2f} ms/call (ungated)")
+
     gate = sanitizer_gate_overhead(repeats)
     print(f"\nsanitizer gate (off): {gate['shipped_ms_per_call']:.3f} ms/call "
           f"vs pre-hook baseline {gate['baseline_ms_per_call']:.3f} ms/call "
@@ -263,6 +295,7 @@ def main(argv=None) -> int:
         "machine": platform.machine(),
         "equivalence": "pass",
         "sanitizer_gate": gate,
+        "evaluation_iteration": evaluation,
         "results": results,
     }
     args.output.parent.mkdir(parents=True, exist_ok=True)

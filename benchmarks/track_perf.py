@@ -51,6 +51,8 @@ def summarize_quantization(report: dict) -> dict:
                 by_rounding[label] = row
     return {
         "standard_worst_speedup": min((r["speedup"] for r in standard), default=None),
+        "evaluation_iteration_ms":
+            (report.get("evaluation_iteration") or {}).get("ms_per_call"),
         "largest_case_ms": {
             label: {"reference_ms": row["reference_ms"], "fast_ms": row["fast_ms"],
                     "speedup": row["speedup"]}

@@ -29,16 +29,17 @@ __all__ = ["AdaptiveConversion", "ConversionResult", "BFPConverter", "relative_i
 
 
 def _improvement_ratio(low: np.ndarray, high: np.ndarray) -> float:
-    """Equation 2 from the two quantized results, summed in float64.
+    """Equation 2 from the two unsigned quantized results, summed in float64.
 
     Both results lie on BFP grids with the same exponents, so ``high - low``
-    is exact in their own dtype as well as in float64; the sums run over
-    contiguous float64 arrays, so float32 and float64 inputs of the same
-    values give the same ``r`` to the last bit.
+    is exact in their own dtype; the sums run over contiguous float64
+    arrays, so float32 and float64 inputs of the same values give the same
+    ``r`` to the last bit.
     """
-    denominator = float(np.abs(low, dtype=np.float64).sum())
-    difference = np.subtract(high, low, dtype=np.float64)
-    numerator = float(np.abs(difference, out=difference).sum())
+    denominator = float(low.astype(np.float64).sum())
+    difference = np.subtract(high, low)
+    np.abs(difference, out=difference)
+    numerator = float(difference.astype(np.float64).sum())
     if denominator == 0.0:
         # An all-zero low-precision tensor means everything was truncated
         # away; any non-zero difference is an infinite relative improvement.
@@ -49,14 +50,15 @@ def _improvement_ratio(low: np.ndarray, high: np.ndarray) -> float:
 class AdaptiveConversion:
     """One BFP conversion of a tensor at both FAST precisions (Figure 14).
 
-    The grouping and the shared-exponent search run once; the low- and
-    high-precision nearest results come from those exponents, and the
-    relative improvement ``r(X)`` of Equation 2 is read off the two results
-    -- the by-product Algorithm 1 needs, exactly as in the hardware
-    converter, whose 4-bit result is two 2-bit chunks (Section V-D).
-    :meth:`quantize` then returns the result at the chosen width: one of
-    the two nearest results, or a fresh rounding (e.g. stochastic) from the
-    same exponents.
+    The grouping and the shared-exponent search run once; one scaled
+    ``|x|`` pass yields the unsigned low- and high-precision nearest results
+    (:meth:`~repro.core.kernels.GroupedTensor.nearest_magnitudes`), and the
+    relative improvement ``r(X)`` of Equation 2 is read off the two -- the
+    by-product Algorithm 1 needs, exactly as in the hardware converter,
+    whose 4-bit result is two 2-bit chunks (Section V-D).  :meth:`quantize`
+    then returns the result at the chosen width: one of the two nearest
+    results with its signs restored, or a fresh rounding (e.g. stochastic)
+    from the same exponents.
 
     Quantization runs in float32 for float32 tensors and in float64
     otherwise, and results come back in the tensor's floating dtype;
@@ -76,8 +78,7 @@ class AdaptiveConversion:
         self._unrecorded_start = time.perf_counter()
         self._grouped = kernels.GroupedTensor(x, config.group_size, config.exponent_bits,
                                               layout=layout)
-        low = self._grouped.quantize(low_bits)
-        high = self._grouped.quantize(high_bits)
+        low, high = self._grouped.nearest_magnitudes(low_bits, high_bits)
         self._nearest = {low_bits: low, high_bits: high}
         self.relative_improvement = _improvement_ratio(low, high)
 
@@ -85,10 +86,11 @@ class AdaptiveConversion:
                  noise_bits: Optional[int] = 8) -> np.ndarray:
         """The tensor quantized at ``mantissa_bits``, in its own shape and dtype.
 
-        Nearest rounding at either precision returns the result already
-        computed for ``r(X)``; any other width or rounding mode quantizes
-        once more from the same exponents, drawing noise of the same shape
-        (and from the same stream) as :func:`~repro.core.bfp.bfp_quantize`.
+        Nearest rounding at either precision restores the signs of the
+        result already computed for ``r(X)``; any other width or rounding
+        mode quantizes once more from the same exponents, drawing noise of
+        the same shape (and from the same stream) as
+        :func:`~repro.core.bfp.bfp_quantize`.
 
         Each call is one conversion of the tensor, so an installed kernel
         profiler records it as ``bfp_quantize_fast``; the first call's time
@@ -97,8 +99,10 @@ class AdaptiveConversion:
         start, self._unrecorded_start = self._unrecorded_start, None
         if start is None:
             start = time.perf_counter()
-        grouped = self._nearest.get(mantissa_bits) if rounding == "nearest" else None
-        if grouped is None:
+        nearest = self._nearest.get(mantissa_bits) if rounding == "nearest" else None
+        if nearest is not None:
+            grouped = self._grouped.restore_signs(nearest)
+        else:
             grouped = self._grouped.quantize(mantissa_bits, rounding, rng=rng,
                                              noise_bits=noise_bits)
         result = self._grouped.ungroup(grouped).astype(self._dtype, copy=False)

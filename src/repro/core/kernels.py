@@ -11,13 +11,23 @@ with a fused implementation that is bit-compatible with it:
   ``m in [0.5, 1)``, so ``floor(log2(x)) == e - 1`` holds *exactly* for every
   finite non-zero float, including exact powers of two and values one ulp
   below them where a rounded ``log2`` can land on the wrong integer.
-* **Dtype preservation** -- float32 inputs are quantized in float32.  Every
-  intermediate (scale by a power of two, add 0.5 or quantized noise, floor,
-  clip, rescale) is exactly representable, so the result is bit-identical to
-  computing in float64 and casting back, at half the memory traffic.
+* **Dtype preservation** -- float32 inputs are quantized in float32, at
+  half the memory traffic of float64.  Power-of-two scaling, floor, clip
+  and rescale are exact there, but adding the rounding offset (0.5, or
+  noise ``k / 2**noise_bits``) to a scaled magnitude with 24 significant
+  bits can round up across an integer.  So float32 first floors the
+  magnitude to the offset's grid ``2**-f`` (``f = 1`` for nearest,
+  ``noise_bits`` for stochastic), which keeps the add exact while
+  ``mantissa_bits + f + 1 <= 24``; wider formats and full-precision noise
+  are computed in float64.  Either way the result is bit-identical to the
+  float64 reference.
 * **Fusion** -- one pass with ``np.ldexp``/``out=`` arguments replaces the
   reference chain of ~8 temporaries, and the grouping step avoids the pad
   copy entirely when the grouped axis is already divisible by ``group_size``.
+  The group max is a tree of stride-2 ``np.maximum`` folds, signs are
+  restored by OR-ing sign bits into the magnitudes' integer view, and
+  :meth:`GroupedTensor.nearest_magnitudes` rounds one scaled pass at both
+  FAST widths, the ``r(X)`` by-product of Figure 14.
 
 The seed implementation lives on verbatim in :mod:`repro.reference`; it is
 the golden model for the equivalence tests and the baseline for
@@ -255,10 +265,12 @@ def ungroup_values(groups: np.ndarray, pad: int, moved_shape, axis: int = -1) ->
 # --------------------------------------------------------------------------- #
 
 def _fold_group_max(magnitudes: np.ndarray) -> np.ndarray:
-    """``magnitudes.max(axis=-1)`` via a halving tree of ``np.maximum``.
+    """``magnitudes.max(axis=-1)`` via a tree of stride-2 ``np.maximum`` folds.
 
-    Pairwise folding over array halves vectorizes ~3x better than a reduction
-    along a short trailing axis, which is the single hottest operation of the
+    Each pass folds the even columns onto the odd ones, so it writes one
+    contiguous half-width array; that vectorizes several times better than
+    a reduction along a short trailing axis (or a fold of contiguous
+    halves), and the group max is the single hottest reduction of the
     conversion.  ``magnitudes`` itself is left untouched.
     """
     size = magnitudes.shape[-1]
@@ -270,7 +282,7 @@ def _fold_group_max(magnitudes: np.ndarray) -> np.ndarray:
         return magnitudes[..., 0].copy()
     while size > 1:
         half = size // 2
-        folded = np.maximum(magnitudes[..., :half], magnitudes[..., half:2 * half])
+        folded = np.maximum(magnitudes[..., 0:2 * half:2], magnitudes[..., 1:2 * half:2])
         if size & 1:
             np.maximum(folded[..., :1], magnitudes[..., -1:], out=folded[..., :1])
         magnitudes = folded
@@ -309,6 +321,99 @@ def shared_exponents(groups: np.ndarray, exponent_bits: Optional[int] = None) ->
     return _exponents_from_group_max(group_max, exponent_bits)
 
 
+def _rounding_grid(dtype: np.dtype, mantissa_bits: int, rounding: str,
+                   noise_bits: Optional[int]):
+    """The dtype a rounding runs in and the grid ``2**-f`` of its offset.
+
+    Rounding adds an offset -- 0.5, or noise ``k / 2**noise_bits`` -- to a
+    scaled magnitude ``m`` below ``2**mantissa_bits`` and floors the sum.
+    In float32 that add can round up across an integer (``m`` carries up
+    to 24 significant bits), so float32 first floors ``m`` to the offset's
+    grid: ``floor(m * 2**f) * 2**-f + offset`` has the same floor as the
+    exact ``m + offset`` and is itself exact while
+    ``mantissa_bits + f + 1 <= 24``.  Beyond that, and for full-precision
+    noise, the rounding runs in float64 with the plain add (``f = 0``),
+    exactly as the float64 reference computes it.
+    """
+    if rounding == RoundingMode.NEAREST:
+        grid = 1
+    elif rounding == RoundingMode.STOCHASTIC:
+        grid = noise_bits
+    else:
+        grid = 0
+    if dtype == np.float32 and grid is not None and mantissa_bits + grid + 1 <= 24:
+        return dtype, grid
+    return np.dtype(np.float64), 0
+
+
+def _scale_shifts(exponents: np.ndarray, mantissa_bits: int,
+                  group_max: Optional[np.ndarray]) -> np.ndarray:
+    """Per-group ``mantissa_bits - 1 - exponent``, broadcastable over groups."""
+    shift = np.subtract(mantissa_bits - 1, exponents).astype(np.int32)[..., None]
+    if group_max is not None:
+        # All-zero groups quantize to zero under any scale, but their
+        # MIN_EXPONENT sentinel would otherwise push the shift range past
+        # the float32 normal range and route the whole tensor down the slow
+        # elementwise-ldexp path (ReLU activations routinely contain a few
+        # all-zero groups).  Neutralize their shift.
+        shift = np.where(group_max[..., None] > 0, shift, np.int32(0))
+    return shift
+
+
+def _broadcastable(shift: np.ndarray, dtype: np.dtype, *offsets: int) -> bool:
+    """Whether ``2**(s + o)`` and ``2**-(s + o)`` are normal numbers for every
+    group shift ``s`` and every offset ``o``.
+
+    Then the (small) per-group scale arrays can be formed once and
+    broadcast-multiplied, which vectorizes far better than an elementwise
+    ``ldexp``; both routes are correctly rounded, hence identical.
+    """
+    if not shift.size:
+        return True
+    top, bottom = int(shift.max()), int(shift.min())
+    span = max(max(abs(top + o), abs(bottom + o)) for o in offsets)
+    return span <= (126 if dtype == np.float32 else 1022)
+
+
+def _times_pow2(values: np.ndarray, shift, broadcast: bool) -> np.ndarray:
+    """``values * 2**shift`` in place (``shift`` broadcasts over ``values``)."""
+    if broadcast:
+        return np.multiply(values, np.ldexp(values.dtype.type(1), shift), out=values)
+    return np.ldexp(values, shift, out=values)
+
+
+def _round_magnitudes(magnitudes: np.ndarray, mantissa_bits: int, rounding: str,
+                      grid: int, rng=None, noise_bits: Optional[int] = 8) -> np.ndarray:
+    """Round scaled magnitudes (times ``2**grid``) to clipped integer
+    mantissas, in place (see :func:`_rounding_grid`)."""
+    if grid:
+        np.floor(magnitudes, out=magnitudes)
+        magnitudes *= 2.0 ** -grid
+    if rounding == RoundingMode.NEAREST and grid:
+        # floor(F / 2 + 1/2) == ceil(F / 2) for the integer F = floor(2m).
+        np.ceil(magnitudes, out=magnitudes)
+    else:
+        if rounding == RoundingMode.NEAREST:
+            magnitudes += 0.5
+        elif rounding == RoundingMode.STOCHASTIC:
+            magnitudes += draw_noise(rng, magnitudes.shape, noise_bits)
+        np.floor(magnitudes, out=magnitudes)
+    return np.minimum(magnitudes, float((1 << mantissa_bits) - 1), out=magnitudes)
+
+
+def _restore_signs(magnitudes: np.ndarray, source: np.ndarray) -> np.ndarray:
+    """``np.copysign(magnitudes, source)`` in place, for ``magnitudes`` whose
+    sign bits are clear: ORs ``source``'s sign bits into their integer view.
+
+    Bit-identical to ``copysign``, ``-0.0`` and NaN included.
+    """
+    bits = np.dtype(f"u{magnitudes.itemsize}")
+    view = magnitudes.view(bits)
+    signs = source.view(bits) & bits.type(1 << (8 * magnitudes.itemsize - 1))
+    np.bitwise_or(view, signs, out=view)
+    return magnitudes
+
+
 def quantize_groups(
     groups: np.ndarray,
     exponents: np.ndarray,
@@ -330,70 +435,33 @@ def quantize_groups(
     all-zero groups (whose :data:`MIN_EXPONENT` sentinel would otherwise
     inflate the shift range) keep the tensor on the broadcast fast path.
     Returns ``(quantized, signs, mantissas)``; ``signs`` and
-    ``mantissas`` are ``None`` unless ``return_packed`` is set.  The
-    arithmetic stays in the dtype of ``groups``: power-of-two scaling via
-    ``np.ldexp`` is exact, the rounding offsets (0.5 or ``k / 2**noise_bits``
-    noise) and the clipped integer mantissas are exactly representable in
-    float32 and float64 alike, so the result is bit-identical to the float64
-    reference.
+    ``mantissas`` are ``None`` unless ``return_packed`` is set.  Float32
+    groups are quantized in float32 when :func:`_rounding_grid` makes every
+    step exact there, otherwise in float64 (callers cast back); either way
+    the result is bit-identical to the float64 reference.
     """
     profiler = _PROFILER
     start = time.perf_counter() if profiler is not None else 0.0
     if rounding not in VALID_MODES:
         raise ValueError(f"unknown rounding mode {rounding!r}; expected one of {VALID_MODES}")
     groups = np.asarray(groups)
-    if not np.issubdtype(groups.dtype, np.floating):
-        groups = groups.astype(np.float64)
+    dtype, grid = _rounding_grid(groups.dtype, mantissa_bits, rounding, noise_bits)
+    if groups.dtype != dtype:
+        groups = groups.astype(dtype)
         magnitudes = None
-    if groups.dtype == np.float32 and mantissa_bits > 23:
-        # Scaled magnitudes reach 2**mantissa_bits, where float32 can no
-        # longer represent the +0.5 / noise offsets exactly; match the
-        # float64 reference by computing in float64 (callers cast back).
-        groups = groups.astype(np.float64)
-        magnitudes = None
-    shift = np.subtract(mantissa_bits - 1, exponents).astype(np.int32)[..., None]
-    if group_max is not None:
-        # All-zero groups quantize to zero under any scale, but their
-        # MIN_EXPONENT sentinel would otherwise push max_shift past the
-        # float32 safe range and route the whole tensor down the slow
-        # elementwise-ldexp path (ReLU activations routinely contain a few
-        # all-zero groups).  Neutralize their shift before taking the max.
-        shift = np.where(group_max[..., None] > 0, shift, np.int32(0))
-    max_shift = int(np.abs(shift).max()) if shift.size else 0
-    # When every 2**shift is a normal float we can form the (small) scale
-    # arrays once and broadcast-multiply, which vectorizes far better than an
-    # elementwise ldexp.  Both routes are correctly rounded, hence identical.
-    safe_shift = 126 if groups.dtype == np.float32 else 1022
-    if max_shift <= safe_shift:
-        one = groups.dtype.type(1)
-        scale = np.ldexp(one, shift)
-        if magnitudes is not None:
-            magnitudes *= scale
-        else:
-            magnitudes = groups * scale
-            np.fabs(magnitudes, out=magnitudes)
-        sign_source = groups
-    else:
-        sign_source = np.ldexp(groups, shift)
-        magnitudes = np.fabs(sign_source)
-    if rounding == RoundingMode.NEAREST:
-        magnitudes += 0.5
-    elif rounding == RoundingMode.STOCHASTIC:
-        magnitudes += draw_noise(rng, magnitudes.shape, noise_bits)
-    np.floor(magnitudes, out=magnitudes)
-    limit = float((1 << mantissa_bits) - 1)
-    np.minimum(magnitudes, limit, out=magnitudes)
+    shift = _scale_shifts(exponents, mantissa_bits, group_max)
+    broadcast = _broadcastable(shift, dtype, 0, grid)
+    if magnitudes is None:
+        magnitudes = np.abs(groups)
+    _times_pow2(magnitudes, shift + grid, broadcast)
+    _round_magnitudes(magnitudes, mantissa_bits, rounding, grid, rng, noise_bits)
     signs = mantissas = None
     if return_packed:
         mantissas = magnitudes.astype(np.int64)
-        signs = np.sign(sign_source).astype(np.int8)
+        signs = np.sign(groups).astype(np.int8)
         signs[mantissas == 0] = 0
-    np.copysign(magnitudes, sign_source, out=magnitudes)
-    if max_shift <= safe_shift:
-        magnitudes *= np.ldexp(one, np.negative(shift))
-        quantized = magnitudes
-    else:
-        quantized = np.ldexp(magnitudes, np.negative(shift), out=magnitudes)
+    _restore_signs(magnitudes, groups)
+    quantized = _times_pow2(magnitudes, np.negative(shift), broadcast)
     if profiler is not None:
         profiler.record("quantize_groups", time.perf_counter() - start,
                         quantized.size)
@@ -435,6 +503,37 @@ class GroupedTensor:
             self.groups, self.exponents, mantissa_bits, rounding, rng=rng,
             noise_bits=noise_bits, group_max=self.group_max)
         return quantized
+
+    def nearest_magnitudes(self, low_bits: int, high_bits: int):
+        """``|quantize(low_bits)|`` and ``|quantize(high_bits)|`` from one
+        scaled pass.
+
+        The scaled magnitudes at ``high_bits`` are those at ``low_bits``
+        times ``2**(high_bits - low_bits)``, which is exact, so one
+        ``|x| * 2**shift`` pass feeds both roundings.  The results are
+        unsigned; :meth:`restore_signs` turns either into its
+        :meth:`quantize` result.
+        """
+        profiler = _PROFILER
+        start = time.perf_counter() if profiler is not None else 0.0
+        dtype, grid = _rounding_grid(self.groups.dtype, high_bits, RoundingMode.NEAREST, None)
+        rise = high_bits - low_bits
+        shift = _scale_shifts(self.exponents, low_bits, self.group_max)
+        broadcast = _broadcastable(shift, dtype, 0, grid, rise)
+        low = np.abs(self.groups, dtype=dtype)
+        _times_pow2(low, shift + grid, broadcast)
+        high = low * dtype.type(2.0 ** rise)
+        _round_magnitudes(low, low_bits, RoundingMode.NEAREST, grid)
+        _round_magnitudes(high, high_bits, RoundingMode.NEAREST, grid)
+        _times_pow2(low, np.negative(shift), broadcast)
+        _times_pow2(high, np.negative(shift + rise), broadcast)
+        if profiler is not None:
+            profiler.record("quantize_groups", time.perf_counter() - start, 2 * low.size)
+        return low, high
+
+    def restore_signs(self, magnitudes: np.ndarray) -> np.ndarray:
+        """Give unsigned quantized groups the signs of the tensor's values."""
+        return _restore_signs(magnitudes, self.groups.astype(magnitudes.dtype, copy=False))
 
     def ungroup(self, quantized: np.ndarray) -> np.ndarray:
         """Quantized groups back in the tensor's shape and floating dtype."""

@@ -326,19 +326,26 @@ class NoisePool:
         if noise_bits is None:
             return self.source.random(self.capacity)
         levels = 1 << noise_bits
-        if noise_bits <= 8:
-            raw_dtype = np.uint8
-        elif noise_bits <= 16:
-            raw_dtype = np.uint16
+        bit_generator = getattr(self.source, "bit_generator", None)
+        if (noise_bits == 8 and self.capacity % 8 == 0 and np.little_endian
+                and type(bit_generator) is np.random.PCG64
+                and bit_generator.state["has_uint32"] == 0):
+            # integers(0, 256, dtype=uint8) takes four bytes from each 32-bit
+            # draw, low byte first, and PCG64 serves the low then the high
+            # half of each 64-bit output: the same bytes, four times faster.
+            raw = bit_generator.random_raw(self.capacity // 8).view(np.uint8)
         else:
-            raw_dtype = np.uint64
-        raw = self.source.integers(0, levels, size=self.capacity, dtype=raw_dtype)
+            if noise_bits <= 8:
+                raw_dtype = np.uint8
+            elif noise_bits <= 16:
+                raw_dtype = np.uint16
+            else:
+                raw_dtype = np.uint64
+            raw = self.source.integers(0, levels, size=self.capacity, dtype=raw_dtype)
         # k / 2**noise_bits is exact in float32 for noise_bits <= 24, and the
         # narrower dtype halves the memory traffic of the later add.
         out_dtype = np.float32 if noise_bits <= 24 else np.float64
-        buffer = raw.astype(out_dtype)
-        buffer /= out_dtype(levels)
-        return buffer
+        return np.multiply(raw, out_dtype(1.0 / levels), dtype=out_dtype)
 
     def _refill_readonly(self, noise_bits: Optional[int]) -> np.ndarray:
         buffer = np.asarray(self._refill(noise_bits))
@@ -361,6 +368,12 @@ class NoisePool:
             state = [self._refill_readonly(noise_bits), 0]
             self._buffers[noise_bits] = state
         buffer, cursor = state
+        if cursor == buffer.shape[0] and 0 < count <= self.capacity:
+            # An exhausted buffer is refilled now -- where the block-wise
+            # assembly below would refill it too -- so the draw is served
+            # as a view of the fresh block instead of a copy.
+            buffer, cursor = self._refill_readonly(noise_bits), 0
+            state[0] = buffer
         if count <= buffer.shape[0] - cursor:
             draws = buffer[cursor:cursor + count]
             state[1] = cursor + count

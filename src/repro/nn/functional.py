@@ -391,13 +391,12 @@ def _pool_cols(x_data: np.ndarray, kernel_size: int, stride: int):
 def _max_pool_windows(x: np.ndarray, kernel_size: int):
     """Non-overlapping max pooling with argmax's first-winner rule.
 
-    Returns ``(out, stack)``: ``stack[t]`` is window element ``t``
-    (row-major in the window, the im2col row order) of every window, copied
-    once out of a strided view of ``x`` into contiguous memory.
-    ``np.maximum`` over the stack gives every peak value, but its choice
-    between ``-0.0`` and ``+0.0`` (or between NaN payloads) is not
-    argmax's.  So the few windows whose peak is zero or NaN take the element
-    ``argmax`` picks -- the first maximal one, or the first NaN.
+    Returns ``(out, winners)``: ``winners[t]`` marks the windows whose
+    winner is window element ``t`` (row-major in the window, the im2col
+    row order).  The winner is the element ``argmax`` picks -- the first
+    one equal to the peak, or the first NaN -- so signed zeros and NaN
+    payloads come out as argmax's.  ``out`` is assembled from the winners'
+    bit patterns (a product with a 0/1 mask is exact), with no tie path.
     """
     batch, channels, height, width = x.shape
     window = kernel_size * kernel_size
@@ -405,12 +404,21 @@ def _max_pool_windows(x: np.ndarray, kernel_size: int):
                      dtype=x.dtype)
     for t in range(window):
         stack[t] = x[:, :, t // kernel_size::kernel_size, t % kernel_size::kernel_size]
-    out = np.maximum.reduce(stack)
-    ties = np.flatnonzero(~(np.abs(out) > 0))
-    if ties.size:
-        candidates = stack.reshape(window, -1)[:, ties]
-        out.reshape(-1)[ties] = candidates[candidates.argmax(axis=0), np.arange(ties.size)]
-    return out, stack
+    peak = np.maximum.reduce(stack)
+    has_nan = bool(np.isnan(peak).any())
+    winners = np.empty(stack.shape, dtype=bool)
+    taken = np.zeros(peak.shape, dtype=bool)
+    bits = np.dtype(f"u{x.dtype.itemsize}")
+    stack_bits = stack.view(bits)
+    out_bits = np.zeros(peak.shape, dtype=bits)
+    for t, element in enumerate(stack):
+        hit = element == peak
+        if has_nan:
+            hit |= np.isnan(element)
+        np.greater(hit, taken, out=winners[t])
+        taken |= hit
+        out_bits |= stack_bits[t] * winners[t]
+    return out_bits.view(x.dtype), winners
 
 
 def max_pool2d_infer(x: np.ndarray, kernel_size: int, stride: Optional[int] = None) -> np.ndarray:
@@ -437,26 +445,19 @@ def max_pool2d(x: Tensor, kernel_size: int, stride: Optional[int] = None) -> Ten
     x = as_tensor(x)
     stride = stride if stride is not None else kernel_size
     if _pool_uses_reshape(*x.shape[2:], kernel_size, stride):
-        out_data, stack = _max_pool_windows(x.data, kernel_size)
+        out_data, winners = _max_pool_windows(x.data, kernel_size)
 
         def backward(grad):
             if not x.requires_grad:
                 return
-            # Each input is in exactly one window: the first winner receives
-            # the gradient's bits (a product with a 0/1 mask is exact, NaN
-            # and -0.0 included), every other input +0.0.
-            has_nan = bool(np.isnan(out_data).any())
+            # Each input is in exactly one window: its winner receives the
+            # gradient's bits (a product with a 0/1 mask is exact, NaN and
+            # -0.0 included), every other input +0.0.
             bits = np.dtype(f"u{out_data.dtype.itemsize}")
             grad_bits = np.asarray(grad, dtype=out_data.dtype).view(bits)
             grad_x = np.empty(x.shape, dtype=out_data.dtype)
             grad_x_bits = grad_x.view(bits)
-            taken = np.zeros(out_data.shape, dtype=bool)
-            for t, element in enumerate(stack):
-                hit = element == out_data
-                if has_nan:
-                    hit |= np.isnan(element)
-                winner = hit > taken
-                taken |= hit
+            for t, winner in enumerate(winners):
                 di, dj = divmod(t, kernel_size)
                 np.multiply(grad_bits, winner,
                             out=grad_x_bits[:, :, di::kernel_size, dj::kernel_size])

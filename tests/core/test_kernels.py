@@ -13,9 +13,11 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.core import kernels
-from repro.core.bfp import bfp_quantize, bfp_quantize_tensor, compute_group_exponents, group_values
+from repro.core.bfp import (BFPConfig, bfp_quantize, bfp_quantize_tensor,
+                            compute_group_exponents, group_values)
+from repro.core.converter import AdaptiveConversion
 from repro.core.kernels import bfp_quantize_fast, shared_exponents
-from repro.core.rounding import LFSR, VectorizedLFSR
+from repro.core.rounding import LFSR, NoisePool, VectorizedLFSR
 from repro.nn.functional import col2im, im2col
 from repro.reference import bfp_quantize_reference, shared_exponents_reference
 
@@ -247,3 +249,114 @@ def test_compute_group_exponents_uses_exact_path():
     assert compute_group_exponents(groups)[0, 0] == 1
     value = np.nextafter(4.0, 0.0)
     assert compute_group_exponents(np.array([[[value]]]))[0, 0] == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([np.float32, np.float64]).flatmap(
+    lambda dtype: hnp.arrays(
+        dtype, st.tuples(st.integers(1, 4), st.integers(1, 33)),
+        elements=st.one_of(st.floats(width=np.dtype(dtype).itemsize * 8),
+                           st.sampled_from([0.0, -0.0, np.nan])))))
+def test_property_fold_group_max_equals_max(values):
+    """The stride-2 fold is ``max(axis=-1)``: odd sizes, NaN and signed zeros."""
+    folded = kernels._fold_group_max(values)
+    assert folded.dtype == values.dtype
+    np.testing.assert_array_equal(folded, values.max(axis=-1))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_restore_signs_is_copysign_bit_for_bit(dtype):
+    bits = np.dtype(f"u{np.dtype(dtype).itemsize}")
+    source = np.array([1.5, -1.5, 0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, -1e-30],
+                      dtype=dtype)
+    # A NaN with a payload and its sign bit set.
+    source = np.append(source, (source[7:8].view(bits) | bits.type(5)).view(dtype))
+    magnitudes = np.abs(np.roll(source, 3))
+    expected = np.copysign(magnitudes, source)
+    restored = kernels._restore_signs(magnitudes.copy(), source)
+    np.testing.assert_array_equal(restored.view(bits), expected.view(bits))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_quantized_values_carry_their_source_signs(dtype):
+    """Values that round to zero keep their sign, as ``copysign`` gives it."""
+    values = np.array([1.0, -1e-3, -0.0, 0.0, -0.6, 1e-3] + [0.0] * 10, dtype=dtype)
+    fast = bfp_quantize(values, 2, 16, 8)
+    expected = np.copysign(np.abs(bfp_quantize_reference(values, 2, 16, 8)), values)
+    bits = np.dtype(f"u{np.dtype(dtype).itemsize}")
+    np.testing.assert_array_equal(fast.view(bits), expected.view(bits))
+    assert np.signbit(fast[1]) and np.signbit(fast[2]) and not np.signbit(fast[3])
+
+
+class TestFloat32RoundingIsExact:
+    """Float32 quantization rounds like the float64 reference on the same
+    values, also where the float32 add of the offset itself would round."""
+
+    @pytest.mark.parametrize("mantissa_bits", [2, 4, 13, 22, 23, 24])
+    def test_nearest_just_below_a_half(self, mantissa_bits):
+        # The group max fixes the shared exponent at 0, so the second value
+        # scales to 0.5 * (1 - 2**-24): it rounds to 0, but the float32 sum
+        # with 0.5 rounds up to 1.
+        tiny = 2.0 ** -mantissa_bits * (1 - 2.0 ** -24)
+        values = np.array([1.9375, tiny] + [0.0] * 14, dtype=np.float32)
+        assert values[1] == tiny  # representable
+        expected = bfp_quantize_reference(values.astype(np.float64), mantissa_bits, 16, 8)
+        assert expected[1] == 0.0
+        fast = bfp_quantize(values, mantissa_bits, 16, 8)
+        assert fast.dtype == np.float32
+        np.testing.assert_array_equal(fast, expected)
+        conversion = AdaptiveConversion(values, BFPConfig(exponent_bits=8, group_size=16),
+                                        low_bits=mantissa_bits, high_bits=mantissa_bits + 2)
+        np.testing.assert_array_equal(conversion.quantize(mantissa_bits), expected)
+
+    def test_stochastic_just_below_the_noise_complement(self):
+        # Place a value whose scaled magnitude is one float32 ulp-fraction
+        # below 1/256 where the pooled noise is 255/256.
+        noise = NoisePool(5, capacity=4096).uniform((16 * 64,))
+        position = int(np.flatnonzero(noise == np.float32(255 / 256))[0])
+        values = np.zeros(16 * 64, dtype=np.float32)
+        values[position - position % 16] = 1.9375
+        values[position] = 2.0 ** -11 * (1 - 2.0 ** -24)
+        if position % 16 == 0:
+            values[position + 1] = 1.9375
+        expected = bfp_quantize_reference(values.astype(np.float64), 4, 16, 8, "stochastic",
+                                          rng=NoisePool(5, capacity=4096))
+        assert expected[position] == 0.0
+        fast = bfp_quantize(values, 4, 16, 8, "stochastic", rng=NoisePool(5, capacity=4096))
+        np.testing.assert_array_equal(fast, expected)
+
+    @pytest.mark.parametrize("mantissa_bits", [4, 20])
+    def test_full_precision_noise(self, mantissa_bits):
+        # At 20 bits the scaled magnitudes reach 2**20, where a float32 sum
+        # with 53-bit noise would round across integers for many values.
+        values = np.random.default_rng(3).standard_normal(1 << 14).astype(np.float32)
+        fast = bfp_quantize(values, mantissa_bits, 16, 8, "stochastic",
+                            rng=np.random.default_rng(4), noise_bits=None)
+        ref = bfp_quantize_reference(values.astype(np.float64), mantissa_bits, 16, 8,
+                                     "stochastic", rng=np.random.default_rng(4),
+                                     noise_bits=None)
+        assert fast.dtype == np.float32
+        np.testing.assert_array_equal(fast, ref)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([np.float32, np.float64]).flatmap(
+           lambda dtype: hnp.arrays(
+               dtype, st.tuples(st.integers(1, 3), st.integers(1, 40)),
+               elements=st.floats(width=np.dtype(dtype).itemsize * 8, allow_nan=False,
+                                  allow_infinity=False))),
+       st.sampled_from([(2, 4), (3, 7), (4, 8), (20, 24)]),
+       st.sampled_from([8, 3, None]))
+def test_property_nearest_magnitudes_are_both_nearest_results(values, widths, exponent_bits):
+    """One scaled pass gives |quantize| at both widths, bit for bit -- also
+    on the elementwise-ldexp route that subnormal and huge values take."""
+    low_bits, high_bits = widths
+    grouped = kernels.GroupedTensor(values, 16, exponent_bits)
+    low, high = grouped.nearest_magnitudes(low_bits, high_bits)
+    for bits, magnitudes in ((low_bits, low), (high_bits, high)):
+        # (A pair that needs float64 at the high width computes both in float64.)
+        expected = np.abs(grouped.quantize(bits))
+        assert not np.signbit(magnitudes).any()
+        np.testing.assert_array_equal(magnitudes, expected)
+        np.testing.assert_array_equal(grouped.ungroup(grouped.restore_signs(magnitudes)),
+                                      bfp_quantize(values, bits, 16, exponent_bits))

@@ -33,6 +33,15 @@ class TestDeterminism:
         drawn = np.concatenate([pool.uniform(shape).ravel() for shape in partitions])
         np.testing.assert_array_equal(reference[:drawn.size], drawn)
 
+    def test_whole_block_draws_are_views_of_fresh_refills(self):
+        """A draw that starts on an exhausted buffer is served from the next
+        refill without a copy; the stream is unchanged."""
+        pool = NoisePool(3, capacity=512)
+        draws = [pool.uniform((512,)) for _ in range(3)] + [pool.uniform((300,))]
+        assert not any(draw.flags.writeable for draw in draws)
+        np.testing.assert_array_equal(np.concatenate(draws),
+                                      NoisePool(3, capacity=512).uniform((1836,)))
+
     def test_draw_larger_than_capacity(self):
         small = NoisePool(1, capacity=128)
         large = NoisePool(1, capacity=128)
@@ -81,6 +90,32 @@ class TestSources:
         source = np.random.default_rng(5)
         expected = NoisePool(np.random.default_rng(5)).uniform((100,))
         np.testing.assert_array_equal(NoisePool(source).uniform((100,)), expected)
+
+    @pytest.mark.parametrize("seed", [0, 1, 12345])
+    @pytest.mark.parametrize("buffered_half_word", [False, True])
+    @pytest.mark.parametrize("noise_bits", [8, 4])
+    def test_generator_stream_is_integers_over_levels(self, seed, buffered_half_word,
+                                                      noise_bits):
+        """The pooled stream is ``integers(0, 2**noise_bits, dtype=uint8) /
+        2**noise_bits`` in refill blocks, across refills -- also when the
+        generator already holds a buffered 32-bit half-word."""
+        capacity = 1024
+        source, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+        if buffered_half_word:
+            for generator in (source, twin):
+                generator.integers(0, 2 ** 16, dtype=np.uint16)
+            assert source.bit_generator.state["has_uint32"] == 1
+        pool = NoisePool(source, capacity=capacity)
+        drawn = np.concatenate([pool.uniform((700,), noise_bits=noise_bits)
+                                for _ in range(5)])
+        levels = 1 << noise_bits
+        expected = np.concatenate([
+            twin.integers(0, levels, size=capacity, dtype=np.uint8) for _ in range(4)])
+        np.testing.assert_array_equal(drawn, (expected / levels)[:drawn.size])
+        assert drawn.dtype == np.float32
+        # The source is left where the block-wise integers() calls leave it.
+        np.testing.assert_array_equal(source.integers(0, 2 ** 32, size=9, dtype=np.uint64),
+                                      twin.integers(0, 2 ** 32, size=9, dtype=np.uint64))
 
     def test_lfsr_source_matches_direct_stream(self):
         """Refills draw whole blocks from the LFSR, so the pooled stream is

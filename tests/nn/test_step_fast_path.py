@@ -311,6 +311,23 @@ class TestMaxPoolFastPath:
         assert_bits_equal(F.max_pool2d_infer(x, kernel), autograd)
         assert_bits_equal(reference.max_pool2d(Tensor(x), kernel).data, autograd)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_tie_heavy_pool_bit_equals_im2col(self, dtype):
+        """Conv2's ReLU output shape, where most windows are all signed zeros."""
+        rng = np.random.default_rng(17)
+        x = rng.standard_normal((32, 64, 16, 16)) - 2.4
+        zero = x <= 0
+        x[zero] = np.where(rng.random(zero.sum()) < 0.9, -0.0, 0.0)
+        x = x.astype(dtype)
+        windows = x.reshape(32, 64, 8, 2, 8, 2)
+        assert np.mean(~windows.any(axis=(3, 5))) >= 0.9
+        grad = rng.standard_normal((32, 64, 8, 8)).astype(dtype)
+        fast_out, fast_grad = self.run_pool(x, True, 2, grad=grad)
+        slow_out, slow_grad = self.run_pool(x, False, 2, grad=grad)
+        assert np.signbit(fast_out[fast_out == 0]).mean() > 0.5
+        assert_bits_equal(fast_out, slow_out)
+        assert_bits_equal(fast_grad, slow_grad)
+
     def test_first_winner_takes_the_gradient(self):
         # All four elements tie: argmax's rule sends the gradient to the first.
         x = np.array([[[[-0.0, 0.0], [0.0, -0.0]]]])
