@@ -13,9 +13,11 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_perf_quantization.py --quick
     PYTHONPATH=src python benchmarks/bench_perf_quantization.py --output results.json
 
-``--quick`` runs a reduced matrix suitable for CI and exits non-zero if the
-fast path is slower than the reference on the standard (m=4, g=16) nearest
-configuration -- the perf-regression gate.
+``--quick`` runs a reduced matrix suitable for CI.  Exit status is 1 iff an
+enforced gate in the ``gates`` list of :func:`main` fails: the fast path
+must not be slower than the reference on the standard (m=4, g=16) nearest
+configuration, and the sanitizer-off overhead gate below.  PERFORMANCE.md's
+"Benchmark reports" section tabulates the gates of every bench.
 
 Both modes also time one evaluation-iteration gradient conversion
 (``AdaptiveConversion`` then a stochastic requantize, see
@@ -31,8 +33,6 @@ free at benchmark resolution.
 """
 
 import argparse
-import json
-import platform
 import sys
 import time
 from dataclasses import dataclass, field
@@ -46,21 +46,7 @@ from repro.core.kernels import bfp_quantize_fast
 from repro.reference import bfp_quantize_reference
 from repro.core.rounding import LFSR, NoisePool, VectorizedLFSR
 
-from bench_utils import print_banner, print_rows
-
-STANDARD_CASE = {"size": None, "group_size": 16, "mantissa_bits": 4, "rounding": "nearest"}
-
-
-def best_time(fn, repeats: int) -> float:
-    """Best-of-N wall time in seconds (first call warms caches)."""
-    fn()
-    times = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - start)
-    return min(times)
-
+from bench_utils import best_time, finish_report, gate, print_banner, print_rows
 
 def make_input(size: int, dtype=np.float32) -> np.ndarray:
     rng = np.random.default_rng(1234)
@@ -281,44 +267,29 @@ def main(argv=None) -> int:
           f"{'x'.join(map(str, evaluation['shape']))} float32): "
           f"{evaluation['ms_per_call']:.2f} ms/call (ungated)")
 
-    gate = sanitizer_gate_overhead(repeats)
-    print(f"\nsanitizer gate (off): {gate['shipped_ms_per_call']:.3f} ms/call "
-          f"vs pre-hook baseline {gate['baseline_ms_per_call']:.3f} ms/call "
-          f"({(gate['overhead_ratio'] - 1) * 100:+.2f}%)")
+    sanitizer = sanitizer_gate_overhead(repeats)
+    print(f"\nsanitizer gate (off): {sanitizer['shipped_ms_per_call']:.3f} ms/call "
+          f"vs pre-hook baseline {sanitizer['baseline_ms_per_call']:.3f} ms/call "
+          f"({(sanitizer['overhead_ratio'] - 1) * 100:+.2f}%)")
 
-    report = {
-        "benchmark": "bench_perf_quantization",
-        "mode": "quick" if args.quick else "full",
-        "repeats": repeats,
-        "numpy": np.__version__,
-        "python": platform.python_version(),
-        "machine": platform.machine(),
-        "equivalence": "pass",
-        "sanitizer_gate": gate,
-        "evaluation_iteration": evaluation,
-        "results": results,
-    }
-    args.output.parent.mkdir(parents=True, exist_ok=True)
-    args.output.write_text(json.dumps(report, indent=2) + "\n")
-    print(f"\nwrote {args.output}")
-
-    # Perf-regression gate on the standard configuration.
     standard = [r for r in results
                 if r["group_size"] == 16 and r["mantissa_bits"] == 4 and r["rounding"] == "nearest"]
-    worst = min(standard, key=lambda r: r["speedup"])
-    print(f"standard (m=4, g=16, nearest) worst speedup: {worst['speedup']:.2f}x "
-          f"at size {worst['size']:,}")
-    if worst["speedup"] < 1.0:
-        print("FAIL: fast path slower than the reference on the standard configuration",
-              file=sys.stderr)
-        return 1
-    if gate["overhead_ratio"] > 1.01:
-        print(f"FAIL: sanitizer-off construction is "
-              f"{(gate['overhead_ratio'] - 1) * 100:.2f}% slower than the "
-              "pre-hook baseline (gate must stay under 1%)",
-              file=sys.stderr)
-        return 1
-    return 0
+    gates = [
+        # Perf-regression gate: the fast path must not lose to the reference
+        # on the standard configuration at any size.
+        gate("standard_worst_speedup", min(r["speedup"] for r in standard), 1.0),
+        # The sanitizer's disabled gate must stay under 1% of construction cost.
+        gate("sanitizer_off_overhead", sanitizer["overhead_ratio"], 1.01, better="lower"),
+    ]
+    headline = {"evaluation_iteration_ms": evaluation["ms_per_call"]}
+    for r in results:
+        if r["size"] == max(sizes) and r["group_size"] == 16 and r["mantissa_bits"] == 4:
+            headline[f"{r['rounding']}.fast_ms"] = r["fast_ms"]
+            headline[f"{r['rounding']}.speedup"] = r["speedup"]
+    return finish_report(args.output, "bench_perf_quantization",
+                         "quick" if args.quick else "full", gates, headline,
+                         repeats=repeats, sanitizer_gate=sanitizer,
+                         evaluation_iteration=evaluation, results=results)
 
 
 if __name__ == "__main__":

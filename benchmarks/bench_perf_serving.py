@@ -33,15 +33,16 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_perf_serving.py --quick
     PYTHONPATH=src python benchmarks/bench_perf_serving.py --output results.json
 
-Exit status is non-zero if the equivalence harness fails or if batched
-serving of the standard CNN workload does not reach 2x the one-at-a-time
-request throughput.
+An equivalence failure raises.  Otherwise the exit status is 1 iff an
+enforced gate in the ``gates`` list of :func:`main` fails: batched serving
+of the standard CNN workload must reach 2x the one-at-a-time throughput,
+instrumented serving 0.95x the bare throughput, and two worker processes
+1.7x the single-process goodput (enforced only on hosts with >= 2 usable
+CPUs).  PERFORMANCE.md's "Benchmark reports" section tabulates the gates
+of every bench.
 """
 
 import argparse
-import json
-import os
-import platform
 import sys
 import tempfile
 import time
@@ -75,7 +76,8 @@ from repro.serving import (
 )
 from repro.training.schedules import FixedBFPSchedule
 
-from bench_utils import best_of, print_banner, print_rows
+from bench_utils import (best_of, finish_report, gate, print_banner, print_rows,
+                         usable_cpus)
 
 STANDARD_CONFIG = "cnn"
 SPEEDUP_GATE = 2.0
@@ -100,13 +102,6 @@ OBSERVABILITY_GATE = 0.95
 #: production setting (every request still updates metrics; one in ten gets
 #: a full span timeline).
 OBSERVABILITY_SAMPLE_RATE = 0.1
-
-
-def usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # non-Linux
-        return os.cpu_count() or 1
 #: Paper-standard 8-bit exponent window: batch composition never changes the
 #: shared-exponent clamping, so batched and single-request quantization agree.
 BFP_CONFIG = BFPConfig(exponent_bits=8, group_size=16)
@@ -354,15 +349,16 @@ def bench_degraded(num_requests: int, rng) -> dict:
 # Observability: what enabling metrics + tracing costs, and whether the
 # exported formats actually validate (Prometheus text, Chrome trace JSON).
 # --------------------------------------------------------------------------- #
-def bench_observability(num_requests: int, rng) -> dict:
+def bench_observability(num_requests: int, rng):
     """Instrumented-vs-bare serving throughput plus schema validation.
 
     Runs the standard CNN workload through the batching server twice per
     attempt -- observability gate off, then on (metrics + tracing at the
-    documented production sample rate) -- and gates on the throughput
-    ratio.  The ratio is taken best-of-3 (``bench_utils.best_of``): a noisy
-    host can make either run slower, and the gate should trip on real
-    instrumentation cost, not an unlucky time slice.  While the gate is on,
+    documented production sample rate) -- and returns the report section
+    with the gate on the throughput ratio.  The ratio is taken best-of-3
+    (``bench_utils.best_of``): a noisy host can make either run slower, and
+    the gate should trip on real instrumentation cost, not an unlucky time
+    slice.  While the gate is on,
     the Prometheus exposition and the exported Chrome trace are validated
     against their schemas, including every in-process pipeline stage.
     """
@@ -411,18 +407,18 @@ def bench_observability(num_requests: int, rng) -> dict:
         key=lambda result: result["ratio"],
         good_enough=lambda ratio: ratio >= OBSERVABILITY_GATE,
         label="observability overhead gate")
-    return {
+    section = {
         "requests": num_requests,
         "sample_rate": OBSERVABILITY_SAMPLE_RATE,
         "bare_rps": best["bare_rps"],
         "instrumented_rps": best["instrumented_rps"],
         "ratio": best["ratio"],
-        "gate": OBSERVABILITY_GATE,
-        "attempts": len(attempts),
         "prometheus_samples": prometheus_samples,
         "trace_events": trace_events,
         "schemas": "pass",
     }
+    return section, gate("observability_ratio", best["ratio"], OBSERVABILITY_GATE,
+                         attempts=attempts)
 
 
 # --------------------------------------------------------------------------- #
@@ -485,8 +481,9 @@ def _load_point(report) -> dict:
     }
 
 
-def bench_cluster(num_requests: int, duration_s: float, rng) -> dict:
-    """Open-loop goodput/latency of 1/2/4-worker clusters vs. one process.
+def bench_cluster(num_requests: int, duration_s: float, rng):
+    """Open-loop goodput/latency of 1/2/4-worker clusters vs. one process;
+    returns the report section and the 2-worker scaling gate.
 
     Offered loads are set relative to the *measured* closed-loop capacity of
     the single-process server, so the sweep always covers under-, at-, and
@@ -533,8 +530,7 @@ def bench_cluster(num_requests: int, duration_s: float, rng) -> dict:
               "to the single-process engine)")
 
         scaling = {}
-        gate = {"required": CLUSTER_GATE, "enforced": cpus >= 2,
-                "baseline_goodput_rps": baseline_top}
+        enforced = cpus >= 2
         for workers in CLUSTER_WORKER_COUNTS:
             specs = _worker_specs(checkpoint, family, input_shape, cap, workers)
             config = ClusterConfig(batching=batching)
@@ -550,43 +546,33 @@ def bench_cluster(num_requests: int, duration_s: float, rng) -> dict:
                     # Gate statistic, best-of-3: rerun only the top-load
                     # point, and only while the ratio is below the gate
                     # (interference only ever lowers throughput).
-                    first = [points[-1]]
-                    retry_seed = [300]
-
-                    def measure():
-                        if first:
-                            return first.pop()
-                        retry_seed[0] += 1
-                        return _load_point(open_loop(cluster.submit,
-                                                     offered_levels[-1],
-                                                     seed=retry_seed[0]))
-
+                    retry_seeds = iter(range(301, 303))
                     best, attempts = best_of(
-                        measure, attempts=3 if gate["enforced"] else 1,
+                        lambda: _load_point(open_loop(cluster.submit, offered_levels[-1],
+                                                      seed=next(retry_seeds))),
+                        attempts=3 if enforced else 1, first=points[-1],
                         key=lambda point: point["goodput_rps"],
                         good_enough=lambda rps: rps >= CLUSTER_GATE * baseline_top,
                         label="cluster 2-worker gate")
                     points[-1] = best
-                    gate["attempts"] = len(attempts)
-                    gate["measured_ratio"] = best["goodput_rps"] / baseline_top
+                    ratios = [rps / baseline_top for rps in attempts]
             scaling[str(workers)] = {"spinup_s": spinup, "points": points}
 
-    if not gate["enforced"]:
-        gate["skipped_reason"] = (
-            f"only {cpus} usable CPU(s): worker processes cannot run in "
-            "parallel, so the scaling gate is not measurable on this host")
-
-    return {
+    skipped_reason = None if enforced else (
+        f"only {cpus} usable CPU(s): worker processes cannot run in "
+        "parallel, so the scaling gate is not measurable on this host")
+    section = {
         "family": family,
-        "cpus": cpus,
         "duration_s": duration_s,
         "capacity_single_rps": capacity_rps,
         "offered_levels_qps": offered_levels,
         "baseline": baseline,
         "scaling": scaling,
-        "gate": gate,
         "equivalence": "pass",
     }
+    return section, gate("cluster_2worker_ratio", max(ratios), CLUSTER_GATE,
+                         enforced=enforced, skipped_reason=skipped_reason,
+                         attempts=ratios)
 
 
 def bench_cluster_mixed(duration_s: float, rng) -> dict:
@@ -660,23 +646,16 @@ def main(argv=None) -> int:
     # slice.  The table measurement above counts as the first attempt.
     standard_index = next(i for i, r in enumerate(results)
                           if r["family"] == STANDARD_CONFIG)
-    first_attempt = [results[standard_index]]
-
-    def measure_standard():
-        if first_attempt:
-            return first_attempt.pop()
-        return bench_family(
+    best, gate_values = best_of(
+        lambda: bench_family(
             STANDARD_CONFIG, num_requests,
             max_batch_size=FAMILY_BATCH_CAPS.get(STANDARD_CONFIG, DEFAULT_BATCH_CAP),
-            rng=rng)
-
-    best, gate_values = best_of(
-        measure_standard, attempts=3,
+            rng=rng),
+        attempts=3, first=results[standard_index],
         key=lambda result: result["speedup"],
         good_enough=lambda speedup: speedup >= SPEEDUP_GATE,
         label=f"{STANDARD_CONFIG} speedup gate")
     results[standard_index] = best
-    gate_attempts = len(gate_values)
 
     rows = [(r["family"], str(r["max_batch_size"]), f"{r['single_latency_ms_p50']:.2f}",
              f"{r['single_rps']:.0f}", f"{r['batched_rps']:.0f}",
@@ -702,7 +681,7 @@ def main(argv=None) -> int:
           f"{degraded['successes']}/{degraded['requests']} served)")
 
     # Observability: instrumentation overhead + exported-format validation.
-    obs = bench_observability(num_requests, rng)
+    obs, obs_gate = bench_observability(num_requests, rng)
     print_rows(
         ["bare (req/s)", "instrumented (req/s)", "ratio", "sample rate",
          "prom samples", "trace events"],
@@ -716,8 +695,8 @@ def main(argv=None) -> int:
 
     # Sharded tier: 1/2/4 worker processes, open-loop Poisson traffic.
     print_banner("Sharded serving tier: open-loop goodput vs. offered load")
-    cluster = bench_cluster(num_requests, duration_s=1.2 if args.quick else 2.5,
-                            rng=rng)
+    cluster, cluster_gate = bench_cluster(
+        num_requests, duration_s=1.2 if args.quick else 2.5, rng=rng)
     cluster_rows = []
     for index, qps in enumerate(cluster["offered_levels_qps"]):
         point = cluster["baseline"][index]
@@ -737,7 +716,7 @@ def main(argv=None) -> int:
                 "p95 (ms)", "p99 (ms)"],
                cluster_rows,
                title=(f"Open-loop {cluster['family']} serving "
-                      f"({cluster['cpus']} CPU(s), {cluster['duration_s']:.1f}s "
+                      f"({usable_cpus()} CPU(s), {cluster['duration_s']:.1f}s "
                       "offered window, latency from scheduled arrival)"))
     cluster["mixed"] = bench_cluster_mixed(1.2 if args.quick else 2.5, rng)
     print(f"mixed-family run (cnn 70% / mlp 30%, least_loaded): "
@@ -751,56 +730,25 @@ def main(argv=None) -> int:
     print(f"\nfrozen {STANDARD_CONFIG} storage: {storage['total_bytes'] / 1024:.1f} KiB "
           f"({storage['compression_vs_fp32']:.2f}x vs FP32 under the chunked BFP layout)")
 
-    report = {
-        "benchmark": "bench_perf_serving",
-        "mode": "quick" if args.quick else "full",
-        "requests": num_requests,
-        "numpy": np.__version__,
-        "python": platform.python_version(),
-        "machine": platform.machine(),
-        "equivalence": "pass",
-        "storage_standard": storage,
-        "results": results,
-        "degraded": degraded,
-        "observability": obs,
-        "cluster": cluster,
-        "gate_attempts": gate_attempts,
-    }
-    args.output.parent.mkdir(parents=True, exist_ok=True)
-    args.output.write_text(json.dumps(report, indent=2) + "\n")
-    print(f"\nwrote {args.output}")
-
-    standard = results[standard_index]
-    print(f"standard ({STANDARD_CONFIG}) batched-vs-single speedup: "
-          f"{standard['speedup']:.2f}x (gate {SPEEDUP_GATE:.1f}x, best of "
-          f"{gate_attempts} measurement{'s' if gate_attempts > 1 else ''})")
-    if standard["speedup"] < SPEEDUP_GATE:
-        print("FAIL: batched serving speedup below the gate", file=sys.stderr)
-        return 1
-
-    print(f"observability overhead: instrumented serving at {obs['ratio']:.3f}x "
-          f"the bare throughput (gate {OBSERVABILITY_GATE:.2f}x, best of "
-          f"{obs['attempts']} measurement{'s' if obs['attempts'] > 1 else ''})")
-    if obs["ratio"] < OBSERVABILITY_GATE:
-        print("FAIL: observability instrumentation costs more than "
-              f"{(1 - OBSERVABILITY_GATE):.0%} of serving throughput",
-              file=sys.stderr)
-        return 1
-
-    gate = cluster["gate"]
-    if gate["enforced"]:
-        print(f"cluster 2-worker scaling: {gate['measured_ratio']:.2f}x the "
-              f"single-process goodput (gate {CLUSTER_GATE:.1f}x, best of "
-              f"{gate['attempts']} measurement{'s' if gate['attempts'] > 1 else ''})")
-        if gate["measured_ratio"] < CLUSTER_GATE:
-            print("FAIL: 2-worker cluster goodput below the scaling gate",
-                  file=sys.stderr)
-            return 1
-    else:
-        print(f"cluster 2-worker scaling gate: SKIPPED -- {gate['skipped_reason']} "
-              f"(measured {gate.get('measured_ratio', float('nan')):.2f}x, "
-              "recorded in the report)")
-    return 0
+    gates = [gate(f"batched_speedup/{STANDARD_CONFIG}", best["speedup"], SPEEDUP_GATE,
+                  attempts=gate_values),
+             obs_gate, cluster_gate]
+    headline = {f"{r['family']}.{key}": r[key] for r in results
+                for key in ("batched_rps", "single_latency_ms_p50")}
+    headline.update({f"cluster.{workers}_workers.goodput_rps":
+                     entry["points"][-1]["goodput_rps"]
+                     for workers, entry in cluster["scaling"].items()})
+    headline.update({
+        "cluster.baseline_goodput_rps": cluster["baseline"][-1]["goodput_rps"],
+        "cluster.mixed_goodput_rps": cluster["mixed"]["goodput_rps"],
+        "degraded.rps": degraded["rps"],
+        "degraded.latency_ms_p99": degraded["latency_ms_p99"],
+        "storage.compression_vs_fp32": storage["compression_vs_fp32"],
+    })
+    return finish_report(args.output, "bench_perf_serving",
+                         "quick" if args.quick else "full", gates, headline,
+                         requests=num_requests, storage_standard=storage, results=results,
+                         degraded=degraded, observability=obs, cluster=cluster)
 
 
 if __name__ == "__main__":
