@@ -392,19 +392,20 @@ def bench_noise_pool(repeats: int):
 
 
 def noise_pool_gate(noise: dict) -> dict:
-    """Pooled noise must halve the per-call Generator time measured on this
-    machine, or beat half the recorded Generator time (``PR1_STOCHASTIC_MS``)
-    within an absolute budget scaled by machine speed.
+    """Pooled noise must beat half the recorded Generator time
+    (``PR1_STOCHASTIC_MS``), a budget scaled by machine speed.
 
     The concurrently measured generator time is the speed probe (unchanged
     code), so a slower CI runner gets a proportionally larger budget instead
-    of a spurious red.  "speedup >= 2" is "pooled <= generator / 2", so the
-    either-or reads as one lower-is-better bound.
+    of a spurious red.  The budget, 8.5 ms x max(1, generator_ms / 13 ms),
+    is never below ``generator_ms / 2``, so it also decides the older
+    "speedup >= 2 or within budget" rule on its own.  At the reference speed
+    and on slower hosts it asks for a pool ~1.53x (13 / 8.5) faster than the
+    Generator, not 2x; on faster hosts for less.
     """
     machine_scale = max(1.0, noise["generator_ms"] / REFERENCE_GENERATOR_MS)
     budget_ms = (PR1_STOCHASTIC_MS / NOISE_POOL_GATE) * machine_scale
-    return gate("noise_pool_pooled_ms", noise["pooled_ms"],
-                max(noise["generator_ms"] / NOISE_POOL_GATE, budget_ms), better="lower")
+    return gate("noise_pool_pooled_ms", noise["pooled_ms"], budget_ms, better="lower")
 
 
 # --------------------------------------------------------------------------- #

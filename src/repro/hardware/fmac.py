@@ -24,7 +24,6 @@ from ..core.chunks import decompose_mantissas, num_chunks, passes_required
 
 __all__ = [
     "FMACResult",
-    "fmac_group_dot",
     "fmac_dot_product",
     "bfp_matmul",
 ]
@@ -39,52 +38,6 @@ class FMACResult:
     multiplications: int
 
 
-def fmac_group_dot(
-    signs_a: np.ndarray,
-    mantissas_a: np.ndarray,
-    exponent_a: int,
-    mantissa_bits_a: int,
-    signs_b: np.ndarray,
-    mantissas_b: np.ndarray,
-    exponent_b: int,
-    mantissa_bits_b: int,
-    chunk_bits: int = 2,
-) -> FMACResult:
-    """Dot product of two BFP groups evaluated chunk-by-chunk.
-
-    The group value of element ``i`` of operand A is
-    ``sign_a[i] * mantissa_a[i] * 2**(exponent_a - (mantissa_bits_a - 1))``,
-    and similarly for B; the result is the exact FP dot product of those
-    values, produced the way the hardware produces it: one integer dot
-    product per chunk pair, scaled by the chunk exponent offsets plus the sum
-    of the two shared exponents.
-    """
-    signs_a = np.asarray(signs_a, dtype=np.int64)
-    signs_b = np.asarray(signs_b, dtype=np.int64)
-    chunks_a, offsets_a = decompose_mantissas(mantissas_a, mantissa_bits_a, chunk_bits)
-    chunks_b, offsets_b = decompose_mantissas(mantissas_b, mantissa_bits_b, chunk_bits)
-
-    # Scale factors that map integer mantissas to real values.
-    scale_a = exponent_a - (mantissa_bits_a - 1)
-    scale_b = exponent_b - (mantissa_bits_b - 1)
-    # Chunk k of an m-bit mantissa holds bits worth 2**(m - (k+1)*chunk_bits).
-    base_shift_a = mantissa_bits_a - chunk_bits
-    base_shift_b = mantissa_bits_b - chunk_bits
-
-    total = 0.0
-    passes = 0
-    for ka in range(chunks_a.shape[0]):
-        for kb in range(chunks_b.shape[0]):
-            partial = int(np.dot(signs_a * chunks_a[ka], signs_b * chunks_b[kb]))
-            shift = (base_shift_a + offsets_a[ka]) + (base_shift_b + offsets_b[kb])
-            total += partial * (2.0 ** (scale_a + scale_b + shift))
-            passes += 1
-    expected_passes = passes_required(mantissa_bits_a, mantissa_bits_b, chunk_bits)
-    assert passes == expected_passes
-    multiplications = passes * signs_a.size
-    return FMACResult(value=total, passes=passes, multiplications=multiplications)
-
-
 def _chunk_pair_accumulate(mantissas_a, signs_a, mantissa_bits_a,
                            mantissas_b, signs_b, mantissa_bits_b,
                            chunk_bits, base, subscripts):
@@ -93,10 +46,10 @@ def _chunk_pair_accumulate(mantissas_a, signs_a, mantissa_bits_a,
     Shared by :func:`fmac_dot_product` and :func:`bfp_matmul`: one integer
     einsum per chunk pair, each partial scaled by ``base * 2**shift`` and
     accumulated chunk-pairs-first.  Within every output element this walks
-    chunk pairs in exactly the order of the scalar :func:`fmac_group_dot`
-    loop, which is what keeps both callers bit-identical to it.  ``base``
-    carries the per-group ``2**(e_a + e_b - (m_a-1) - (m_b-1))`` scale in
-    the accumulator's shape.
+    chunk pairs in exactly the order of the scalar
+    :func:`repro.reference.fmac_group_dot` loop, which is what keeps both
+    callers bit-identical to it.  ``base`` carries the per-group
+    ``2**(e_a + e_b - (m_a-1) - (m_b-1))`` scale in the accumulator's shape.
     """
     chunks_a, offsets_a = decompose_mantissas(mantissas_a, mantissa_bits_a, chunk_bits)
     chunks_b, offsets_b = decompose_mantissas(mantissas_b, mantissa_bits_b, chunk_bits)
@@ -122,9 +75,9 @@ def fmac_dot_product(a: BFPTensor, b: BFPTensor, chunk_bits: int = 2) -> FMACRes
     :func:`bfp_matmul`: one integer contraction per chunk pair over all
     groups replaces the per-group Python loop.  Each group's partial sums
     accumulate over chunk pairs first and groups second -- exactly the order
-    of the scalar :func:`fmac_group_dot` walk (the golden model
-    :func:`repro.reference.fmac_dot_product_reference`), so the result is
-    bit-identical.
+    of the scalar :func:`repro.reference.fmac_group_dot` walk (the golden
+    model :func:`repro.reference.fmac_dot_product_reference`), so the result
+    is bit-identical.
     """
     if a.shape != b.shape:
         raise ValueError("operands must have the same shape")
@@ -175,8 +128,9 @@ def bfp_matmul(a: np.ndarray, b: np.ndarray, mantissa_bits_a: int = 4, mantissa_
 
     # Vectorized chunked evaluation: one integer einsum per chunk pair over
     # all (row, col, group) triples replaces the per-group Python loop of
-    # fmac_group_dot.  The accumulation order (chunk pairs first, then groups)
-    # matches the scalar reference exactly, so the result is bit-identical.
+    # repro.reference.fmac_group_dot.  The accumulation order (chunk pairs
+    # first, then groups) matches that scalar golden model exactly, so the
+    # result is bit-identical.
     groups_per_row = a_q.exponents.shape[1]
     scale_sum = (a_q.exponents[:, None, :] + b_q.exponents[None, :, :]
                  - (mantissa_bits_a - 1) - (mantissa_bits_b - 1))

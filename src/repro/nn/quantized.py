@@ -17,11 +17,11 @@ Schemes provided:
 * :class:`IdentityScheme` -- no quantization (FP32 baseline).
 * :class:`FormatScheme` -- a fixed :class:`~repro.formats.base.NumberFormat`
   for all tensors (used for Table II).
-* :class:`BFPScheme` -- BFP with independently settable mantissa widths for
-  W, A and G (used by the fixed and scheduled precision baselines).
-* :class:`FASTScheme` -- consults a
-  :class:`~repro.core.precision_policy.PrecisionPolicy` on every call, which
-  is how Algorithm 1 selects 2- or 4-bit mantissas per tensor per iteration.
+* :class:`BFPScheme` -- BFP whose mantissa width a
+  :class:`~repro.core.precision_policy.PrecisionPolicy` picks on every call:
+  the fixed LowBFP/MidBFP/HighBFP baselines, the Figure 9 temporal and
+  layerwise schedules, and Algorithm 1's per-tensor, per-iteration 2- or
+  4-bit choice are all policies of this one scheme.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import numpy as np
 from ..core.bfp import BFPConfig, bfp_quantize
 from ..core.converter import AdaptiveConversion
 from ..core.kernels import LayoutCache
-from ..core.precision_policy import FASTAdaptivePolicy, PrecisionPolicy
+from ..core.precision_policy import TENSOR_KINDS, FASTAdaptivePolicy, PrecisionPolicy
 from ..formats.base import NumberFormat, TensorKind
 from . import functional as F
 from .modules import Conv2d, Linear, Module
@@ -44,7 +44,6 @@ __all__ = [
     "IdentityScheme",
     "FormatScheme",
     "BFPScheme",
-    "FASTScheme",
     "QuantizedLinear",
     "QuantizedConv2d",
     "quantized_modules",
@@ -117,84 +116,15 @@ class FormatScheme(QuantizationScheme):
 
 
 class BFPScheme(QuantizationScheme):
-    """BFP quantization with independent mantissa widths per tensor kind."""
-
-    def __init__(
-        self,
-        config: Optional[BFPConfig] = None,
-        weight_bits: int = 4,
-        activation_bits: int = 4,
-        gradient_bits: int = 4,
-        stochastic_gradients: bool = True,
-        rng=None,
-    ):
-        self.config = config if config is not None else BFPConfig(exponent_bits=3)
-        self.bits = {
-            TensorKind.WEIGHT: weight_bits,
-            TensorKind.ACTIVATION: activation_bits,
-            TensorKind.GRADIENT: gradient_bits,
-        }
-        self.stochastic_gradients = stochastic_gradients
-        self.rng = rng if rng is not None else np.random.default_rng()  # repro-lint: disable=RL005 -- API fallback; repro paths thread a seeded rng
-        # Per-scheme grouped-layout cache: a layer's W/A/G shapes repeat every
-        # iteration, so their grouping descriptors and padded workspaces are
-        # derived once and reused across the whole training run.
-        self._layouts = LayoutCache(max_entries=16)
-
-    def set_bits(self, kind: str, bits: int) -> None:
-        if kind not in self.bits:
-            raise KeyError(f"unknown tensor kind {kind!r}")
-        self.bits[kind] = bits
-
-    def _quantize(self, values: np.ndarray, kind: str) -> np.ndarray:
-        rounding = "nearest"
-        if kind == TensorKind.GRADIENT and self.stochastic_gradients:
-            rounding = "stochastic"
-        values = np.asarray(values)
-        return bfp_quantize(
-            values,
-            mantissa_bits=self.bits[kind],
-            group_size=self.config.group_size,
-            exponent_bits=self.config.exponent_bits,
-            rounding=rounding,
-            rng=self.rng,
-            layout=self._layouts.layout_for(values, self.config.group_size),
-        )
-
-    def quantize_weight(self, values: np.ndarray) -> np.ndarray:
-        return self._quantize(values, TensorKind.WEIGHT)
-
-    def quantize_activation(self, values: np.ndarray) -> np.ndarray:
-        return self._quantize(values, TensorKind.ACTIVATION)
-
-    def quantize_gradient(self, values: np.ndarray) -> np.ndarray:
-        return self._quantize(values, TensorKind.GRADIENT)
-
-    def weight_cache_token(self, values: Optional[np.ndarray] = None):
-        # Weights always use deterministic nearest rounding, so the quantized
-        # weight is a pure function of (weight data, these parameters).
-        return (
-            "bfp",
-            self.bits[TensorKind.WEIGHT],
-            self.config.group_size,
-            self.config.exponent_bits,
-        )
-
-    def precision_setting(self) -> Dict[str, Optional[int]]:
-        return {
-            "weight": self.bits[TensorKind.WEIGHT],
-            "activation": self.bits[TensorKind.ACTIVATION],
-            "gradient": self.bits[TensorKind.GRADIENT],
-        }
-
-
-class FASTScheme(QuantizationScheme):
-    """Per-call adaptive BFP scheme driven by a precision policy (Algorithm 1).
+    """BFP quantization whose mantissa widths a precision policy chooses.
 
     The scheme stores the layer index it is attached to and the current
     training iteration (updated by the trainer each step).  Every quantize
     call asks the policy for the mantissa width of that tensor kind, then
-    quantizes with it.  When ``r(X)`` is due (every ``evaluation_interval``
+    quantizes with it: a
+    :class:`~repro.core.precision_policy.FixedPrecisionPolicy` gives the
+    LowBFP/MidBFP/HighBFP baselines, the temporal and layerwise policies the
+    Figure 9 schedules.  When ``r(X)`` is due (every ``evaluation_interval``
     iterations of a :class:`~repro.core.precision_policy.FASTAdaptivePolicy`
     that groups like this scheme), activations and gradients take it from
     their own conversion (:class:`~repro.core.converter.AdaptiveConversion`)
@@ -205,10 +135,10 @@ class FASTScheme(QuantizationScheme):
     Decision selection is split from quantization: the policy's
     :meth:`~repro.core.precision_policy.PrecisionPolicy.decide` is pure, so
     the chosen weight bits can join the weight-cache key
-    (:meth:`weight_cache_token`).  Adaptive training therefore caches
-    quantized weights exactly like the fixed schemes -- repeated forwards and
-    eval loops re-select (cheaply, via the policy's evaluation-interval memo)
-    but only re-quantize when the version or the bits decision changes.
+    (:meth:`weight_cache_token`).  Every policy therefore caches quantized
+    weights the same way -- repeated forwards and eval loops re-select
+    (cheaply; FAST-Adaptive via its evaluation-interval memo) but only
+    re-quantize when the version or the bits decision changes.
     """
 
     def __init__(
@@ -226,6 +156,9 @@ class FASTScheme(QuantizationScheme):
         self.stochastic_gradients = stochastic_gradients
         self.rng = rng if rng is not None else np.random.default_rng()  # repro-lint: disable=RL005 -- API fallback; repro paths thread a seeded rng
         self._last_bits: Dict[str, int] = {}
+        # Per-scheme grouped-layout cache: a layer's W/A/G shapes repeat every
+        # iteration, so their grouping descriptors and padded workspaces are
+        # derived once and reused across the whole training run.
         self._layouts = LayoutCache(max_entries=16)
         # Bits chosen by the most recent weight_cache_token() call, tagged
         # with its iteration so quantize_weight can reuse the decision
@@ -292,14 +225,14 @@ class FASTScheme(QuantizationScheme):
 
     def weight_cache_token(self, values: Optional[np.ndarray] = None):
         if values is None:
-            # Without the weight data the policy cannot evaluate r(W).
+            # Without the weight data a FAST-Adaptive policy cannot evaluate r(W).
             return None
         bits = self.policy.select(
             TensorKind.WEIGHT, self.layer_index, self.iteration, tensor=values
         )
         self._last_bits[TensorKind.WEIGHT] = bits
         self._pending_weight_bits = (self.iteration, bits, values)
-        return ("fast", bits, self.config.group_size, self.config.exponent_bits)
+        return ("bfp", bits, self.config.group_size, self.config.exponent_bits)
 
     def quantize_weight(self, values: np.ndarray) -> np.ndarray:
         # Reuse the pending decision only for the exact array it was made for
@@ -319,11 +252,16 @@ class FASTScheme(QuantizationScheme):
         return self._quantize(values, TensorKind.GRADIENT)
 
     def precision_setting(self) -> Dict[str, Optional[int]]:
-        return {
-            "weight": self._last_bits.get(TensorKind.WEIGHT),
-            "activation": self._last_bits.get(TensorKind.ACTIVATION),
-            "gradient": self._last_bits.get(TensorKind.GRADIENT),
-        }
+        """Widths of the last conversion of each kind; before the first one a
+        data-free policy answers for the current iteration (FAST-Adaptive
+        needs the tensor, so its kinds stay ``None`` until converted)."""
+        setting = {}
+        for kind in TENSOR_KINDS:
+            bits = self._last_bits.get(kind)
+            if bits is None and not isinstance(self.policy, FASTAdaptivePolicy):
+                bits = self.policy.decide(kind, self.layer_index, self.iteration).mantissa_bits
+            setting[kind] = bits
+        return setting
 
 
 class WeightCacheMixin:

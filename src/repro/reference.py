@@ -14,15 +14,17 @@ from typing import Optional
 import numpy as np
 
 from .core.bfp import BFPTensor, group_values
+from .core.chunks import decompose_mantissas, passes_required
 from .core.kernels import MIN_EXPONENT
 from .core.rounding import apply_rounding
-from .hardware.fmac import FMACResult, fmac_group_dot
+from .hardware.fmac import FMACResult
 from .nn import functional as F
 from .nn.tensor import Tensor, as_tensor, concat
 
 __all__ = [
     "group_values_reference", "ungroup_values_reference", "shared_exponents_reference",
-    "quantize_groups_reference", "bfp_quantize_reference", "fmac_dot_product_reference",
+    "quantize_groups_reference", "bfp_quantize_reference", "fmac_group_dot",
+    "fmac_dot_product_reference",
     "resolve_groups", "im2col_indices", "col2im", "conv2d", "max_pool2d", "avg_pool2d",
 ]
 
@@ -113,6 +115,55 @@ def bfp_quantize_reference(
     )
     result = ungroup_values_reference(quantized, pad, moved_shape, axis=axis)
     return result.reshape(x.shape).astype(original_dtype)
+
+
+def fmac_group_dot(
+    signs_a: np.ndarray,
+    mantissas_a: np.ndarray,
+    exponent_a: int,
+    mantissa_bits_a: int,
+    signs_b: np.ndarray,
+    mantissas_b: np.ndarray,
+    exponent_b: int,
+    mantissa_bits_b: int,
+    chunk_bits: int = 2,
+) -> FMACResult:
+    """Dot product of two BFP groups evaluated chunk-by-chunk (Figure 11).
+
+    The scalar per-group fMAC golden model: the vectorized
+    :func:`repro.hardware.fmac.fmac_dot_product` and
+    :func:`repro.hardware.fmac.bfp_matmul` walk chunk pairs in its order.
+    The group value of element ``i`` of operand A is
+    ``sign_a[i] * mantissa_a[i] * 2**(exponent_a - (mantissa_bits_a - 1))``,
+    and similarly for B; the result is the exact FP dot product of those
+    values, produced the way the hardware produces it: one integer dot
+    product per chunk pair, scaled by the chunk exponent offsets plus the sum
+    of the two shared exponents.
+    """
+    signs_a = np.asarray(signs_a, dtype=np.int64)
+    signs_b = np.asarray(signs_b, dtype=np.int64)
+    chunks_a, offsets_a = decompose_mantissas(mantissas_a, mantissa_bits_a, chunk_bits)
+    chunks_b, offsets_b = decompose_mantissas(mantissas_b, mantissa_bits_b, chunk_bits)
+
+    # Scale factors that map integer mantissas to real values.
+    scale_a = exponent_a - (mantissa_bits_a - 1)
+    scale_b = exponent_b - (mantissa_bits_b - 1)
+    # Chunk k of an m-bit mantissa holds bits worth 2**(m - (k+1)*chunk_bits).
+    base_shift_a = mantissa_bits_a - chunk_bits
+    base_shift_b = mantissa_bits_b - chunk_bits
+
+    total = 0.0
+    passes = 0
+    for ka in range(chunks_a.shape[0]):
+        for kb in range(chunks_b.shape[0]):
+            partial = int(np.dot(signs_a * chunks_a[ka], signs_b * chunks_b[kb]))
+            shift = (base_shift_a + offsets_a[ka]) + (base_shift_b + offsets_b[kb])
+            total += partial * (2.0 ** (scale_a + scale_b + shift))
+            passes += 1
+    expected_passes = passes_required(mantissa_bits_a, mantissa_bits_b, chunk_bits)
+    assert passes == expected_passes
+    multiplications = passes * signs_a.size
+    return FMACResult(value=total, passes=passes, multiplications=multiplications)
 
 
 def fmac_dot_product_reference(a: BFPTensor, b: BFPTensor, chunk_bits: int = 2) -> FMACResult:

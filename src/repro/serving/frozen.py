@@ -65,6 +65,7 @@ import numpy as np
 from ..core.bfp import BFPConfig, BFPTensor, bfp_quantize, bfp_quantize_tensor
 from ..core.kernels import LayoutCache
 from ..core.memory_layout import compact_bfp_arrays, restore_bfp_tensor
+from ..core.precision_policy import FASTAdaptivePolicy
 from ..formats.base import TensorKind
 from ..formats.registry import available_formats, get_format
 from ..models.mlp import MLP
@@ -77,7 +78,7 @@ from ..nn import attention as attention_mod
 from ..nn import functional as F
 from ..nn import modules as M
 from ..nn.attention import causal_mask
-from ..nn.quantized import BFPScheme, FASTScheme, FormatScheme
+from ..nn.quantized import BFPScheme, FormatScheme
 from ..nn.tensor import Tensor
 
 __all__ = [
@@ -241,35 +242,34 @@ def _freeze_scheme(scheme, weight_data: np.ndarray):
     """Resolve a quantization scheme into frozen-layer pieces.
 
     Returns ``(weight_values, packed, activation_quantizer, descriptor)``.
-    The FAST-Adaptive scheme is resolved to a fixed-precision snapshot: the
-    weight keeps the bits the policy decided for it at freeze time, and
-    activations conservatively use the policy's high precision (their
-    per-call data-dependent decision cannot be replayed without the policy
-    state).
+    A BFP scheme is resolved to a fixed-precision snapshot: the weight keeps
+    the bits its policy decides for it at freeze time, and activations take
+    the policy's bits for them.  A FAST-Adaptive policy's activation decision
+    is per-call and data-dependent and cannot be replayed without the policy
+    state, so its activations conservatively use the widest mantissa the
+    policy can choose.
     """
     weight_data = np.asarray(weight_data)
     if scheme is None or scheme.is_identity:
         return np.array(weight_data), None, None, {"kind": "identity"}
-    if isinstance(scheme, FASTScheme):
-        # `decide` is the pure selection path: freezing must not record into
-        # (or advance the memo of) the live policy it snapshots.
-        weight_bits = scheme.policy.decide(
-            TensorKind.WEIGHT, scheme.layer_index, scheme.iteration,
-            tensor=weight_data).mantissa_bits
-        # Every policy defines supported_bits; high_bits is specific to the
-        # two-level policies, so the conservative snapshot is the widest
-        # mantissa the policy can choose.
-        activation_bits = max(scheme.policy.supported_bits)
-    elif isinstance(scheme, BFPScheme):
-        weight_bits = scheme.bits[TensorKind.WEIGHT]
-        activation_bits = scheme.bits[TensorKind.ACTIVATION]
-    elif isinstance(scheme, FormatScheme):
+    if isinstance(scheme, FormatScheme):
         values = scheme.number_format.quantize(
             weight_data, kind=TensorKind.WEIGHT, rng=np.random.default_rng(0))
         quantizer = FormatActivationQuantizer(copy.deepcopy(scheme.number_format))
         return values, None, quantizer, {"kind": "format", "name": scheme.number_format.name}
-    else:
+    if not isinstance(scheme, BFPScheme):
         raise TypeError(f"cannot freeze quantization scheme {type(scheme).__name__}")
+    policy = scheme.policy
+    adaptive = isinstance(policy, FASTAdaptivePolicy)
+    # `decide` is the pure selection path: freezing must not record into
+    # (or advance the memo of) the live policy it snapshots.
+    weight_bits = policy.decide(TensorKind.WEIGHT, scheme.layer_index, scheme.iteration,
+                                tensor=weight_data).mantissa_bits
+    if adaptive:
+        activation_bits = max(policy.supported_bits)
+    else:
+        activation_bits = policy.decide(TensorKind.ACTIVATION, scheme.layer_index,
+                                        scheme.iteration).mantissa_bits
     config = scheme.config
     packed, values = _pack_weight(weight_data, weight_bits,
                                   config.group_size, config.exponent_bits)
@@ -279,7 +279,7 @@ def _freeze_scheme(scheme, weight_data: np.ndarray):
                   "activation_bits": int(activation_bits),
                   "group_size": config.group_size,
                   "exponent_bits": config.exponent_bits}
-    if isinstance(scheme, FASTScheme):
+    if adaptive:
         descriptor["frozen_from"] = "fast_adaptive"
     return values, packed, quantizer, descriptor
 

@@ -16,6 +16,11 @@ Schedules provided, matching the paper's experiments:
 * :class:`TemporalSchedule` / :class:`LayerwiseSchedule` -- the Figure 9
   Low-to-High / High-to-Low studies.
 * :class:`FASTSchedule` -- FAST-Adaptive (Algorithm 1).
+
+The four BFP schedules differ only in the precision policy they build: each
+attaches one :class:`~repro.nn.quantized.BFPScheme` per layer that asks that
+policy for every tensor's mantissa width, and each reports the decisions as
+:meth:`setting_history`.
 """
 
 from __future__ import annotations
@@ -27,20 +32,16 @@ import numpy as np
 from ..core.bfp import BFPConfig
 from ..core.precision_policy import (
     FASTAdaptivePolicy,
+    FixedPrecisionPolicy,
     LayerwisePrecisionPolicy,
+    PrecisionPolicy,
     TemporalPrecisionPolicy,
 )
 from ..core.rounding import NoisePool
-from ..formats.base import NumberFormat, TensorKind
+from ..formats.base import NumberFormat
 from ..formats.registry import get_format
 from ..nn.modules import Module
-from ..nn.quantized import (
-    BFPScheme,
-    FASTScheme,
-    FormatScheme,
-    IdentityScheme,
-    quantized_modules,
-)
+from ..nn.quantized import BFPScheme, FormatScheme, IdentityScheme, quantized_modules
 
 __all__ = [
     "PrecisionSchedule",
@@ -129,49 +130,23 @@ class FormatSchedule(PrecisionSchedule):
                 layer.scheme = FormatScheme(self.number_format, rng=rng)
 
 
-class FixedBFPSchedule(PrecisionSchedule):
-    """BFP with a fixed mantissa width for W, A and G in every layer."""
+class _PolicySchedule(PrecisionSchedule):
+    """One :class:`BFPScheme` per layer, all asking one precision policy.
 
-    def __init__(self, mantissa_bits: int, config: Optional[BFPConfig] = None,
-                 stochastic_gradients: bool = True, seed: int = 0,
-                 noise_pool: bool = True):
+    Subclasses build the policy in :meth:`_build_policy`; it is built when the
+    schedule is prepared, once the layer and iteration counts are known.
+    """
+
+    def __init__(self, config: Optional[BFPConfig], stochastic_gradients: bool,
+                 seed: int, noise_pool: bool):
         super().__init__()
-        self.mantissa_bits = mantissa_bits
         self.config = config if config is not None else _DEFAULT_BFP_CONFIG
         self.stochastic_gradients = stochastic_gradients
         self.seed = seed
         self.noise_pool = noise_pool
-        self.name = f"bfp_m{mantissa_bits}"
+        self.policy: Optional[PrecisionPolicy] = None
 
-    def _attach(self) -> None:
-        for index, layer in enumerate(self.layers):
-            rng = _layer_noise_source(self.seed, index, self.stochastic_gradients,
-                                      self.noise_pool)
-            layer.scheme = BFPScheme(
-                config=self.config,
-                weight_bits=self.mantissa_bits,
-                activation_bits=self.mantissa_bits,
-                gradient_bits=self.mantissa_bits,
-                stochastic_gradients=self.stochastic_gradients,
-                rng=rng,
-            )
-
-
-class _PolicyDrivenSchedule(PrecisionSchedule):
-    """Shared implementation for temporal/layerwise policy schedules."""
-
-    def __init__(self, low_bits: int, high_bits: int, config: Optional[BFPConfig],
-                 stochastic_gradients: bool, seed: int, noise_pool: bool = True):
-        super().__init__()
-        self.low_bits = low_bits
-        self.high_bits = high_bits
-        self.config = config if config is not None else _DEFAULT_BFP_CONFIG
-        self.stochastic_gradients = stochastic_gradients
-        self.seed = seed
-        self.noise_pool = noise_pool
-        self.policy = None
-
-    def _build_policy(self):
+    def _build_policy(self) -> PrecisionPolicy:
         raise NotImplementedError
 
     def _attach(self) -> None:
@@ -180,102 +155,6 @@ class _PolicyDrivenSchedule(PrecisionSchedule):
             rng = _layer_noise_source(self.seed, index, self.stochastic_gradients,
                                       self.noise_pool)
             layer.scheme = BFPScheme(
-                config=self.config,
-                weight_bits=self.low_bits,
-                activation_bits=self.low_bits,
-                gradient_bits=self.low_bits,
-                stochastic_gradients=self.stochastic_gradients,
-                rng=rng,
-            )
-        self.on_iteration(0)
-
-    def on_iteration(self, iteration: int) -> None:
-        for layer in self.layers:
-            for kind in (TensorKind.WEIGHT, TensorKind.ACTIVATION, TensorKind.GRADIENT):
-                bits = self.policy.select(kind, layer.layer_index, iteration)
-                layer.scheme.set_bits(kind, bits)
-
-
-class TemporalSchedule(_PolicyDrivenSchedule):
-    """Switch all layers between two precisions at the training midpoint (Fig. 9 left)."""
-
-    def __init__(self, low_to_high: bool = True, low_bits: int = 2, high_bits: int = 4,
-                 switch_fraction: float = 0.5, config: Optional[BFPConfig] = None,
-                 stochastic_gradients: bool = True, seed: int = 0, noise_pool: bool = True):
-        super().__init__(low_bits, high_bits, config, stochastic_gradients, seed,
-                         noise_pool=noise_pool)
-        self.low_to_high = low_to_high
-        self.switch_fraction = switch_fraction
-        self.name = "temporal_low_to_high" if low_to_high else "temporal_high_to_low"
-
-    def _build_policy(self):
-        return TemporalPrecisionPolicy(
-            total_iterations=self.total_iterations,
-            low_bits=self.low_bits,
-            high_bits=self.high_bits,
-            switch_fraction=self.switch_fraction,
-            low_to_high=self.low_to_high,
-        )
-
-
-class LayerwiseSchedule(_PolicyDrivenSchedule):
-    """Different precisions for the shallow and deep network halves (Fig. 9 right)."""
-
-    def __init__(self, low_to_high: bool = True, low_bits: int = 2, high_bits: int = 4,
-                 switch_fraction: float = 0.5, config: Optional[BFPConfig] = None,
-                 stochastic_gradients: bool = True, seed: int = 0, noise_pool: bool = True):
-        super().__init__(low_bits, high_bits, config, stochastic_gradients, seed,
-                         noise_pool=noise_pool)
-        self.low_to_high = low_to_high
-        self.switch_fraction = switch_fraction
-        self.name = "layerwise_low_to_high" if low_to_high else "layerwise_high_to_low"
-
-    def _build_policy(self):
-        return LayerwisePrecisionPolicy(
-            total_layers=max(len(self.layers), 1),
-            low_bits=self.low_bits,
-            high_bits=self.high_bits,
-            switch_fraction=self.switch_fraction,
-            low_to_high=self.low_to_high,
-        )
-
-
-class FASTSchedule(PrecisionSchedule):
-    """FAST-Adaptive (Algorithm 1): per-tensor, per-layer, per-iteration precision."""
-
-    name = "fast_adaptive"
-
-    def __init__(self, alpha: float = 0.6, beta: float = 0.3, low_bits: int = 2,
-                 high_bits: int = 4, config: Optional[BFPConfig] = None,
-                 stochastic_gradients: bool = True, evaluation_interval: int = 1, seed: int = 0,
-                 noise_pool: bool = True):
-        super().__init__()
-        self.alpha = alpha
-        self.beta = beta
-        self.low_bits = low_bits
-        self.high_bits = high_bits
-        self.config = config if config is not None else _DEFAULT_BFP_CONFIG
-        self.stochastic_gradients = stochastic_gradients
-        self.evaluation_interval = evaluation_interval
-        self.seed = seed
-        self.noise_pool = noise_pool
-        self.policy: Optional[FASTAdaptivePolicy] = None
-
-    def _attach(self) -> None:
-        self.policy = FASTAdaptivePolicy(
-            total_layers=max(len(self.layers), 1),
-            total_iterations=self.total_iterations,
-            alpha=self.alpha,
-            beta=self.beta,
-            low_bits=self.low_bits,
-            high_bits=self.high_bits,
-            config=self.config,
-            evaluation_interval=self.evaluation_interval,
-        )
-        for index, layer in enumerate(self.layers):
-            rng = _layer_noise_source(self.seed, index, self.stochastic_gradients,
-                                      self.noise_pool)
-            layer.scheme = FASTScheme(
                 policy=self.policy,
                 layer_index=index,
                 config=self.config,
@@ -292,6 +171,95 @@ class FASTSchedule(PrecisionSchedule):
         if self.policy is None:
             return {}
         return self.policy.setting_history()
+
+
+class FixedBFPSchedule(_PolicySchedule):
+    """BFP with a fixed mantissa width for W, A and G in every layer."""
+
+    def __init__(self, mantissa_bits: int, config: Optional[BFPConfig] = None,
+                 stochastic_gradients: bool = True, seed: int = 0,
+                 noise_pool: bool = True):
+        super().__init__(config, stochastic_gradients, seed, noise_pool)
+        self.mantissa_bits = mantissa_bits
+        self.name = f"bfp_m{mantissa_bits}"
+
+    def _build_policy(self):
+        return FixedPrecisionPolicy(self.mantissa_bits)
+
+
+class TemporalSchedule(_PolicySchedule):
+    """Switch all layers between two precisions at the training midpoint (Fig. 9 left)."""
+
+    def __init__(self, low_to_high: bool = True, low_bits: int = 2, high_bits: int = 4,
+                 switch_fraction: float = 0.5, config: Optional[BFPConfig] = None,
+                 stochastic_gradients: bool = True, seed: int = 0, noise_pool: bool = True):
+        super().__init__(config, stochastic_gradients, seed, noise_pool)
+        self.low_to_high = low_to_high
+        self.low_bits = low_bits
+        self.high_bits = high_bits
+        self.switch_fraction = switch_fraction
+        self.name = "temporal_low_to_high" if low_to_high else "temporal_high_to_low"
+
+    def _build_policy(self):
+        return TemporalPrecisionPolicy(
+            total_iterations=self.total_iterations,
+            low_bits=self.low_bits,
+            high_bits=self.high_bits,
+            switch_fraction=self.switch_fraction,
+            low_to_high=self.low_to_high,
+        )
+
+
+class LayerwiseSchedule(_PolicySchedule):
+    """Different precisions for the shallow and deep network halves (Fig. 9 right)."""
+
+    def __init__(self, low_to_high: bool = True, low_bits: int = 2, high_bits: int = 4,
+                 switch_fraction: float = 0.5, config: Optional[BFPConfig] = None,
+                 stochastic_gradients: bool = True, seed: int = 0, noise_pool: bool = True):
+        super().__init__(config, stochastic_gradients, seed, noise_pool)
+        self.low_to_high = low_to_high
+        self.low_bits = low_bits
+        self.high_bits = high_bits
+        self.switch_fraction = switch_fraction
+        self.name = "layerwise_low_to_high" if low_to_high else "layerwise_high_to_low"
+
+    def _build_policy(self):
+        return LayerwisePrecisionPolicy(
+            total_layers=max(len(self.layers), 1),
+            low_bits=self.low_bits,
+            high_bits=self.high_bits,
+            switch_fraction=self.switch_fraction,
+            low_to_high=self.low_to_high,
+        )
+
+
+class FASTSchedule(_PolicySchedule):
+    """FAST-Adaptive (Algorithm 1): per-tensor, per-layer, per-iteration precision."""
+
+    name = "fast_adaptive"
+
+    def __init__(self, alpha: float = 0.6, beta: float = 0.3, low_bits: int = 2,
+                 high_bits: int = 4, config: Optional[BFPConfig] = None,
+                 stochastic_gradients: bool = True, evaluation_interval: int = 1, seed: int = 0,
+                 noise_pool: bool = True):
+        super().__init__(config, stochastic_gradients, seed, noise_pool)
+        self.alpha = alpha
+        self.beta = beta
+        self.low_bits = low_bits
+        self.high_bits = high_bits
+        self.evaluation_interval = evaluation_interval
+
+    def _build_policy(self):
+        return FASTAdaptivePolicy(
+            total_layers=max(len(self.layers), 1),
+            total_iterations=self.total_iterations,
+            alpha=self.alpha,
+            beta=self.beta,
+            low_bits=self.low_bits,
+            high_bits=self.high_bits,
+            config=self.config,
+            evaluation_interval=self.evaluation_interval,
+        )
 
 
 def build_schedule(name: str, **kwargs) -> PrecisionSchedule:

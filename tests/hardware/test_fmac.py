@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from repro.core.bfp import bfp_quantize, bfp_quantize_tensor
 from repro.core.chunks import passes_required
-from repro.hardware.fmac import bfp_matmul, fmac_dot_product, fmac_group_dot
-from repro.reference import fmac_dot_product_reference
+from repro.hardware.fmac import bfp_matmul, fmac_dot_product
+from repro.reference import fmac_dot_product_reference, fmac_group_dot
 
 
 def quantize_vector(values, mantissa_bits, group_size=16):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro import nn
+from repro.core.precision_policy import FixedPrecisionPolicy
 from repro.models import (
     MLP,
     MobileNetV2,
@@ -143,7 +144,7 @@ class TestTransformer:
         layers = quantized_modules(model)
         assert len(layers) > 10
         for layer in layers:
-            layer.scheme = BFPScheme(stochastic_gradients=False)
+            layer.scheme = BFPScheme(FixedPrecisionPolicy(4), stochastic_gradients=False)
         out = model(rng.integers(0, 10, size=(1, 4)), rng.integers(0, 10, size=(1, 4)))
         assert out.shape == (1, 4, 10)
 

@@ -110,12 +110,13 @@ class TestTransformerLayers:
         np.testing.assert_allclose(out, x, atol=1e-2)
 
     def test_encoder_layer_is_quantizable(self, rng):
+        from repro.core.precision_policy import FixedPrecisionPolicy
         from repro.nn.quantized import BFPScheme, quantized_modules
 
         layer = TransformerEncoderLayer(16, 4, 32, rng=rng)
         quantized = quantized_modules(layer)
         assert len(quantized) >= 6  # q, k, v, out projections + 2 ffn layers
         for module in quantized:
-            module.scheme = BFPScheme(stochastic_gradients=False)
+            module.scheme = BFPScheme(FixedPrecisionPolicy(4), stochastic_gradients=False)
         out = layer(Tensor(rng.standard_normal((1, 4, 16))))
         assert out.shape == (1, 4, 16)

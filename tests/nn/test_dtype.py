@@ -21,6 +21,7 @@ import pytest
 
 from repro import nn
 from repro.core.bfp import BFPConfig
+from repro.core.precision_policy import FixedPrecisionPolicy
 from repro.data.loader import DataLoader
 from repro.data.vision import SyntheticImageDataset, synthetic_cifar
 from repro.models.mlp import MLP
@@ -169,7 +170,8 @@ class TestInitAndModuleDtype:
 
     def test_to_clears_quantized_weight_cache(self):
         layer = nn.QuantizedLinear(8, 4, scheme=nn.BFPScheme(
-            config=BFPConfig(exponent_bits=8, group_size=16)), rng=np.random.default_rng(0))
+            FixedPrecisionPolicy(4), config=BFPConfig(exponent_bits=8, group_size=16)),
+            rng=np.random.default_rng(0))
         layer(np.ones((2, 8)))
         assert layer._weight_cache_key is not None
         layer.to(np.float32)

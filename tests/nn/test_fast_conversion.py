@@ -1,4 +1,4 @@
-"""The fused-statistic contract of ``FASTScheme``.
+"""The fused-statistic contract of ``BFPScheme`` under a FAST-Adaptive policy.
 
 On an evaluation iteration the FAST-Adaptive scheme converts a tensor once
 and reads ``r(X)`` off that conversion (Figure 14) instead of asking the
@@ -19,7 +19,7 @@ from repro.core.converter import AdaptiveConversion, relative_improvement
 from repro.core.precision_policy import FASTAdaptivePolicy
 from repro.core.rounding import NoisePool
 from repro.nn import quantized
-from repro.nn.quantized import FASTScheme
+from repro.nn.quantized import BFPScheme
 
 CONFIG = BFPConfig(exponent_bits=3, group_size=16)
 # One value per group: each group maximum is the value's own magnitude.
@@ -67,8 +67,8 @@ TENSORS = {"padded": padded_tensor, "zeros": zero_tensor, "clamped": clamped_ten
 def make_scheme(seed=7, evaluation_interval=1, config=CONFIG):
     policy = FASTAdaptivePolicy(total_layers=3, total_iterations=20, config=config,
                                 evaluation_interval=evaluation_interval)
-    scheme = FASTScheme(policy, layer_index=1, config=config,
-                        stochastic_gradients=True, rng=NoisePool(seed, capacity=4096))
+    scheme = BFPScheme(policy, layer_index=1, config=config,
+                       stochastic_gradients=True, rng=NoisePool(seed, capacity=4096))
     return policy, scheme
 
 
@@ -207,7 +207,7 @@ def test_mismatched_grouping_falls_back_to_the_policy():
     """A policy grouping differently from the scheme evaluates r itself."""
     policy = FASTAdaptivePolicy(total_layers=1, total_iterations=10,
                                 config=BFPConfig(exponent_bits=8, group_size=8))
-    scheme = FASTScheme(policy, config=CONFIG, stochastic_gradients=False)
+    scheme = BFPScheme(policy, config=CONFIG, stochastic_gradients=False)
     values = clamped_tensor(np.float32)
     out = scheme.quantize_activation(values)
     decision = policy.history[-1]

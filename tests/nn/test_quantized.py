@@ -1,15 +1,18 @@
 """Tests for quantization schemes and quantized layers."""
 
 import numpy as np
-import pytest
 
 from repro import nn
 from repro.core.bfp import BFPConfig, bfp_quantize
-from repro.core.precision_policy import FASTAdaptivePolicy, FixedPrecisionPolicy
+from repro.core.precision_policy import (
+    FASTAdaptivePolicy,
+    FixedPrecisionPolicy,
+    PrecisionDecision,
+    PrecisionPolicy,
+)
 from repro.formats import get_format
 from repro.nn.quantized import (
     BFPScheme,
-    FASTScheme,
     FormatScheme,
     IdentityScheme,
     QuantizedConv2d,
@@ -18,6 +21,17 @@ from repro.nn.quantized import (
     quantized_modules,
 )
 from repro.nn.tensor import Tensor
+
+
+class PerKindPolicy(PrecisionPolicy):
+    """A data-free policy with its own mantissa width per tensor kind."""
+
+    def __init__(self, **bits):
+        super().__init__()
+        self.bits = bits
+
+    def decide(self, tensor_kind, layer_index, iteration, tensor=None):
+        return PrecisionDecision(layer_index, iteration, tensor_kind, self.bits[tensor_kind])
 
 
 class TestSchemes:
@@ -35,31 +49,24 @@ class TestSchemes:
         assert not np.allclose(forward, backward)
 
     def test_bfp_scheme_independent_bits(self, rng):
-        scheme = BFPScheme(weight_bits=4, activation_bits=2, gradient_bits=4,
+        scheme = BFPScheme(PerKindPolicy(weight=4, activation=2, gradient=4),
                            stochastic_gradients=False)
         values = rng.standard_normal((2, 32))
         weight_error = np.abs(scheme.quantize_weight(values) - values).mean()
         activation_error = np.abs(scheme.quantize_activation(values) - values).mean()
         assert activation_error > weight_error
 
-    def test_bfp_scheme_set_bits(self, rng):
-        scheme = BFPScheme()
-        scheme.set_bits("weight", 2)
-        assert scheme.precision_setting()["weight"] == 2
-        with pytest.raises(KeyError):
-            scheme.set_bits("bias", 2)
-
     def test_bfp_scheme_gradient_stochastic(self, rng):
         values = rng.standard_normal((2, 32))
-        scheme_a = BFPScheme(gradient_bits=2, rng=np.random.default_rng(0))
-        scheme_b = BFPScheme(gradient_bits=2, rng=np.random.default_rng(1))
+        scheme_a = BFPScheme(FixedPrecisionPolicy(2), rng=np.random.default_rng(0))
+        scheme_b = BFPScheme(FixedPrecisionPolicy(2), rng=np.random.default_rng(1))
         assert not np.allclose(scheme_a.quantize_gradient(values),
                                scheme_b.quantize_gradient(values))
 
     def test_fast_scheme_records_decisions(self, rng):
         policy = FASTAdaptivePolicy(total_layers=4, total_iterations=10,
                                     config=BFPConfig(exponent_bits=8))
-        scheme = FASTScheme(policy, layer_index=2)
+        scheme = BFPScheme(policy, layer_index=2)
         scheme.iteration = 3
         scheme.quantize_weight(rng.standard_normal((2, 32)))
         assert scheme.precision_setting()["weight"] in (2, 4)
@@ -75,8 +82,8 @@ class TestQuantizedLinear:
         np.testing.assert_allclose(layer(Tensor(x)).data, plain(Tensor(x)).data)
 
     def test_forward_uses_quantized_weights_and_activations(self, rng):
-        scheme = BFPScheme(config=BFPConfig(exponent_bits=3), weight_bits=2, activation_bits=2,
-                           gradient_bits=2, stochastic_gradients=False)
+        scheme = BFPScheme(FixedPrecisionPolicy(2), config=BFPConfig(exponent_bits=3),
+                           stochastic_gradients=False)
         layer = QuantizedLinear(16, 4, scheme=scheme, rng=rng)
         x = rng.standard_normal((2, 16))
         expected = scheme.quantize_activation(x) @ scheme.quantize_weight(layer.weight.data).T \
@@ -84,7 +91,7 @@ class TestQuantizedLinear:
         np.testing.assert_allclose(layer(Tensor(x)).data, expected)
 
     def test_weight_gradient_flows_to_master_copy(self, rng):
-        scheme = BFPScheme(stochastic_gradients=False)
+        scheme = BFPScheme(FixedPrecisionPolicy(4), stochastic_gradients=False)
         layer = QuantizedLinear(8, 4, scheme=scheme, rng=rng)
         out = layer(Tensor(rng.standard_normal((3, 8))))
         out.sum().backward()
@@ -99,7 +106,7 @@ class TestQuantizedLinear:
                 marker["called"] = True
                 return super().quantize_gradient(values)
 
-        layer = QuantizedLinear(8, 4, scheme=MarkerScheme(), rng=rng)
+        layer = QuantizedLinear(8, 4, scheme=MarkerScheme(FixedPrecisionPolicy(4)), rng=rng)
         layer(Tensor(rng.standard_normal((2, 8)), requires_grad=True)).sum().backward()
         assert marker["called"]
 
@@ -112,8 +119,8 @@ class TestQuantizedConv2d:
         np.testing.assert_allclose(quantized(Tensor(x)).data, plain(Tensor(x)).data)
 
     def test_quantized_forward_changes_output(self, rng):
-        scheme = BFPScheme(config=BFPConfig(exponent_bits=3), weight_bits=2, activation_bits=2,
-                           gradient_bits=2, stochastic_gradients=False)
+        scheme = BFPScheme(FixedPrecisionPolicy(2), config=BFPConfig(exponent_bits=3),
+                           stochastic_gradients=False)
         layer = QuantizedConv2d(3, 4, 3, padding=1, scheme=scheme, rng=rng)
         x = rng.standard_normal((1, 3, 6, 6))
         quantized_out = layer(Tensor(x)).data
@@ -122,7 +129,7 @@ class TestQuantizedConv2d:
         assert not np.allclose(quantized_out, plain_out)
 
     def test_master_weight_not_overwritten(self, rng):
-        scheme = BFPScheme(stochastic_gradients=False)
+        scheme = BFPScheme(FixedPrecisionPolicy(4), stochastic_gradients=False)
         layer = QuantizedConv2d(3, 4, 3, scheme=scheme, rng=rng)
         original = layer.weight.data.copy()
         layer(Tensor(rng.standard_normal((1, 3, 5, 5))))
@@ -130,13 +137,13 @@ class TestQuantizedConv2d:
         assert layer.weight is layer._parameters["weight"]
 
     def test_grouped_quantized_conv(self, rng):
-        scheme = BFPScheme(stochastic_gradients=False)
+        scheme = BFPScheme(FixedPrecisionPolicy(4), stochastic_gradients=False)
         layer = QuantizedConv2d(4, 4, 3, padding=1, groups=2, scheme=scheme, rng=rng)
         out = layer(Tensor(rng.standard_normal((1, 4, 5, 5))))
         assert out.shape == (1, 4, 5, 5)
 
     def test_backward_produces_gradients(self, rng):
-        scheme = BFPScheme(stochastic_gradients=False)
+        scheme = BFPScheme(FixedPrecisionPolicy(4), stochastic_gradients=False)
         layer = QuantizedConv2d(3, 4, 3, padding=1, scheme=scheme, rng=rng)
         x = Tensor(rng.standard_normal((2, 3, 5, 5)), requires_grad=True)
         layer(x).sum().backward()
@@ -171,14 +178,14 @@ class TestLayerDiscovery:
         model = self.build_model()
         policy = FixedPrecisionPolicy(2)
         for layer in quantized_modules(model):
-            layer.scheme = FASTScheme(policy)
+            layer.scheme = BFPScheme(policy)
         assign_layer_indices(model)
         assert [layer.scheme.layer_index for layer in quantized_modules(model)] == [0, 1, 2]
 
     def test_quantized_training_reduces_loss(self, rng):
         """A small quantized model still learns (straight-through estimator works)."""
-        scheme_factory = lambda: BFPScheme(config=BFPConfig(exponent_bits=3),
-                                           weight_bits=4, activation_bits=4, gradient_bits=4)
+        scheme_factory = lambda: BFPScheme(FixedPrecisionPolicy(4),
+                                           config=BFPConfig(exponent_bits=3))
         model = nn.Sequential(QuantizedLinear(8, 16), nn.ReLU(), QuantizedLinear(16, 2))
         for layer in quantized_modules(model):
             layer.scheme = scheme_factory()

@@ -5,8 +5,12 @@ import pytest
 
 from repro import nn
 from repro.core.bfp import BFPConfig
-from repro.core.precision_policy import FASTAdaptivePolicy
-from repro.nn.quantized import BFPScheme, FASTScheme, QuantizedConv2d, QuantizedLinear
+from repro.core.precision_policy import (
+    FASTAdaptivePolicy,
+    FixedPrecisionPolicy,
+    TemporalPrecisionPolicy,
+)
+from repro.nn.quantized import BFPScheme, QuantizedConv2d, QuantizedLinear
 from repro.nn.tensor import Tensor
 
 
@@ -22,8 +26,10 @@ class CountingBFPScheme(BFPScheme):
         return super().quantize_weight(values)
 
 
-def make_linear(rng_seed=0):
-    scheme = CountingBFPScheme(stochastic_gradients=False)
+def make_linear(rng_seed=0, policy=None):
+    if policy is None:
+        policy = FixedPrecisionPolicy(4)
+    scheme = CountingBFPScheme(policy, stochastic_gradients=False)
     layer = QuantizedLinear(8, 4, scheme=scheme, rng=np.random.default_rng(rng_seed))
     return layer, scheme
 
@@ -46,7 +52,7 @@ class TestCacheHits:
         np.testing.assert_allclose(cached, expected)
 
     def test_conv_layer_caches_too(self, rng):
-        scheme = CountingBFPScheme(stochastic_gradients=False)
+        scheme = CountingBFPScheme(FixedPrecisionPolicy(4), stochastic_gradients=False)
         layer = QuantizedConv2d(3, 4, 3, padding=1, scheme=scheme, rng=np.random.default_rng(0))
         x = Tensor(rng.standard_normal((2, 3, 6, 6)))
         a = layer(x).data
@@ -69,12 +75,16 @@ class TestInvalidation:
         assert scheme.weight_calls == before + 1
 
     def test_changing_scheme_bits_invalidates(self, rng):
-        layer, scheme = make_linear()
+        # 2 bits before iteration 5, 4 bits from it on.
+        policy = TemporalPrecisionPolicy(total_iterations=10, low_to_high=True)
+        layer, scheme = make_linear(policy=policy)
         x = Tensor(rng.standard_normal((3, 8)))
         layer(x)
-        scheme.set_bits("weight", 2)
+        assert scheme.precision_setting()["weight"] == 2
+        scheme.iteration = 5
         layer(x)
         assert scheme.weight_calls == 2
+        assert scheme.precision_setting()["weight"] == 4
 
     def test_load_state_dict_invalidates(self, rng):
         layer, scheme = make_linear()
@@ -104,20 +114,6 @@ class TestInvalidation:
         assert x.grad is not None
 
 
-class CountingFASTScheme(FASTScheme):
-    """FASTScheme that counts weight-quantization invocations."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.weight_calls = 0
-
-    def _quantize_with_bits(self, values, kind, bits):
-        from repro.formats.base import TensorKind
-        if kind == TensorKind.WEIGHT:
-            self.weight_calls += 1
-        return super()._quantize_with_bits(values, kind, bits)
-
-
 class TogglePolicy:
     """Minimal pure policy whose bits decision tests can flip at will."""
 
@@ -142,8 +138,8 @@ class TestFASTSchemeCaching:
         if policy is None:
             policy = FASTAdaptivePolicy(total_layers=2, total_iterations=10,
                                         config=BFPConfig(exponent_bits=8))
-        scheme = CountingFASTScheme(policy, stochastic_gradients=False,
-                                    config=BFPConfig(exponent_bits=8))
+        scheme = CountingBFPScheme(policy, stochastic_gradients=False,
+                                   config=BFPConfig(exponent_bits=8))
         layer = QuantizedLinear(8, 4, scheme=scheme, rng=np.random.default_rng(0))
         return layer, scheme, policy
 
@@ -213,7 +209,7 @@ class TestFASTSchemeCaching:
         layer, scheme, _ = self.make_fast_linear()
         assert scheme.weight_cache_token() is None
         token = scheme.weight_cache_token(layer.weight.data)
-        assert token is not None and token[0] == "fast"
+        assert token is not None and token[0] == "bfp"
         assert token[1] in (2, 4)
 
     def test_standalone_quantize_weight_selects_fresh(self, rng):

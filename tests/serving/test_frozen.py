@@ -5,6 +5,7 @@ import pytest
 
 from repro import nn
 from repro.core.bfp import BFPConfig
+from repro.core.precision_policy import FixedPrecisionPolicy, PrecisionDecision, PrecisionPolicy
 from repro.formats.registry import available_formats
 from repro.models import (
     MLP,
@@ -22,10 +23,22 @@ from repro.training.schedules import (
     FixedBFPSchedule,
     FormatSchedule,
     FP32Schedule,
+    LayerwiseSchedule,
 )
 
 CONFIG = BFPConfig(exponent_bits=8, group_size=16)
 NARROW_CONFIG = BFPConfig(exponent_bits=3, group_size=16)
+
+
+class PerKindPolicy(PrecisionPolicy):
+    """A data-free policy with its own mantissa width per tensor kind."""
+
+    def __init__(self, **bits):
+        super().__init__()
+        self.bits = bits
+
+    def decide(self, tensor_kind, layer_index, iteration, tensor=None):
+        return PrecisionDecision(layer_index, iteration, tensor_kind, self.bits[tensor_kind])
 
 
 def attach(model, schedule):
@@ -120,10 +133,9 @@ class TestFastAdaptiveSnapshot:
         for layer, frozen_layer in zip(quantized_modules(reference), frozen_layers):
             desc = frozen_layer.scheme_desc
             assert desc["frozen_from"] == "fast_adaptive"
-            layer.scheme = BFPScheme(
-                config=CONFIG, weight_bits=desc["weight_bits"],
-                activation_bits=desc["activation_bits"], gradient_bits=4,
-                stochastic_gradients=False)
+            policy = PerKindPolicy(weight=desc["weight_bits"],
+                                   activation=desc["activation_bits"], gradient=4)
+            layer.scheme = BFPScheme(policy, config=CONFIG, stochastic_gradients=False)
         inputs = rng.standard_normal((3, 64))
         np.testing.assert_array_equal(frozen.predict(inputs),
                                       live_logits(reference, inputs))
@@ -138,22 +150,33 @@ class TestFastAdaptiveSnapshot:
 
     def test_freeze_supports_any_policy(self, rng):
         """Policies without high_bits (e.g. fixed) must still freeze."""
-        from repro.core.precision_policy import FixedPrecisionPolicy
-        from repro.nn.quantized import FASTScheme
-
         model = MLP(64, [32], 10, rng=np.random.default_rng(6))
         attach(model, FASTSchedule(config=CONFIG, seed=0))
         for layer in quantized_modules(model):
-            layer.scheme = FASTScheme(FixedPrecisionPolicy(4), config=CONFIG,
-                                      stochastic_gradients=False)
+            layer.scheme = BFPScheme(FixedPrecisionPolicy(4), config=CONFIG,
+                                     stochastic_gradients=False)
         frozen = freeze(model)
         descs = [op.scheme_desc for op in iter_ops(frozen.root)
                  if isinstance(op, FrozenLinear)]
         assert all(d["weight_bits"] == 4 and d["activation_bits"] == 4 for d in descs)
+        assert all("frozen_from" not in d for d in descs)
         inputs = rng.standard_normal((3, 64))
         np.testing.assert_array_equal(frozen.predict(inputs),
                                       live_logits(model, inputs))
 
+
+    def test_data_free_policy_freezes_its_own_activation_bits(self, rng):
+        """A layerwise schedule's activations keep each layer's decided width
+        (not the widest one), so the snapshot equals live eval."""
+        model = MLP(64, [32, 16], 10, rng=np.random.default_rng(6))
+        attach(model, LayerwiseSchedule(low_to_high=False, config=CONFIG, seed=0))
+        frozen = freeze(model)
+        descs = [op.scheme_desc for op in iter_ops(frozen.root)
+                 if isinstance(op, FrozenLinear)]
+        assert [d["activation_bits"] for d in descs] == [4, 4, 2]
+        assert [d["weight_bits"] for d in descs] == [4, 4, 2]
+        inputs = rng.standard_normal((3, 64))
+        np.testing.assert_array_equal(frozen.predict(inputs), live_logits(model, inputs))
 
 class TestFrozenStructure:
     def test_dropout_is_stripped(self):

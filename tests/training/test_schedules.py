@@ -5,7 +5,7 @@ import pytest
 
 from repro import nn
 from repro.models import MLP
-from repro.nn.quantized import BFPScheme, FASTScheme, FormatScheme, IdentityScheme, quantized_modules
+from repro.nn.quantized import BFPScheme, FormatScheme, IdentityScheme, quantized_modules
 from repro.training.schedules import (
     FASTSchedule,
     FixedBFPSchedule,
@@ -111,12 +111,12 @@ class TestLayerwiseSchedule:
 
 
 class TestFASTSchedule:
-    def test_attaches_fast_schemes(self):
+    def test_attaches_policy_driven_schemes(self):
         model = make_model()
         schedule = FASTSchedule(evaluation_interval=5)
         schedule.prepare(model, 50)
         layers = quantized_modules(model)
-        assert all(isinstance(layer.scheme, FASTScheme) for layer in layers)
+        assert all(isinstance(layer.scheme, BFPScheme) for layer in layers)
         assert schedule.policy.total_layers == len(layers)
         assert schedule.policy.total_iterations == 50
 
@@ -139,6 +139,59 @@ class TestFASTSchedule:
         for setting in history.values():
             assert all(bits in (2, 4) for bits in setting)
 
+
+def run_steps(schedule, steps, seed=0):
+    """Forward and backward passes of ``make_model`` for ``steps`` iterations."""
+    model = make_model()
+    schedule.prepare(model, steps)
+    data = np.random.default_rng(seed)
+    for step in range(steps):
+        schedule.on_iteration(step)
+        loss = nn.cross_entropy(model(data.standard_normal((4, 8))), np.zeros(4, dtype=int))
+        loss.backward()
+    return len(quantized_modules(model))
+
+
+class TestSettingHistory:
+    """Every BFP schedule reports (layer, iteration) -> (W, A, G) decisions."""
+
+    def test_empty_before_prepare(self):
+        assert FixedBFPSchedule(2).setting_history() == {}
+
+    def test_fixed_is_constant(self):
+        schedule = FixedBFPSchedule(3)
+        layers = run_steps(schedule, 4)
+        history = schedule.setting_history()
+        assert set(history) == {(layer, it) for layer in range(layers) for it in range(4)}
+        assert set(history.values()) == {(3, 3, 3)}
+
+    @pytest.mark.parametrize("low_to_high", [True, False])
+    def test_temporal_switches_at_fraction_of_iterations(self, low_to_high):
+        steps, fraction = 8, 0.25
+        schedule = TemporalSchedule(low_to_high=low_to_high, switch_fraction=fraction)
+        layers = run_steps(schedule, steps)
+        history = schedule.setting_history()
+        assert len(history) == layers * steps
+        for (layer, iteration), setting in history.items():
+            late = iteration >= fraction * steps
+            bits = 4 if late == low_to_high else 2
+            assert setting == (bits, bits, bits), (layer, iteration)
+
+    @pytest.mark.parametrize("low_to_high", [True, False])
+    def test_layerwise_switches_at_fraction_of_layers(self, low_to_high):
+        fraction = 0.3
+        schedule = LayerwiseSchedule(low_to_high=low_to_high, switch_fraction=fraction)
+        layers = run_steps(schedule, 3)
+        history = schedule.setting_history()
+        assert len(history) == layers * 3
+        deep_layers = set()
+        for (layer, iteration), setting in history.items():
+            deep = layer >= fraction * layers
+            bits = 4 if deep == low_to_high else 2
+            assert setting == (bits, bits, bits), (layer, iteration)
+            if deep:
+                deep_layers.add(layer)
+        assert deep_layers == {1, 2}  # layer 1 of 3 is at depth 0.33 >= 0.3
 
 class TestBuildSchedule:
     @pytest.mark.parametrize("name,expected_type", [
