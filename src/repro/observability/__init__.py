@@ -32,7 +32,7 @@ Components -- usable standalone, independent of the global gate:
 from __future__ import annotations
 
 import threading
-from typing import Optional
+from typing import Callable, Optional
 
 from . import metrics, profiling, tracing
 from .metrics import (
@@ -60,6 +60,7 @@ __all__ = [
     "tracer",
     "active_tracer",
     "reset",
+    "LazyMetrics",
     "MetricsRegistry",
     "Counter",
     "Gauge",
@@ -150,3 +151,23 @@ def reset() -> None:
         _tracer = Tracer(sample_rate=sample_rate)
         if _enabled:
             _profiler = profiling.install(_registry)
+
+
+class LazyMetrics:
+    """A component's metric handles: ``build(registry, **labels)`` runs on
+    first call and after :func:`reset` swaps the registry.  Call it behind
+    the gate.  ``build`` is a plain function: a bound method would keep its
+    owner alive in a reference cycle until the cyclic collector runs."""
+
+    def __init__(self, build: Callable[..., tuple], **labels: str):
+        self._build = build
+        self._labels = labels
+        self._registry: Optional[MetricsRegistry] = None
+        self._handles: tuple = ()
+
+    def __call__(self) -> tuple:
+        current = _registry
+        if self._registry is not current:
+            self._handles = self._build(current, **self._labels)
+            self._registry = current
+        return self._handles

@@ -47,11 +47,15 @@ Fault-tolerance semantics (the robustness layer):
   the in-flight batch descriptively, and triggers bounded
   ``engine.rewarm()`` restarts; when the budget is exhausted the server
   refuses new work (``ServerUnavailable``) and resolves everything pending.
-  A worker thread killed by an uncaught error never strands callers:
-  futures are failed and ``close()`` re-raises with the worker traceback.
-* **Graceful drain** -- ``close(drain=True)`` stops admission, flushes
-  pending work within the close timeout, then cancels stragglers with
-  ``ServerClosed``.  No future ever leaks, on any path.
+* **One lifecycle** -- every front end runs on ``server.LifecycleServer``.
+  A worker killed by an uncaught error fails every held future with
+  ``ServerUnavailable`` carrying the traceback, which ``server.failure``
+  holds and every ``close()`` raises.
+* **Graceful drain** -- ``close(*, drain=True, timeout=10.0)`` stops
+  admission; the worker finishes held work until ``timeout`` seconds out
+  (``None``: no limit), then -- or at once with ``drain=False`` -- fails
+  the rest with ``ServerClosed`` when its current call returns.  Leaving a
+  ``with`` block is ``close()``.  No future ever leaks, on any path.
 
 ``serving.faults.FaultInjectingEngine`` injects deterministic latency
 spikes, transient errors, hard crashes, NaN-poisoned outputs, hard worker

@@ -915,7 +915,7 @@ class ShardedServer:
     # -------------------------------------------------------------- #
     # Lifecycle
     # -------------------------------------------------------------- #
-    def close(self, timeout: Optional[float] = 10.0, drain: bool = True) -> None:
+    def close(self, *, drain: bool = True, timeout: Optional[float] = 10.0) -> None:
         """Drain every shard, stop every worker, release every segment."""
         with self._close_lock:
             if self._closed:
@@ -924,7 +924,7 @@ class ShardedServer:
         errors: List[BaseException] = []
         for shard in self._shards:
             try:
-                shard.server.close(timeout=timeout, drain=drain)
+                shard.server.close(drain=drain, timeout=timeout)
             except BaseException as error:  # noqa: BLE001 - close all anyway
                 errors.append(error)
         for shard in self._shards:

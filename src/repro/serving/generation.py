@@ -25,10 +25,14 @@ autoregressive traffic the way modern LLM servers do:
   incrementally through :meth:`GenerationServer.stream`.
 * **PR 6 semantics** -- per-request ``deadline_ms`` (checked while queued
   *and* between decode steps: :class:`DeadlineExceeded` can interrupt a
-  generation mid-flight), bounded-queue admission with reject/block policies
-  (:class:`ServerOverloaded`), and graceful ``close(drain=True)`` that
-  finishes active sequences before exiting (:class:`ServerClosed` for the
-  rest).
+  generation mid-flight) and bounded-queue admission with reject/block
+  policies (:class:`ServerOverloaded`).
+* **One lifecycle** -- the scheduler runs on the batching server's
+  :class:`~repro.serving.server.LifecycleServer`, with its ``close(*,
+  drain=True, timeout=10.0)`` and worker-death contracts: ``drain=True``
+  finishes active and queued sequences until the horizon; past it the
+  scheduler fails the rest with ``ServerClosed`` once its decode step
+  returns, and only the scheduler frees their KV blocks.
 
 Usage::
 
@@ -46,7 +50,7 @@ import itertools
 import queue
 import threading
 import time
-import traceback
+from collections import deque
 from concurrent.futures import CancelledError, Future
 from dataclasses import dataclass, fields
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -65,9 +69,8 @@ from .server import (
     AdmissionGate,
     DeadlineExceeded,
     InvalidRequest,
-    ServerClosed,
+    LifecycleServer,
     ServerOverloaded,
-    ServerUnavailable,
     settle,
     validate_admission,
 )
@@ -417,8 +420,6 @@ class GenerationConfig:
     kv_mantissa_bits: Optional[int] = None
     kv_group_size: int = 16
     kv_exponent_bits: Optional[int] = 8
-    idle_poll_ms: float = 20.0
-    close_timeout_s: float = 30.0
 
     def __post_init__(self):
         if self.max_active <= 0:
@@ -454,10 +455,39 @@ class GenerationStats:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
+def _generation_metrics(registry, **labels):
+    return (
+        registry.counter(
+            "generation_tokens_total",
+            help="Tokens emitted by the generation server.",
+            **labels),
+        registry.counter(
+            "generation_steps_total",
+            help="Continuous-batching decode steps executed.",
+            **labels),
+        registry.histogram(
+            "generation_step_ms",
+            help="Wall time of one batched decode step in milliseconds.",
+            **labels),
+        registry.histogram(
+            "generation_ttft_ms",
+            help="Time to first token in milliseconds.",
+            **labels),
+        registry.gauge(
+            "generation_active_sequences",
+            help="Sequences being decoded this step.",
+            **labels),
+        registry.gauge(
+            "generation_cache_blocks_used",
+            help="KV cache blocks currently reserved.",
+            **labels),
+    )
+
+
 # --------------------------------------------------------------------------- #
 # The server
 # --------------------------------------------------------------------------- #
-class GenerationServer:
+class GenerationServer(LifecycleServer):
     """Continuous-batching greedy-generation server over a frozen seq2seq.
 
     A single scheduler thread runs the decode loop: between any two decode
@@ -467,6 +497,8 @@ class GenerationServer:
     to drain -- a new sequence joins mid-flight at its own position 0 while
     its companions continue at theirs.
     """
+
+    _label = "generation server"
 
     def __init__(self, model, config: Optional[GenerationConfig] = None,
                  name: str = "generation"):
@@ -502,33 +534,27 @@ class GenerationServer:
         self._dtype = self.cache.dtype
 
         self._seq_ids = itertools.count()
-        self._pending: "queue.Queue" = queue.Queue()
+        # Submitters append; only the scheduler pops (deque ops are atomic).
+        self._pending: "deque[_Sequence]" = deque()
         self._active: List[_Sequence] = []
         self._caches: Dict[int, object] = {}
         self._batch_mkv = None      # rebuilt when batch composition changes
         self._batch_mmask = None
-        self._lock = threading.Lock()
-        self._closed = False  # guarded-by: _lock
-        self._draining = False  # guarded-by: _lock
-        self._failure: Optional[str] = None  # guarded-by: _lock
-        self._gate = AdmissionGate(self.config, "generation server")
-        # Stats (guarded by _lock).
-        self._submitted = 0  # guarded-by: _lock
-        self._completed = 0  # guarded-by: _lock
-        self._failed = 0  # guarded-by: _lock
-        self._tokens = 0  # guarded-by: _lock
-        self._steps = 0  # guarded-by: _lock
-        self._step_batch_total = 0  # guarded-by: _lock
-        self._first_token_at: Optional[float] = None  # guarded-by: _lock
-        self._last_token_at: Optional[float] = None  # guarded-by: _lock
-        self._ttft_hist = LatencyHistogram("generation_ttft_ms")  # guarded-by: _lock
-        self._step_hist = LatencyHistogram("generation_step_ms")  # guarded-by: _lock
-        self._obs_metrics = None
-        self._obs_registry = None
+        self._gate = AdmissionGate(self.config, self._label)
+        self._stats_lock = threading.Lock()
+        self._submitted = 0  # guarded-by: _stats_lock
+        self._completed = 0  # guarded-by: _stats_lock
+        self._failed = 0  # guarded-by: _stats_lock
+        self._tokens = 0  # guarded-by: _stats_lock
+        self._steps = 0  # guarded-by: _stats_lock
+        self._step_batch_total = 0  # guarded-by: _stats_lock
+        self._first_token_at: Optional[float] = None  # guarded-by: _stats_lock
+        self._last_token_at: Optional[float] = None  # guarded-by: _stats_lock
+        self._ttft_hist = LatencyHistogram("generation_ttft_ms")  # guarded-by: _stats_lock
+        self._step_hist = LatencyHistogram("generation_step_ms")  # guarded-by: _stats_lock
+        self._metrics = observability.LazyMetrics(_generation_metrics, server=name)
         self._wake = threading.Event()
-        self._worker = threading.Thread(target=self._run,
-                                        name=f"{name}-scheduler", daemon=True)
-        self._worker.start()
+        super().__init__()
 
     # ------------------------------ submission ------------------------ #
     def _validate(self, src_tokens) -> np.ndarray:
@@ -565,24 +591,19 @@ class GenerationServer:
         deadline = None if deadline_ms is None else now + deadline_ms / 1e3
         sequence = _Sequence(next(self._seq_ids), src, steps, deadline,
                              stream, now)
-        with self._lock:
-            if self._closed or self._draining:
-                refused = ServerClosed("generation server is closed")
-            elif self._failure is not None:
-                refused = ServerUnavailable(
-                    f"generation server is unavailable: {self._failure}")
-            else:
-                refused = None
-                self._submitted += 1
-                # Under the lock, so close() cannot finish between the
-                # check and the put and strand the sequence.
-                self._pending.put(sequence)
-        if refused is not None:
+        try:
+            self._accept(self._put, sequence)
+        except BaseException:
             release()
-            raise refused
+            raise
         stream.future.add_done_callback(release)
         self._wake.set()
         return stream
+
+    def _put(self, sequence: _Sequence) -> None:
+        with self._stats_lock:
+            self._submitted += 1
+        self._pending.append(sequence)
 
     def submit(self, src_tokens, max_new_tokens: Optional[int] = None,
                deadline_ms: Optional[float] = None) -> "Future[GenerationResult]":
@@ -604,30 +625,25 @@ class GenerationServer:
                            deadline_ms).result(timeout=timeout)
 
     # ------------------------------ scheduler ------------------------- #
-    def _run(self) -> None:
-        try:
-            while True:
-                with self._lock:
-                    closed = self._closed
-                    draining = self._draining
-                if closed and not draining:
-                    self._abort_everything(ServerClosed("server is closed"))
-                    return
-                self._retire()
-                self._admit()
-                if not self._active:
-                    if draining and self._pending.empty():
-                        return
-                    self._wake.wait(timeout=self.config.idle_poll_ms / 1e3)
-                    self._wake.clear()
-                    continue
+    def _wake_worker(self) -> None:
+        self._wake.set()
+
+    def _serve(self) -> None:
+        """The scheduler loop: retire, admit, then one decode step for every
+        active sequence; idle, it blocks until a submit or close wakes it."""
+        while not self._expired():
+            self._retire()
+            self._admit()
+            if self._active:
                 self._decode_step()
-        except BaseException:  # noqa: BLE001 - worker death must not strand callers
-            failure = traceback.format_exc()
-            with self._lock:
-                self._failure = f"scheduler thread died:\n{failure}"
-            self._abort_everything(ServerUnavailable(
-                "generation scheduler died; see server.failure for traceback"))
+                continue
+            # Read closing first: what close() let in is already queued.
+            closing = self._closing()
+            if not self._pending:
+                if closing:
+                    return
+                self._wake.wait()
+                self._wake.clear()
 
     def _retire(self) -> None:
         """Before a decode step: drop sequences their caller cancelled and
@@ -645,8 +661,8 @@ class GenerationServer:
         admitted = []
         while len(self._active) + len(admitted) < self.config.max_active:
             try:
-                sequence = self._pending.get_nowait()
-            except queue.Empty:
+                sequence = self._pending.popleft()
+            except IndexError:
                 break
             now = time.monotonic()
             if sequence.stream.future.cancelled():
@@ -656,16 +672,11 @@ class GenerationServer:
                 self._finish(sequence, error=DeadlineExceeded(
                     "deadline expired while queued for admission"))
                 continue
-            with self._lock:
-                closed = self._closed and not self._draining
-            if closed:
-                self._finish(sequence, error=ServerClosed("server is closed"))
-                continue
             if not self.cache.can_reserve(sequence.max_new_tokens):
-                # Pool momentarily full: put it back and stop admitting; a
-                # retirement will free blocks. (Reservation is worst-case,
-                # so this is the only place a sequence can wait on cache.)
-                self._requeue(sequence)
+                # Pool momentarily full: put it back in front and stop
+                # admitting; a retirement will free blocks. (Reservation is
+                # worst-case, so this is the only place a sequence waits.)
+                self._pending.appendleft(sequence)
                 break
             # Reserve now so the can_reserve check above stays truthful for
             # the rest of this admission round.
@@ -673,17 +684,6 @@ class GenerationServer:
             admitted.append(sequence)
         if admitted:
             self._prefill_batch(admitted)
-
-    def _requeue(self, sequence: _Sequence) -> None:
-        # Preserve FIFO as far as queue.Queue allows: drain + put-front.
-        backlog = [sequence]
-        while True:
-            try:
-                backlog.append(self._pending.get_nowait())
-            except queue.Empty:
-                break
-        for item in backlog:
-            self._pending.put(item)
 
     def _prefill_batch(self, sequences: List[_Sequence]) -> None:
         """Encode newly admitted sequences, batching same-length sources.
@@ -696,6 +696,11 @@ class GenerationServer:
         groups: Dict[int, List[_Sequence]] = {}
         for sequence in sequences:
             groups.setdefault(sequence.src_length, []).append(sequence)
+        # Active before any prefill runs, so a prefill that kills the
+        # scheduler leaves them (and their blocks) to the abort-all.
+        for group in groups.values():
+            self._active.extend(group)
+        self._batch_mkv = None  # composition changed
         for group in groups.values():
             group_started = time.monotonic()
             _, memory_kv = self.root.prefill(np.stack([s.src for s in group]))
@@ -710,8 +715,6 @@ class GenerationServer:
                 sequence.token = self.bos_index
                 sequence.position = 0
                 sequence.prefill_ms = prefill_ms
-                self._active.append(sequence)
-        self._batch_mkv = None  # composition changed
         tracer = observability.active_tracer()
         if tracer is not None and tracer.armed:
             tracer.add_event("prefill", started, time.monotonic() - started,
@@ -771,14 +774,14 @@ class GenerationServer:
                 sequence.first_token_at = now
                 ttft_ms = (now - sequence.submitted) * 1e3
                 first_token_ttfts.append(ttft_ms)
-                with self._lock:
+                with self._stats_lock:
                     self._ttft_hist.observe(ttft_ms)
             sequence.stream._emit(token)
             if token == self.eos_index:
                 self._finish(sequence, self._result(sequence, "eos"))
             elif len(sequence.generated) >= sequence.max_new_tokens:
                 self._finish(sequence, self._result(sequence, "length"))
-        with self._lock:
+        with self._stats_lock:
             self._steps += 1
             self._step_batch_total += len(batch)
             self._tokens += emitted
@@ -814,62 +817,26 @@ class GenerationServer:
             self._batch_mkv = None
         self.cache.release(sequence.seq_id)
         resolved = settle(sequence.stream.future, result, error)
-        with self._lock:
+        with self._stats_lock:
             if resolved and error is None:
                 self._completed += 1
             else:
                 self._failed += 1
         sequence.stream._close()
 
-    def _abort_everything(self, error: Exception) -> None:
+    def _abort_all(self, error: BaseException) -> None:
+        """Finish every held sequence with ``error`` (the lifecycle's abort)."""
         for sequence in list(self._active):
             self._finish(sequence, error=error)
-        while True:
-            try:
-                sequence = self._pending.get_nowait()
-            except queue.Empty:
-                break
-            self._finish(sequence, error=error)
+        while self._pending:  # nothing is appended once the loop has ended
+            self._finish(self._pending.popleft(), error=error)
 
     # ------------------------------ observability --------------------- #
-    def _generation_metrics(self):
-        registry = observability.registry()  # repro-lint: disable=RL003 -- lazy handle (re)build; callers gate
-        if self._obs_metrics is None or self._obs_registry is not registry:
-            self._obs_metrics = (
-                registry.counter(
-                    "generation_tokens_total",
-                    help="Tokens emitted by the generation server.",
-                    server=self.name),
-                registry.counter(
-                    "generation_steps_total",
-                    help="Continuous-batching decode steps executed.",
-                    server=self.name),
-                registry.histogram(
-                    "generation_step_ms",
-                    help="Wall time of one batched decode step in milliseconds.",
-                    server=self.name),
-                registry.histogram(
-                    "generation_ttft_ms",
-                    help="Time to first token in milliseconds.",
-                    server=self.name),
-                registry.gauge(
-                    "generation_active_sequences",
-                    help="Sequences being decoded this step.",
-                    server=self.name),
-                registry.gauge(
-                    "generation_cache_blocks_used",
-                    help="KV cache blocks currently reserved.",
-                    server=self.name),
-            )
-            self._obs_registry = registry
-        return self._obs_metrics
-
     def _observe_step(self, batch: int, step_ms: float, started: float,
                       first_token_ttfts: Sequence[float]) -> None:
         if not observability.enabled():
             return
-        tokens, steps, step_hist, ttft_hist, active, blocks = \
-            self._generation_metrics()
+        tokens, steps, step_hist, ttft_hist, active, blocks = self._metrics()
         tokens.inc(batch)
         steps.inc()
         step_hist.observe(step_ms)
@@ -885,9 +852,9 @@ class GenerationServer:
                       "cache_blocks_used":
                           self.cache.total_blocks - self.cache.free_blocks})
 
-    # ------------------------------ stats / lifecycle ----------------- #
+    # ------------------------------ stats ----------------------------- #
     def stats(self) -> GenerationStats:
-        with self._lock:
+        with self._stats_lock:
             ttft = self._ttft_hist.percentiles()
             step = self._step_hist.percentiles()
             window = None
@@ -907,37 +874,6 @@ class GenerationServer:
                 ttft_ms_p50=ttft[0], ttft_ms_p95=ttft[1], ttft_ms_p99=ttft[2],
                 step_ms_p50=step[0], step_ms_p95=step[1], step_ms_p99=step[2],
                 active_sequences=len(self._active),
-                pending_sequences=self._pending.qsize(),
+                pending_sequences=len(self._pending),
                 cache=self.cache.stats().as_dict(),
             )
-
-    @property
-    def failure(self) -> Optional[str]:
-        with self._lock:
-            return self._failure
-
-    def close(self, drain: bool = True,
-              timeout: Optional[float] = None) -> None:
-        """Stop admission; with ``drain`` finish active + pending sequences
-        first, otherwise fail them with :class:`ServerClosed`."""
-        with self._lock:
-            if self._closed:
-                self._worker.join(timeout or self.config.close_timeout_s)
-                return
-            self._closed = True
-            self._draining = drain
-        self._wake.set()
-        self._worker.join(timeout or self.config.close_timeout_s)
-        if self._worker.is_alive():
-            # Drain overran its budget: force-fail what's left.
-            with self._lock:
-                self._draining = False
-            self._wake.set()
-            self._worker.join(self.config.close_timeout_s)
-        self._abort_everything(ServerClosed("server is closed"))
-
-    def __enter__(self) -> "GenerationServer":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close(drain=exc_info[0] is None)

@@ -38,13 +38,18 @@ Robustness layer (what makes the server fit for sustained traffic):
   marks the server degraded, fails the in-flight batch descriptively, and
   triggers bounded ``engine.rewarm()`` restart attempts; if they are
   exhausted the server refuses new work (:class:`ServerUnavailable`) and
-  resolves everything pending.  A worker thread that dies from an uncaught
-  error never strands callers: every pending future is failed, and
-  :meth:`InferenceServer.close` re-raises with the worker's traceback.
-* **Graceful drain** -- ``close(drain=True)`` stops admission, flushes
-  pending work within the close timeout, then cancels stragglers with
-  :class:`ServerClosed`; ``drain=False`` cancels immediately.  Either way
-  no future is ever left unresolved.
+  resolves everything pending.
+* **One lifecycle** -- this server (so each ``ShardedServer`` shard) and the
+  ``GenerationServer`` run on one :class:`LifecycleServer`.  A worker dying
+  of an uncaught error fails every held future with
+  :class:`ServerUnavailable` carrying the traceback; ``failure`` holds it
+  and every ``close()`` raises it.
+* **Graceful drain** -- ``close(*, drain=True, timeout=10.0)`` stops
+  admission; the worker finishes held work until ``timeout`` seconds out
+  (``None``: no limit), then -- or at once with ``drain=False`` -- fails
+  the rest with :class:`ServerClosed` when its current call returns.
+  ``close()`` raises if the worker outlives that horizon by
+  :data:`CLOSE_GRACE_S`.  Leaving a ``with`` block is ``close()``.
 
 Both submission styles are provided: :meth:`InferenceServer.submit` returns
 a ``concurrent.futures.Future`` (async), :meth:`InferenceServer.predict`
@@ -54,6 +59,7 @@ accounting (queue wait, compute time, batch size, retries).
 
 from __future__ import annotations
 
+import math
 import queue
 import threading
 import time
@@ -114,7 +120,8 @@ class ServerClosed(ServingError):
 
 
 class ServerUnavailable(ServingError):
-    """The engine crashed and could not be restarted; the server refuses work."""
+    """The server refuses work: its engine could not be restarted, or its
+    worker died (the message then carries the worker's traceback)."""
 
 
 class NonFiniteOutput(ServingError):
@@ -213,6 +220,141 @@ def settle(future: Future, result=None,
     except InvalidStateError:
         return False
     return True
+
+
+#: How long ``close()`` waits for the worker past the close horizon.
+CLOSE_GRACE_S = 1.0
+
+
+class _Stopped(Exception):
+    """Raised by :meth:`LifecycleServer._fail` to end the serve loop."""
+
+
+class LifecycleServer:
+    """The lifecycle every front end runs on: one worker thread, its
+    ``closed`` / ``state`` / ``failure`` under one lock, the submit-side
+    check, the close horizon and the worker-death capture.
+
+    A subclass sets ``_label``, builds what its hooks use, then calls
+    ``super().__init__()``, which starts the worker.  The hooks:
+    ``_serve``, the loop, which asks :meth:`_closing` / :meth:`_expired`
+    when to return; ``_wake_worker``, which unblocks that loop; and
+    ``_abort_all(error)``, which fails all the server holds and runs on the
+    worker once ``_serve`` ends, so only the worker resolves what it holds.
+    """
+
+    _label = "server"  # names the worker thread and this server's errors
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._closed = False  # guarded-by: _lock
+        self._horizon = math.inf  # monotonic close horizon  # guarded-by: _lock
+        self._state = "healthy"  # healthy | degraded | failed  # guarded-by: _lock
+        self._reason: Optional[str] = None  # why the state is failed  # guarded-by: _lock
+        self._failure: Optional[str] = None  # the dead worker's traceback  # guarded-by: _lock
+        # The thread drops its target when it ends: a closed server is in
+        # no reference cycle.
+        self._thread = threading.Thread(target=self._run_worker,
+                                        name=f"{self._label} worker", daemon=True)
+        self._thread.start()
+
+    def _accept(self, put: Callable[[object], None], item: object) -> None:
+        """``put(item)`` while the server accepts work, else raise.  Under
+        the lock ``close()`` takes, so no item lands behind the exit."""
+        with self._lock:
+            if self._closed:
+                raise ServerClosed(f"{self._label} is closed")
+            if self._state == "failed":
+                raise ServerUnavailable(
+                    f"{self._label} is unavailable: {self._reason}")
+            put(item)
+
+    @property
+    def state(self) -> str:
+        """``"healthy"`` | ``"degraded"`` (recovering) | ``"failed"``."""
+        with self._lock:
+            return self._state
+
+    @property
+    def failure(self) -> Optional[str]:
+        """The traceback that killed the worker, or ``None``."""
+        with self._lock:
+            return self._failure
+
+    def _closing(self) -> bool:
+        """Whether ``close()`` was called: finish what is held, then return."""
+        with self._lock:
+            return self._closed
+
+    def _expired(self) -> bool:
+        """Whether the close horizon has passed: return now."""
+        with self._lock:
+            return self._closed and time.monotonic() >= self._horizon
+
+    def _set_state(self, state: str) -> None:
+        """Mark the server ``"healthy"`` or ``"degraded"``."""
+        with self._lock:
+            self._state = state
+
+    def _fail(self, reason: str) -> None:
+        """Refuse work and end the serve loop: a handled end, so held work
+        fails with :class:`ServerUnavailable` but ``failure`` stays None."""
+        with self._lock:
+            self._state = "failed"
+            self._reason = reason
+        raise _Stopped(reason)
+
+    def _death(self, formatted: str) -> ServerUnavailable:
+        return ServerUnavailable(
+            f"{self._label} worker died from an uncaught error:\n{formatted}")
+
+    def _run_worker(self) -> None:
+        try:
+            self._serve()
+        except _Stopped as stopped:
+            error: BaseException = ServerUnavailable(
+                f"{self._label} is unavailable: {stopped}")
+        except BaseException:  # noqa: BLE001 - record, resolve, raise via close()
+            formatted = traceback.format_exc()
+            with self._lock:
+                self._state = "failed"
+                self._reason = "its worker died from an uncaught error"
+                self._failure = formatted
+            error = self._death(formatted)
+        else:
+            error = ServerClosed(f"{self._label} closed before request completed")
+        self._abort_all(error)
+
+    def close(self, *, drain: bool = True, timeout: Optional[float] = 10.0) -> None:
+        """Stop admission and shut the worker down, as the
+        :mod:`repro.serving.server` docstring says; closing again waits for
+        the same exit."""
+        with self._lock:
+            first = not self._closed
+            if first:
+                self._closed = True
+                if not drain:
+                    self._horizon = time.monotonic()
+                elif timeout is not None:
+                    self._horizon = time.monotonic() + max(timeout, 0.0)
+            horizon = self._horizon
+        if first:
+            self._wake_worker()
+        self._thread.join(None if horizon == math.inf else
+                          max(0.0, horizon + CLOSE_GRACE_S - time.monotonic()))
+        failure = self.failure
+        if failure is not None:
+            raise self._death(failure)
+        if self._thread.is_alive():
+            raise RuntimeError(
+                f"{self._label} worker did not exit within {CLOSE_GRACE_S}s "
+                "of its close horizon (a call wedged past it?)")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
 
 @dataclass(frozen=True)
@@ -425,15 +567,35 @@ class _Request:
         self.trace_id = trace_id  # sampled-tracing id, None when unsampled
 
 
-class _Shutdown:
-    __slots__ = ("drain", "deadline")
+def _server_metrics(registry, **labels):
+    return (
+        registry.counter(
+            "serving_requests_total",
+            help="Requests completed by the batching server.",
+            **labels),
+        registry.counter(
+            "serving_batches_total",
+            help="Batches executed by the batching server.",
+            **labels),
+        registry.histogram(
+            "serving_request_latency_ms",
+            help="End-to-end request latency in milliseconds.",
+            **labels),
+        registry.histogram(
+            "serving_batch_compute_ms",
+            help="Engine compute time per batch in milliseconds.",
+            **labels),
+        registry.gauge(
+            "serving_queue_depth",
+            help="Requests admitted but not yet completed.",
+            **labels),
+    )
 
-    def __init__(self, drain: bool, deadline: float):
-        self.drain = drain
-        self.deadline = deadline
+
+_SHUTDOWN = object()  # the wake hook's queue sentinel: close() was called
 
 
-class InferenceServer:
+class InferenceServer(LifecycleServer):
     """Dynamic-batching, fault-tolerant request server over an
     :class:`InferenceEngine`."""
 
@@ -443,21 +605,11 @@ class InferenceServer:
         self.config = config if config is not None else BatchingConfig()
         self.name = name  # label on this server's global-registry metrics
         self._queue: "queue.Queue" = queue.Queue()
-        self._closed = False  # guarded-by: _submit_lock
-        self._state = "healthy"  # healthy | degraded | failed  # guarded-by: _submit_lock
-        self._failure_reason: Optional[str] = None  # guarded-by: _submit_lock
-        self._worker_error: Optional[str] = None  # guarded-by: _submit_lock
-        # Serializes the closed/state-check-then-put in submit() against
-        # close() and against the supervisor marking the server failed:
-        # without it a request could land in the queue after the shutdown
-        # sentinel (or after the final drain) and its future would never
-        # resolve.
-        self._submit_lock = threading.Lock()
         self._stats_lock = threading.Lock()
-        self._gate = AdmissionGate(self.config, "server")
-        # Worker-owned batching state.  Instance attributes (not _run
-        # locals) so the failure paths -- worker death, engine failure,
-        # drain cancellation -- can resolve every pending future.
+        self._gate = AdmissionGate(self.config, self._label)
+        # Worker-owned batching state.  Instance attributes (not _serve
+        # locals) so the abort-all -- worker death, engine failure, drain
+        # expiry -- can resolve every pending future.
         self._pending: Dict[Tuple, List[_Request]] = {}
         self._flush_deadlines: Dict[Tuple, float] = {}
         self._retry_buffer: List[_Request] = []
@@ -467,10 +619,7 @@ class InferenceServer:
         # are computed the same way as the load rig's (loadgen.py).
         self._latency_hist = LatencyHistogram("serving_request_latency_ms")  # guarded-by: _stats_lock
         self._batched_requests = 0  # sum of executed batch sizes  # guarded-by: _stats_lock
-        # Lazily-created global-registry metrics, only while the
-        # observability gate is enabled (None otherwise).
-        self._obs_metrics = None
-        self._obs_registry = None
+        self._metrics = observability.LazyMetrics(_server_metrics, server=name)
         self._completed = 0  # guarded-by: _stats_lock
         self._batches = 0  # guarded-by: _stats_lock
         self._inflight = 0  # guarded-by: _stats_lock
@@ -483,9 +632,7 @@ class InferenceServer:
         self._engine_restarts = 0  # guarded-by: _stats_lock
         self._first_enqueued: Optional[float] = None  # guarded-by: _stats_lock
         self._last_completed: Optional[float] = None  # guarded-by: _stats_lock
-        self._worker = threading.Thread(target=self._run, name="inference-server",
-                                        daemon=True)
-        self._worker.start()
+        super().__init__()
 
     # -------------------------------------------------------------- #
     # Submission APIs
@@ -529,15 +676,8 @@ class InferenceServer:
                 self._first_enqueued = now
             self._inflight += 1
         try:
-            with self._submit_lock:
-                if self._closed:
-                    raise ServerClosed("server is closed")
-                if self._state == "failed":
-                    raise ServerUnavailable(
-                        "server is unavailable: "
-                        f"{self._failure_reason or 'engine failed'}")
-                self._queue.put(_Request(payload, future, now, deadline_ms,
-                                         trace_id=trace_id))
+            self._accept(self._queue.put, _Request(
+                payload, future, now, deadline_ms, trace_id=trace_id))
         except BaseException:
             # The future will never resolve; undo its admission accounting.
             future.set_exception(ServerClosed("request was never enqueued"))
@@ -558,60 +698,13 @@ class InferenceServer:
         return self.submit(request, deadline_ms=deadline_ms).result(timeout=timeout)
 
     # -------------------------------------------------------------- #
-    # Health / load, cheap enough for a router's per-request hot path
+    # Load, cheap enough for a router's per-request hot path (as ``state``)
     # -------------------------------------------------------------- #
-    @property
-    def state(self) -> str:
-        """``"healthy"`` | ``"degraded"`` (crash recovery in progress) |
-        ``"failed"`` (restart budget exhausted, refusing work)."""
-        with self._submit_lock:
-            return self._state
-
     @property
     def queue_depth(self) -> int:
         """Unresolved requests currently held (queued, batched, or retrying)."""
         with self._stats_lock:
             return self._inflight
-
-    # -------------------------------------------------------------- #
-    # Lifecycle
-    # -------------------------------------------------------------- #
-    def close(self, timeout: Optional[float] = 10.0, drain: bool = True) -> None:
-        """Stop accepting requests, then shut the worker down.
-
-        With ``drain=True`` (default) the worker keeps flushing pending
-        batches until they are done or ``timeout`` seconds elapse; whatever
-        remains is cancelled with :class:`ServerClosed`.  With
-        ``drain=False`` pending work is cancelled immediately.  Every
-        outstanding future is resolved either way.
-
-        If the worker thread died from an uncaught error, re-raises here
-        with the worker's stored traceback so the failure is not silent.
-        """
-        with self._submit_lock:
-            first_close = not self._closed
-            self._closed = True
-            if first_close:
-                horizon = time.monotonic() + (timeout if timeout is not None else 60.0)
-                self._queue.put(_Shutdown(drain=drain, deadline=horizon))
-        self._worker.join(timeout=None if timeout is None else timeout + 1.0)
-        # join(timeout) can return while the worker is still recording its
-        # failure; read the error under the lock that publishes it.
-        with self._submit_lock:
-            worker_error = self._worker_error
-        if worker_error is not None:
-            raise RuntimeError(
-                "inference worker died from an uncaught error:\n" + worker_error)
-        if self._worker.is_alive():
-            raise RuntimeError(
-                f"inference worker did not exit within {timeout}s of close() "
-                "(engine call wedged?)")
-
-    def __enter__(self) -> "InferenceServer":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
 
     # -------------------------------------------------------------- #
     # Bucketing / assembly
@@ -740,8 +833,7 @@ class InferenceServer:
         for request in requests:
             self._fail_request(request, EngineCrash(
                 f"engine crashed while serving this batch: {error!r}"))
-        with self._submit_lock:
-            self._state = "degraded"
+        self._set_state("degraded")
         with self._stats_lock:
             self._engine_crashes += 1
         for attempt in range(1, self.config.engine_restart_limit + 1):
@@ -755,20 +847,14 @@ class InferenceServer:
                 rewarm()
             except BaseException:  # noqa: BLE001 - try the next attempt
                 continue
-            with self._submit_lock:
-                self._state = "healthy"
+            self._set_state("healthy")
             with self._stats_lock:
                 self._engine_restarts += 1
             return
         # Restart budget exhausted: refuse new work, resolve everything.
-        reason = (
+        self._fail(
             f"engine crashed ({error!r}) and {self.config.engine_restart_limit} "
             "rewarm attempts failed")
-        with self._submit_lock:
-            self._state = "failed"
-            self._failure_reason = reason
-        self._abort_pending(ServerUnavailable(reason))
-        raise _ServerFailed()
 
     def _execute(self, base_key: Tuple, requests: List[_Request]) -> None:
         requests = self._shed_expired(requests, time.monotonic())
@@ -869,37 +955,9 @@ class InferenceServer:
                          max(0.0, done - t_assembled - 2 * leg_s), args=args)
         tracer.add_event("transport", done - leg_s, leg_s, args=args)
 
-    def _server_metrics(self):
-        registry = observability.registry()  # repro-lint: disable=RL003 -- lazy handle (re)build; callers gate
-        if self._obs_metrics is None or self._obs_registry is not registry:
-            self._obs_metrics = (
-                registry.counter(
-                    "serving_requests_total",
-                    help="Requests completed by the batching server.",
-                    server=self.name),
-                registry.counter(
-                    "serving_batches_total",
-                    help="Batches executed by the batching server.",
-                    server=self.name),
-                registry.histogram(
-                    "serving_request_latency_ms",
-                    help="End-to-end request latency in milliseconds.",
-                    server=self.name),
-                registry.histogram(
-                    "serving_batch_compute_ms",
-                    help="Engine compute time per batch in milliseconds.",
-                    server=self.name),
-                registry.gauge(
-                    "serving_queue_depth",
-                    help="Requests admitted but not yet completed.",
-                    server=self.name),
-            )
-            self._obs_registry = registry
-        return self._obs_metrics
-
     def _observe_batch(self, requests: List[_Request], batch_size: int,
                        compute_ms: float, done: float) -> None:
-        req_total, batch_total, latency, compute, depth = self._server_metrics()
+        req_total, batch_total, latency, compute, depth = self._metrics()
         req_total.inc(batch_size)
         batch_total.inc()
         compute.observe(compute_ms)
@@ -921,11 +979,10 @@ class InferenceServer:
         full-batch flush ran (so the caller can re-check deadlines)."""
         try:
             key = (self._bucket_key(request.payload), request.tag)
-        except BaseException as error:  # noqa: BLE001 - resolve, then re-raise
-            # The request is in no structure _abort_pending can reach; its
-            # future must be resolved here or it leaks when the worker dies.
-            self._fail_request(request, RuntimeError(
-                f"failed to bucket request: {error!r}"))
+        except BaseException:  # noqa: BLE001 - keep it reachable, re-raise
+            # Park the request where _abort_all finds it, so the worker's
+            # death fails it like every other held request.
+            self._retry_buffer.append(request)
             raise
         bucket = self._pending.setdefault(key, [])
         bucket.append(request)
@@ -946,7 +1003,7 @@ class InferenceServer:
             try:
                 self._admit_to_bucket(request, delay_s)
             except BaseException:  # noqa: BLE001 - keep the rest reachable
-                # Put untouched retries back so _abort_pending resolves them.
+                # Put untouched retries back so _abort_all resolves them.
                 self._retry_buffer.extend(due[index + 1:])
                 raise
 
@@ -962,15 +1019,14 @@ class InferenceServer:
                 item = self._queue.get(timeout=timeout)
             except queue.Empty:
                 item = _TIMEOUT
-            shutdown = None
             # Drain the backlog greedily before looking at deadlines:
             # requests that arrived while the previous batch was executing
             # carry already-expired flush deadlines, and must coalesce into
             # full batches instead of flushing one by one.
             while item is not _TIMEOUT:
-                if isinstance(item, _Shutdown):
-                    shutdown = item
-                    break
+                if item is _SHUTDOWN:
+                    self._drain(delay_s)
+                    return
                 flushed = self._admit_to_bucket(item, delay_s)
                 # A full-batch flush blocks on the engine; if it left
                 # another bucket's deadline expired, break out so the
@@ -984,37 +1040,29 @@ class InferenceServer:
                     item = self._queue.get_nowait()
                 except queue.Empty:
                     item = _TIMEOUT
-            if shutdown is not None:
-                self._drain_and_exit(shutdown, delay_s)
-                return
             now = time.monotonic()
             self._shed_over_watermark(now)
             for key in [k for k, deadline in self._flush_deadlines.items()
                         if deadline <= now]:
                 self._flush(key)
 
-    def _drain_and_exit(self, shutdown: _Shutdown, delay_s: float) -> None:
-        """Graceful drain: flush pending within the deadline, cancel the rest."""
-        while True:
-            try:
-                item = self._queue.get_nowait()
-            except queue.Empty:
-                break
-            if not isinstance(item, _Shutdown):
-                self._admit_to_bucket(item, delay_s)
-        if shutdown.drain:
-            while ((self._pending or self._retry_buffer)
-                   and time.monotonic() < shutdown.deadline):
-                for request in self._retry_buffer:
-                    request.ready_at = 0.0  # drain ignores retry backoff
-                self._release_due_retries(time.monotonic(), delay_s)
-                for key in list(self._pending):
-                    if time.monotonic() >= shutdown.deadline:
-                        break
-                    self._flush(key)
-        self._abort_pending(ServerClosed("server closed before request completed"))
+    def _wake_worker(self) -> None:
+        self._queue.put(_SHUTDOWN)
 
-    def _abort_pending(self, error: BaseException) -> None:
+    def _drain(self, delay_s: float) -> None:
+        """Graceful drain: flush what is held until the close horizon; the
+        lifecycle then fails the rest.  Every accepted request was queued
+        ahead of the sentinel, so the queue holds nothing to admit."""
+        while (self._pending or self._retry_buffer) and not self._expired():
+            for request in self._retry_buffer:
+                request.ready_at = 0.0  # drain ignores retry backoff
+            self._release_due_retries(time.monotonic(), delay_s)
+            for key in list(self._pending):
+                if self._expired():
+                    break
+                self._flush(key)
+
+    def _abort_all(self, error: BaseException) -> None:
         """Resolve every future the server still holds.  Futures must never
         leak: this runs on worker death, engine failure, and drain expiry."""
         for requests in self._pending.values():
@@ -1032,22 +1080,6 @@ class InferenceServer:
                 return
             if isinstance(item, _Request):
                 self._fail_request(item, error)
-
-    def _run(self) -> None:
-        try:
-            self._serve()
-        except _ServerFailed:
-            # Engine supervision exhausted its restart budget: a handled
-            # terminal state, already aborted -- not a worker bug.
-            pass
-        except BaseException:  # noqa: BLE001 - record, resolve, re-raise via close()
-            formatted = traceback.format_exc()
-            with self._submit_lock:
-                self._worker_error = formatted
-                self._state = "failed"
-                self._failure_reason = "inference worker died from an uncaught error"
-            self._abort_pending(RuntimeError(
-                "inference worker died from an uncaught error:\n" + formatted))
 
     # -------------------------------------------------------------- #
     # Accounting
@@ -1075,10 +1107,8 @@ class InferenceServer:
                 "engine_restarts": self._engine_restarts,
             }
         wall = (last - first) if (first is not None and last is not None) else None
-        with self._submit_lock:
-            state = self._state
         return ServerStats(
-            state=state,
+            state=self.state,
             requests=completed,
             batches=batches,
             rejected=self._gate.rejected,
@@ -1093,6 +1123,3 @@ class InferenceServer:
             **counters,
         )
 
-
-class _ServerFailed(Exception):
-    """Internal: the supervisor declared the engine unrecoverable."""

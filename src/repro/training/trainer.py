@@ -77,6 +77,23 @@ class TrainingResult:
         return sum(self.epoch_time_history) / self.iterations
 
 
+def _train_metrics(registry, **labels):
+    return (
+        registry.counter("training_steps_total",
+                         help="Optimization steps taken", **labels),
+        registry.histogram("training_step_ms",
+                           help="Wall time per optimization step (ms)",
+                           **labels),
+        registry.counter("training_epochs_total",
+                         help="Training epochs completed", **labels),
+        registry.histogram("training_epoch_ms",
+                           help="Wall time per epoch (ms)", **labels),
+        registry.gauge("training_last_loss",
+                       help="Mean loss of the last completed epoch",
+                       **labels),
+    )
+
+
 class _BaseTrainer:
     """Shared plumbing: schedule preparation, iteration bookkeeping, dtype.
 
@@ -100,8 +117,8 @@ class _BaseTrainer:
         self.iteration = 0
         self.abort_on_nonfinite = abort_on_nonfinite
         self._step_started = None
-        self._metrics_registry = None
-        self._metrics = None
+        self._metrics = observability.LazyMetrics(
+            _train_metrics, trainer=type(self).__name__, schedule=self.schedule.name)
         self.compute_dtype = None if compute_dtype is None else np.dtype(compute_dtype)
         if self.compute_dtype is not None:
             self.model.to(self.compute_dtype)
@@ -127,38 +144,15 @@ class _BaseTrainer:
         self.iteration += 1
         if self._step_started is not None:
             elapsed = time.perf_counter() - self._step_started
-            steps, step_ms = self._train_metrics()[:2]
+            steps, step_ms = self._metrics()[:2]
             steps.inc()
             step_ms.observe(elapsed * 1e3)
-
-    def _train_metrics(self):
-        """Lazily-created registry metrics, rebuilt if the registry is swapped."""
-        registry = observability.registry()  # repro-lint: disable=RL003 -- lazy handle (re)build; callers gate
-        if self._metrics is None or self._metrics_registry is not registry:
-            labels = {"trainer": type(self).__name__,
-                      "schedule": self.schedule.name}
-            self._metrics = (
-                registry.counter("training_steps_total",
-                                 help="Optimization steps taken", **labels),
-                registry.histogram("training_step_ms",
-                                   help="Wall time per optimization step (ms)",
-                                   **labels),
-                registry.counter("training_epochs_total",
-                                 help="Training epochs completed", **labels),
-                registry.histogram("training_epoch_ms",
-                                   help="Wall time per epoch (ms)", **labels),
-                registry.gauge("training_last_loss",
-                               help="Mean loss of the last completed epoch",
-                               **labels),
-            )
-            self._metrics_registry = registry
-        return self._metrics
 
     def _observe_epoch(self, epoch_seconds: float, mean_loss: float) -> None:
         """Per-epoch metrics; no-op unless the observability gate is on."""
         if not observability.enabled():
             return
-        _, _, epochs, epoch_ms, last_loss = self._train_metrics()
+        _, _, epochs, epoch_ms, last_loss = self._metrics()
         epochs.inc()
         epoch_ms.observe(epoch_seconds * 1e3)
         last_loss.set(mean_loss)

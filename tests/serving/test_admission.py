@@ -6,16 +6,27 @@ check the admission fields with one validator.  The concurrency contract is
 tested by enumerating every ordering of a small scenario -- two submitters,
 one ``close()`` and one caller cancel -- through injected hook points, in
 the ``FaultPlan`` call-index idiom: an actor's k-th hook call ends its k-th
-step, and a schedule says which actor takes the next step.  After every
-ordering each future has resolved exactly once, the gate's capacity is whole
-again, ``rejected`` equals the ``ServerOverloaded`` raised, the server is
-alive, and the lock-order detector has recorded no cycle.
+step, and a schedule says which actor takes the next step.  The hook is
+the one lock of the servers' shared
+:class:`~repro.serving.server.LifecycleServer`.  After every ordering each
+future has resolved exactly once, the gate's capacity is whole again,
+``rejected`` equals the ``ServerOverloaded`` raised, the worker died only
+where the scenario killed it, and the lock-order detector has recorded no
+cycle.
+
+The same enumeration runs with the lifecycle's faults in it: a worker
+death in place of the cancel (both servers), a close whose horizon the
+worker's slowed calls overrun (both servers), and an engine crash in place
+of the cancel, whose supervised restart goes through the engine's
+``rewarm`` hook (``InferenceServer``; a ``GenerationServer`` has no engine
+supervisor, so a decode-step error there is a worker death).
 """
 
 import itertools
 import queue
 import sys
 import threading
+import time
 from collections import Counter
 from concurrent.futures import Future
 
@@ -30,17 +41,24 @@ from repro.serving import (
     ClusterConfig,
     GenerationConfig,
     GenerationServer,
+    EngineCrash,
     InferenceServer,
     ServerClosed,
     ServerOverloaded,
+    ServerUnavailable,
     freeze,
 )
-from repro.serving.server import AdmissionGate
+from repro.serving.server import AdmissionGate, _Request
 from repro.training.schedules import FixedBFPSchedule
 
 DEPTH = 1
 SCENARIO = ("s1", "s1", "s2", "s2", "close", "cancel")
 ORDERINGS = sorted(set(itertools.permutations(SCENARIO)))
+# The fault scenarios replace the cancel with a "fault" actor.
+FAULT_ORDERINGS = [tuple("fault" if name == "cancel" else name for name in schedule)
+                   for schedule in ORDERINGS]
+SLOW_S = 0.004      # each worker call in the overrun scenario
+OVERRUN_TIMEOUT_S = 0.001  # the close horizon those calls overrun
 
 
 class Interleaving:
@@ -122,8 +140,25 @@ class HookedLock:
 
 
 class MirrorEngine:
+    """Echoes its batch.  ``delay_s`` slows every call.  ``crash`` makes
+    calls raise :class:`EngineCrash` until ``rewarm`` -- the hook the
+    supervisor's restart goes through -- recovers it, if ``recovers``."""
+
+    def __init__(self, delay_s=0.0, recovers=True):
+        self.delay_s = delay_s
+        self.recovers = recovers
+        self.crash = False
+
     def predict(self, batch):
+        if self.crash:
+            raise EngineCrash("injected engine crash")
+        time.sleep(self.delay_s)
         return np.asarray(batch)
+
+    def rewarm(self):
+        if not self.recovers:
+            raise EngineCrash("injected rewarm failure")
+        self.crash = False
 
 
 def frozen_seq2seq():
@@ -156,35 +191,88 @@ def seq2seq():
     return frozen_seq2seq()
 
 
-def make_inference_server(policy, _seq2seq):
-    # A long flush delay keeps admitted requests queued until close().
-    config = BatchingConfig(max_batch_size=8, max_delay_ms=10_000.0,
-                            max_queue_depth=DEPTH, admission_policy=policy,
-                            block_timeout_ms=2.0)
-    server = InferenceServer(MirrorEngine(), config)
-    return server, "_submit_lock", lambda: server.submit(np.ones(4))
+class FrontEnd:
+    """A server under the enumeration, with its fault injectors."""
+
+    def __init__(self, server, depth, submit, kill, engine=None):
+        self.server = server
+        self.depth = depth
+        self.submit = submit  # actor name -> future
+        self.kill = kill
+        self.engine = engine
 
 
-def make_generation_server(policy, seq2seq):
-    config = GenerationConfig(max_active=2, max_queue_depth=DEPTH,
+def depth_for(fault):
+    # The overrun scenario admits both submitters, so one is still held
+    # when the other's call passes the horizon.
+    return 2 if fault == "overrun" else DEPTH
+
+
+def make_inference_server(policy, _seq2seq, fault=None, recovers=True):
+    # A long flush delay keeps admitted requests queued until close(); in
+    # the crash scenario a batch of one sends each request to the engine.
+    config = BatchingConfig(max_batch_size=1 if fault == "crash" else 8,
+                            max_delay_ms=10_000.0, max_queue_depth=depth_for(fault),
+                            admission_policy=policy, block_timeout_ms=2.0,
+                            engine_restart_limit=1, restart_backoff_ms=0.0)
+    engine = MirrorEngine(delay_s=SLOW_S if fault == "overrun" else 0.0,
+                          recovers=recovers)
+    server = InferenceServer(engine, config)
+
+    def kill():
+        # A request the worker cannot bucket: the worker dies of it.
+        server._queue.put(_Request(None, Future(), time.monotonic()))
+
+    def submit(name):
+        # Overrun: two shapes, two buckets, two engine calls in the drain.
+        width = 5 if fault == "overrun" and name == "s2" else 4
+        return server.submit(np.ones(width))
+
+    return FrontEnd(server, depth_for(fault), submit, kill, engine)
+
+
+def make_generation_server(policy, seq2seq, fault=None, recovers=True):
+    config = GenerationConfig(max_active=2, max_queue_depth=depth_for(fault),
                               admission_policy=policy, block_timeout_ms=2.0)
     server = GenerationServer(seq2seq, config)
-    return server, "_lock", lambda: server.submit(np.array([3, 4, 5, 6]),
-                                                  max_new_tokens=4)
+    if fault == "overrun":
+        decode_step = server._decode_step
+
+        def slow_decode_step():
+            time.sleep(SLOW_S)
+            decode_step()
+
+        server._decode_step = slow_decode_step
+
+    def kill():
+        # The scheduler's next loop iteration raises.
+        def broken_retire():
+            raise RuntimeError("injected scheduler bug")
+
+        server._retire = broken_retire
+        server._wake.set()
+
+    return FrontEnd(server, depth_for(fault),
+                    lambda name: server.submit(np.array([3, 4, 5, 6]),
+                                               max_new_tokens=4), kill)
 
 
-def run_ordering(make_server, policy, seq2seq, schedule, drain):
-    server, lock_name, submit = make_server(policy, seq2seq)
+def run_ordering(make_server, policy, seq2seq, schedule, drain, fault=None):
+    front = make_server(policy, seq2seq, fault=fault, recovers=drain)
+    server = front.server
     interleaving = Interleaving(schedule)
-    setattr(server, lock_name, HookedLock(getattr(server, lock_name), interleaving))
+    server._lock = HookedLock(server._lock, interleaving)
     outcomes = {}
     resolutions = Counter()
+    refusals = (ServerOverloaded, ServerClosed)
+    if fault in ("death", "crash"):  # a failed server refuses work
+        refusals += (ServerUnavailable,)
 
     def submitter(name):
         def body():
             try:
-                future = submit()
-            except (ServerOverloaded, ServerClosed) as error:
+                future = front.submit(name)
+            except refusals as error:
                 outcomes[name] = error
                 return
             outcomes[name] = future
@@ -197,10 +285,35 @@ def run_ordering(make_server, policy, seq2seq, schedule, drain):
                 outcomes[name].cancel()
                 return
 
+    def inject():
+        if fault == "crash":
+            front.engine.crash = True
+        elif server._thread.is_alive():  # "death": not yet closed
+            front.kill()
+            server._thread.join(timeout=10.0)
+            assert not server._thread.is_alive(), schedule
+
+    def close():
+        if fault == "overrun":
+            server.close(timeout=OVERRUN_TIMEOUT_S)
+        else:
+            server.close(drain=drain)
+
     interleaving.run({"s1": submitter("s1"), "s2": submitter("s2"),
-                      "close": lambda: server.close(drain=drain),
-                      "cancel": cancel})
-    assert interleaving.errors == {}, schedule
+                      "close": close, "cancel": cancel, "fault": inject})
+    # An actor's last step ends at its last hook call, so the rest of
+    # close() -- the wait for the worker -- may overlap the kill.
+    died = server.failure is not None
+    if fault == "death" and schedule.index("fault") < schedule.index("close"):
+        assert died, schedule
+    if fault != "death":
+        assert not died, schedule
+    if died:
+        assert set(interleaving.errors) == {"close"}, schedule
+        assert isinstance(interleaving.errors["close"], ServerUnavailable), schedule
+        assert "died from an uncaught error" in str(interleaving.errors["close"])
+    else:
+        assert interleaving.errors == {}, schedule
     futures = [f for f in outcomes.values() if isinstance(f, Future)]
     for future in futures:
         assert future.done(), schedule
@@ -208,14 +321,17 @@ def run_ordering(make_server, policy, seq2seq, schedule, drain):
     overloaded = sum(isinstance(o, ServerOverloaded) for o in outcomes.values())
     assert server.stats().rejected == overloaded, schedule
     if isinstance(server, GenerationServer):
-        assert server.failure is None, schedule
         assert server.cache.free_blocks == server.cache.total_blocks, schedule
-    # Capacity is whole again: exactly DEPTH admissions fit.
-    releases = [server._gate.admit() for _ in range(DEPTH)]
+    # Capacity is whole again: exactly `depth` admissions fit.
+    releases = [server._gate.admit() for _ in range(front.depth)]
     with pytest.raises(ServerOverloaded):
         server._gate.admit()
     for release in releases:
         release()
+    errors = [f.exception() for f in futures if not f.cancelled()]
+    return {"died": died,
+            "crashed": any(isinstance(e, EngineCrash) for e in errors),
+            "closed": any(isinstance(e, ServerClosed) for e in errors)}
 
 
 class TestGateInterleavings:
@@ -230,6 +346,31 @@ class TestGateInterleavings:
             run_ordering(make_server, policy, seq2seq, schedule,
                          drain=bool(index % 2))
         lock_order.check()
+
+    @pytest.mark.parametrize("policy", ["reject", "block"])
+    @pytest.mark.parametrize("make_server, fault", [
+        (make_inference_server, "death"),
+        (make_generation_server, "death"),
+        (make_inference_server, "overrun"),
+        (make_generation_server, "overrun"),
+        (make_inference_server, "crash"),
+    ], ids=["inference-death", "generation-death", "inference-overrun",
+            "generation-overrun", "inference-crash"])
+    def test_every_ordering_keeps_the_contract_under_faults(
+            self, make_server, fault, policy, seq2seq, lock_order):
+        """Odd orderings drain on close and, in the crash scenario, recover
+        through ``rewarm``; even ones do neither."""
+        orderings = ORDERINGS if fault == "overrun" else FAULT_ORDERINGS
+        assert len(orderings) == 180
+        seen = Counter()
+        for index, schedule in enumerate(orderings):
+            seen.update(key for key, happened in run_ordering(
+                make_server, policy, seq2seq, schedule,
+                drain=bool(index % 2), fault=fault).items() if happened)
+        lock_order.check()
+        # The fault happened in the enumeration, not just the scenario.
+        assert seen[{"death": "died", "crash": "crashed",
+                     "overrun": "closed"}[fault]] > 0, seen
 
     def test_release_runs_once_however_often_called(self):
         server = InferenceServer(MirrorEngine(), BatchingConfig(max_queue_depth=1))

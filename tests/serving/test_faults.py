@@ -7,22 +7,29 @@ point) and asserts the isolation/recovery invariants the robustness layer
 claims: healthy requests survive poisoned batches, deadlines shed cleanly,
 admission control bounds the queue, crashed engines recover under
 supervision, and no code path ever leaks an unresolved future.
+
+The lifecycle tests (``TestLifecycleRaces``) run on both front ends, which
+share one worker lifecycle: the ``GenerationServer`` is frozen at a known
+point by the same kind of gate, on its decode step.
 """
 
 import threading
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from repro.core.bfp import BFPConfig
-from repro.models import MLP
+from repro.models import MLP, transformer_small
 from repro.serving import (
     BatchingConfig,
     DeadlineExceeded,
     EngineCrash,
     FaultInjectingEngine,
     FaultPlan,
+    GenerationConfig,
+    GenerationServer,
     InferenceEngine,
     InferenceServer,
     InvalidRequest,
@@ -34,6 +41,7 @@ from repro.serving import (
     TransientEngineError,
     freeze,
 )
+from repro.serving.server import CLOSE_GRACE_S
 from repro.training.schedules import FixedBFPSchedule
 
 CONFIG = BFPConfig(exponent_bits=8, group_size=16)
@@ -356,58 +364,184 @@ class TestEngineSupervision:
         assert resolved >= 9
 
 
+class BatchingFrontEnd:
+    """The batching server over a gated engine.  A long flush delay keeps
+    submissions queued until ``close()`` drains them."""
+
+    def __init__(self, _seq2seq):
+        self.gate = threading.Event()
+        self.gate.set()
+        self.server = InferenceServer(
+            faulty_engine(gate=self.gate),
+            BatchingConfig(max_batch_size=64, max_delay_ms=10_000.0))
+        self._rng = np.random.default_rng(0)
+
+    def submit(self, index=0):
+        # Two shapes: two buckets, so a drain makes two engine calls.
+        shape = (32,) if index % 2 == 0 else (2, 16)
+        return self.server.submit(self._rng.standard_normal(shape))
+
+    def break_worker(self):
+        def boom(payload):
+            raise RuntimeError("injected worker bug")
+
+        self.server._bucket_key = boom
+
+    @staticmethod
+    def check(result):
+        # The MLP flattens either payload shape to its 32 inputs.
+        assert result.output.shape == (4,)
+
+    def leaks_nothing(self):
+        return self.server.queue_depth == 0
+
+
+class BrokenPrefill:
+    """A frozen seq2seq whose prefill raises: a bug in the model code the
+    scheduler runs."""
+
+    def __init__(self, root):
+        self._root = root
+
+    def __getattr__(self, name):
+        return getattr(self._root, name)
+
+    def prefill(self, src):
+        raise RuntimeError("injected worker bug")
+
+
+class GenerationFrontEnd:
+    """The generation server with a gate on its decode step.  One sequence
+    decodes at a time, so later submissions wait in its queue."""
+
+    def __init__(self, seq2seq):
+        self.gate = threading.Event()
+        self.gate.set()
+        self.server = GenerationServer(seq2seq, GenerationConfig(max_active=1))
+        decode_step = self.server._decode_step
+
+        def gated_decode_step():
+            self.gate.wait()
+            decode_step()
+
+        self.server._decode_step = gated_decode_step
+
+    def submit(self, index=0):
+        return self.server.submit(np.arange(3, 7 + index % 3), max_new_tokens=8)
+
+    def break_worker(self):
+        self.server.root = BrokenPrefill(self.server.root)
+
+    @staticmethod
+    def check(result):
+        # BOS, then 1 to max_new_tokens generated tokens.
+        assert result.tokens[0] == 1 and 2 <= len(result.tokens) <= 9
+
+    def leaks_nothing(self):
+        cache = self.server.cache
+        return cache.free_blocks == cache.total_blocks
+
+
+@pytest.fixture(scope="module")
+def seq2seq():
+    model = transformer_small(vocab_size=30, max_length=24,
+                              rng=np.random.default_rng(11))
+    FixedBFPSchedule(4, config=CONFIG, seed=0).prepare(model, 8)
+    model.eval()
+    return freeze(model, meta={"bos_index": 1, "eos_index": 2})
+
+
+@pytest.fixture(params=[BatchingFrontEnd, GenerationFrontEnd],
+                ids=["inference", "generation"])
+def front(request, seq2seq):
+    front = request.param(seq2seq)
+    yield front
+    front.gate.set()
+    try:
+        front.server.close(drain=False)
+    except RuntimeError:
+        pass  # the test already checked what close() raises
+
+
+def count_resolutions(futures):
+    resolutions = Counter()
+    for future in futures:
+        future.add_done_callback(lambda f: resolutions.update([id(f)]))
+    return resolutions
+
+
 class TestLifecycleRaces:
-    def test_submit_during_close_raises_and_leaks_nothing(self, rng):
-        gate = threading.Event()
-        engine = faulty_engine(gate=gate)
-        config = BatchingConfig(max_batch_size=4, max_delay_ms=1.0)
-        server = InferenceServer(engine, config)
-        held = server.submit(rng.standard_normal(32))
-        closer = threading.Thread(target=server.close)
+    """The one ``close()`` contract and worker-death capture, on both
+    front ends."""
+
+    def test_submit_during_close_raises_and_leaks_nothing(self, front):
+        front.gate.clear()
+        held = front.submit()
+        closer = threading.Thread(target=front.server.close)
         closer.start()
-        assert wait_until(lambda: server._closed)
+        assert wait_until(front.server._closing)
         with pytest.raises(ServerClosed, match="closed"):
-            server.submit(rng.standard_normal(32))
-        gate.set()
+            front.submit()
+        front.gate.set()
         closer.join(timeout=15)
         assert not closer.is_alive()
-        assert held.result(timeout=10).output.shape == (4,)
+        front.check(held.result(timeout=10))
+        assert front.leaks_nothing()
 
-    def test_close_drains_pending_batches(self, rng):
-        engine = make_engine()
-        config = BatchingConfig(max_batch_size=64, max_delay_ms=10_000.0)
-        server = InferenceServer(engine, config)
-        futures = [server.submit(rng.standard_normal(32)) for _ in range(5)]
-        futures.append(server.submit(rng.standard_normal((2, 16))))  # second bucket
-        server.close()
+    def test_close_drains_pending_batches(self, front):
+        futures = [front.submit(index) for index in range(6)]
+        front.server.close()
         for future in futures:
-            assert future.result(timeout=1).output is not None
+            front.check(future.result(timeout=1))
+        assert front.leaks_nothing()
 
-    def test_close_without_drain_cancels_pending(self, rng):
-        engine = make_engine()
-        config = BatchingConfig(max_batch_size=64, max_delay_ms=10_000.0)
-        server = InferenceServer(engine, config)
-        futures = [server.submit(rng.standard_normal(32)) for _ in range(3)]
-        server.close(drain=False)
+    def test_close_without_drain_cancels_pending(self, front):
+        front.gate.clear()
+        futures = [front.submit(index) for index in range(3)]
+        closer = threading.Thread(target=front.server.close,
+                                  kwargs={"drain": False})
+        closer.start()
+        assert wait_until(front.server._closing)
+        front.gate.set()
+        closer.join(timeout=15)
+        assert not closer.is_alive()
         for future in futures:
             with pytest.raises(ServerClosed, match="before request completed"):
                 future.result(timeout=1)
+        assert front.leaks_nothing()
 
-    def test_double_close_is_idempotent(self, rng):
-        engine = make_engine()
-        server = InferenceServer(engine)
-        server.predict(rng.standard_normal(32), timeout=10)
-        server.close()
-        server.close()  # second close: no error, no hang
+    def test_close_timeout_zero_fails_queued_work_promptly(self, front):
+        futures = [front.submit(index) for index in range(4)]
+        started = time.monotonic()
+        front.server.close(timeout=0)
+        assert time.monotonic() - started < 0.5
+        first = futures[0].exception(timeout=1)  # may be mid-call at close
+        if first is None:
+            front.check(futures[0].result())
+        else:
+            assert isinstance(first, ServerClosed)
+        for future in futures[1:]:
+            with pytest.raises(ServerClosed):
+                future.result(timeout=1)
+        assert front.leaks_nothing()
 
-    def test_concurrent_closes_do_not_race(self, rng):
-        engine = make_engine()
-        server = InferenceServer(engine)
+    def test_double_close_is_idempotent(self, front):
+        future = front.submit()
+        front.server.close()
+        front.server.close()  # second close: no error, no hang
+        front.check(future.result(timeout=1))
+
+    def test_close_is_keyword_only(self, front):
+        with pytest.raises(TypeError):
+            front.server.close(True)
+
+    def test_concurrent_closes_do_not_race(self, front):
+        futures = [front.submit(index) for index in range(3)]
         errors = []
 
         def close_it():
             try:
-                server.close()
+                front.server.close()
             except Exception as error:  # pragma: no cover - diagnostic
                 errors.append(error)
 
@@ -417,23 +551,84 @@ class TestLifecycleRaces:
         for thread in threads:
             thread.join(timeout=15)
         assert not errors
+        for future in futures:
+            front.check(future.result(timeout=1))
 
-    def test_worker_death_resolves_futures_and_close_raises(self, rng):
-        engine = make_engine()
-        server = InferenceServer(engine, BatchingConfig(max_batch_size=4,
-                                                        max_delay_ms=1.0))
+    def test_exit_after_an_exception_drains(self, front):
+        futures = []
+        with pytest.raises(ValueError, match="caller error"):
+            with front.server:
+                futures = [front.submit(index) for index in range(3)]
+                raise ValueError("caller error")
+        for future in futures:
+            front.check(future.result(timeout=1))
 
-        def boom(payload):
-            raise RuntimeError("injected worker bug")
-
-        server._bucket_key = boom
-        future = server.submit(rng.standard_normal(32))
-        with pytest.raises(RuntimeError, match="injected worker bug"):
+    def test_worker_death_resolves_futures_and_close_raises(self, front):
+        front.break_worker()
+        future = front.submit()
+        # A ServerUnavailable is a RuntimeError carrying the traceback.
+        with pytest.raises(ServerUnavailable, match="injected worker bug"):
             future.result(timeout=10)  # future resolved, not leaked
         with pytest.raises(RuntimeError, match="injected worker bug"):
-            server.close()  # join re-raises with the worker's traceback
+            front.server.close()  # raises with the worker's traceback
+        with pytest.raises(ServerUnavailable, match="injected worker bug"):
+            front.server.close()  # ... on every close
+        assert "injected worker bug" in front.server.failure
+        assert front.server.state == "failed"
         with pytest.raises(ServerClosed):
-            server.submit(rng.standard_normal(32))
+            front.submit()
+        assert front.leaks_nothing()
+
+    def test_drain_overrun_fails_the_rest_on_the_worker(self, front):
+        """A call wedged past the close horizon: the worker, not close(),
+        fails what it still holds once the call returns -- so a drain
+        overrun cannot kill the worker or free what it is still using."""
+        front.gate.clear()
+        futures = [front.submit(index) for index in range(2)]
+        resolutions = count_resolutions(futures)
+        errors = []
+
+        def close():
+            try:
+                front.server.close(timeout=0.1)
+            except Exception as error:  # pragma: no cover - diagnostic
+                errors.append(error)
+
+        closer = threading.Thread(target=close)
+        started = time.monotonic()
+        closer.start()
+        try:
+            time.sleep(0.6)  # past the horizon, inside the grace
+            # The worker is still inside the wedged call: nothing it holds
+            # is resolved or freed under it.
+            assert closer.is_alive()
+            assert not any(future.done() for future in futures)
+            assert not front.leaks_nothing()
+        finally:
+            front.gate.set()
+        closer.join(timeout=15)
+        assert not closer.is_alive() and not errors
+        assert time.monotonic() - started < 0.1 + CLOSE_GRACE_S
+        assert front.server.failure is None
+        assert all(resolutions[id(future)] == 1 for future in futures)
+        if futures[0].exception() is None:  # the wedged call completed it
+            front.check(futures[0].result())
+        for future in futures[1:]:
+            with pytest.raises(ServerClosed, match="before request completed"):
+                future.result(timeout=1)
+        assert front.leaks_nothing()
+
+    def test_call_wedged_past_the_grace_makes_close_raise(self, front):
+        front.gate.clear()
+        futures = [front.submit(index) for index in range(2)]
+        started = time.monotonic()
+        with pytest.raises(RuntimeError, match="did not exit within"):
+            front.server.close(timeout=0.05)
+        assert time.monotonic() - started >= 0.05 + CLOSE_GRACE_S - 0.01
+        front.gate.set()
+        assert wait_until(lambda: all(future.done() for future in futures))
+        assert front.server.failure is None
+        assert wait_until(front.leaks_nothing)
 
 
 class TestWorkerExitFault:
