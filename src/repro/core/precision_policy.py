@@ -11,9 +11,10 @@ The paper studies several schedules (Section IV):
   tensor, per layer and per iteration by comparing the relative improvement
   ``r(X)`` against the decaying threshold ``ε(l, i)`` of Equation 1.
 
-Every policy implements :meth:`PrecisionPolicy.select`, which maps
+Every policy implements :meth:`PrecisionPolicy.decide`, a pure map from
 ``(tensor_kind, layer_index, iteration, tensor)`` to a mantissa bitwidth, so
-trainers and benchmarks can swap policies freely.
+trainers and benchmarks can swap policies freely.  The decisions used are
+recorded into one bounded :class:`PrecisionRecord` per (layer, tensor kind).
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .converter import relative_improvement
 __all__ = [
     "fast_threshold",
     "PrecisionDecision",
+    "PrecisionRecord",
     "PrecisionPolicy",
     "FixedPrecisionPolicy",
     "TemporalPrecisionPolicy",
@@ -86,7 +88,7 @@ def fast_threshold(
 
 @dataclass
 class PrecisionDecision:
-    """Record of one precision choice, used for the Figure 17 visualization."""
+    """One precision choice: the bits, and for FAST-Adaptive ``r(X)`` and ``ε(l, i)``."""
 
     layer_index: int
     iteration: int
@@ -96,23 +98,38 @@ class PrecisionDecision:
     threshold: Optional[float] = None
 
 
+@dataclass
+class PrecisionRecord:
+    """What a policy keeps about one ``(layer, tensor kind)``: the current
+    decision and the bits as runs ``[first_iteration, last_iteration, bits]``,
+    which grow only when the bits change or an iteration is skipped."""
+
+    last: PrecisionDecision
+    runs: List[List[int]] = field(default_factory=list)
+    #: Iteration whose ``r(X)`` the current decision carries (FAST-Adaptive).
+    evaluated_at: Optional[int] = None
+    #: Decisions recorded so far.
+    count: int = 0
+
+
 class PrecisionPolicy:
     """Base class for precision policies.
 
     Subclasses implement :meth:`decide`, which maps ``(tensor_kind,
-    layer_index, iteration, tensor)`` to a :class:`PrecisionDecision`
-    *without* appending to :attr:`history`.  Keeping the decision function
-    side-effect-free is what lets quantized layers fold the chosen bits into
-    their weight-cache key: the bits for a given ``(kind, layer, iteration,
-    tensor)`` can be (re)computed at cache-lookup time, and recording happens
-    exactly once per quantize call via :meth:`select`.
+    layer_index, iteration, tensor)`` to a :class:`PrecisionDecision` and
+    touches no state, so quantized layers can (re)compute the bits at
+    weight-cache lookup.  Each quantize call records its decision once
+    (:meth:`select` or :meth:`record`) into :attr:`records`, whose size does
+    not grow with the number of calls.
     """
 
     #: Mantissa widths this policy may return (used by cost models).
     supported_bits: Tuple[int, ...] = (2, 4)
 
     def __init__(self):
-        self.history: List[PrecisionDecision] = []
+        #: ``(layer_index, tensor_kind) -> PrecisionRecord``; written only
+        #: by :meth:`record`.
+        self.records: Dict[Tuple[int, str], PrecisionRecord] = {}
 
     def decide(self, tensor_kind: str, layer_index: int, iteration: int,
                tensor=None) -> PrecisionDecision:
@@ -125,19 +142,44 @@ class PrecisionPolicy:
         self.record(decision)
         return decision.mantissa_bits
 
-    def record(self, decision: PrecisionDecision) -> None:
-        self.history.append(decision)
+    def record(self, decision: PrecisionDecision) -> PrecisionRecord:
+        """Make ``decision`` the current one of its ``(layer, kind)``: a later
+        decision at the same iteration replaces that iteration's bits, and an
+        earlier iteration than the last recorded one is a ``ValueError``."""
+        key = (decision.layer_index, decision.tensor_kind)
+        iteration, bits = decision.iteration, decision.mantissa_bits
+        entry = self.records.get(key)
+        if entry is None:
+            entry = self.records[key] = PrecisionRecord(decision)
+        elif iteration < entry.last.iteration:
+            raise ValueError(f"{key}: iteration {iteration} recorded after "
+                             f"{entry.last.iteration}")
+        runs = entry.runs
+        if runs and runs[-1][1] == iteration and runs[-1][2] != bits:
+            runs[-1][1] -= 1
+            if runs[-1][1] < runs[-1][0]:
+                runs.pop()
+        if runs and runs[-1][2] == bits and runs[-1][1] >= iteration - 1:
+            runs[-1][1] = iteration
+        else:
+            runs.append([iteration, iteration, bits])
+        entry.last = decision
+        entry.count += 1
+        return entry
 
     def setting_history(self) -> Dict[Tuple[int, int], Tuple[int, int, int]]:
-        """Collapse the decision history into ``(layer, iteration) -> (W, A, G)``."""
-        table: Dict[Tuple[int, int], Dict[str, int]] = {}
-        for decision in self.history:
-            key = (decision.layer_index, decision.iteration)
-            table.setdefault(key, {})[decision.tensor_kind] = decision.mantissa_bits
+        """``(layer, iteration) -> (W, A, G)`` wherever all three kinds of the
+        layer were recorded, each with its last bits at that iteration."""
+        expanded = {key: {i: bits for first, last, bits in entry.runs
+                          for i in range(first, last + 1)}
+                    for key, entry in self.records.items()}
         result = {}
-        for key, kinds in table.items():
-            if all(kind in kinds for kind in TENSOR_KINDS):
-                result[key] = (kinds["weight"], kinds["activation"], kinds["gradient"])
+        for layer in sorted({layer for layer, _ in expanded}):
+            weight, activation, gradient = (expanded.get((layer, kind), {})
+                                            for kind in TENSOR_KINDS)
+            for iteration in sorted(weight.keys() & activation.keys() & gradient.keys()):
+                result[layer, iteration] = (weight[iteration], activation[iteration],
+                                            gradient[iteration])
         return result
 
 
@@ -154,75 +196,63 @@ class FixedPrecisionPolicy(PrecisionPolicy):
         return PrecisionDecision(layer_index, iteration, tensor_kind, self.mantissa_bits)
 
 
-class TemporalPrecisionPolicy(PrecisionPolicy):
+class _SwitchPolicy(PrecisionPolicy):
+    """Low bits before ``switch_fraction`` of some progress measure, high bits
+    from it on (``low_to_high``), or the reverse."""
+
+    def __init__(self, low_bits: int, high_bits: int, switch_fraction: float,
+                 low_to_high: bool):
+        super().__init__()
+        if not 0.0 < switch_fraction < 1.0:
+            raise ValueError("switch_fraction must be in (0, 1)")
+        self.low_bits = low_bits
+        self.high_bits = high_bits
+        self.switch_fraction = switch_fraction
+        self.low_to_high = low_to_high
+        self.supported_bits = (low_bits, high_bits)
+
+    def _bits(self, progress: float) -> int:
+        switched = progress >= self.switch_fraction
+        if self.low_to_high:
+            return self.high_bits if switched else self.low_bits
+        return self.low_bits if switched else self.high_bits
+
+
+class TemporalPrecisionPolicy(_SwitchPolicy):
     """Switch precision at a fraction of training (Figure 9, left).
 
     ``low_to_high=True`` reproduces the Temporal Low-to-High scheme (low
     precision early, high precision late); ``False`` gives High-to-Low.
     """
 
-    def __init__(
-        self,
-        total_iterations: int,
-        low_bits: int = 2,
-        high_bits: int = 4,
-        switch_fraction: float = 0.5,
-        low_to_high: bool = True,
-    ):
-        super().__init__()
-        if not 0.0 < switch_fraction < 1.0:
-            raise ValueError("switch_fraction must be in (0, 1)")
+    def __init__(self, total_iterations: int, low_bits: int = 2, high_bits: int = 4,
+                 switch_fraction: float = 0.5, low_to_high: bool = True):
+        super().__init__(low_bits, high_bits, switch_fraction, low_to_high)
         self.total_iterations = total_iterations
-        self.low_bits = low_bits
-        self.high_bits = high_bits
-        self.switch_fraction = switch_fraction
-        self.low_to_high = low_to_high
-        self.supported_bits = (low_bits, high_bits)
 
     def decide(self, tensor_kind: str, layer_index: int, iteration: int,
                tensor=None) -> PrecisionDecision:
-        progress = iteration / self.total_iterations
-        in_second_half = progress >= self.switch_fraction
-        if self.low_to_high:
-            bits = self.high_bits if in_second_half else self.low_bits
-        else:
-            bits = self.low_bits if in_second_half else self.high_bits
+        bits = self._bits(iteration / self.total_iterations)
         return PrecisionDecision(layer_index, iteration, tensor_kind, bits)
 
 
-class LayerwisePrecisionPolicy(PrecisionPolicy):
+class LayerwisePrecisionPolicy(_SwitchPolicy):
     """Use different precisions for the shallow and deep halves of the network.
 
     ``low_to_high=True`` reproduces Layerwise Low-to-High (low precision in
     the early layers, high precision in the later layers, Figure 9 right).
     """
 
-    def __init__(
-        self,
-        total_layers: int,
-        low_bits: int = 2,
-        high_bits: int = 4,
-        switch_fraction: float = 0.5,
-        low_to_high: bool = True,
-    ):
-        super().__init__()
+    def __init__(self, total_layers: int, low_bits: int = 2, high_bits: int = 4,
+                 switch_fraction: float = 0.5, low_to_high: bool = True):
+        super().__init__(low_bits, high_bits, switch_fraction, low_to_high)
         if total_layers <= 0:
             raise ValueError("total_layers must be positive")
         self.total_layers = total_layers
-        self.low_bits = low_bits
-        self.high_bits = high_bits
-        self.switch_fraction = switch_fraction
-        self.low_to_high = low_to_high
-        self.supported_bits = (low_bits, high_bits)
 
     def decide(self, tensor_kind: str, layer_index: int, iteration: int,
                tensor=None) -> PrecisionDecision:
-        depth_fraction = layer_index / self.total_layers
-        in_deep_half = depth_fraction >= self.switch_fraction
-        if self.low_to_high:
-            bits = self.high_bits if in_deep_half else self.low_bits
-        else:
-            bits = self.low_bits if in_deep_half else self.high_bits
+        bits = self._bits(layer_index / self.total_layers)
         return PrecisionDecision(layer_index, iteration, tensor_kind, bits)
 
 
@@ -245,7 +275,7 @@ class FASTAdaptivePolicy(PrecisionPolicy):
         BFP configuration (group size and exponent width) used when
         evaluating ``r(X)``.
     evaluation_interval:
-        Recompute ``r(X)`` every this many iterations and reuse the cached
+        Recompute ``r(X)`` every this many iterations and reuse the recorded
         decision in between.  The paper recomputes every iteration in
         hardware (where the statistic is free); software callers typically
         want a coarser interval.
@@ -276,7 +306,6 @@ class FASTAdaptivePolicy(PrecisionPolicy):
         self.config = config if config is not None else BFPConfig()
         self.evaluation_interval = evaluation_interval
         self.supported_bits = (low_bits, high_bits)
-        self._cache: Dict[Tuple[str, int], Tuple[int, int, float]] = {}
 
     def threshold(self, layer_index: int, iteration: int) -> float:
         """Evaluate ``ε(l, i)`` for this policy's hyperparameters."""
@@ -293,12 +322,8 @@ class FASTAdaptivePolicy(PrecisionPolicy):
                tensor=None) -> PrecisionDecision:
         """Evaluate Algorithm 1 for one tensor without recording the decision.
 
-        Deterministic given ``(tensor_kind, layer_index, iteration, tensor)``:
-        the only internal state touched is the ``evaluation_interval`` memo,
-        which caches the *same* decision that a fresh evaluation at its
-        recorded iteration would produce.  Calling ``decide`` twice for the
-        same arguments therefore returns identical bits, which is what lets
-        quantized layers consult it from their weight-cache key.
+        Pure: inside ``evaluation_interval`` the recorded decision is reused
+        (:meth:`cached_decision`), else ``r(X)`` is computed from ``tensor``.
         """
         if tensor is None:
             raise ValueError("FASTAdaptivePolicy.decide requires the tensor values")
@@ -310,28 +335,23 @@ class FASTAdaptivePolicy(PrecisionPolicy):
 
     def cached_decision(self, tensor_kind: str, layer_index: int,
                         iteration: int) -> Optional[PrecisionDecision]:
-        """The memoized decision inside ``evaluation_interval``, else ``None``.
+        """The recorded decision inside ``evaluation_interval``, else ``None``.
 
         ``None`` means ``r(X)`` is due at this iteration: a converter that
         produces it as a by-product (see
         :class:`~repro.core.converter.AdaptiveConversion`) passes it to
         :meth:`decide_from_improvement`.
         """
-        cached = self._cache.get((tensor_kind, layer_index))
-        if cached is None or iteration - cached[0] >= self.evaluation_interval:
+        entry = self.records.get((layer_index, tensor_kind))
+        if entry is None or iteration - entry.evaluated_at >= self.evaluation_interval:
             return None
-        return PrecisionDecision(
-            layer_index,
-            iteration,
-            tensor_kind,
-            cached[1],
-            relative_improvement=cached[2],
-            threshold=self.threshold(layer_index, iteration),
-        )
+        return PrecisionDecision(layer_index, iteration, tensor_kind, entry.last.mantissa_bits,
+                                 relative_improvement=entry.last.relative_improvement,
+                                 threshold=self.threshold(layer_index, iteration))
 
     def decide_from_improvement(self, tensor_kind: str, layer_index: int, iteration: int,
                                 r_value: float) -> PrecisionDecision:
-        """Algorithm 1's comparison of ``r(X)`` with ``ε(l, i)``; refreshes the memo.
+        """Algorithm 1's comparison of ``r(X)`` with ``ε(l, i)``.
 
         ``r_value`` must be :func:`~repro.core.converter.relative_improvement`
         of the tensor under this policy's ``config``, ``low_bits`` and
@@ -339,7 +359,6 @@ class FASTAdaptivePolicy(PrecisionPolicy):
         """
         eps = self.threshold(layer_index, iteration)
         bits = self.low_bits if r_value < eps else self.high_bits
-        self._cache[(tensor_kind, layer_index)] = (iteration, bits, r_value)
         return PrecisionDecision(
             layer_index,
             iteration,
@@ -348,3 +367,13 @@ class FASTAdaptivePolicy(PrecisionPolicy):
             relative_improvement=r_value,
             threshold=eps,
         )
+
+    def record(self, decision: PrecisionDecision) -> PrecisionRecord:
+        """Record ``decision``; recorded while ``r(X)`` is due, it starts the
+        next ``evaluation_interval``."""
+        due = self.cached_decision(decision.tensor_kind, decision.layer_index,
+                                   decision.iteration) is None
+        entry = super().record(decision)
+        if due:
+            entry.evaluated_at = decision.iteration
+        return entry

@@ -137,8 +137,10 @@ class BFPScheme(QuantizationScheme):
     the chosen weight bits can join the weight-cache key
     (:meth:`weight_cache_token`).  Every policy therefore caches quantized
     weights the same way -- repeated forwards and eval loops re-select
-    (cheaply; FAST-Adaptive via its evaluation-interval memo) but only
-    re-quantize when the version or the bits decision changes.
+    (cheaply; FAST-Adaptive reuses its recorded decision inside the
+    evaluation interval) but only re-quantize when the version or the bits
+    decision changes.  The scheme keeps no decisions of its own:
+    :meth:`precision_setting` reads the policy's record of this layer.
     """
 
     def __init__(
@@ -155,7 +157,6 @@ class BFPScheme(QuantizationScheme):
         self.config = config if config is not None else BFPConfig(exponent_bits=3)
         self.stochastic_gradients = stochastic_gradients
         self.rng = rng if rng is not None else np.random.default_rng()  # repro-lint: disable=RL005 -- API fallback; repro paths thread a seeded rng
-        self._last_bits: Dict[str, int] = {}
         # Per-scheme grouped-layout cache: a layer's W/A/G shapes repeat every
         # iteration, so their grouping descriptors and padded workspaces are
         # derived once and reused across the whole training run.
@@ -174,7 +175,6 @@ class BFPScheme(QuantizationScheme):
         return self._layouts.layout_for(values, self.config.group_size)
 
     def _quantize_with_bits(self, values: np.ndarray, kind: str, bits: int) -> np.ndarray:
-        self._last_bits[kind] = bits
         values = np.asarray(values)
         return bfp_quantize(
             values,
@@ -220,7 +220,6 @@ class BFPScheme(QuantizationScheme):
         decision = policy.decide_from_improvement(kind, self.layer_index, self.iteration,
                                                   conversion.relative_improvement)
         policy.record(decision)
-        self._last_bits[kind] = decision.mantissa_bits
         return conversion.quantize(decision.mantissa_bits, self._rounding(kind), rng=self.rng)
 
     def weight_cache_token(self, values: Optional[np.ndarray] = None):
@@ -230,7 +229,6 @@ class BFPScheme(QuantizationScheme):
         bits = self.policy.select(
             TensorKind.WEIGHT, self.layer_index, self.iteration, tensor=values
         )
-        self._last_bits[TensorKind.WEIGHT] = bits
         self._pending_weight_bits = (self.iteration, bits, values)
         return ("bfp", bits, self.config.group_size, self.config.exponent_bits)
 
@@ -252,15 +250,16 @@ class BFPScheme(QuantizationScheme):
         return self._quantize(values, TensorKind.GRADIENT)
 
     def precision_setting(self) -> Dict[str, Optional[int]]:
-        """Widths of the last conversion of each kind; before the first one a
-        data-free policy answers for the current iteration (FAST-Adaptive
-        needs the tensor, so its kinds stay ``None`` until converted)."""
+        """Widths the policy last recorded for this layer, per kind; before
+        the first one a data-free policy answers for the current iteration
+        (FAST-Adaptive needs the tensor, so its kinds stay ``None``)."""
         setting = {}
         for kind in TENSOR_KINDS:
-            bits = self._last_bits.get(kind)
-            if bits is None and not isinstance(self.policy, FASTAdaptivePolicy):
-                bits = self.policy.decide(kind, self.layer_index, self.iteration).mantissa_bits
-            setting[kind] = bits
+            entry = self.policy.records.get((self.layer_index, kind))
+            decision = entry.last if entry is not None else None
+            if decision is None and not isinstance(self.policy, FASTAdaptivePolicy):
+                decision = self.policy.decide(kind, self.layer_index, self.iteration)
+            setting[kind] = None if decision is None else decision.mantissa_bits
         return setting
 
 

@@ -570,6 +570,11 @@ class GenerationServer(LifecycleServer):
             raise InvalidRequest(
                 f"source length {src.shape[0]} exceeds model max_length "
                 f"{self.root.max_length}")
+        vocab = self.root.embedding.weight.shape[0]
+        if src.min() < 0 or src.max() >= vocab:
+            raise InvalidRequest(
+                f"src_tokens must lie in [0, {vocab}), got values from "
+                f"{src.min()} to {src.max()}")
         return src.astype(np.int64, copy=False)
 
     def _enqueue(self, src_tokens, max_new_tokens: Optional[int],

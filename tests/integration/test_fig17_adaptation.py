@@ -12,6 +12,7 @@ not depend on how long any benchmark runs.
 
 import numpy as np
 
+from recording_policy import record_schedules
 from repro import nn
 from repro.core.bfp import BFPConfig
 from repro.data import DataLoader, synthetic_cifar
@@ -53,10 +54,11 @@ def train_fast_cnn(seed=1):
     return schedule.policy
 
 
-def test_fast_adaptive_switches_by_equation_one():
+def test_fast_adaptive_switches_by_equation_one(monkeypatch):
+    record_schedules(monkeypatch)
     policy = train_fast_cnn()
     steps = STEPS_PER_EPOCH * EPOCHS
-    history = policy.history
+    history = policy.log
     assert {d.iteration for d in history} == set(range(steps))
 
     high = {(d.layer_index, d.tensor_kind) for d in history if d.mantissa_bits == HIGH_BITS}

@@ -18,6 +18,7 @@ from repro.core.bfp import BFPConfig, bfp_quantize
 from repro.core.converter import AdaptiveConversion, relative_improvement
 from repro.core.precision_policy import FASTAdaptivePolicy
 from repro.core.rounding import NoisePool
+from recording_policy import recording
 from repro.nn import quantized
 from repro.nn.quantized import BFPScheme
 
@@ -65,8 +66,9 @@ TENSORS = {"padded": padded_tensor, "zeros": zero_tensor, "clamped": clamped_ten
 
 
 def make_scheme(seed=7, evaluation_interval=1, config=CONFIG):
-    policy = FASTAdaptivePolicy(total_layers=3, total_iterations=20, config=config,
-                                evaluation_interval=evaluation_interval)
+    policy = recording(FASTAdaptivePolicy)(total_layers=3, total_iterations=20,
+                                           config=config,
+                                           evaluation_interval=evaluation_interval)
     scheme = BFPScheme(policy, layer_index=1, config=config,
                        stochastic_gradients=True, rng=NoisePool(seed, capacity=4096))
     return policy, scheme
@@ -83,7 +85,9 @@ def test_fused_conversion_matches_unfused(dtype, name, kind, rounding, config_na
     policy, scheme = make_scheme(config=config)
     out = getattr(scheme, f"quantize_{kind}")(values)
 
-    decision = policy.history[-1]
+    assert list(policy.records) == [(1, kind)]
+    assert policy.records[1, kind].count == 1
+    decision = policy.records[1, kind].last
     assert decision.tensor_kind == kind
     expected_r = relative_improvement(values.astype(np.float64), config,
                                       policy.low_bits, policy.high_bits)
@@ -194,9 +198,9 @@ def test_statistic_only_on_evaluation_iterations(monkeypatch):
         per_iteration.append(len(conversions))
     # r(A) and r(G) are computed at iterations 0, 4 and 8 only.
     assert per_iteration == [2, 2, 2, 2, 4, 4, 4, 4, 6]
-    memoized = [d for d in policy.history if d.iteration in (1, 2, 3)]
+    memoized = [d for d in policy.log if d.iteration in (1, 2, 3)]
     assert len(memoized) == 6
-    first = {d.tensor_kind: d for d in policy.history if d.iteration == 0}
+    first = {d.tensor_kind: d for d in policy.log if d.iteration == 0}
     for decision in memoized:
         assert decision.mantissa_bits == first[decision.tensor_kind].mantissa_bits
         assert (decision.relative_improvement
@@ -210,7 +214,8 @@ def test_mismatched_grouping_falls_back_to_the_policy():
     scheme = BFPScheme(policy, config=CONFIG, stochastic_gradients=False)
     values = clamped_tensor(np.float32)
     out = scheme.quantize_activation(values)
-    decision = policy.history[-1]
+    assert list(policy.records) == [(0, "activation")]
+    decision = policy.records[0, "activation"].last
     assert decision.relative_improvement == relative_improvement(values, policy.config)
     expected = bfp_quantize(values, mantissa_bits=decision.mantissa_bits,
                             group_size=CONFIG.group_size,

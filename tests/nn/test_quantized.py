@@ -69,9 +69,12 @@ class TestSchemes:
         scheme = BFPScheme(policy, layer_index=2)
         scheme.iteration = 3
         scheme.quantize_weight(rng.standard_normal((2, 32)))
-        assert scheme.precision_setting()["weight"] in (2, 4)
-        assert policy.history[-1].layer_index == 2
-        assert policy.history[-1].iteration == 3
+        assert list(policy.records) == [(2, "weight")]
+        decision = policy.records[2, "weight"].last
+        assert decision.layer_index == 2
+        assert decision.iteration == 3
+        assert scheme.precision_setting()["weight"] == decision.mantissa_bits
+        assert decision.mantissa_bits in (2, 4)
 
 
 class TestQuantizedLinear:

@@ -5,9 +5,12 @@ import pytest
 
 from repro import nn
 from repro.core.bfp import BFPConfig
+from recording_policy import recorded
 from repro.core.precision_policy import (
     FASTAdaptivePolicy,
     FixedPrecisionPolicy,
+    PrecisionDecision,
+    PrecisionPolicy,
     TemporalPrecisionPolicy,
 )
 from repro.nn.quantized import BFPScheme, QuantizedConv2d, QuantizedLinear
@@ -114,21 +117,15 @@ class TestInvalidation:
         assert x.grad is not None
 
 
-class TogglePolicy:
+class TogglePolicy(PrecisionPolicy):
     """Minimal pure policy whose bits decision tests can flip at will."""
 
     def __init__(self, bits=2):
+        super().__init__()
         self.bits = bits
-        self.history = []
 
     def decide(self, tensor_kind, layer_index, iteration, tensor=None):
-        from repro.core.precision_policy import PrecisionDecision
         return PrecisionDecision(layer_index, iteration, tensor_kind, self.bits)
-
-    def select(self, tensor_kind, layer_index, iteration, tensor=None):
-        decision = self.decide(tensor_kind, layer_index, iteration, tensor=tensor)
-        self.history.append(decision)
-        return decision.mantissa_bits
 
 
 class TestFASTSchemeCaching:
@@ -155,9 +152,9 @@ class TestFASTSchemeCaching:
         layer, _, policy = self.make_fast_linear()
         x = Tensor(rng.standard_normal((3, 8)))
         layer(x)
-        weight_decisions = sum(1 for d in policy.history if d.tensor_kind == "weight")
+        weight_decisions = policy.records[0, "weight"].count
         layer(x)  # cache hit: decision recorded, quantization skipped
-        after = sum(1 for d in policy.history if d.tensor_kind == "weight")
+        after = policy.records[0, "weight"].count
         assert after == weight_decisions + 1
 
     def test_version_bump_invalidates(self, rng):
@@ -215,9 +212,9 @@ class TestFASTSchemeCaching:
     def test_standalone_quantize_weight_selects_fresh(self, rng):
         layer, scheme, policy = self.make_fast_linear()
         values = rng.standard_normal((4, 32))
-        before = len(policy.history)
+        before = recorded(policy)
         scheme.quantize_weight(values)
-        assert len(policy.history) == before + 1
+        assert recorded(policy) == before + 1
 
     def test_stale_pending_bits_not_reused_after_cache_hit(self, rng):
         """A cache-hit forward leaves a pending weight decision unconsumed; a
@@ -228,9 +225,9 @@ class TestFASTSchemeCaching:
         layer(x)
         layer(x)  # cache hit: weight_cache_token sets pending, nothing consumes it
         other = rng.standard_normal((4, 32))
-        before = len(policy.history)
+        before = recorded(policy)
         scheme.quantize_weight(other)
-        assert len(policy.history) == before + 1
+        assert recorded(policy) == before + 1
 
 
 class TestUncachedSchemes:

@@ -1,8 +1,11 @@
 """Frozen-model export: bit-identity with the live quantized model."""
 
+import copy
+
 import numpy as np
 import pytest
 
+from recording_policy import recorded
 from repro import nn
 from repro.core.bfp import BFPConfig
 from repro.core.precision_policy import FixedPrecisionPolicy, PrecisionDecision, PrecisionPolicy
@@ -144,9 +147,15 @@ class TestFastAdaptiveSnapshot:
         model = MLP(64, [32], 10, rng=np.random.default_rng(6))
         schedule = FASTSchedule(config=CONFIG, seed=0)
         attach(model, schedule)
-        before = len(schedule.policy.history)
+        live_logits(model, np.random.default_rng(0).standard_normal((3, 64)))
+        # r(W) is due again at iteration 1: freezing evaluates it, but must
+        # neither record the decision nor restart the evaluation interval.
+        schedule.on_iteration(1)
+        before = copy.deepcopy(schedule.policy.records)
+        assert recorded(schedule.policy) == 4
         freeze(model)
-        assert len(schedule.policy.history) == before
+        assert schedule.policy.records == before
+        assert recorded(schedule.policy) == 4
 
     def test_freeze_supports_any_policy(self, rng):
         """Policies without high_bits (e.g. fixed) must still freeze."""

@@ -365,6 +365,23 @@ class TestGenerationServer:
             with pytest.raises(InvalidRequest):
                 server.submit(np.array([3, 4]), max_new_tokens=0)
 
+    @pytest.mark.parametrize("token", [-1, 30, 99, np.iinfo(np.int64).min])
+    def test_out_of_vocabulary_tokens_rejected_at_submit(self, rng, token):
+        """A token outside the embedding table is the caller's error: it must
+        neither wrap around nor reach the scheduler and fail the others."""
+        frozen = frozen_seq2seq(vocab=30)
+        with GenerationServer(frozen) as server:
+            healthy = server.submit(rng.integers(3, 30, size=6), max_new_tokens=4)
+            with pytest.raises(InvalidRequest, match=r"\[0, 30\)"):
+                server.submit(np.array([3, token, 4]))
+            assert healthy.result(timeout=60).tokens[0] == BOS
+            after = server.generate(rng.integers(3, 30, size=5), max_new_tokens=4,
+                                    timeout=60)
+            assert after.tokens[0] == BOS
+            assert server.failure is None
+        stats = server.stats()
+        assert stats.completed == 2 and stats.failed == 0
+
     def test_quantized_cache_server_generates(self, rng):
         frozen = frozen_seq2seq()
         config = GenerationConfig(kv_mantissa_bits=4)
