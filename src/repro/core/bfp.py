@@ -28,6 +28,7 @@ from typing import Optional
 import numpy as np
 
 from . import kernels
+from .chunks import bits_per_group
 from .kernels import MIN_EXPONENT, ungroup_values
 
 __all__ = [
@@ -112,9 +113,7 @@ class BFPConfig:
     def bits_per_value(self) -> float:
         """Average storage bits per value under the chunked layout of Section V-D."""
         exponent_bits = self.exponent_bits if self.exponent_bits is not None else 8
-        chunks = (self.mantissa_bits + 1) // 2
-        group_bits = exponent_bits + self.group_size * chunks * 3
-        return group_bits / self.group_size
+        return bits_per_group(exponent_bits, self.group_size, self.mantissa_bits) / self.group_size
 
 
 def group_values(x: np.ndarray, group_size: int, axis: int = -1):
@@ -258,9 +257,7 @@ class BFPTensor:
     def storage_bits(self) -> int:
         """Total storage bits under the chunked memory layout of Section V-D."""
         exponent_bits = self.config.exponent_bits if self.config.exponent_bits is not None else 8
-        chunks = (self.mantissa_bits + 1) // 2
-        per_group = exponent_bits + self.group_size * chunks * 3
-        return per_group * self.num_groups
+        return bits_per_group(exponent_bits, self.group_size, self.mantissa_bits) * self.num_groups
 
     def bits_per_value(self) -> float:
         """Average storage bits per (unpadded) value."""

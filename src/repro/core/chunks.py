@@ -20,6 +20,7 @@ __all__ = [
     "decompose_mantissas",
     "reconstruct_mantissas",
     "num_chunks",
+    "bits_per_group",
     "passes_required",
 ]
 
@@ -34,6 +35,13 @@ def num_chunks(mantissa_bits: int, chunk_bits: int = DEFAULT_CHUNK_BITS) -> int:
     if chunk_bits < 1:
         raise ValueError("chunk_bits must be >= 1")
     return -(-mantissa_bits // chunk_bits)
+
+
+def bits_per_group(exponent_bits: int, group_size: int, mantissa_bits: int,
+                   chunk_bits: int = DEFAULT_CHUNK_BITS) -> int:
+    """Storage bits for one BFP group under the chunked layout of Figure 15:
+    the shared exponent plus, per value, one sign bit with every chunk."""
+    return exponent_bits + group_size * num_chunks(mantissa_bits, chunk_bits) * (chunk_bits + 1)
 
 
 def passes_required(

@@ -23,7 +23,7 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from .bfp import BFPConfig, BFPTensor
-from .chunks import decompose_mantissas, reconstruct_mantissas
+from .chunks import bits_per_group, decompose_mantissas, reconstruct_mantissas
 
 __all__ = [
     "BFPMemoryLayout",
@@ -34,12 +34,6 @@ __all__ = [
     "compact_bfp_arrays",
     "restore_bfp_tensor",
 ]
-
-
-def bits_per_group(exponent_bits: int, group_size: int, mantissa_bits: int, chunk_bits: int = 2) -> int:
-    """Storage bits for one BFP group under the chunked layout."""
-    chunks = -(-mantissa_bits // chunk_bits)
-    return exponent_bits + group_size * chunks * (chunk_bits + 1)
 
 
 def bits_per_value(exponent_bits: int, group_size: int, mantissa_bits: int, chunk_bits: int = 2) -> float:

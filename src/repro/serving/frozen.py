@@ -493,7 +493,13 @@ class FrozenEmbedding(FrozenOp):
     weight: np.ndarray = _array()
 
     def run(self, indices: np.ndarray) -> np.ndarray:
-        return self.weight[np.asarray(indices, dtype=np.int64)]
+        indices = np.asarray(indices, dtype=np.int64)
+        vocab = self.weight.shape[0]
+        if indices.size and (indices.min() < 0 or indices.max() >= vocab):
+            raise ValueError(
+                f"token indices must lie in [0, {vocab}), got values from "
+                f"{indices.min()} to {indices.max()}")
+        return self.weight[indices]
 
 
 @_register_op

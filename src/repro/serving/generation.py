@@ -59,6 +59,7 @@ import numpy as np
 
 from .. import observability
 from ..core.bfp import bfp_quantize_tensor
+from ..core.chunks import bits_per_group
 from ..observability.metrics import LatencyHistogram
 from .frozen import (
     ActivationQuantizer,
@@ -250,14 +251,11 @@ class KVCacheManager:
         values = tokens * self.num_layers * 2 * self.num_heads * self.head_dim
         values_per_token = self.num_layers * 2 * self.num_heads * self.head_dim
         if self.quantizer is not None:
-            # Mirrors BFPTensor.storage_bits(): per group, a shared exponent
-            # plus 3-bit sign-magnitude chunks per value (Figure 15 layout).
             group = self.quantizer.group_size
             groups_per_row = -(-self.num_heads * self.head_dim // group)
-            chunks = -(-self.quantizer.mantissa_bits // 3)
-            exponent_bits = self.quantizer.exponent_bits or 8
-            bits_per_group = exponent_bits + group * 3 * chunks
-            bytes_per_token = self.num_layers * 2 * groups_per_row * bits_per_group / 8.0
+            group_bits = bits_per_group(self.quantizer.exponent_bits or 8, group,
+                                        self.quantizer.mantissa_bits)
+            bytes_per_token = self.num_layers * 2 * groups_per_row * group_bits / 8.0
         else:
             bytes_per_token = values_per_token * float(self.dtype.itemsize)
         cache_bytes = tokens * bytes_per_token
@@ -537,7 +535,6 @@ class GenerationServer(LifecycleServer):
         # Submitters append; only the scheduler pops (deque ops are atomic).
         self._pending: "deque[_Sequence]" = deque()
         self._active: List[_Sequence] = []
-        self._caches: Dict[int, object] = {}
         self._batch_mkv = None      # rebuilt when batch composition changes
         self._batch_mmask = None
         self._gate = AdmissionGate(self.config, self._label)

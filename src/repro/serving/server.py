@@ -748,10 +748,15 @@ class InferenceServer(LifecycleServer):
 
     def _shed_expired(self, requests: List[_Request], now: float,
                       watermark: bool = False) -> List[_Request]:
-        """Resolve expired requests with :class:`DeadlineExceeded`; return the rest."""
+        """Resolve expired requests with :class:`DeadlineExceeded` and drop
+        the ones their caller cancelled (counted as failed, as
+        :class:`GenerationServer` counts them); return the rest."""
         alive = []
         for request in sorted(requests, key=lambda r: r.enqueued):
-            if request.deadline is not None and request.deadline <= now:
+            if request.future.cancelled():
+                with self._stats_lock:
+                    self._failed_requests += 1
+            elif request.deadline is not None and request.deadline <= now:
                 waited_ms = (now - request.enqueued) * 1e3
                 self._fail_request(request, DeadlineExceeded(
                     f"request deadline of {request.deadline_ms:.1f} ms expired after "

@@ -1,21 +1,27 @@
 """Training loops for the three task families the paper evaluates.
 
-Each trainer wires a precision schedule into an optimization loop:
+One loop, :meth:`_BaseTrainer._fit`, trains every task.  Each step:
 
-1. before every mini-batch the schedule is told the current iteration so it
-   can update the per-layer quantization schemes (Algorithm 1, or the
-   temporal/layerwise switches of Figure 9),
+1. the precision schedule is told the current iteration so it can update
+   the per-layer quantization schemes (Algorithm 1, or the temporal/layerwise
+   switches of Figure 9),
 2. the forward/backward pass runs through the quantized layers, and
 3. the FP32 master weights are updated by the optimizer.
 
-The trainers record per-epoch accuracy/BLEU/mAP curves which the
-time-to-accuracy analysis (Figure 19/20) combines with the hardware
-performance model.
+Each epoch it records the mean loss, the train metric, the validation metric
+and the per-layer precisions.  A trainer supplies only what differs by task:
+its ``fit`` signature, its batch loss (``_batch_loss``; classification also
+records per-step accuracy there, the others record the negated mean loss),
+its validation metric (``evaluate``, ``evaluate_bleu``, ``evaluate_map``,
+each run inside the one :meth:`_BaseTrainer._evaluating` wrapper) and the
+metrics of its log line.  The accuracy/BLEU/mAP curves feed the
+time-to-accuracy analysis (Figure 19/20) with the hardware performance model.
 """
 
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
@@ -69,13 +75,6 @@ class TrainingResult:
                 return epoch
         return None
 
-    @property
-    def mean_step_time(self) -> float:
-        """Average wall-clock seconds per optimization step across training."""
-        if not self.epoch_time_history or not self.iterations:
-            return float("nan")
-        return sum(self.epoch_time_history) / self.iterations
-
 
 def _train_metrics(registry, **labels):
     return (
@@ -95,7 +94,7 @@ def _train_metrics(registry, **labels):
 
 
 class _BaseTrainer:
-    """Shared plumbing: schedule preparation, iteration bookkeeping, dtype.
+    """The training loop, the evaluation wrapper and the compute dtype.
 
     ``compute_dtype`` selects the precision the forward/backward pass runs
     at.  ``None`` (the default) leaves the model and data untouched -- the
@@ -108,6 +107,9 @@ class _BaseTrainer:
     higher-precision master copy under float32 compute).
     """
 
+    #: The log line's metrics after the loss, formatted with ``train``/``val``.
+    _log_metrics = ""
+
     def __init__(self, model: nn.Module, optimizer: nn.Optimizer,
                  schedule: Optional[PrecisionSchedule] = None,
                  compute_dtype=None, abort_on_nonfinite: bool = False):
@@ -116,7 +118,6 @@ class _BaseTrainer:
         self.schedule = schedule if schedule is not None else FP32Schedule()
         self.iteration = 0
         self.abort_on_nonfinite = abort_on_nonfinite
-        self._step_started = None
         self._metrics = observability.LazyMetrics(
             _train_metrics, trainer=type(self).__name__, schedule=self.schedule.name)
         self.compute_dtype = None if compute_dtype is None else np.dtype(compute_dtype)
@@ -130,32 +131,23 @@ class _BaseTrainer:
         """Cast a floating batch array to the compute dtype (no-op otherwise)."""
         return cast_floating(array, self.compute_dtype)
 
-    def _prepare(self, iterations_per_epoch: int, epochs: int) -> None:
-        total = max(iterations_per_epoch * epochs, 1)
-        self.schedule.prepare(self.model, total)
-        self.iteration = 0
+    def _batch_loss(self, batch, step_metrics: List[float]) -> nn.Tensor:
+        """Forward one mini-batch and return its loss.  A trainer whose train
+        metric is per-step appends it to ``step_metrics``; otherwise the
+        epoch's train metric is its negated mean loss."""
+        raise NotImplementedError
 
-    def _pre_step(self) -> None:
-        self.schedule.on_iteration(self.iteration)
-        self._step_started = (time.perf_counter()
-                              if observability.enabled() else None)
-
-    def _post_step(self) -> None:
-        self.iteration += 1
-        if self._step_started is not None:
-            elapsed = time.perf_counter() - self._step_started
-            steps, step_ms = self._metrics()[:2]
-            steps.inc()
-            step_ms.observe(elapsed * 1e3)
-
-    def _observe_epoch(self, epoch_seconds: float, mean_loss: float) -> None:
-        """Per-epoch metrics; no-op unless the observability gate is on."""
-        if not observability.enabled():
-            return
-        _, _, epochs, epoch_ms, last_loss = self._metrics()
-        epochs.inc()
-        epoch_ms.observe(epoch_seconds * 1e3)
-        last_loss.set(mean_loss)
+    @contextmanager
+    def _evaluating(self):
+        """Run the block in eval mode without autograd; the previous mode is
+        restored even if the block raises."""
+        was_training = self.model.training
+        self.model.eval()
+        try:
+            with nn.no_grad():
+                yield
+        finally:
+            self.model.train(was_training)
 
     def _check_loss(self, value: float, epoch: int, step: int) -> float:
         """Opt-in divergence guard: raise on the first NaN/inf loss."""
@@ -168,9 +160,61 @@ class _BaseTrainer:
                 "abort_on_nonfinite to keep going")
         return value
 
+    def _fit(self, loader, evaluate: Callable, val_data, epochs: int,
+             log_fn: Optional[Callable[[str], None]], lr_scheduler) -> TrainingResult:
+        """The training loop: ``epochs`` passes over ``loader``, scored by
+        ``evaluate(val_data)`` after each epoch when ``val_data`` is given."""
+        self.schedule.prepare(self.model, max(len(loader) * epochs, 1))
+        self.iteration = 0
+        result = TrainingResult(schedule_name=self.schedule.name)
+        self.model.train()
+        for epoch in range(epochs):
+            epoch_start = time.perf_counter()
+            losses = []
+            step_metrics = []
+            for batch in loader:
+                self.schedule.on_iteration(self.iteration)
+                step_start = time.perf_counter() if observability.enabled() else None
+                loss = self._batch_loss(batch, step_metrics)
+                self.optimizer.zero_grad()
+                loss.backward()
+                self.optimizer.step()
+                losses.append(self._check_loss(loss.item(), epoch, len(losses)))
+                self.iteration += 1
+                if step_start is not None:
+                    steps, step_ms = self._metrics()[:2]
+                    steps.inc()
+                    step_ms.observe((time.perf_counter() - step_start) * 1e3)
+            epoch_seconds = time.perf_counter() - epoch_start
+            mean_loss = float(np.mean(losses))
+            result.epoch_time_history.append(epoch_seconds)
+            result.loss_history.append(mean_loss)
+            if observability.enabled():
+                _, _, epochs_done, epoch_ms, last_loss = self._metrics()
+                epochs_done.inc()
+                epoch_ms.observe(epoch_seconds * 1e3)
+                last_loss.set(mean_loss)
+            result.train_metric_history.append(
+                float(np.mean(step_metrics)) if step_metrics else -mean_loss)
+            if val_data is not None:
+                result.val_metric_history.append(evaluate(val_data))
+            result.precision_history.append(self.schedule.precision_snapshot())
+            result.epochs = epoch + 1
+            result.iterations = self.iteration
+            if lr_scheduler is not None:
+                lr_scheduler.step()
+            if log_fn is not None:
+                val = result.val_metric_history[-1] if result.val_metric_history else float("nan")
+                log_fn(f"epoch {epoch + 1}/{epochs} loss={mean_loss:.4f} "
+                       + self._log_metrics.format(train=result.train_metric_history[-1],
+                                                  val=val))
+        return result
+
 
 class ClassificationTrainer(_BaseTrainer):
     """Image-classification training loop (CNNs and MLPs)."""
+
+    _log_metrics = "train_acc={train:.2f}% val_acc={val:.2f}%"
 
     def __init__(self, model: nn.Module, optimizer: nn.Optimizer,
                  schedule: Optional[PrecisionSchedule] = None,
@@ -180,61 +224,35 @@ class ClassificationTrainer(_BaseTrainer):
                          abort_on_nonfinite=abort_on_nonfinite)
         self.loss_fn = loss_fn
 
+    def _batch_loss(self, batch, step_metrics):
+        inputs, labels = batch
+        logits = self.model(self._cast(inputs))
+        loss = self.loss_fn(logits, labels)
+        step_metrics.append(accuracy(logits.data, labels))
+        return loss
+
     def evaluate(self, loader: DataLoader) -> float:
         """Validation accuracy (percent)."""
-        was_training = self.model.training
-        self.model.eval()
         correct_weighted = 0.0
         total = 0
-        with nn.no_grad():
+        with self._evaluating():
             for inputs, labels in loader:
                 logits = self.model(self._cast(inputs))
                 batch = len(labels)
                 correct_weighted += accuracy(logits.data, labels) * batch
                 total += batch
-        self.model.train(was_training)
         return correct_weighted / max(total, 1)
 
     def fit(self, train_loader: DataLoader, val_loader: Optional[DataLoader] = None,
             epochs: int = 1, log_fn: Optional[Callable[[str], None]] = None,
             lr_scheduler=None) -> TrainingResult:
-        self._prepare(len(train_loader), epochs)
-        result = TrainingResult(schedule_name=self.schedule.name)
-        self.model.train()
-        for epoch in range(epochs):
-            epoch_start = time.perf_counter()
-            epoch_losses = []
-            epoch_accuracy = []
-            for inputs, labels in train_loader:
-                self._pre_step()
-                logits = self.model(self._cast(inputs))
-                loss = self.loss_fn(logits, labels)
-                self.optimizer.zero_grad()
-                loss.backward()
-                self.optimizer.step()
-                epoch_losses.append(self._check_loss(loss.item(), epoch, len(epoch_losses)))
-                epoch_accuracy.append(accuracy(logits.data, labels))
-                self._post_step()
-            result.epoch_time_history.append(time.perf_counter() - epoch_start)
-            result.loss_history.append(float(np.mean(epoch_losses)))
-            self._observe_epoch(result.epoch_time_history[-1], result.loss_history[-1])
-            result.train_metric_history.append(float(np.mean(epoch_accuracy)))
-            if val_loader is not None:
-                result.val_metric_history.append(self.evaluate(val_loader))
-            result.precision_history.append(self.schedule.precision_snapshot())
-            result.epochs = epoch + 1
-            result.iterations = self.iteration
-            if lr_scheduler is not None:
-                lr_scheduler.step()
-            if log_fn is not None:
-                val = result.val_metric_history[-1] if result.val_metric_history else float("nan")
-                log_fn(f"epoch {epoch + 1}/{epochs} loss={result.loss_history[-1]:.4f} "
-                       f"train_acc={result.train_metric_history[-1]:.2f}% val_acc={val:.2f}%")
-        return result
+        return self._fit(train_loader, self.evaluate, val_loader, epochs, log_fn, lr_scheduler)
 
 
 class Seq2SeqTrainer(_BaseTrainer):
     """Transformer training loop for the synthetic transduction task."""
+
+    _log_metrics = "BLEU={val:.2f}"
 
     def __init__(self, model, optimizer: nn.Optimizer,
                  schedule: Optional[PrecisionSchedule] = None, pad_index: int = 0,
@@ -243,15 +261,19 @@ class Seq2SeqTrainer(_BaseTrainer):
                          abort_on_nonfinite=abort_on_nonfinite)
         self.pad_index = pad_index
 
+    def _batch_loss(self, batch, step_metrics):
+        sources, (decoder_inputs, decoder_targets) = batch
+        logits = self.model(sources, decoder_inputs)
+        return sequence_cross_entropy(logits, decoder_targets, pad_index=self.pad_index)
+
     def evaluate_bleu(self, dataset, max_samples: int = 64) -> float:
         """Greedy-decode a validation subset and score corpus BLEU."""
-        was_training = self.model.training
-        self.model.eval()
         count = min(len(dataset), max_samples)
         sources = dataset.sources[:count]
         references = dataset.reference_sentences(range(count))
-        generated = self.model.greedy_decode(sources, dataset.bos_index, dataset.eos_index,
-                                             max_length=dataset.sequence_length)
+        with self._evaluating():
+            generated = self.model.greedy_decode(sources, dataset.bos_index, dataset.eos_index,
+                                                 max_length=dataset.sequence_length)
         candidates = []
         for row in generated:
             tokens = []
@@ -260,46 +282,18 @@ class Seq2SeqTrainer(_BaseTrainer):
                     break
                 tokens.append(int(token))
             candidates.append(tokens)
-        self.model.train(was_training)
         return corpus_bleu(candidates, references)
 
     def fit(self, train_dataset, val_dataset=None, epochs: int = 1, batch_size: int = 16,
             log_fn: Optional[Callable[[str], None]] = None, lr_scheduler=None) -> TrainingResult:
         loader = DataLoader(train_dataset, batch_size=batch_size, shuffle=True)
-        self._prepare(len(loader), epochs)
-        result = TrainingResult(schedule_name=self.schedule.name)
-        self.model.train()
-        for epoch in range(epochs):
-            epoch_start = time.perf_counter()
-            epoch_losses = []
-            for sources, (decoder_inputs, decoder_targets) in loader:
-                self._pre_step()
-                logits = self.model(sources, decoder_inputs)
-                loss = sequence_cross_entropy(logits, decoder_targets, pad_index=self.pad_index)
-                self.optimizer.zero_grad()
-                loss.backward()
-                self.optimizer.step()
-                epoch_losses.append(self._check_loss(loss.item(), epoch, len(epoch_losses)))
-                self._post_step()
-            result.epoch_time_history.append(time.perf_counter() - epoch_start)
-            result.loss_history.append(float(np.mean(epoch_losses)))
-            self._observe_epoch(result.epoch_time_history[-1], result.loss_history[-1])
-            result.train_metric_history.append(-result.loss_history[-1])
-            if val_dataset is not None:
-                result.val_metric_history.append(self.evaluate_bleu(val_dataset))
-            result.precision_history.append(self.schedule.precision_snapshot())
-            result.epochs = epoch + 1
-            result.iterations = self.iteration
-            if lr_scheduler is not None:
-                lr_scheduler.step()
-            if log_fn is not None:
-                val = result.val_metric_history[-1] if result.val_metric_history else float("nan")
-                log_fn(f"epoch {epoch + 1}/{epochs} loss={result.loss_history[-1]:.4f} BLEU={val:.2f}")
-        return result
+        return self._fit(loader, self.evaluate_bleu, val_dataset, epochs, log_fn, lr_scheduler)
 
 
 class DetectionTrainer(_BaseTrainer):
     """YOLO-style detection training loop."""
+
+    _log_metrics = "mAP={val:.2f}"
 
     def __init__(self, model, optimizer: nn.Optimizer,
                  schedule: Optional[PrecisionSchedule] = None, confidence_threshold: float = 0.5,
@@ -308,48 +302,20 @@ class DetectionTrainer(_BaseTrainer):
                          abort_on_nonfinite=abort_on_nonfinite)
         self.confidence_threshold = confidence_threshold
 
+    def _batch_loss(self, batch, step_metrics):
+        images, targets = batch
+        return yolo_loss(self.model(self._cast(images)), targets)
+
     def evaluate_map(self, dataset) -> float:
         """mAP@0.5 on a detection dataset."""
-        was_training = self.model.training
-        self.model.eval()
         images, _ = dataset.arrays()
-        with nn.no_grad():
+        with self._evaluating():
             raw = self.model(self._cast(images)).data
         predictions = decode_predictions(raw, threshold=self.confidence_threshold)
-        ground_truth = dataset.ground_truth_boxes()
-        self.model.train(was_training)
-        return mean_average_precision(predictions, ground_truth, dataset.num_classes)
+        return mean_average_precision(predictions, dataset.ground_truth_boxes(),
+                                      dataset.num_classes)
 
     def fit(self, train_dataset, val_dataset=None, epochs: int = 1, batch_size: int = 16,
             log_fn: Optional[Callable[[str], None]] = None, lr_scheduler=None) -> TrainingResult:
         loader = DataLoader(train_dataset, batch_size=batch_size, shuffle=True)
-        self._prepare(len(loader), epochs)
-        result = TrainingResult(schedule_name=self.schedule.name)
-        self.model.train()
-        for epoch in range(epochs):
-            epoch_start = time.perf_counter()
-            epoch_losses = []
-            for images, targets in loader:
-                self._pre_step()
-                predictions = self.model(self._cast(images))
-                loss = yolo_loss(predictions, targets)
-                self.optimizer.zero_grad()
-                loss.backward()
-                self.optimizer.step()
-                epoch_losses.append(self._check_loss(loss.item(), epoch, len(epoch_losses)))
-                self._post_step()
-            result.epoch_time_history.append(time.perf_counter() - epoch_start)
-            result.loss_history.append(float(np.mean(epoch_losses)))
-            self._observe_epoch(result.epoch_time_history[-1], result.loss_history[-1])
-            result.train_metric_history.append(-result.loss_history[-1])
-            if val_dataset is not None:
-                result.val_metric_history.append(self.evaluate_map(val_dataset))
-            result.precision_history.append(self.schedule.precision_snapshot())
-            result.epochs = epoch + 1
-            result.iterations = self.iteration
-            if lr_scheduler is not None:
-                lr_scheduler.step()
-            if log_fn is not None:
-                val = result.val_metric_history[-1] if result.val_metric_history else float("nan")
-                log_fn(f"epoch {epoch + 1}/{epochs} loss={result.loss_history[-1]:.4f} mAP={val:.2f}")
-        return result
+        return self._fit(loader, self.evaluate_map, val_dataset, epochs, log_fn, lr_scheduler)

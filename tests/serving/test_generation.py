@@ -146,6 +146,23 @@ class TestIncrementalDecodeNumerics:
         assert worst_max < 1.0, f"max relative divergence {worst_max}"
 
 
+class TestFrozenTokenRange:
+    """Library callers that bypass the server's submit-time check."""
+
+    @pytest.mark.parametrize("source", [[3, -1, 4], [3, 99, 4]])
+    def test_out_of_vocabulary_tokens_raise(self, source):
+        root = frozen_seq2seq(vocab=30).root
+        src = np.array([source])
+        with pytest.raises(ValueError, match=r"\[0, 30\)"):
+            root.encode(src)
+        with pytest.raises(ValueError, match=r"\[0, 30\)"):
+            root.greedy_decode_cached(src, BOS, EOS, max_length=4)
+        _, memory_kv = root.prefill(np.array([[3, 4, 5]]))
+        with pytest.raises(ValueError, match=r"\[0, 30\)"):
+            root.decode_step(np.array([source[1]]), np.array([0]),
+                             root.start_cache(), memory_kv)
+
+
 class TestKVCacheManager:
     def make(self, total_blocks=8, block_tokens=4, quantizer=None):
         return KVCacheManager(num_layers=2, num_heads=2, head_dim=8,
@@ -215,6 +232,19 @@ class TestKVCacheManager:
         np.testing.assert_array_equal(
             flat, bfp_quantize(flat, mantissa_bits=4, group_size=16,
                                exponent_bits=8, rounding="nearest"))
+
+    @pytest.mark.parametrize("mantissa_bits", [2, 3, 4, 5, 8])
+    def test_cache_bytes_match_packed_storage(self, rng, mantissa_bits):
+        # Figure 15: ceil(m/2) 2-bit chunks per mantissa, 3 stored bits each.
+        cache = KVCacheManager(num_layers=1, num_heads=2, head_dim=16,
+                               total_blocks=2, block_tokens=4,
+                               quantizer=ActivationQuantizer(mantissa_bits, 16, 8))
+        cache.reserve(0, 8)
+        for _ in range(8):
+            cache.append_step([0], 0, rng.standard_normal((1, 2, 1, 16)),
+                              rng.standard_normal((1, 2, 1, 16)))
+        packed_k_bits = cache.packed_block(0, 0).storage_bits()
+        assert cache.stats().cache_bytes == 2 * packed_k_bits / 8
 
 
 class TestGenerationServer:

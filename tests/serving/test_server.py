@@ -161,6 +161,33 @@ class TestAccountingAndErrors:
             stats.no_such_counter
         assert stats.as_dict()["requests"] == 16
 
+    def test_cancelled_requests_never_reach_the_engine(self):
+        class GatedEngine:
+            def __init__(self):
+                self.started = threading.Event()
+                self.release = threading.Event()
+                self.rows = 0
+
+            def predict(self, batch):
+                self.started.set()
+                assert self.release.wait(10)
+                self.rows += len(batch)
+                return np.asarray(batch)
+
+        engine = GatedEngine()
+        with InferenceServer(engine, BatchingConfig(max_batch_size=1)) as server:
+            first = server.submit(np.zeros(4))
+            assert engine.started.wait(10)
+            cancelled = [server.submit(np.ones(4)) for _ in range(3)]
+            assert all(future.cancel() for future in cancelled)
+            engine.release.set()
+            first.result(timeout=10)
+        stats = server.stats()
+        assert engine.rows == 1
+        assert stats.requests == 1
+        assert stats.failed_requests == 3
+        assert stats.queue_depth == 0
+
     def test_engine_failure_propagates_to_futures(self):
         engine = make_engine()
         with InferenceServer(engine, BatchingConfig(max_batch_size=4,
