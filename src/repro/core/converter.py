@@ -10,22 +10,22 @@ conversion.
 
 All outputs of the hardware converter are stored with 4-bit mantissas split
 into two 2-bit chunks; when the policy selects 2 bits the low-order chunk is
-simply discarded (Section V-D).  The software model mirrors that by exposing
-both precisions from a single conversion.
+simply discarded (Section V-D).  :class:`AdaptiveConversion` mirrors that by
+exposing both precisions and ``r(X)`` from a single conversion; training
+measures ``r(X)`` only there, through :class:`~repro.nn.quantized.BFPScheme`.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from . import kernels
-from .bfp import BFPConfig, bfp_quantize_tensor, BFPTensor
+from .bfp import BFPConfig
 
-__all__ = ["AdaptiveConversion", "ConversionResult", "BFPConverter", "relative_improvement"]
+__all__ = ["AdaptiveConversion", "relative_improvement"]
 
 
 def _improvement_ratio(low: np.ndarray, high: np.ndarray) -> float:
@@ -64,10 +64,13 @@ class AdaptiveConversion:
     otherwise, and results come back in the tensor's floating dtype;
     ``layout`` is passed to
     :class:`~repro.core.kernels.GroupedTensor`, whose lifetime rule applies.
+    ``low_bits`` must be strictly smaller than ``high_bits``.
     """
 
     def __init__(self, x, config: Optional[BFPConfig] = None, low_bits: int = 2,
                  high_bits: int = 4, layout=None):
+        if low_bits >= high_bits:
+            raise ValueError("low_bits must be strictly smaller than high_bits")
         if config is None:
             config = BFPConfig()
         x = np.asarray(x)
@@ -131,74 +134,3 @@ def relative_improvement(x, config: Optional[BFPConfig] = None, low_bits: int = 
     perturb either sum.
     """
     return AdaptiveConversion(x, config, low_bits, high_bits).relative_improvement
-
-
-@dataclass
-class ConversionResult:
-    """Output of one :class:`BFPConverter` invocation."""
-
-    quantized: np.ndarray
-    packed: BFPTensor
-    relative_improvement: float
-    mantissa_bits: int
-
-
-class BFPConverter:
-    """FP32 -> BFP conversion unit with relative-improvement computation.
-
-    Parameters
-    ----------
-    config:
-        Base :class:`BFPConfig` (group size, exponent width, rounding mode).
-    low_bits, high_bits:
-        The two mantissa precisions supported by Algorithm 1 (2 and 4 bits in
-        the paper).
-    rng:
-        Random source used when ``config.rounding == "stochastic"``.
-    """
-
-    def __init__(
-        self,
-        config: Optional[BFPConfig] = None,
-        low_bits: int = 2,
-        high_bits: int = 4,
-        rng=None,
-    ):
-        self.config = config if config is not None else BFPConfig()
-        if low_bits >= high_bits:
-            raise ValueError("low_bits must be strictly smaller than high_bits")
-        self.low_bits = low_bits
-        self.high_bits = high_bits
-        self.rng = rng if rng is not None else np.random.default_rng()  # repro-lint: disable=RL005 -- API fallback; repro paths thread a seeded rng
-
-    def convert(self, x, mantissa_bits: Optional[int] = None, axis: int = -1) -> ConversionResult:
-        """Convert ``x`` to BFP with the requested (or configured) mantissa width."""
-        bits = mantissa_bits if mantissa_bits is not None else self.config.mantissa_bits
-        cfg = self.config.with_mantissa(bits)
-        packed = bfp_quantize_tensor(x, config=cfg, rng=self.rng, axis=axis)
-        quantized = packed.to_float()
-        r_value = relative_improvement(x, self.config, self.low_bits, self.high_bits)
-        return ConversionResult(
-            quantized=quantized,
-            packed=packed,
-            relative_improvement=r_value,
-            mantissa_bits=bits,
-        )
-
-    def convert_adaptive(self, x, threshold: float, axis: int = -1) -> ConversionResult:
-        """Convert ``x`` choosing the mantissa width per Algorithm 1.
-
-        If the relative improvement of the high-precision format is below
-        ``threshold`` the low-precision mantissa is used; otherwise the
-        high-precision one.
-        """
-        r_value = relative_improvement(x, self.config, self.low_bits, self.high_bits)
-        bits = self.low_bits if r_value < threshold else self.high_bits
-        cfg = self.config.with_mantissa(bits)
-        packed = bfp_quantize_tensor(x, config=cfg, rng=self.rng, axis=axis)
-        return ConversionResult(
-            quantized=packed.to_float(),
-            packed=packed,
-            relative_improvement=r_value,
-            mantissa_bits=bits,
-        )

@@ -12,18 +12,19 @@ The paper studies several schedules (Section IV):
   ``r(X)`` against the decaying threshold ``ε(l, i)`` of Equation 1.
 
 Every policy implements :meth:`PrecisionPolicy.decide`, a pure map from
-``(tensor_kind, layer_index, iteration, tensor)`` to a mantissa bitwidth, so
-trainers and benchmarks can swap policies freely.  The decisions used are
-recorded into one bounded :class:`PrecisionRecord` per (layer, tensor kind).
+``(tensor_kind, layer_index, iteration, r)`` to a mantissa bitwidth, so
+trainers and benchmarks can swap policies freely.  Only FAST-Adaptive reads
+``r``, the relative improvement ``r(X)`` of Equation 2, and only when
+:meth:`PrecisionPolicy.needs_statistic` says it is due; the quantization
+scheme that converts the tensor measures it (Figure 14).  The decisions used
+are recorded into one bounded :class:`PrecisionRecord` per (layer, tensor
+kind).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
-
-from .bfp import BFPConfig
-from .converter import relative_improvement
 
 __all__ = [
     "fast_threshold",
@@ -116,11 +117,12 @@ class PrecisionPolicy:
     """Base class for precision policies.
 
     Subclasses implement :meth:`decide`, which maps ``(tensor_kind,
-    layer_index, iteration, tensor)`` to a :class:`PrecisionDecision` and
+    layer_index, iteration, r)`` to a :class:`PrecisionDecision` and
     touches no state, so quantized layers can (re)compute the bits at
-    weight-cache lookup.  Each quantize call records its decision once
-    (:meth:`select` or :meth:`record`) into :attr:`records`, whose size does
-    not grow with the number of calls.
+    weight-cache lookup.  ``r`` is ``r(X)`` of the tensor, passed when
+    :meth:`needs_statistic` is true and ignored otherwise.  Each quantize
+    call records its decision once (:meth:`select` or :meth:`record`) into
+    :attr:`records`, whose size does not grow with the number of calls.
     """
 
     #: Mantissa widths this policy may return (used by cost models).
@@ -131,14 +133,20 @@ class PrecisionPolicy:
         #: by :meth:`record`.
         self.records: Dict[Tuple[int, str], PrecisionRecord] = {}
 
+    def needs_statistic(self, tensor_kind: str, layer_index: int, iteration: int) -> bool:
+        """Whether :meth:`decide` needs ``r(X)`` of this tensor (data-free
+        policies never do)."""
+        return False
+
     def decide(self, tensor_kind: str, layer_index: int, iteration: int,
-               tensor=None) -> PrecisionDecision:
+               r: Optional[float] = None) -> PrecisionDecision:
         """Choose the mantissa bitwidth for the given tensor (no recording)."""
         raise NotImplementedError
 
-    def select(self, tensor_kind: str, layer_index: int, iteration: int, tensor=None) -> int:
+    def select(self, tensor_kind: str, layer_index: int, iteration: int,
+               r: Optional[float] = None) -> int:
         """Return the mantissa bitwidth for the given tensor and record it."""
-        decision = self.decide(tensor_kind, layer_index, iteration, tensor=tensor)
+        decision = self.decide(tensor_kind, layer_index, iteration, r=r)
         self.record(decision)
         return decision.mantissa_bits
 
@@ -192,7 +200,7 @@ class FixedPrecisionPolicy(PrecisionPolicy):
         self.supported_bits = (mantissa_bits,)
 
     def decide(self, tensor_kind: str, layer_index: int, iteration: int,
-               tensor=None) -> PrecisionDecision:
+               r: Optional[float] = None) -> PrecisionDecision:
         return PrecisionDecision(layer_index, iteration, tensor_kind, self.mantissa_bits)
 
 
@@ -231,7 +239,7 @@ class TemporalPrecisionPolicy(_SwitchPolicy):
         self.total_iterations = total_iterations
 
     def decide(self, tensor_kind: str, layer_index: int, iteration: int,
-               tensor=None) -> PrecisionDecision:
+               r: Optional[float] = None) -> PrecisionDecision:
         bits = self._bits(iteration / self.total_iterations)
         return PrecisionDecision(layer_index, iteration, tensor_kind, bits)
 
@@ -251,7 +259,7 @@ class LayerwisePrecisionPolicy(_SwitchPolicy):
         self.total_layers = total_layers
 
     def decide(self, tensor_kind: str, layer_index: int, iteration: int,
-               tensor=None) -> PrecisionDecision:
+               r: Optional[float] = None) -> PrecisionDecision:
         bits = self._bits(layer_index / self.total_layers)
         return PrecisionDecision(layer_index, iteration, tensor_kind, bits)
 
@@ -260,10 +268,11 @@ class FASTAdaptivePolicy(PrecisionPolicy):
     """The FAST-Adaptive precision policy (Algorithm 1).
 
     For each tensor ``X`` in ``{A_l, W_l, G_l}`` of every layer ``l`` at every
-    iteration ``i``, compute the relative improvement ``r(X)`` of the 4-bit
-    mantissa over the 2-bit one and compare it with the threshold
-    ``ε(l, i)``: below the threshold the tensor stays at 2 bits, otherwise it
-    is promoted to 4 bits.
+    iteration ``i``, compare the relative improvement ``r(X)`` of the 4-bit
+    mantissa over the 2-bit one with the threshold ``ε(l, i)``: below the
+    threshold the tensor stays at 2 bits, otherwise it is promoted to 4 bits.
+    ``r(X)`` is measured by the converter of the tensor, under its grouping
+    (:class:`~repro.core.converter.AdaptiveConversion`).
 
     Parameters
     ----------
@@ -271,11 +280,8 @@ class FASTAdaptivePolicy(PrecisionPolicy):
         ``L`` and ``I`` of Equation 1.
     alpha, beta:
         Threshold hyperparameters (0.6 and 0.3 in the paper's experiments).
-    config:
-        BFP configuration (group size and exponent width) used when
-        evaluating ``r(X)``.
     evaluation_interval:
-        Recompute ``r(X)`` every this many iterations and reuse the recorded
+        Measure ``r(X)`` every this many iterations and reuse the recorded
         decision in between.  The paper recomputes every iteration in
         hardware (where the statistic is free); software callers typically
         want a coarser interval.
@@ -289,7 +295,6 @@ class FASTAdaptivePolicy(PrecisionPolicy):
         beta: float = 0.3,
         low_bits: int = 2,
         high_bits: int = 4,
-        config: Optional[BFPConfig] = None,
         evaluation_interval: int = 1,
     ):
         super().__init__()
@@ -303,7 +308,6 @@ class FASTAdaptivePolicy(PrecisionPolicy):
         self.beta = beta
         self.low_bits = low_bits
         self.high_bits = high_bits
-        self.config = config if config is not None else BFPConfig()
         self.evaluation_interval = evaluation_interval
         self.supported_bits = (low_bits, high_bits)
 
@@ -318,61 +322,37 @@ class FASTAdaptivePolicy(PrecisionPolicy):
             self.beta,
         )
 
-    def decide(self, tensor_kind: str, layer_index: int, iteration: int,
-               tensor=None) -> PrecisionDecision:
-        """Evaluate Algorithm 1 for one tensor without recording the decision.
-
-        Pure: inside ``evaluation_interval`` the recorded decision is reused
-        (:meth:`cached_decision`), else ``r(X)`` is computed from ``tensor``.
-        """
-        if tensor is None:
-            raise ValueError("FASTAdaptivePolicy.decide requires the tensor values")
-        decision = self.cached_decision(tensor_kind, layer_index, iteration)
-        if decision is not None:
-            return decision
-        r_value = relative_improvement(tensor, self.config, self.low_bits, self.high_bits)
-        return self.decide_from_improvement(tensor_kind, layer_index, iteration, r_value)
-
-    def cached_decision(self, tensor_kind: str, layer_index: int,
-                        iteration: int) -> Optional[PrecisionDecision]:
-        """The recorded decision inside ``evaluation_interval``, else ``None``.
-
-        ``None`` means ``r(X)`` is due at this iteration: a converter that
-        produces it as a by-product (see
-        :class:`~repro.core.converter.AdaptiveConversion`) passes it to
-        :meth:`decide_from_improvement`.
-        """
+    def needs_statistic(self, tensor_kind: str, layer_index: int, iteration: int) -> bool:
+        """True unless a decision recorded within ``evaluation_interval``
+        iterations still holds for this ``(layer, kind)``."""
         entry = self.records.get((layer_index, tensor_kind))
-        if entry is None or iteration - entry.evaluated_at >= self.evaluation_interval:
-            return None
-        return PrecisionDecision(layer_index, iteration, tensor_kind, entry.last.mantissa_bits,
-                                 relative_improvement=entry.last.relative_improvement,
-                                 threshold=self.threshold(layer_index, iteration))
+        return entry is None or iteration - entry.evaluated_at >= self.evaluation_interval
 
-    def decide_from_improvement(self, tensor_kind: str, layer_index: int, iteration: int,
-                                r_value: float) -> PrecisionDecision:
-        """Algorithm 1's comparison of ``r(X)`` with ``ε(l, i)``.
+    def decide(self, tensor_kind: str, layer_index: int, iteration: int,
+               r: Optional[float] = None) -> PrecisionDecision:
+        """Algorithm 1 for one tensor, without recording the decision.
 
-        ``r_value`` must be :func:`~repro.core.converter.relative_improvement`
-        of the tensor under this policy's ``config``, ``low_bits`` and
-        ``high_bits``.  Like :meth:`decide`, nothing is recorded.
+        When ``r(X)`` is due, ``r`` must be
+        :func:`~repro.core.converter.relative_improvement` of the tensor at
+        ``low_bits`` and ``high_bits``, and is compared with ``ε(l, i)``;
+        otherwise the recorded bits and ``r`` are reused.
         """
         eps = self.threshold(layer_index, iteration)
-        bits = self.low_bits if r_value < eps else self.high_bits
-        return PrecisionDecision(
-            layer_index,
-            iteration,
-            tensor_kind,
-            bits,
-            relative_improvement=r_value,
-            threshold=eps,
-        )
+        if self.needs_statistic(tensor_kind, layer_index, iteration):
+            if r is None:
+                raise ValueError("FASTAdaptivePolicy.decide requires r(X) when it is due")
+            bits = self.low_bits if r < eps else self.high_bits
+        else:
+            last = self.records[layer_index, tensor_kind].last
+            bits, r = last.mantissa_bits, last.relative_improvement
+        return PrecisionDecision(layer_index, iteration, tensor_kind, bits,
+                                 relative_improvement=r, threshold=eps)
 
     def record(self, decision: PrecisionDecision) -> PrecisionRecord:
         """Record ``decision``; recorded while ``r(X)`` is due, it starts the
         next ``evaluation_interval``."""
-        due = self.cached_decision(decision.tensor_kind, decision.layer_index,
-                                   decision.iteration) is None
+        due = self.needs_statistic(decision.tensor_kind, decision.layer_index,
+                                   decision.iteration)
         entry = super().record(decision)
         if due:
             entry.evaluated_at = decision.iteration

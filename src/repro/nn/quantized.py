@@ -21,7 +21,8 @@ Schemes provided:
   :class:`~repro.core.precision_policy.PrecisionPolicy` picks on every call:
   the fixed LowBFP/MidBFP/HighBFP baselines, the Figure 9 temporal and
   layerwise schedules, and Algorithm 1's per-tensor, per-iteration 2- or
-  4-bit choice are all policies of this one scheme.
+  4-bit choice are all policies of this one scheme, which alone measures
+  Algorithm 1's ``r(X)``, from the conversion of the tensor itself.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import numpy as np
 from ..core.bfp import BFPConfig, bfp_quantize
 from ..core.converter import AdaptiveConversion
 from ..core.kernels import LayoutCache
-from ..core.precision_policy import TENSOR_KINDS, FASTAdaptivePolicy, PrecisionPolicy
+from ..core.precision_policy import TENSOR_KINDS, PrecisionPolicy
 from ..formats.base import NumberFormat, TensorKind
 from . import functional as F
 from .modules import Conv2d, Linear, Module
@@ -73,9 +74,10 @@ class QuantizationScheme:
         When this returns a token, quantized layers may cache the quantized
         weight array and reuse it while the token and the parameter's
         ``version`` counter both stay unchanged.  ``values`` passes the weight
-        array for schemes whose token depends on the data (the FAST-Adaptive
-        policy evaluates ``r(W)`` to choose the mantissa width; the chosen
-        bits join the token so a changed decision invalidates the cache).
+        array for schemes whose token depends on the data (a FAST-Adaptive
+        policy compares ``r(W)`` with its threshold to choose the mantissa
+        width; the chosen bits join the token so a changed decision
+        invalidates the cache).
         Schemes with stateful or non-deterministic weight quantization return
         ``None`` to opt out of caching.
         """
@@ -124,13 +126,12 @@ class BFPScheme(QuantizationScheme):
     quantizes with it: a
     :class:`~repro.core.precision_policy.FixedPrecisionPolicy` gives the
     LowBFP/MidBFP/HighBFP baselines, the temporal and layerwise policies the
-    Figure 9 schedules.  When ``r(X)`` is due (every ``evaluation_interval``
-    iterations of a :class:`~repro.core.precision_policy.FASTAdaptivePolicy`
-    that groups like this scheme), activations and gradients take it from
-    their own conversion (:class:`~repro.core.converter.AdaptiveConversion`)
-    -- as the hardware BFP converter produces ``r(X)`` as a by-product of
-    conversion and picks the chunk count for the very tensor being
-    converted -- and the policy only compares it with ``ε(l, i)``.
+    Figure 9 schedules.  When a FAST-Adaptive policy needs ``r(X)``, the
+    scheme -- and nothing else in training -- measures it as a by-product of
+    converting the tensor (:class:`~repro.core.converter.AdaptiveConversion`),
+    as the hardware BFP converter does, and returns the decided width from
+    that one conversion (a weight's passes from :meth:`weight_cache_token`
+    to :meth:`quantize_weight`); the policy only compares it with ``ε(l, i)``.
 
     Decision selection is split from quantization: the policy's
     :meth:`~repro.core.precision_policy.PrecisionPolicy.decide` is pure, so
@@ -161,10 +162,10 @@ class BFPScheme(QuantizationScheme):
         # iteration, so their grouping descriptors and padded workspaces are
         # derived once and reused across the whole training run.
         self._layouts = LayoutCache(max_entries=16)
-        # Bits chosen by the most recent weight_cache_token() call, tagged
-        # with its iteration so quantize_weight can reuse the decision
-        # instead of asking (and recording with) the policy a second time.
-        self._pending_weight_bits = None
+        # The last weight_cache_token() decision (iteration, array, bits and
+        # the conversion that measured r(W)), so quantize_weight neither
+        # records with the policy nor groups the weight a second time.
+        self._pending_weight = None
 
     def _rounding(self, kind: str) -> str:
         if kind == TensorKind.GRADIENT and self.stochastic_gradients:
@@ -174,7 +175,31 @@ class BFPScheme(QuantizationScheme):
     def _layout(self, values: np.ndarray):
         return self._layouts.layout_for(values, self.config.group_size)
 
-    def _quantize_with_bits(self, values: np.ndarray, kind: str, bits: int) -> np.ndarray:
+    def _decide(self, values: np.ndarray, kind: str):
+        """The policy's decision for ``values`` (not recorded), and the
+        conversion that measured ``r(X)`` for it when the policy needed it.
+
+        Algorithm 1 as the hardware runs it: ``r(X)`` is a by-product of
+        converting the tensor under this scheme's grouping
+        (:class:`~repro.core.converter.AdaptiveConversion`), and
+        :meth:`_convert` takes the decided width from that same conversion.
+        """
+        policy, layer, iteration = self.policy, self.layer_index, self.iteration
+        if not policy.needs_statistic(kind, layer, iteration):
+            return policy.decide(kind, layer, iteration), None
+        values = np.asarray(values)
+        conversion = AdaptiveConversion(values, self.config, policy.low_bits,
+                                        policy.high_bits, layout=self._layout(values))
+        return policy.decide(kind, layer, iteration,
+                             r=conversion.relative_improvement), conversion
+
+    def _convert(self, values: np.ndarray, kind: str, bits: int,
+                 conversion: Optional[AdaptiveConversion]) -> np.ndarray:
+        """``values`` at ``bits``: from ``conversion`` when :meth:`_decide`
+        made one (stochastic rounding quantizes once more from its
+        exponents, drawing the same noise), else converted afresh."""
+        if conversion is not None:
+            return conversion.quantize(bits, self._rounding(kind), rng=self.rng)
         values = np.asarray(values)
         return bfp_quantize(
             values,
@@ -186,61 +211,31 @@ class BFPScheme(QuantizationScheme):
             layout=self._layout(values),
         )
 
-    def _converter_computes_statistic(self) -> bool:
-        """Whether this scheme's conversion can produce the policy's ``r(X)``:
-        a FAST-Adaptive policy grouping like this scheme does."""
-        policy = self.policy
-        return (isinstance(policy, FASTAdaptivePolicy)
-                and policy.config.group_size == self.config.group_size
-                and policy.config.exponent_bits == self.config.exponent_bits)
-
     def _quantize(self, values: np.ndarray, kind: str) -> np.ndarray:
-        if not self._converter_computes_statistic():
-            bits = self.policy.select(kind, self.layer_index, self.iteration, tensor=values)
-            return self._quantize_with_bits(values, kind, bits)
-        decision = self.policy.cached_decision(kind, self.layer_index, self.iteration)
-        if decision is None:
-            return self._convert_adaptive(values, kind)
+        decision, conversion = self._decide(values, kind)
         self.policy.record(decision)
-        return self._quantize_with_bits(values, kind, decision.mantissa_bits)
-
-    def _convert_adaptive(self, values: np.ndarray, kind: str) -> np.ndarray:
-        """An evaluation iteration: ``r(X)`` is a by-product of the conversion.
-
-        One grouping and exponent search yields both nearest results and
-        ``r(X)``; the policy compares it with ``ε(l, i)`` and the chosen
-        result is returned (stochastic rounding quantizes once more from the
-        same exponents).  Bit-identical to ``policy.select`` followed by
-        :meth:`_quantize_with_bits`, noise stream included.
-        """
-        policy = self.policy
-        values = np.asarray(values)
-        conversion = AdaptiveConversion(values, self.config, policy.low_bits,
-                                        policy.high_bits, layout=self._layout(values))
-        decision = policy.decide_from_improvement(kind, self.layer_index, self.iteration,
-                                                  conversion.relative_improvement)
-        policy.record(decision)
-        return conversion.quantize(decision.mantissa_bits, self._rounding(kind), rng=self.rng)
+        return self._convert(values, kind, decision.mantissa_bits, conversion)
 
     def weight_cache_token(self, values: Optional[np.ndarray] = None):
         if values is None:
-            # Without the weight data a FAST-Adaptive policy cannot evaluate r(W).
+            # Without the weight data a FAST-Adaptive policy cannot measure r(W).
             return None
-        bits = self.policy.select(
-            TensorKind.WEIGHT, self.layer_index, self.iteration, tensor=values
-        )
-        self._pending_weight_bits = (self.iteration, bits, values)
+        decision, conversion = self._decide(values, TensorKind.WEIGHT)
+        self.policy.record(decision)
+        bits = decision.mantissa_bits
+        self._pending_weight = (self.iteration, values, bits, conversion)
         return ("bfp", bits, self.config.group_size, self.config.exponent_bits)
 
     def quantize_weight(self, values: np.ndarray) -> np.ndarray:
-        # Reuse the pending decision only for the exact array it was made for
-        # at the current iteration; a stale entry (e.g. left behind by a
-        # cache-hit forward) must not leak its bits onto another tensor, and
-        # standalone calls must still select (and record) freshly.
-        pending = self._pending_weight_bits
-        self._pending_weight_bits = None
-        if pending is not None and pending[0] == self.iteration and pending[2] is values:
-            return self._quantize_with_bits(values, TensorKind.WEIGHT, pending[1])
+        # Reuse the pending decision and conversion only for the exact array
+        # they were made for at the current iteration; a stale entry (e.g.
+        # left behind by a cache-hit forward) must not leak its bits onto
+        # another tensor, and standalone calls must still decide (and record)
+        # freshly.
+        pending = self._pending_weight
+        self._pending_weight = None
+        if pending is not None and pending[0] == self.iteration and pending[1] is values:
+            return self._convert(values, TensorKind.WEIGHT, *pending[2:])
         return self._quantize(values, TensorKind.WEIGHT)
 
     def quantize_activation(self, values: np.ndarray) -> np.ndarray:
@@ -252,12 +247,13 @@ class BFPScheme(QuantizationScheme):
     def precision_setting(self) -> Dict[str, Optional[int]]:
         """Widths the policy last recorded for this layer, per kind; before
         the first one a data-free policy answers for the current iteration
-        (FAST-Adaptive needs the tensor, so its kinds stay ``None``)."""
+        (FAST-Adaptive needs ``r(X)``, so its kinds stay ``None``)."""
         setting = {}
         for kind in TENSOR_KINDS:
             entry = self.policy.records.get((self.layer_index, kind))
             decision = entry.last if entry is not None else None
-            if decision is None and not isinstance(self.policy, FASTAdaptivePolicy):
+            if decision is None and not self.policy.needs_statistic(
+                    kind, self.layer_index, self.iteration):
                 decision = self.policy.decide(kind, self.layer_index, self.iteration)
             setting[kind] = None if decision is None else decision.mantissa_bits
         return setting

@@ -261,10 +261,9 @@ def _freeze_scheme(scheme, weight_data: np.ndarray):
         raise TypeError(f"cannot freeze quantization scheme {type(scheme).__name__}")
     policy = scheme.policy
     adaptive = isinstance(policy, FASTAdaptivePolicy)
-    # `decide` is the pure selection path: freezing must not record into
-    # (or advance the memo of) the live policy it snapshots.
-    weight_bits = policy.decide(TensorKind.WEIGHT, scheme.layer_index, scheme.iteration,
-                                tensor=weight_data).mantissa_bits
+    # `_decide` is the scheme's pure selection path: freezing must not record
+    # into (or advance the memo of) the live policy it snapshots.
+    weight_bits = scheme._decide(weight_data, TensorKind.WEIGHT)[0].mantissa_bits
     if adaptive:
         activation_bits = max(policy.supported_bits)
     else:

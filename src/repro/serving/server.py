@@ -738,8 +738,19 @@ class InferenceServer(LifecycleServer):
     # -------------------------------------------------------------- #
     # Worker: request lifecycle
     # -------------------------------------------------------------- #
+    def _settle(self, request: _Request, result=None,
+                error: Optional[BaseException] = None) -> bool:
+        """:func:`settle` the request's future; one its caller cancelled
+        meanwhile counts as failed, as :meth:`_shed_expired` counts it."""
+        if settle(request.future, result, error):
+            return True
+        if request.future.cancelled():
+            with self._stats_lock:
+                self._failed_requests += 1
+        return False
+
     def _fail_request(self, request: _Request, error: BaseException) -> None:
-        if settle(request.future, error=error):
+        if self._settle(request, error=error):
             with self._stats_lock:
                 if isinstance(error, DeadlineExceeded):
                     self._shed_deadline += 1
@@ -900,17 +911,14 @@ class InferenceServer(LifecycleServer):
                     "batch contains NaN/inf")
         with self._stats_lock:
             self._batched_requests += batch_size
-            self._completed += batch_size - len(poisoned)
             self._batches += 1
-            self._last_completed = done
-            for request in requests:
-                self._latency_hist.observe((done - request.enqueued) * 1e3)
         tracer = observability.active_tracer()
         if tracer is not None and tracer.armed:
             self._emit_batch_spans(tracer, base_key, batch_size,
                                    batch_started, t_assembled, done, transport_ms)
-        if observability.enabled():
-            self._observe_batch(requests, batch_size, compute_ms, done)
+        observed = observability.enabled()
+        if observed:
+            self._observe_batch(compute_ms)
         for index, request in enumerate(requests):
             if index in poisoned:
                 with self._stats_lock:
@@ -930,7 +938,16 @@ class InferenceServer(LifecycleServer):
                 transport_ms=transport_ms,
                 trace_id=request.trace_id,
             )
-            settle(request.future, InferenceResult(outputs[index], timing))
+            if not self._settle(request, InferenceResult(outputs[index], timing)):
+                continue
+            with self._stats_lock:
+                self._completed += 1
+                self._last_completed = done
+                self._latency_hist.observe(timing.total_ms)
+            if observed:
+                requests_total, _, latency, _, _ = self._metrics()
+                requests_total.inc()
+                latency.observe(timing.total_ms)
             if request.trace_id is not None and tracer is not None and tracer.armed:
                 args = {"trace_id": request.trace_id, "server": self.name}
                 tracer.add_event("queue", request.enqueued,
@@ -960,14 +977,10 @@ class InferenceServer(LifecycleServer):
                          max(0.0, done - t_assembled - 2 * leg_s), args=args)
         tracer.add_event("transport", done - leg_s, leg_s, args=args)
 
-    def _observe_batch(self, requests: List[_Request], batch_size: int,
-                       compute_ms: float, done: float) -> None:
-        req_total, batch_total, latency, compute, depth = self._metrics()
-        req_total.inc(batch_size)
+    def _observe_batch(self, compute_ms: float) -> None:
+        _, batch_total, _, compute, depth = self._metrics()
         batch_total.inc()
         compute.observe(compute_ms)
-        for request in requests:
-            latency.observe((done - request.enqueued) * 1e3)
         depth.set(self.queue_depth)
 
     def _flush(self, key: Tuple) -> None:

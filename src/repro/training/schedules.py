@@ -257,7 +257,6 @@ class FASTSchedule(_PolicySchedule):
             beta=self.beta,
             low_bits=self.low_bits,
             high_bits=self.high_bits,
-            config=self.config,
             evaluation_interval=self.evaluation_interval,
         )
 

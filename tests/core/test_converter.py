@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from repro.core.bfp import BFPConfig, bfp_quantize
-from repro.core.converter import BFPConverter, relative_improvement
+from repro.core.converter import AdaptiveConversion, relative_improvement
+from repro.core.precision_policy import FASTAdaptivePolicy
+from repro.core.rounding import NoisePool
 
 
 class TestRelativeImprovement:
@@ -45,41 +47,53 @@ class TestRelativeImprovement:
         assert relative_improvement(wide) > relative_improvement(narrow)
 
 
-class TestBFPConverter:
-    def test_convert_uses_configured_bits(self, rng):
-        converter = BFPConverter(BFPConfig(mantissa_bits=4, exponent_bits=8))
-        result = converter.convert(rng.standard_normal((2, 32)))
-        assert result.mantissa_bits == 4
-        assert result.packed.mantissa_bits == 4
-        assert result.quantized.shape == (2, 32)
-
-    def test_convert_explicit_bits(self, rng):
-        converter = BFPConverter()
-        result = converter.convert(rng.standard_normal((2, 32)), mantissa_bits=2)
-        assert result.mantissa_bits == 2
-
-    def test_quantized_matches_fake_quant(self, rng):
+class TestAdaptiveConversion:
+    def test_quantize_keeps_shape_and_floating_dtype(self, rng):
         values = rng.standard_normal((2, 32))
-        converter = BFPConverter(BFPConfig(mantissa_bits=4, exponent_bits=8, rounding="nearest"))
-        result = converter.convert(values)
-        np.testing.assert_allclose(result.quantized,
-                                   bfp_quantize(values, 4, 16, 8, rounding="nearest"))
+        for dtype in (np.float32, np.float64):
+            result = AdaptiveConversion(values.astype(dtype)).quantize(4)
+            assert result.shape == (2, 32)
+            assert result.dtype == dtype
+        integers = AdaptiveConversion(np.arange(32).reshape(2, 16)).quantize(2)
+        assert integers.dtype == np.float64
 
-    def test_adaptive_selects_low_precision_below_threshold(self, rng):
-        converter = BFPConverter()
+    def test_quantize_at_a_width_outside_the_pair(self, rng):
         values = rng.standard_normal((2, 32))
-        r_value = relative_improvement(values)
-        low = converter.convert_adaptive(values, threshold=r_value + 0.1)
-        high = converter.convert_adaptive(values, threshold=r_value - 0.1)
-        assert low.mantissa_bits == 2
-        assert high.mantissa_bits == 4
+        result = AdaptiveConversion(values).quantize(3)
+        np.testing.assert_array_equal(result, bfp_quantize(values, 3, 16, 8))
 
-    def test_invalid_precision_pair_rejected(self):
+    @pytest.mark.parametrize("mantissa_bits", [2, 4])
+    def test_quantized_matches_fake_quant(self, rng, mantissa_bits):
+        values = rng.standard_normal((2, 32))
+        conversion = AdaptiveConversion(values, BFPConfig(mantissa_bits=4, exponent_bits=8))
+        np.testing.assert_array_equal(conversion.quantize(mantissa_bits),
+                                      bfp_quantize(values, mantissa_bits, 16, 8,
+                                                   rounding="nearest"))
+
+    def test_stochastic_matches_fake_quant_on_the_same_stream(self, rng):
+        values = rng.standard_normal((4, 48)).astype(np.float32)
+        conversion = AdaptiveConversion(values)
+        result = conversion.quantize(2, rounding="stochastic", rng=NoisePool(3, capacity=1024))
+        expected = bfp_quantize(values, 2, 16, 8, rounding="stochastic",
+                                rng=NoisePool(3, capacity=1024))
+        np.testing.assert_array_equal(result, expected)
+
+    def test_policy_selects_low_precision_below_threshold(self, rng):
+        values = rng.standard_normal((2, 32))
+        r_value = AdaptiveConversion(values).relative_improvement
+        bits = {}
+        for name, alpha in (("low", r_value + 0.1), ("high", r_value - 0.1)):
+            policy = FASTAdaptivePolicy(total_layers=1, total_iterations=10,
+                                        alpha=alpha, beta=0.0)
+            bits[name] = policy.decide("activation", 0, 0, r=r_value).mantissa_bits
+        assert bits == {"low": 2, "high": 4}
+
+    @pytest.mark.parametrize("low_bits, high_bits", [(4, 4), (4, 2)])
+    def test_invalid_precision_pair_rejected(self, low_bits, high_bits):
         with pytest.raises(ValueError):
-            BFPConverter(low_bits=4, high_bits=4)
+            AdaptiveConversion(np.ones((1, 16)), low_bits=low_bits, high_bits=high_bits)
 
     def test_relative_improvement_reported(self, rng):
-        converter = BFPConverter()
         values = rng.standard_normal((2, 32))
-        result = converter.convert(values)
-        assert result.relative_improvement == pytest.approx(relative_improvement(values))
+        conversion = AdaptiveConversion(values)
+        assert conversion.relative_improvement == relative_improvement(values)

@@ -8,6 +8,7 @@ import pytest
 from recording_policy import record_schedules, recording
 from repro import nn
 from repro.core.bfp import BFPConfig
+from repro.core.converter import relative_improvement
 from repro.core.precision_policy import (
     SETTING_ORDER,
     TENSOR_KINDS,
@@ -129,33 +130,41 @@ class TestLayerwisePolicy:
             schedule.prepare(MLP(8, [8], 2, rng=np.random.default_rng(0)), 4)
 
 
+#: Grouping under which the FAST-Adaptive tests measure r(X).
+CONFIG = BFPConfig(group_size=16, exponent_bits=8)
+
+
+def r_of(tensor):
+    return relative_improvement(tensor, CONFIG)
+
+
 class TestFASTAdaptivePolicy:
     def make_policy(self, **kwargs):
-        defaults = dict(total_layers=10, total_iterations=100,
-                        config=BFPConfig(group_size=16, exponent_bits=8))
+        defaults = dict(total_layers=10, total_iterations=100)
         defaults.update(kwargs)
         return FASTAdaptivePolicy(**defaults)
 
-    def test_requires_tensor(self):
+    def test_requires_r_when_due(self):
         policy = self.make_policy()
-        with pytest.raises(ValueError):
+        assert policy.needs_statistic("weight", 0, 0)
+        with pytest.raises(ValueError, match="requires r"):
             policy.select("weight", 0, 0)
 
     def test_coarse_tensor_stays_low_precision(self):
         policy = self.make_policy()
         coarse = np.array([[1.0, 0.5, -1.0, 2.0] * 4])
-        assert policy.select("weight", 0, 0, tensor=coarse) == 2
+        assert policy.select("weight", 0, 0, r=r_of(coarse)) == 2
 
     def test_fine_tensor_promoted_late_in_training(self, rng):
         policy = self.make_policy(alpha=0.6, beta=0.3)
         fine = rng.standard_normal((4, 64))
-        late_bits = policy.select("weight", 9, 99, tensor=fine)
+        late_bits = policy.select("weight", 9, 99, r=r_of(fine))
         assert late_bits == 4
 
     def test_precision_never_exceeds_high_bits(self, rng):
         policy = self.make_policy()
         for layer in range(10):
-            bits = policy.select("gradient", layer, 50, tensor=rng.standard_normal((2, 32)))
+            bits = policy.select("gradient", layer, 50, r=r_of(rng.standard_normal((2, 32))))
             assert bits in (2, 4)
 
     def test_threshold_matches_equation(self):
@@ -165,16 +174,16 @@ class TestFASTAdaptivePolicy:
     def test_evaluation_interval_caches_decision(self, rng):
         policy = self.make_policy(evaluation_interval=10)
         tensor = rng.standard_normal((2, 32))
-        first = policy.select("weight", 0, 0, tensor=tensor)
+        first = policy.select("weight", 0, 0, r=r_of(tensor))
         # Different tensor within the interval: cached decision reused.
-        second = policy.select("weight", 0, 5, tensor=rng.standard_normal((2, 32)) * 100)
+        second = policy.select("weight", 0, 5, r=r_of(rng.standard_normal((2, 32)) * 100))
         assert first == second
 
     def test_setting_history_collects_full_triples(self, rng):
         policy = self.make_policy()
         tensor = rng.standard_normal((2, 32))
         for kind in ("weight", "activation", "gradient"):
-            policy.select(kind, 0, 0, tensor=tensor)
+            policy.select(kind, 0, 0, r=r_of(tensor))
         history = policy.setting_history()
         assert (0, 0) in history
         assert len(history[(0, 0)]) == 3
@@ -183,9 +192,9 @@ class TestFASTAdaptivePolicy:
         """The Figure 17 behaviour: precision increases with training progress."""
         policy = self.make_policy(alpha=0.6, beta=0.3)
         tensor = rng.standard_normal((8, 64))
-        early = np.mean([policy.select("weight", layer, 1, tensor=tensor) for layer in range(10)])
+        early = np.mean([policy.select("weight", layer, 1, r=r_of(tensor)) for layer in range(10)])
         policy_late = self.make_policy(alpha=0.6, beta=0.3)
-        late = np.mean([policy_late.select("weight", layer, 99, tensor=tensor) for layer in range(10)])
+        late = np.mean([policy_late.select("weight", layer, 99, r=r_of(tensor)) for layer in range(10)])
         assert late >= early
 
 
@@ -295,25 +304,25 @@ class TestPrecisionRecord:
         """Inside the interval the recorded decision is reused; ``decide``
         alone neither records nor restarts the interval."""
         policy = FASTAdaptivePolicy(total_layers=2, total_iterations=20,
-                                    evaluation_interval=4,
-                                    config=BFPConfig(exponent_bits=8))
+                                    evaluation_interval=4)
         tensor = rng.standard_normal((2, 32))
-        assert policy.cached_decision("weight", 0, 0) is None
-        policy.decide("weight", 0, 0, tensor=tensor)
+        assert policy.needs_statistic("weight", 0, 0)
+        policy.decide("weight", 0, 0, r=r_of(tensor))
         assert policy.records == {}
-        first = policy.select("weight", 0, 0, tensor=tensor)
+        first = policy.select("weight", 0, 0, r=r_of(tensor))
         assert policy.records[0, "weight"].evaluated_at == 0
         for iteration in (1, 3):
-            cached = policy.cached_decision("weight", 0, iteration)
+            assert not policy.needs_statistic("weight", 0, iteration)
+            cached = policy.decide("weight", 0, iteration)
             assert cached.mantissa_bits == first
             assert cached.relative_improvement == policy.records[0, "weight"].last.relative_improvement
             assert cached.threshold == policy.threshold(0, iteration)
-            policy.select("weight", 0, iteration, tensor=tensor * 100)
+            policy.select("weight", 0, iteration, r=r_of(tensor * 100))
         assert policy.records[0, "weight"].evaluated_at == 0
-        assert policy.cached_decision("weight", 0, 4) is None
-        policy.decide("weight", 0, 4, tensor=tensor)
+        assert policy.needs_statistic("weight", 0, 4)
+        policy.decide("weight", 0, 4, r=r_of(tensor))
         assert policy.records[0, "weight"].evaluated_at == 0
-        policy.select("weight", 0, 4, tensor=tensor)
+        policy.select("weight", 0, 4, r=r_of(tensor))
         assert policy.records[0, "weight"].evaluated_at == 4
 
     def test_record_memory_is_flat_in_iterations(self):

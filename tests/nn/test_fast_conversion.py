@@ -2,12 +2,12 @@
 
 On an evaluation iteration the FAST-Adaptive scheme converts a tensor once
 and reads ``r(X)`` off that conversion (Figure 14) instead of asking the
-policy to quantize the tensor twice more on its own.  The result must be
+policy to quantize the tensor twice more for the statistic.  The result must be
 indistinguishable from the unfused route: the recorded ``r`` equals the
 float64 ``relative_improvement`` exactly, the output is bit-identical to
 ``bfp_quantize`` at the decided width, and stochastic rounding consumes the
 noise stream identically.  Inside ``evaluation_interval`` no ``r`` is
-computed at all.
+computed at all, and a weight is grouped once per iteration.
 """
 
 import numpy as np
@@ -20,7 +20,7 @@ from repro.core.precision_policy import FASTAdaptivePolicy
 from repro.core.rounding import NoisePool
 from recording_policy import recording
 from repro.nn import quantized
-from repro.nn.quantized import BFPScheme
+from repro.nn.quantized import BFPScheme, QuantizedLinear
 
 CONFIG = BFPConfig(exponent_bits=3, group_size=16)
 # One value per group: each group maximum is the value's own magnitude.
@@ -67,7 +67,6 @@ TENSORS = {"padded": padded_tensor, "zeros": zero_tensor, "clamped": clamped_ten
 
 def make_scheme(seed=7, evaluation_interval=1, config=CONFIG):
     policy = recording(FASTAdaptivePolicy)(total_layers=3, total_iterations=20,
-                                           config=config,
                                            evaluation_interval=evaluation_interval)
     scheme = BFPScheme(policy, layer_index=1, config=config,
                        stochastic_gradients=True, rng=NoisePool(seed, capacity=4096))
@@ -184,10 +183,10 @@ def test_statistic_only_on_evaluation_iterations(monkeypatch):
         return original(*args, **kwargs)
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("relative_improvement called by the policy")
+        raise AssertionError("relative_improvement called during training")
 
     monkeypatch.setattr(quantized, "AdaptiveConversion", counting)
-    monkeypatch.setattr("repro.core.precision_policy.relative_improvement", forbidden)
+    monkeypatch.setattr("repro.core.converter.relative_improvement", forbidden)
     policy, scheme = make_scheme(evaluation_interval=4)
     values = padded_tensor(np.float32)
     per_iteration = []
@@ -207,17 +206,34 @@ def test_statistic_only_on_evaluation_iterations(monkeypatch):
                 == first[decision.tensor_kind].relative_improvement)
 
 
-def test_mismatched_grouping_falls_back_to_the_policy():
-    """A policy grouping differently from the scheme evaluates r itself."""
-    policy = FASTAdaptivePolicy(total_layers=1, total_iterations=10,
-                                config=BFPConfig(exponent_bits=8, group_size=8))
-    scheme = BFPScheme(policy, config=CONFIG, stochastic_gradients=False)
-    values = clamped_tensor(np.float32)
-    out = scheme.quantize_activation(values)
-    assert list(policy.records) == [(0, "activation")]
-    decision = policy.records[0, "activation"].last
-    assert decision.relative_improvement == relative_improvement(values, policy.config)
-    expected = bfp_quantize(values, mantissa_bits=decision.mantissa_bits,
-                            group_size=CONFIG.group_size,
-                            exponent_bits=CONFIG.exponent_bits)
-    np.testing.assert_array_equal(out, expected)
+def test_weight_is_grouped_once_per_iteration(monkeypatch):
+    """A due weight's conversion measures r(W) and also gives the quantized
+    weight: each forward with a cleared weight cache groups the weight once,
+    on evaluation iterations and memoized ones alike."""
+    layer = QuantizedLinear(32, 4, rng=np.random.default_rng(0))
+    policy, layer.scheme = make_scheme(evaluation_interval=4)
+    shape = layer.weight.data.shape
+    groupings = []
+    original_init = kernels.GroupedTensor.__init__
+    original_fast = kernels.bfp_quantize_fast
+
+    def grouped_init(self, x, *args, **kwargs):
+        groupings.append(np.shape(x))
+        original_init(self, x, *args, **kwargs)
+
+    def fast(x, *args, **kwargs):
+        groupings.append(np.shape(x))
+        return original_fast(x, *args, **kwargs)
+
+    monkeypatch.setattr(kernels.GroupedTensor, "__init__", grouped_init)
+    monkeypatch.setattr(kernels, "bfp_quantize_fast", fast)
+    inputs = np.random.default_rng(1).standard_normal((5, 32))
+    per_iteration = []
+    for iteration in range(5):
+        layer.scheme.iteration = iteration
+        layer.clear_weight_cache()
+        groupings.clear()
+        layer(inputs)
+        per_iteration.append(groupings.count(shape))
+    assert per_iteration == [1] * 5
+    assert policy.records[1, "weight"].evaluated_at == 4

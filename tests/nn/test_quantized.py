@@ -30,7 +30,7 @@ class PerKindPolicy(PrecisionPolicy):
         super().__init__()
         self.bits = bits
 
-    def decide(self, tensor_kind, layer_index, iteration, tensor=None):
+    def decide(self, tensor_kind, layer_index, iteration, r=None):
         return PrecisionDecision(layer_index, iteration, tensor_kind, self.bits[tensor_kind])
 
 
@@ -64,8 +64,7 @@ class TestSchemes:
                                scheme_b.quantize_gradient(values))
 
     def test_fast_scheme_records_decisions(self, rng):
-        policy = FASTAdaptivePolicy(total_layers=4, total_iterations=10,
-                                    config=BFPConfig(exponent_bits=8))
+        policy = FASTAdaptivePolicy(total_layers=4, total_iterations=10)
         scheme = BFPScheme(policy, layer_index=2)
         scheme.iteration = 3
         scheme.quantize_weight(rng.standard_normal((2, 32)))

@@ -124,7 +124,7 @@ class TogglePolicy(PrecisionPolicy):
         super().__init__()
         self.bits = bits
 
-    def decide(self, tensor_kind, layer_index, iteration, tensor=None):
+    def decide(self, tensor_kind, layer_index, iteration, r=None):
         return PrecisionDecision(layer_index, iteration, tensor_kind, self.bits)
 
 
@@ -133,8 +133,7 @@ class TestFASTSchemeCaching:
 
     def make_fast_linear(self, policy=None):
         if policy is None:
-            policy = FASTAdaptivePolicy(total_layers=2, total_iterations=10,
-                                        config=BFPConfig(exponent_bits=8))
+            policy = FASTAdaptivePolicy(total_layers=2, total_iterations=10)
         scheme = CountingBFPScheme(policy, stochastic_gradients=False,
                                    config=BFPConfig(exponent_bits=8))
         layer = QuantizedLinear(8, 4, scheme=scheme, rng=np.random.default_rng(0))
@@ -189,8 +188,7 @@ class TestFASTSchemeCaching:
         # Pin the threshold just above r(W) at iteration 0 (choose 2 bits)
         # and well below it at the final iteration (choose 4 bits).
         policy = FASTAdaptivePolicy(total_layers=1, total_iterations=10,
-                                    alpha=r_value + 0.01, beta=0.5,
-                                    config=BFPConfig(exponent_bits=8))
+                                    alpha=r_value + 0.01, beta=0.5)
         scheme.policy = policy
         x = Tensor(rng.standard_normal((3, 8)))
         layer.clear_weight_cache()

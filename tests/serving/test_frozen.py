@@ -40,7 +40,7 @@ class PerKindPolicy(PrecisionPolicy):
         super().__init__()
         self.bits = bits
 
-    def decide(self, tensor_kind, layer_index, iteration, tensor=None):
+    def decide(self, tensor_kind, layer_index, iteration, r=None):
         return PrecisionDecision(layer_index, iteration, tensor_kind, self.bits[tensor_kind])
 
 

@@ -139,6 +139,21 @@ class TestBucketedPadding:
         assert result_flat.timing.bucket != result_square.timing.bucket
 
 
+class GatedEngine:
+    """Echoes its batch once ``release`` is set; ``started`` marks entry."""
+
+    def __init__(self):
+        self.started = threading.Event()
+        self.release = threading.Event()
+        self.rows = 0
+
+    def predict(self, batch):
+        self.started.set()
+        assert self.release.wait(10)
+        self.rows += len(batch)
+        return np.asarray(batch)
+
+
 class TestAccountingAndErrors:
     def test_stats_aggregate(self, rng):
         engine = make_engine()
@@ -162,18 +177,6 @@ class TestAccountingAndErrors:
         assert stats.as_dict()["requests"] == 16
 
     def test_cancelled_requests_never_reach_the_engine(self):
-        class GatedEngine:
-            def __init__(self):
-                self.started = threading.Event()
-                self.release = threading.Event()
-                self.rows = 0
-
-            def predict(self, batch):
-                self.started.set()
-                assert self.release.wait(10)
-                self.rows += len(batch)
-                return np.asarray(batch)
-
         engine = GatedEngine()
         with InferenceServer(engine, BatchingConfig(max_batch_size=1)) as server:
             first = server.submit(np.zeros(4))
@@ -186,6 +189,25 @@ class TestAccountingAndErrors:
         assert engine.rows == 1
         assert stats.requests == 1
         assert stats.failed_requests == 3
+        assert stats.queue_depth == 0
+
+    @pytest.mark.parametrize("value", [0.0, np.nan])
+    def test_request_cancelled_mid_batch_counts_as_failed(self, value):
+        """Also when its output row is non-finite and fails validation."""
+        engine = GatedEngine()
+        config = BatchingConfig(max_batch_size=1, validate_requests=False,
+                                validate_outputs=True)
+        with InferenceServer(engine, config) as server:
+            future = server.submit(np.full(4, value))
+            assert engine.started.wait(10)
+            assert future.cancel()
+            engine.release.set()
+        stats = server.stats()
+        assert engine.rows == 1
+        assert stats.requests == 0
+        assert stats.failed_requests == 1
+        assert stats.nonfinite_outputs == int(np.isnan(value))
+        assert np.isnan(stats.latency_ms_mean)
         assert stats.queue_depth == 0
 
     def test_engine_failure_propagates_to_futures(self):

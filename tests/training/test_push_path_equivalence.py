@@ -1,14 +1,22 @@
-"""The policy-driven BFP scheme against the push path it replaced.
+"""The policy-driven BFP scheme against the routes it replaced.
 
 Before the fixed, temporal and layerwise schedules asked their policy on
 every quantize call, the schedule *pushed* the policy's widths into each
 layer's scheme once per iteration, and the scheme quantized every tensor of
 that kind with the stored width.  :class:`PushedBFPScheme` and
 :class:`PushPathSchedule` copy that path (same layout cache, rounding rule
-and per-layer noise source).  A small CNN trained for a few steps under
-either copy must produce the same per-step losses, the same final
-parameters and the same eval logits, array for array.  Both copies run on
-the same host, so the check does not depend on the BLAS build.
+and per-layer noise source).
+
+Before the scheme alone measured ``r(X)``, FAST-Adaptive had two routes to
+it: the policy measured ``r(W)`` from the weight under its own grouping
+(then the weight was quantized afresh), while activations and gradients
+took ``r`` from their own conversion.  :class:`TensorFASTPolicy` and
+:class:`TwoRouteFASTScheme` copy those routes.
+
+A small CNN trained for a few steps under either copy must produce the same
+per-step losses, the same final parameters and the same eval logits, array
+for array (and under FAST, the same Figure 17 map).  Both copies run on the
+same host, so the check does not depend on the BLAS build.
 """
 
 import numpy as np
@@ -16,12 +24,19 @@ import pytest
 
 from repro import nn
 from repro.core.bfp import bfp_quantize
+from repro.core.converter import AdaptiveConversion, relative_improvement
 from repro.core.kernels import LayoutCache
-from repro.core.precision_policy import TENSOR_KINDS
+from repro.core.precision_policy import (
+    TENSOR_KINDS,
+    PrecisionDecision,
+    PrecisionPolicy,
+    fast_threshold,
+)
 from repro.core.rounding import NoisePool
 from repro.formats.base import TensorKind
 from repro.nn.quantized import QuantizationScheme, QuantizedConv2d, QuantizedLinear
 from repro.training.schedules import (
+    FASTSchedule,
     FixedBFPSchedule,
     LayerwiseSchedule,
     PrecisionSchedule,
@@ -99,6 +114,129 @@ class PushPathSchedule(PrecisionSchedule):
                     kind, layer.layer_index, iteration)
 
 
+class TensorFASTPolicy(PrecisionPolicy):
+    """Algorithm 1 with ``r(X)`` measured from the tensor under the policy's
+    own grouping, memoized for ``evaluation_interval`` iterations."""
+
+    def __init__(self, schedule, total_layers):
+        super().__init__()
+        self.schedule = schedule
+        self.total_layers = total_layers
+        self.low_bits, self.high_bits = schedule.low_bits, schedule.high_bits
+
+    def threshold(self, layer_index, iteration):
+        schedule = self.schedule
+        return fast_threshold(layer_index, iteration, self.total_layers,
+                              schedule.total_iterations, schedule.alpha, schedule.beta)
+
+    def cached_decision(self, kind, layer_index, iteration):
+        entry = self.records.get((layer_index, kind))
+        if entry is None or iteration - entry.evaluated_at >= self.schedule.evaluation_interval:
+            return None
+        return PrecisionDecision(layer_index, iteration, kind, entry.last.mantissa_bits,
+                                 relative_improvement=entry.last.relative_improvement,
+                                 threshold=self.threshold(layer_index, iteration))
+
+    def decide_from_improvement(self, kind, layer_index, iteration, r_value):
+        eps = self.threshold(layer_index, iteration)
+        bits = self.low_bits if r_value < eps else self.high_bits
+        return PrecisionDecision(layer_index, iteration, kind, bits,
+                                 relative_improvement=r_value, threshold=eps)
+
+    def decide(self, kind, layer_index, iteration, tensor=None):
+        decision = self.cached_decision(kind, layer_index, iteration)
+        if decision is not None:
+            return decision
+        r_value = relative_improvement(tensor, self.schedule.config,
+                                       self.low_bits, self.high_bits)
+        return self.decide_from_improvement(kind, layer_index, iteration, r_value)
+
+    def select(self, kind, layer_index, iteration, tensor=None):
+        decision = self.decide(kind, layer_index, iteration, tensor)
+        self.record(decision)
+        return decision.mantissa_bits
+
+    def record(self, decision):
+        due = self.cached_decision(decision.tensor_kind, decision.layer_index,
+                                   decision.iteration) is None
+        entry = super().record(decision)
+        if due:
+            entry.evaluated_at = decision.iteration
+        return entry
+
+
+class TwoRouteFASTScheme(PushedBFPScheme):
+    """W: the policy measures ``r(W)``, then the weight is quantized afresh.
+    A and G: ``r`` from their own :class:`AdaptiveConversion` when due."""
+
+    def __init__(self, policy, layer_index, config, stochastic_gradients, rng):
+        super().__init__(config, stochastic_gradients, rng)
+        self.policy = policy
+        self.layer_index = layer_index
+        self.iteration = 0
+        self._pending = None
+
+    def _quantize(self, values, kind):
+        policy = self.policy
+        decision = policy.cached_decision(kind, self.layer_index, self.iteration)
+        if decision is not None:
+            policy.record(decision)
+            self.bits[kind] = decision.mantissa_bits
+            return super()._quantize(values, kind)
+        values = np.asarray(values)
+        conversion = AdaptiveConversion(
+            values, self.config, policy.low_bits, policy.high_bits,
+            layout=self._layouts.layout_for(values, self.config.group_size))
+        decision = policy.decide_from_improvement(kind, self.layer_index, self.iteration,
+                                                  conversion.relative_improvement)
+        policy.record(decision)
+        rounding = "nearest"
+        if kind == TensorKind.GRADIENT and self.stochastic_gradients:
+            rounding = "stochastic"
+        return conversion.quantize(decision.mantissa_bits, rounding, rng=self.rng)
+
+    def weight_cache_token(self, values=None):
+        bits = self.policy.select(TensorKind.WEIGHT, self.layer_index, self.iteration,
+                                  tensor=values)
+        self._pending = (self.iteration, bits, values)
+        return ("bfp", bits, self.config.group_size, self.config.exponent_bits)
+
+    def quantize_weight(self, values):
+        pending, self._pending = self._pending, None
+        if pending is not None and pending[0] == self.iteration and pending[2] is values:
+            self.bits[TensorKind.WEIGHT] = pending[1]
+            return PushedBFPScheme._quantize(self, values, TensorKind.WEIGHT)
+        return self._quantize(values, TensorKind.WEIGHT)
+
+
+class TwoRouteFASTSchedule(PrecisionSchedule):
+    """Runs ``schedule``'s FAST settings through :class:`TwoRouteFASTScheme`."""
+
+    def __init__(self, schedule):
+        super().__init__()
+        self.schedule = schedule
+        self.policy = None
+
+    def prepare(self, model, total_iterations):
+        self.schedule.prepare(model, total_iterations)  # sets total_iterations
+        super().prepare(model, total_iterations)
+
+    def _attach(self):
+        schedule = self.schedule
+        self.policy = TensorFASTPolicy(schedule, max(len(self.layers), 1))
+        for index, layer in enumerate(self.layers):
+            rng = NoisePool(schedule.seed + index)
+            layer.scheme = TwoRouteFASTScheme(self.policy, index, schedule.config,
+                                              schedule.stochastic_gradients, rng)
+
+    def on_iteration(self, iteration):
+        for layer in self.layers:
+            layer.scheme.iteration = iteration
+
+    def setting_history(self):
+        return self.policy.setting_history()
+
+
 def build_cnn():
     rng = np.random.default_rng(3)
     model = nn.Sequential(
@@ -154,3 +292,26 @@ def test_policy_driven_scheme_matches_push_path(name):
         assert ours.dtype == theirs.dtype
         np.testing.assert_array_equal(ours, theirs)
     np.testing.assert_array_equal(logits, pushed_logits)
+
+
+@pytest.mark.parametrize("interval", [1, 4])
+def test_fast_scheme_matches_the_two_route_statistic(interval):
+    def schedule():
+        return FASTSchedule(alpha=0.4, evaluation_interval=interval, seed=1)
+
+    ours, theirs = schedule(), TwoRouteFASTSchedule(schedule())
+    assert ours.stochastic_gradients and ours.noise_pool
+    losses, params, logits = train(ours)
+    two_route_losses, two_route_params, two_route_logits = train(theirs)
+    assert len(losses) == len(two_route_losses) == STEPS
+    for new, old in zip(losses, two_route_losses):
+        np.testing.assert_array_equal(new, old)
+    assert len(params) == len(two_route_params)
+    for new, old in zip(params, two_route_params):
+        assert new.dtype == old.dtype == np.float32
+        np.testing.assert_array_equal(new, old)
+    np.testing.assert_array_equal(logits, two_route_logits)
+    history = ours.setting_history()
+    assert history == theirs.setting_history()
+    assert len(history) == 3 * STEPS
+    assert len(set(history.values())) > 1
