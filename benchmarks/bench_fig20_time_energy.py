@@ -54,21 +54,21 @@ def test_fig20_normalized_training_time(benchmark, all_costs):
     # Benchmark the full model evaluation for one workload.
     benchmark(lambda: format_iteration_costs(workloads["resnet18"], systems))
 
-    print_banner("Figure 20 (top): normalized training time, measured (model) vs paper")
+    print_banner("Figure 20 (top): normalized training time, modelled vs paper")
     rows = []
-    measured = {}
+    modelled = {}
     for model_name, costs in all_costs.items():
         fast = costs["fast_adaptive"].seconds
-        measured[model_name] = {fmt: costs[fmt].seconds / fast for fmt in FORMAT_ORDER}
+        modelled[model_name] = {fmt: costs[fmt].seconds / fast for fmt in FORMAT_ORDER}
         for fmt in FORMAT_ORDER:
-            rows.append([model_name, fmt, measured[model_name][fmt],
+            rows.append([model_name, fmt, modelled[model_name][fmt],
                          PAPER_FIG20_TIME[model_name][fmt]])
-    print_rows(["model", "format", "normalized time (measured)", "normalized time (paper)"], rows)
+    print_rows(["model", "format", "normalized time (modelled)", "normalized time (paper)"], rows)
 
     # Reproduced claims, per workload: the ordering FP32 > Nvidia MP >
     # bfloat16 > INT12 > MSFP-12 > HFP8 > FAST holds, and FP32 lands in the
     # 7-11x band the paper reports.
-    for model_name, ratios in measured.items():
+    for model_name, ratios in modelled.items():
         assert ratios["fp32"] > ratios["nvidia_mp"] > ratios["bfloat16"] > ratios["int12"]
         assert ratios["int12"] > ratios["msfp12"] > ratios["hfp8"] > 1.0
         assert 7.0 < ratios["fp32"] < 11.0, model_name
@@ -76,7 +76,7 @@ def test_fig20_normalized_training_time(benchmark, all_costs):
     # Quantitative check for the workload with complete paper data.
     for fmt in FORMAT_ORDER:
         reported = PAPER_FIG20_TIME["resnet18"][fmt]
-        assert measured["resnet18"][fmt] == pytest.approx(reported, rel=0.35), fmt
+        assert modelled["resnet18"][fmt] == pytest.approx(reported, rel=0.35), fmt
 
 
 def test_fig20_normalized_energy(benchmark, all_costs):
@@ -89,7 +89,7 @@ def test_fig20_normalized_energy(benchmark, all_costs):
     energy = benchmark(build)
 
     print_banner("Figure 20 (bottom): normalized training energy for ResNet-18")
-    print_rows(["format", "normalized energy (measured)", "normalized energy (paper)"],
+    print_rows(["format", "normalized energy (modelled)", "normalized energy (paper)"],
                [[fmt, energy[fmt], PAPER_FIG20_ENERGY_RESNET18[fmt]] for fmt in FORMAT_ORDER])
 
     for fmt in FORMAT_ORDER:

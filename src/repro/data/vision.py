@@ -59,7 +59,7 @@ class SyntheticImageDataset:
         Floating dtype of the stored images (default float64, the bit-exact
         reference; ``np.float32`` feeds the float32 compute mode without a
         per-batch cast).  Generation always runs in float64 so the pixel
-        values are the same stream for every dtype, rounded once at the end.
+        values are the same stream for every dtype, each rounded once.
     """
 
     num_samples: int = 512
@@ -82,15 +82,17 @@ class SyntheticImageDataset:
         self.prototypes = self.prototypes / np.maximum(norms, 1e-8)
         self.labels = rng.integers(0, self.num_classes, size=self.num_samples)
         shifts = rng.integers(-self.max_shift, self.max_shift + 1, size=(self.num_samples, 2))
-        noise_fields = rng.standard_normal(
-            (self.num_samples, self.channels, self.image_size, self.image_size)
-        ) * self.noise
-        images = np.empty_like(noise_fields)
+        # One image at a time: the generator's normal stream is the same
+        # whether it is drawn whole or per image, and each float64 image is
+        # rounded once, straight into the stored array.
+        shape = (self.channels, self.image_size, self.image_size)
+        self.images = np.empty((self.num_samples,) + shape, dtype=self.dtype)
         for index in range(self.num_samples):
-            prototype = self.prototypes[self.labels[index]]
-            shifted = np.roll(prototype, shift=tuple(shifts[index]), axis=(1, 2))
-            images[index] = shifted + noise_fields[index]
-        self.images = images.astype(self.dtype)
+            image = rng.standard_normal(shape)
+            image *= self.noise
+            image += np.roll(self.prototypes[self.labels[index]],
+                             shift=tuple(shifts[index]), axis=(1, 2))
+            self.images[index] = image
 
     def __len__(self) -> int:
         return self.num_samples

@@ -210,11 +210,10 @@ def col2im(
         padded[image] = np.bincount(positions, weights=cols[image].reshape(-1),
                                     minlength=per_image)
     padded = padded.reshape(batch, channels, padded_h, padded_w)
-    if scatter_dtype != np.float64:
-        padded = padded.astype(scatter_dtype)
-    if padding == 0:
-        return padded
-    return padded[:, :, padding:-padding, padding:-padding]
+    if padding:
+        padded = padded[:, :, padding:-padding, padding:-padding]
+    # Cropping first, so a float32 cast writes only the image (contiguous).
+    return padded.astype(scatter_dtype, copy=False)
 
 
 def _gather_fat(x: np.ndarray, kernel_h: int, kernel_w: int, stride: int, padding: int,
@@ -351,19 +350,20 @@ def conv2d(
     def backward(grad):
         grad_matrix = grad.reshape(batch, groups, out_per_group, positions)
         if bias is not None and bias.requires_grad:
-            bias._accumulate(grad_matrix.sum(axis=(0, 3)).reshape(-1))
+            bias._accumulate(grad_matrix.sum(axis=(0, 3)).reshape(-1), owned=True)
         # (groups, Og, batch*positions): the output gradient in the fat layout.
         grad_fat = grad_matrix.transpose(1, 2, 0, 3).reshape(groups, out_per_group, -1)
         if weight.requires_grad:
             grad_weight = np.matmul(grad_fat, cols.reshape(groups, features, -1)
                                     .transpose(0, 2, 1))
-            weight._accumulate(grad_weight.reshape(weight.shape))
+            weight._accumulate(grad_weight.reshape(weight.shape), owned=True)
         if x.requires_grad:
             grad_cols = np.matmul(weight.data.reshape(groups, out_per_group, features)
                                   .transpose(0, 2, 1), grad_fat)
             # col2im takes (batch, features, positions): a transposed view.
             grad_cols = grad_cols.reshape(-1, batch, positions).transpose(1, 0, 2)
-            x._accumulate(col2im(grad_cols, input_shape, kernel_h, kernel_w, stride, padding))
+            x._accumulate(col2im(grad_cols, input_shape, kernel_h, kernel_w, stride, padding),
+                          owned=True)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     return Tensor._make(out_data, parents, backward, "conv2d")
@@ -461,7 +461,7 @@ def max_pool2d(x: Tensor, kernel_size: int, stride: Optional[int] = None) -> Ten
                 di, dj = divmod(t, kernel_size)
                 np.multiply(grad_bits, winner,
                             out=grad_x_bits[:, :, di::kernel_size, dj::kernel_size])
-            x._accumulate(grad_x)
+            x._accumulate(grad_x, owned=True)
 
         return Tensor._make(out_data, (x,), backward, "max_pool2d")
     return _max_pool2d_im2col(x, kernel_size, stride)
@@ -482,7 +482,7 @@ def _max_pool2d_im2col(x: Tensor, kernel_size: int, stride: int) -> Tensor:
         grad_cols = np.zeros_like(cols)
         np.put_along_axis(grad_cols, max_idx[:, None, :], grad_flat, axis=1)
         grad_x = col2im(grad_cols, folded_shape, kernel_size, kernel_size, stride, 0)
-        x._accumulate(grad_x.reshape(x.shape))
+        x._accumulate(grad_x.reshape(x.shape), owned=True)
 
     return Tensor._make(out_data, (x,), backward, "max_pool2d")
 
@@ -521,7 +521,7 @@ def avg_pool2d(x: Tensor, kernel_size: int, stride: Optional[int] = None) -> Ten
                 .transpose(0, 1, 2, 4, 3, 5)
                 .reshape(x.shape)
             )
-            x._accumulate(np.ascontiguousarray(grad_x))
+            x._accumulate(np.ascontiguousarray(grad_x), owned=True)
 
         return Tensor._make(out_data, (x,), backward, "avg_pool2d")
     return _avg_pool2d_im2col(x, kernel_size, stride)
@@ -540,7 +540,7 @@ def _avg_pool2d_im2col(x: Tensor, kernel_size: int, stride: int) -> Tensor:
         grad_flat = grad.reshape(batch * channels, 1, -1)
         grad_cols = np.broadcast_to(grad_flat / window, cols.shape).copy()
         grad_x = col2im(grad_cols, folded_shape, kernel_size, kernel_size, stride, 0)
-        x._accumulate(grad_x.reshape(x.shape))
+        x._accumulate(grad_x.reshape(x.shape), owned=True)
 
     return Tensor._make(out_data, (x,), backward, "avg_pool2d")
 
@@ -558,7 +558,7 @@ def embedding(weight: Tensor, indices: np.ndarray) -> Tensor:
         if weight.requires_grad:
             grad_weight = np.zeros_like(weight.data)
             np.add.at(grad_weight, indices.reshape(-1), grad.reshape(-1, weight.shape[-1]))
-            weight._accumulate(grad_weight)
+            weight._accumulate(grad_weight, owned=True)
 
     return Tensor._make(out_data, (weight,), backward, "embedding")
 
@@ -581,7 +581,7 @@ def dropout(x: Tensor, p: float, training: bool = True, rng=None) -> Tensor:
 
     def backward(grad):
         if x.requires_grad:
-            x._accumulate(grad * mask)
+            x._accumulate(grad * mask, owned=True)
 
     return Tensor._make(out_data, (x,), backward, "dropout")
 
@@ -642,6 +642,8 @@ def quantize_gradient(x: Tensor, quantize_fn: Callable[[np.ndarray], np.ndarray]
 
     def backward(grad):
         if x.requires_grad:
-            x._accumulate(quantize_fn(grad))
+            quantized = quantize_fn(grad)
+            # An identity scheme hands the incoming gradient back.
+            x._accumulate(quantized, owned=not np.may_share_memory(quantized, grad))
 
     return Tensor._make(out_data, (x,), backward, "quantize_gradient")

@@ -72,6 +72,20 @@ def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
+def _adoptable(grad, dtype) -> bool:
+    """Whether ``grad`` can become a ``.grad`` as it is: it is the array
+    ``np.array(grad, dtype=dtype, copy=True)`` would produce."""
+    return (isinstance(grad, np.ndarray) and grad.dtype == dtype and grad.flags.writeable
+            and (grad.flags.c_contiguous or grad.flags.f_contiguous))
+
+
+def _graph_freed(grad) -> None:
+    """The backward of a node :meth:`Tensor.backward` has already released."""
+    raise RuntimeError(
+        "backward() through a graph that has already been freed: a backward pass "
+        "releases the graph it runs through; run the forward again")
+
+
 def as_tensor(value, requires_grad: bool = False) -> "Tensor":
     """Convert ``value`` (array-like or Tensor) to a :class:`Tensor`."""
     if isinstance(value, Tensor):
@@ -82,7 +96,8 @@ def as_tensor(value, requires_grad: bool = False) -> "Tensor":
 class Tensor:
     """A NumPy-backed tensor that records operations for backpropagation."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents", "op", "name")
+    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents", "op", "name",
+                 "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False, parents: Sequence["Tensor"] = (), op: str = "",
                  dtype=None):
@@ -157,18 +172,39 @@ class Tensor:
             _SANITIZER.check_tensor_op(out, parents)
         return out
 
-    def _accumulate(self, grad: np.ndarray) -> None:
+    def _accumulate(self, grad: np.ndarray, owned: bool = False) -> None:
         # Gradients live in the tensor's own dtype: a float32 parameter gets
         # float32 gradients (and float32 accumulation), the float64 default
         # keeps its bit-exact float64 stream.
+        #
+        # Ownership: a vjp passes ``owned=True`` for an array it has just
+        # allocated and keeps no other reference to, and a first gradient in
+        # that case is adopted instead of copied.  It is adopted only when
+        # the copy would be the same array -- right dtype, writeable,
+        # contiguous -- so what reads it later sees the same strides.
+        # Pass-through gradients (views, the array ``add`` hands to both
+        # parents) are copied, so no two tensors' ``.grad`` share memory.
         if self.grad is None:
-            self.grad = np.array(grad, dtype=self.data.dtype, copy=True)
+            if owned and _adoptable(grad, self.data.dtype):
+                self.grad = grad
+            else:
+                self.grad = np.array(grad, dtype=self.data.dtype, copy=True)
         else:
             grad = np.asarray(grad, dtype=self.data.dtype)
             self.grad = self.grad + grad
 
     def backward(self, grad: Optional[np.ndarray] = None) -> None:
-        """Backpropagate from this tensor through the recorded graph."""
+        """Backpropagate from this tensor through the recorded graph.
+
+        The graph is freed as backward consumes it: once a node's vjp has
+        run, the node drops its ``.grad``, its backward closure (with the
+        arrays the forward saved for it) and its parents, so each
+        activation goes as soon as nothing still to run needs it.  Leaf
+        tensors -- parameters and inputs built with ``requires_grad`` --
+        keep their ``.grad``, which accumulates across calls.  A second
+        ``backward()`` through a freed node raises :class:`RuntimeError`;
+        run the forward again to build a new graph.
+        """
         if not self.requires_grad:
             raise RuntimeError("called backward() on a tensor that does not require grad")
         if grad is None:
@@ -195,9 +231,18 @@ class Tensor:
                     stack.append((parent, False))
 
         self._accumulate(grad)
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
+        # Pop in reverse topological order, so a processed node is
+        # referenced by nothing here once it has been released.
+        while topo:
+            node = topo.pop()
+            vjp = node._backward
+            if vjp is None:  # a leaf: its .grad is the result
+                continue
+            if node.grad is not None:
+                vjp(node.grad)
+            node.grad = None
+            node._backward = _graph_freed
+            node._parents = ()
 
     def _coerce(self, other) -> "Tensor":
         """Tensor-ify an operand, keeping scalars at this tensor's dtype.
@@ -234,7 +279,7 @@ class Tensor:
     def __neg__(self) -> "Tensor":
         def backward(grad):
             if self.requires_grad:
-                self._accumulate(-grad)
+                self._accumulate(-grad, owned=True)
 
         return Tensor._make(-self.data, (self,), backward, "neg")
 
@@ -250,9 +295,9 @@ class Tensor:
 
         def backward(grad):
             if self.requires_grad:
-                self._accumulate(_unbroadcast(grad * other.data, self.shape))
+                self._accumulate(_unbroadcast(grad * other.data, self.shape), owned=True)
             if other.requires_grad:
-                other._accumulate(_unbroadcast(grad * self.data, other.shape))
+                other._accumulate(_unbroadcast(grad * self.data, other.shape), owned=True)
 
         return Tensor._make(out_data, (self, other), backward, "mul")
 
@@ -264,9 +309,10 @@ class Tensor:
 
         def backward(grad):
             if self.requires_grad:
-                self._accumulate(_unbroadcast(grad / other.data, self.shape))
+                self._accumulate(_unbroadcast(grad / other.data, self.shape), owned=True)
             if other.requires_grad:
-                other._accumulate(_unbroadcast(-grad * self.data / (other.data ** 2), other.shape))
+                other._accumulate(_unbroadcast(-grad * self.data / (other.data ** 2), other.shape),
+                                  owned=True)
 
         return Tensor._make(out_data, (self, other), backward, "div")
 
@@ -280,7 +326,7 @@ class Tensor:
 
         def backward(grad):
             if self.requires_grad:
-                self._accumulate(grad * exponent * self.data ** (exponent - 1))
+                self._accumulate(grad * exponent * self.data ** (exponent - 1), owned=True)
 
         return Tensor._make(out_data, (self,), backward, "pow")
 
@@ -300,7 +346,7 @@ class Tensor:
                     grad_a = np.matmul(grad, np.swapaxes(b, -1, -2))
                 if a.ndim == 1 and grad_a.ndim > 1:
                     grad_a = grad_a.sum(axis=tuple(range(grad_a.ndim - 1)))
-                self._accumulate(_unbroadcast(grad_a, a.shape))
+                self._accumulate(_unbroadcast(grad_a, a.shape), owned=True)
             if other.requires_grad:
                 if a.ndim == 1:
                     grad_b = np.multiply.outer(a, grad) if b.ndim > 1 else a * grad
@@ -308,7 +354,7 @@ class Tensor:
                     grad_b = np.matmul(np.swapaxes(a, -1, -2), grad)
                 if b.ndim == 1 and grad_b.ndim > 1:
                     grad_b = grad_b.sum(axis=tuple(range(grad_b.ndim - 1)))
-                other._accumulate(_unbroadcast(grad_b, b.shape))
+                other._accumulate(_unbroadcast(grad_b, b.shape), owned=True)
 
         return Tensor._make(out_data, (self, other), backward, "matmul")
 
@@ -323,7 +369,7 @@ class Tensor:
 
         def backward(grad):
             if self.requires_grad:
-                self._accumulate(grad * out_data)
+                self._accumulate(grad * out_data, owned=True)
 
         return Tensor._make(out_data, (self,), backward, "exp")
 
@@ -332,7 +378,7 @@ class Tensor:
 
         def backward(grad):
             if self.requires_grad:
-                self._accumulate(grad / self.data)
+                self._accumulate(grad / self.data, owned=True)
 
         return Tensor._make(out_data, (self,), backward, "log")
 
@@ -344,7 +390,7 @@ class Tensor:
 
         def backward(grad):
             if self.requires_grad:
-                self._accumulate(grad * (1.0 - out_data ** 2))
+                self._accumulate(grad * (1.0 - out_data ** 2), owned=True)
 
         return Tensor._make(out_data, (self,), backward, "tanh")
 
@@ -353,7 +399,7 @@ class Tensor:
 
         def backward(grad):
             if self.requires_grad:
-                self._accumulate(grad * out_data * (1.0 - out_data))
+                self._accumulate(grad * out_data * (1.0 - out_data), owned=True)
 
         return Tensor._make(out_data, (self,), backward, "sigmoid")
 
@@ -363,7 +409,7 @@ class Tensor:
 
         def backward(grad):
             if self.requires_grad:
-                self._accumulate(grad * mask)
+                self._accumulate(grad * mask, owned=True)
 
         return Tensor._make(out_data, (self,), backward, "relu")
 
@@ -374,7 +420,7 @@ class Tensor:
 
         def backward(grad):
             if self.requires_grad:
-                self._accumulate(grad * scale)
+                self._accumulate(grad * scale, owned=True)
 
         return Tensor._make(out_data, (self,), backward, "leaky_relu")
 
@@ -384,7 +430,7 @@ class Tensor:
 
         def backward(grad):
             if self.requires_grad:
-                self._accumulate(grad * sign)
+                self._accumulate(grad * sign, owned=True)
 
         return Tensor._make(out_data, (self,), backward, "abs")
 
@@ -394,7 +440,7 @@ class Tensor:
 
         def backward(grad):
             if self.requires_grad:
-                self._accumulate(grad * mask)
+                self._accumulate(grad * mask, owned=True)
 
         return Tensor._make(out_data, (self,), backward, "clip")
 
@@ -417,7 +463,7 @@ class Tensor:
                     for a in sorted(axes):
                         grad = np.expand_dims(grad, a)
                 expanded = np.broadcast_to(grad, self.shape)
-            self._accumulate(expanded.copy())
+            self._accumulate(expanded.copy(), owned=True)
 
         return Tensor._make(out_data, (self,), backward, "sum")
 
@@ -458,7 +504,7 @@ class Tensor:
             mask = (self.data == expanded_max).astype(self.data.dtype)
             counts = mask.sum(axis=axis, keepdims=True) if axis is not None else mask.sum()
             mask = mask / np.broadcast_to(counts, self.shape)
-            self._accumulate(expanded_grad * mask)
+            self._accumulate(expanded_grad * mask, owned=True)
 
         return Tensor._make(out_data, (self,), backward, "max")
 
@@ -512,7 +558,7 @@ class Tensor:
             if self.requires_grad:
                 full = np.zeros(original_shape, dtype=self.data.dtype)
                 np.add.at(full, index, grad)
-                self._accumulate(full)
+                self._accumulate(full, owned=True)
 
         return Tensor._make(out_data, (self,), backward, "getitem")
 

@@ -14,6 +14,26 @@ from repro.data import (
     synthetic_cifar,
     synthetic_imagenet,
 )
+from repro.data.vision import _smooth_random_field
+
+
+def _whole_array_images(num_samples, dtype, seed, num_classes=10, size=16, channels=3,
+                        noise=0.6, max_shift=2):
+    """``synthetic_cifar``'s images drawn the whole-dataset way: all the
+    noise in one float64 array, summed in float64 and cast at the end."""
+    rng = np.random.default_rng(seed)
+    prototypes = np.stack([_smooth_random_field(rng, channels, size)
+                           for _ in range(num_classes)])
+    norms = np.sqrt((prototypes ** 2).mean(axis=(1, 2, 3), keepdims=True))
+    prototypes = prototypes / np.maximum(norms, 1e-8)
+    labels = rng.integers(0, num_classes, size=num_samples)
+    shifts = rng.integers(-max_shift, max_shift + 1, size=(num_samples, 2))
+    noise_fields = rng.standard_normal((num_samples, channels, size, size)) * noise
+    images = np.empty_like(noise_fields)
+    for index in range(num_samples):
+        shifted = np.roll(prototypes[labels[index]], shift=tuple(shifts[index]), axis=(1, 2))
+        images[index] = shifted + noise_fields[index]
+    return images.astype(dtype), labels
 
 
 class TestVisionDataset:
@@ -29,6 +49,15 @@ class TestVisionDataset:
         b = SyntheticImageDataset(num_samples=16, seed=7)
         np.testing.assert_array_equal(a.images, b.images)
         np.testing.assert_array_equal(a.labels, b.labels)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("num_samples", [1, 77, 1600])
+    def test_per_image_draws_match_whole_array_formula(self, dtype, num_samples):
+        dataset = synthetic_cifar(num_samples=num_samples, seed=5, dtype=dtype)
+        images, labels = _whole_array_images(num_samples, dtype, seed=5)
+        assert dataset.images.dtype == images.dtype and dataset.images.shape == images.shape
+        assert dataset.images.tobytes() == images.tobytes()
+        np.testing.assert_array_equal(dataset.labels, labels)
 
     def test_different_seeds_differ(self):
         a = SyntheticImageDataset(num_samples=16, seed=1)

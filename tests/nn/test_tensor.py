@@ -1,9 +1,17 @@
 """Tests for the autograd Tensor: arithmetic, reductions, shape ops, backward."""
 
+import weakref
+
 import numpy as np
 import pytest
 
+from repro import nn
+from repro.core.bfp import BFPConfig
+from repro.data import DataLoader, synthetic_cifar
+from repro.nn import tensor as tensor_module
+from repro.nn.quantized import QuantizedConv2d, QuantizedLinear
 from repro.nn.tensor import Tensor, as_tensor, concat, is_grad_enabled, no_grad, stack
+from repro.training import ClassificationTrainer, FASTSchedule
 
 
 class TestBasics:
@@ -270,3 +278,110 @@ class TestNonlinearities:
         a = Tensor([0.5], requires_grad=True)
         a.tanh().backward()
         assert a.grad[0] == pytest.approx(1 - np.tanh(0.5) ** 2)
+
+
+class TestGraphRelease:
+    """Backward frees the graph it runs through; leaf gradients stay."""
+
+    def test_intermediate_activation_is_freed_while_loss_lives(self, rng):
+        a = Tensor(rng.standard_normal((4, 5)), requires_grad=True)
+        hidden = (a * 2.0).relu()
+        alive = weakref.ref(hidden)
+        loss = (hidden * hidden).sum()
+        del hidden
+        assert alive() is not None, "the recorded graph keeps its activations"
+        loss.backward()
+        assert alive() is None
+        assert loss.grad is None and loss.item() == loss.data.sum()
+        np.testing.assert_array_equal(a.grad, 8.0 * a.data * (a.data > 0))
+
+    def test_second_backward_raises(self):
+        a = Tensor([1.0, 2.0], requires_grad=True)
+        loss = (a * 3.0).sum()
+        loss.backward()
+        with pytest.raises(RuntimeError, match="freed"):
+            loss.backward()
+        np.testing.assert_array_equal(a.grad, [3.0, 3.0])
+
+    def test_backward_through_a_freed_shared_node_raises(self):
+        a = Tensor([1.0, 2.0], requires_grad=True)
+        shared = a * 2.0
+        first, second = shared.sum(), (shared * shared).sum()
+        first.backward()
+        with pytest.raises(RuntimeError, match="freed"):
+            second.backward()
+        # Nothing reached the leaf from the refused pass.
+        np.testing.assert_array_equal(a.grad, [2.0, 2.0])
+
+    def test_leaf_grads_sum_across_separate_passes(self):
+        a = Tensor([1.0, 2.0], requires_grad=True)
+        (a * 3.0).sum().backward()
+        (a * a).sum().backward()
+        np.testing.assert_array_equal(a.grad, [3.0 + 2.0, 3.0 + 4.0])
+
+
+def _train_benchmark_cnn(steps: int = 3):
+    """``steps`` FAST-Adaptive steps of the train-step benchmark's CNN.
+
+    Returns the per-step losses, each step's parameter gradients as the
+    optimizer saw them, and the final parameters.
+    """
+    rng = np.random.default_rng(11)
+    model = nn.Sequential(
+        QuantizedConv2d(3, 32, 3, padding=1, rng=rng), nn.ReLU(), nn.MaxPool2d(2),
+        QuantizedConv2d(32, 64, 3, padding=1, rng=rng), nn.ReLU(), nn.MaxPool2d(2),
+        nn.Flatten(), QuantizedLinear(64 * 8 * 8, 10, rng=rng),
+    )
+    data = synthetic_cifar(num_samples=steps * 32, image_size=32, noise=2.0, seed=1,
+                           dtype=np.float32)
+    loader = DataLoader(data, batch_size=32, shuffle=True, drop_last=True, seed=2)
+    schedule = FASTSchedule(low_bits=2, high_bits=4,
+                            config=BFPConfig(exponent_bits=8, group_size=16),
+                            stochastic_gradients=True, evaluation_interval=4, seed=3,
+                            noise_pool=True)
+    optimizer = nn.SGD(model.parameters(), lr=0.01, momentum=0.9)
+    trainer = ClassificationTrainer(model, optimizer, schedule, compute_dtype=np.float32)
+    losses, grads = [], []
+    check_loss, step = trainer._check_loss, optimizer.step
+
+    def record_loss(value, epoch, index):
+        losses.append(value)
+        return check_loss(value, epoch, index)
+
+    def record_grads():
+        grads.append([param.grad for param in model.parameters()])
+        step()
+
+    trainer._check_loss, optimizer.step = record_loss, record_grads
+    trainer.fit(loader, epochs=1)
+    return losses, grads, [param.data for param in model.parameters()]
+
+
+class TestGradientOwnership:
+    """A vjp's freshly allocated gradient is adopted, never shared."""
+
+    @staticmethod
+    def _assert_exclusive(grads):
+        for index, grad in enumerate(grads):
+            assert grad.flags.writeable
+            for other in grads[index + 1:]:
+                assert not np.shares_memory(grad, other)
+
+    def test_add_hands_each_parent_its_own_copy(self):
+        a = Tensor([1.0, 2.0], requires_grad=True)
+        b = Tensor([3.0, 4.0], requires_grad=True)
+        (a + b).backward(np.array([1.0, -1.0]))
+        self._assert_exclusive([a.grad, b.grad])
+        np.testing.assert_array_equal(a.grad, [1.0, -1.0])
+
+    def test_benchmark_cnn_step_matches_copying_every_gradient(self, monkeypatch):
+        losses, grads, params = _train_benchmark_cnn()
+        for step_grads in grads:
+            self._assert_exclusive(step_grads)
+        monkeypatch.setattr(tensor_module, "_adoptable", lambda grad, dtype: False)
+        copied_losses, copied_grads, copied_params = _train_benchmark_cnn()
+        assert losses == copied_losses
+        for ours, theirs in zip(grads + [params], copied_grads + [copied_params]):
+            for mine, reference in zip(ours, theirs):
+                assert mine.dtype == reference.dtype
+                assert mine.tobytes() == reference.tobytes()
