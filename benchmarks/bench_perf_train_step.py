@@ -5,19 +5,19 @@ training step (forward + backward + optimizer update) of the production code
 against an uncached arm.  The production step has:
 
 * persistent grouped-layout caches (`repro.core.kernels.LayoutCache`),
-* memoized im2col/scatter indices and the BLAS/bincount convolution path
-  (`repro.nn.functional`),
+* memoized im2col indices, the BLAS/shifted-add convolution path and
+  ReLU folded into max pooling (`repro.nn.functional`),
 * pooled stochastic-rounding noise (`repro.core.rounding.NoisePool`),
 * version+bits-keyed weight caching, including the FAST-Adaptive scheme.
 
 The uncached arm is the step as it ran before those caches existed.  It is
 composed from the golden models in `repro.reference`: for the duration of
 the arm, `uncached_step()` patches `repro.nn.functional`'s `conv2d`,
-`max_pool2d`, `avg_pool2d`, `col2im` and `im2col_indices` and
-`repro.core.kernels.resolve_groups` with their `repro.reference`
-namesakes (einsum convolution products with a per-group loop, im2col
-pooling, the `np.add.at` scatter, indices rebuilt per call, a layout
-derived per conversion), and the schedule draws noise per call instead of
+`max_pool2d`, `relu_max_pool2d`, `avg_pool2d`, `col2im` and
+`im2col_indices` and `repro.core.kernels.resolve_groups` with their
+`repro.reference` namesakes (einsum convolution products with a per-group
+loop, ReLU then im2col pooling, the `np.add.at` scatter, indices rebuilt
+per call, a layout derived per conversion), and the schedule draws noise per call instead of
 from a pool.  Production code has no switch for any of this.
 
 Small CNN / MLP / transformer configurations run under three schemes (fixed
@@ -106,7 +106,8 @@ REFERENCE_GENERATOR_MS = 13.0
 #: Production ops the uncached arm replaces with their `repro.reference`
 #: namesakes.
 UNCACHED_OPS = (
-    (F, "conv2d"), (F, "max_pool2d"), (F, "avg_pool2d"), (F, "col2im"),
+    (F, "conv2d"), (F, "max_pool2d"), (F, "relu_max_pool2d"), (F, "avg_pool2d"),
+    (F, "col2im"),
     (F, "im2col_indices"), (kernels, "resolve_groups"),
 )
 

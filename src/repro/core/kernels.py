@@ -18,8 +18,9 @@ with a fused implementation that is bit-compatible with it:
   bits can round up across an integer.  So float32 first floors the
   magnitude to the offset's grid ``2**-f`` (``f = 1`` for nearest,
   ``noise_bits`` for stochastic), which keeps the add exact while
-  ``mantissa_bits + f + 1 <= 24``; wider formats and full-precision noise
-  are computed in float64.  Either way the result is bit-identical to the
+  ``mantissa_bits + f + 1 <= 24`` (stochastic rounding adds the integer
+  noise levels ``k`` on that grid, before the ``2**-f`` scale); wider
+  formats and full-precision noise are computed in float64.  Either way the result is bit-identical to the
   float64 reference.
 * **Fusion** -- one pass with ``np.ldexp``/``out=`` arguments replaces the
   reference chain of ~8 temporaries, and the grouping step avoids the pad
@@ -43,7 +44,7 @@ from typing import Optional
 
 import numpy as np
 
-from .rounding import RoundingMode, VALID_MODES, draw_noise
+from .rounding import RoundingMode, VALID_MODES, draw_levels, draw_noise
 
 __all__ = [
     "MIN_EXPONENT",
@@ -253,11 +254,14 @@ def ungroup_values(groups: np.ndarray, pad: int, moved_shape, axis: int = -1) ->
     """Invert grouping (:meth:`GroupedLayout.group`), restoring the array layout.
 
     The row length is spelled out, not inferred, so zero-size tensors ungroup too.
+    Dropping a pad copies the values once, into a C-contiguous array, so a
+    consumer that needs contiguous data (e.g. a gradient ``Tensor`` adopts
+    only contiguous arrays) does not copy them again.
     """
     rows = groups.reshape(groups.shape[0], math.prod(groups.shape[1:]))
-    if pad:
-        rows = rows[:, :-pad]
-    return np.moveaxis(rows.reshape(moved_shape), -1, axis)
+    if not pad:
+        return np.moveaxis(rows.reshape(moved_shape), -1, axis)
+    return np.ascontiguousarray(np.moveaxis(rows[:, :-pad].reshape(moved_shape), -1, axis))
 
 
 # --------------------------------------------------------------------------- #
@@ -388,6 +392,11 @@ def _round_magnitudes(magnitudes: np.ndarray, mantissa_bits: int, rounding: str,
     mantissas, in place (see :func:`_rounding_grid`)."""
     if grid:
         np.floor(magnitudes, out=magnitudes)
+        if rounding == RoundingMode.STOCHASTIC:
+            # floor((F + k) * 2**-grid) for the integers F = floor(m * 2**grid)
+            # and noise level k: F + k < 2**24 is exact, and so is the floor
+            # of F * 2**-grid + k * 2**-grid it equals.
+            magnitudes += draw_levels(rng, magnitudes.shape, noise_bits)
         magnitudes *= 2.0 ** -grid
     if rounding == RoundingMode.NEAREST and grid:
         # floor(F / 2 + 1/2) == ceil(F / 2) for the integer F = floor(2m).
@@ -395,7 +404,7 @@ def _round_magnitudes(magnitudes: np.ndarray, mantissa_bits: int, rounding: str,
     else:
         if rounding == RoundingMode.NEAREST:
             magnitudes += 0.5
-        elif rounding == RoundingMode.STOCHASTIC:
+        elif rounding == RoundingMode.STOCHASTIC and not grid:
             magnitudes += draw_noise(rng, magnitudes.shape, noise_bits)
         np.floor(magnitudes, out=magnitudes)
     return np.minimum(magnitudes, float((1 << mantissa_bits) - 1), out=magnitudes)

@@ -33,6 +33,7 @@ __all__ = [
     "round_truncate",
     "round_stochastic",
     "draw_noise",
+    "draw_levels",
     "apply_rounding",
     "VALID_MODES",
 ]
@@ -102,17 +103,22 @@ class LFSR:
             value = (value << 1) | self.next_bit()
         return value
 
+    def levels(self, shape, noise_bits: int = 8) -> np.ndarray:
+        """Draw an array of ``noise_bits``-wide integers ``k`` from the stream."""
+        count = int(np.prod(shape)) if shape else 1
+        draws = np.array([self.next_int(noise_bits) for _ in range(count)], dtype=np.int64)
+        return draws.reshape(shape)
+
     def uniform(self, shape, noise_bits: int = 8) -> np.ndarray:
         """Draw an array of quantized uniform values in ``[0, 1)``.
 
-        Each element is an integer multiple of ``1 / 2**noise_bits``, exactly
-        as the hardware adds ``noise_bits`` random bits below the truncation
-        point.
+        Each element is an integer multiple of ``1 / 2**noise_bits`` -- the
+        :meth:`levels` ``k`` over ``2**noise_bits`` -- exactly as the
+        hardware adds ``noise_bits`` random bits below the truncation point.
         """
-        count = int(np.prod(shape)) if shape else 1
-        draws = np.array([self.next_int(noise_bits) for _ in range(count)], dtype=np.float64)
+        draws = self.levels(shape, noise_bits).astype(np.float64)
         draws /= float(1 << noise_bits)
-        return draws.reshape(shape)
+        return draws
 
 
 class VectorizedLFSR(LFSR):
@@ -247,8 +253,8 @@ class VectorizedLFSR(LFSR):
         bits = ((words[:, None] >> shifts[None, :]) & np.uint64(1)).astype(np.uint8)
         return bits.reshape(-1)[:count]
 
-    def uniform(self, shape, noise_bits: int = 8) -> np.ndarray:
-        """Vectorized, stream-compatible version of :meth:`LFSR.uniform`."""
+    def levels(self, shape, noise_bits: int = 8) -> np.ndarray:
+        """Vectorized, stream-compatible version of :meth:`LFSR.levels`."""
         count = int(np.prod(shape)) if shape else 1
         total = count * noise_bits
         if total >= self._SMALL and noise_bits <= self._BLOCK and self._BLOCK % noise_bits == 0:
@@ -261,12 +267,11 @@ class VectorizedLFSR(LFSR):
             for k in range(per_word):
                 shift = np.uint64(self._BLOCK - (k + 1) * noise_bits)
                 values[k::per_word] = (words >> shift) & field
-            draws = values[:count].astype(np.float64)
+            draws = values[:count]
         else:
             bits = self._next_bits(total)
             weights = np.left_shift(1, np.arange(noise_bits - 1, -1, -1, dtype=np.int64))
-            draws = (bits.reshape(count, noise_bits).astype(np.int64) @ weights).astype(np.float64)
-        draws /= float(1 << noise_bits)
+            draws = bits.reshape(count, noise_bits).astype(np.int64) @ weights
         return draws.reshape(shape)
 
 
@@ -276,15 +281,28 @@ class NoisePool:
     The per-call cost of the stochastic path is dominated by noise drawing:
     ``Generator.integers`` produces one int64 per value and the quotient is
     materialized in float64 on every quantize call.  The pool removes that
-    bound by refilling a large buffer of ready-to-add noise values in one
-    bulk draw (narrow unsigned integers, converted once) and serving
-    subsequent :meth:`uniform` calls as zero-copy slices behind a cursor.
+    bound by refilling a large buffer of raw noise levels in one bulk draw
+    and serving later calls from it behind a cursor.
+
+    A refill keeps the integer levels ``k`` as drawn -- ``uint8`` up to 8
+    noise bits, ``uint16`` up to 16 -- with no float conversion pass, so a
+    1M-value block holds 1 MB.  Two ways to read the stream:
+
+    * :meth:`levels` serves the ``k`` themselves, as read-only zero-copy
+      views of the block whenever the request fits in it.  The float32
+      stochastic kernel adds them to scaled magnitudes directly.
+    * :meth:`uniform` serves the noise values ``k / 2**noise_bits`` as a
+      fresh float array (float32 up to 24 noise bits, where it is exact).
+
+    Full-precision draws (``noise_bits=None``) keep a float64 block, and
+    :meth:`uniform` serves read-only views of it.
 
     Determinism contract (asserted by ``tests/core/test_noise_pool.py``):
 
     * the emitted value stream for a fixed ``noise_bits`` is a pure function
       of the seed/source and the *total number of values drawn* -- it does
-      not depend on how draws are partitioned into calls, because refills
+      not depend on how draws are partitioned into calls, or on whether they
+      are read through :meth:`levels` or :meth:`uniform`, because refills
       always consume the source in fixed ``capacity``-sized blocks;
     * two pools built from equal seeds produce identical streams, so a
       training run is reproducible whether noise is pooled or not (as long
@@ -322,10 +340,9 @@ class NoisePool:
         if isinstance(self.source, LFSR):
             if noise_bits is None:
                 raise ValueError("LFSR noise sources require an explicit noise_bits")
-            return self.source.uniform((self.capacity,), noise_bits=noise_bits)
+            return self.source.levels((self.capacity,), noise_bits).astype(_level_dtype(noise_bits))
         if noise_bits is None:
             return self.source.random(self.capacity)
-        levels = 1 << noise_bits
         bit_generator = getattr(self.source, "bit_generator", None)
         if (noise_bits == 8 and self.capacity % 8 == 0 and np.little_endian
                 and type(bit_generator) is np.random.PCG64
@@ -333,19 +350,9 @@ class NoisePool:
             # integers(0, 256, dtype=uint8) takes four bytes from each 32-bit
             # draw, low byte first, and PCG64 serves the low then the high
             # half of each 64-bit output: the same bytes, four times faster.
-            raw = bit_generator.random_raw(self.capacity // 8).view(np.uint8)
-        else:
-            if noise_bits <= 8:
-                raw_dtype = np.uint8
-            elif noise_bits <= 16:
-                raw_dtype = np.uint16
-            else:
-                raw_dtype = np.uint64
-            raw = self.source.integers(0, levels, size=self.capacity, dtype=raw_dtype)
-        # k / 2**noise_bits is exact in float32 for noise_bits <= 24, and the
-        # narrower dtype halves the memory traffic of the later add.
-        out_dtype = np.float32 if noise_bits <= 24 else np.float64
-        return np.multiply(raw, out_dtype(1.0 / levels), dtype=out_dtype)
+            return bit_generator.random_raw(self.capacity // 8).view(np.uint8)
+        return self.source.integers(0, 1 << noise_bits, size=self.capacity,
+                                    dtype=_level_dtype(noise_bits))
 
     def _refill_readonly(self, noise_bits: Optional[int]) -> np.ndarray:
         buffer = np.asarray(self._refill(noise_bits))
@@ -355,14 +362,9 @@ class NoisePool:
         buffer.flags.writeable = False
         return buffer
 
-    def uniform(self, shape, noise_bits: Optional[int] = 8) -> np.ndarray:
-        """Draw an array of quantized uniform noise values in ``[0, 1)``.
-
-        Mirrors :meth:`LFSR.uniform` so :func:`draw_noise` can treat the pool
-        as a drop-in noise source.  Served slices are read-only views of the
-        pool buffer whenever the request fits in the current batch.
-        """
-        count = int(np.prod(shape)) if shape else 1
+    def _take(self, count: int, noise_bits: Optional[int]) -> np.ndarray:
+        """The next ``count`` raw values of the ``noise_bits`` stream: a
+        read-only view of the current block when they fit in it."""
         state = self._buffers.get(noise_bits)
         if state is None:
             state = [self._refill_readonly(noise_bits), 0]
@@ -375,9 +377,8 @@ class NoisePool:
             buffer, cursor = self._refill_readonly(noise_bits), 0
             state[0] = buffer
         if count <= buffer.shape[0] - cursor:
-            draws = buffer[cursor:cursor + count]
             state[1] = cursor + count
-            return draws.reshape(shape)
+            return buffer[cursor:cursor + count]
         # Assemble large draws from whole refill blocks so the value stream
         # stays independent of how callers partition their requests.
         draws = np.empty(count, dtype=buffer.dtype)
@@ -394,11 +395,48 @@ class NoisePool:
             filled += take
         state[0] = buffer
         state[1] = cursor
-        return draws.reshape(shape)
+        return draws
+
+    def levels(self, shape, noise_bits: int = 8) -> np.ndarray:
+        """Draw an array of integer noise levels ``k`` in ``[0, 2**noise_bits)``.
+
+        Mirrors :meth:`LFSR.levels`.  Served arrays are read-only views of
+        the pool block whenever the request fits in it.
+        """
+        if noise_bits is None:
+            raise ValueError("levels need an explicit noise_bits")
+        count = int(np.prod(shape)) if shape else 1
+        return self._take(count, noise_bits).reshape(shape)
+
+    def uniform(self, shape, noise_bits: Optional[int] = 8) -> np.ndarray:
+        """Draw an array of quantized uniform noise values in ``[0, 1)``.
+
+        Mirrors :meth:`LFSR.uniform` so :func:`draw_noise` can treat the pool
+        as a drop-in noise source: the values are the :meth:`levels` ``k``
+        times ``2**-noise_bits``, in a fresh array.
+        """
+        count = int(np.prod(shape)) if shape else 1
+        raw = self._take(count, noise_bits)
+        if noise_bits is None:
+            return raw.reshape(shape)
+        # k / 2**noise_bits is exact in float32 for noise_bits <= 24, and the
+        # narrower dtype halves the memory traffic of the later add.
+        out_dtype = np.float32 if noise_bits <= 24 else np.float64
+        return np.multiply(raw, out_dtype(1.0 / (1 << noise_bits)),
+                           dtype=out_dtype).reshape(shape)
 
     def reset(self) -> None:
         """Drop all buffered noise (the underlying source state is kept)."""
         self._buffers.clear()
+
+
+def _level_dtype(noise_bits: int) -> np.dtype:
+    """The narrowest unsigned dtype :class:`NoisePool` keeps levels in."""
+    if noise_bits <= 8:
+        return np.dtype(np.uint8)
+    if noise_bits <= 16:
+        return np.dtype(np.uint16)
+    return np.dtype(np.uint64)
 
 
 def _as_float_array(x) -> np.ndarray:
@@ -446,6 +484,19 @@ def round_stochastic(x, rng=None, noise_bits: int = 8) -> np.ndarray:
     return np.sign(x) * np.floor(np.abs(x) + noise)
 
 
+def draw_levels(rng, shape, noise_bits: int = 8) -> np.ndarray:
+    """Draw the integer noise levels ``k`` whose noise is ``k / 2**noise_bits``.
+
+    Consumes ``rng`` exactly as :func:`draw_noise` does for the same
+    arguments, so the two are interchangeable on one stream.
+    """
+    if rng is None:
+        rng = np.random.default_rng()  # repro-lint: disable=RL005 -- API fallback; repro paths thread a seeded rng
+    if isinstance(rng, (LFSR, NoisePool)):
+        return rng.levels(shape, noise_bits=noise_bits)
+    return rng.integers(0, 1 << noise_bits, size=shape)
+
+
 def draw_noise(rng, shape, noise_bits: Optional[int] = 8) -> np.ndarray:
     """Draw the additive stochastic-rounding noise for an array of ``shape``.
 
@@ -459,8 +510,7 @@ def draw_noise(rng, shape, noise_bits: Optional[int] = 8) -> np.ndarray:
         return rng.uniform(shape, noise_bits=noise_bits)
     if noise_bits is None:
         return rng.random(shape)
-    levels = 1 << noise_bits
-    return rng.integers(0, levels, size=shape).astype(np.float64) / levels
+    return draw_levels(rng, shape, noise_bits).astype(np.float64) / (1 << noise_bits)
 
 
 def apply_rounding(x, mode: str, rng=None, noise_bits: int = 8) -> np.ndarray:

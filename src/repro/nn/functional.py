@@ -32,6 +32,7 @@ __all__ = [
     "conv2d_infer",
     "max_pool2d",
     "max_pool2d_infer",
+    "relu_max_pool2d",
     "avg_pool2d",
     "avg_pool2d_infer",
     "embedding",
@@ -70,9 +71,8 @@ _IM2COL_CACHE_MAX = 256
 
 
 def clear_im2col_cache() -> None:
-    """Drop all memoized gather *and* scatter index arrays."""
+    """Drop all memoized gather index arrays."""
     _IM2COL_CACHE.clear()
-    _SCATTER_CACHE.clear()
 
 
 def _output_size(channels, height, width, kernel_h, kernel_w, stride, padding):
@@ -148,25 +148,36 @@ def im2col(x: np.ndarray, kernel_h: int, kernel_w: int, stride: int, padding: in
     return cols
 
 
-_SCATTER_CACHE: "OrderedDict[tuple, np.ndarray]" = OrderedDict()
-_SCATTER_CACHE_MAX = 64
+#: Bytes of ``Wᵀ·G`` rows the convolution input gradient forms at a time.
+_COL2IM_BLOCK_BYTES = 1 << 21
 
 
-def _scatter_indices(input_shape, kernel_h, kernel_w, stride, padding, k, i, j):
-    """Flattened (C*kh*kw, out_h*out_w) scatter positions into the padded image."""
-    _, channels, height, width = input_shape
-    key = (channels, height, width, kernel_h, kernel_w, stride, padding)
-    cached = _SCATTER_CACHE.get(key)
-    if cached is not None:
-        _SCATTER_CACHE.move_to_end(key)
-        return cached
-    padded_w = width + 2 * padding
-    flat = (k * (height + 2 * padding) + i) * padded_w + j
-    flat.flags.writeable = False
-    _SCATTER_CACHE[key] = flat
-    while len(_SCATTER_CACHE) > _SCATTER_CACHE_MAX:
-        _SCATTER_CACHE.popitem(last=False)
-    return flat
+def _add_taps(padded: np.ndarray, taps: np.ndarray, stride: int) -> None:
+    """Add every kernel tap of ``taps`` onto ``padded`` at its shift, in
+    (ki, kj) order: the scatter of :func:`col2im`.
+
+    ``padded`` is a float64 ``(channels, batch, padded_h, padded_w)``
+    accumulator and ``taps`` a ``(channels, kh, kw, batch, out_h, out_w)``
+    block of columns.  Each output element sums the same values in the
+    same order as one ``np.add.at`` over the im2col positions, starting
+    from its +0.0.
+    """
+    _, kernel_h, kernel_w, _, out_h, out_w = taps.shape
+    for ki in range(kernel_h):
+        for kj in range(kernel_w):
+            padded[:, :, ki:ki + stride * out_h:stride, kj:kj + stride * out_w:stride] += (
+                taps[:, ki, kj])
+
+
+def _crop_image(padded: np.ndarray, padding: int, dtype) -> np.ndarray:
+    """The ``(batch, channels, H, W)`` image inside a channel-major padded
+    accumulator, rounded once to ``dtype``."""
+    channels, batch, padded_h, padded_w = padded.shape
+    height, width = padded_h - 2 * padding, padded_w - 2 * padding
+    image = np.empty((batch, channels, height, width), dtype=dtype)
+    np.copyto(image.transpose(1, 0, 2, 3),
+              padded[:, :, padding:padding + height, padding:padding + width])
+    return image
 
 
 def col2im(
@@ -179,41 +190,61 @@ def col2im(
 ) -> np.ndarray:
     """Scatter columns back into image space (adjoint of :func:`im2col`).
 
-    The scatter is a single ``np.bincount`` over flattened positions, which
-    is several times faster than the unbuffered ``np.add.at`` of the
-    golden model (:func:`repro.reference.col2im`).  For float64 columns it
-    is bit-identical to ``add.at``: both walk the same (index, value)
-    sequence in the same order, so every output element accumulates its
-    contributions identically.  The output dtype always matches the
-    columns' floating dtype: ``np.bincount`` only accumulates in float64, so
-    float32 columns are accumulated in float64 and rounded once at the end
-    -- at least as accurate as the chained float32 adds of ``add.at``.
+    ``kernel_h * kernel_w`` shifted float64 adds, one per kernel tap in
+    (ki, kj) order (:func:`_add_taps`).  For float64 columns this is
+    bit-identical to the unbuffered ``np.add.at`` of the golden model
+    (:func:`repro.reference.col2im`): every output element sums the same
+    contributions in the same order, starting from +0.0.  The output dtype
+    matches the columns' floating dtype; float32 columns are accumulated in
+    float64 and rounded once at the end -- at least as accurate as the
+    chained float32 adds of ``add.at``.
     """
     batch, channels, height, width = input_shape
     cols = np.asarray(cols)
-    scatter_dtype = cols.dtype if np.issubdtype(cols.dtype, np.floating) else np.float64
-    k, i, j, _, _ = im2col_indices(input_shape, kernel_h, kernel_w, stride, padding)
-    padded_h = height + 2 * padding
-    padded_w = width + 2 * padding
-    # One bincount per image over the memoized flat positions: batch images
-    # scatter to disjoint outputs, so this equals (and walks values in the
-    # same order as) a single offset scatter, without materializing a
-    # batch-sized int64 positions array every backward pass.
-    # ``cols`` may be a transposed view of the convolution's fat patch
-    # matrix; bincount converts each image's (features, positions) block to
-    # contiguous float64 itself.
-    flat = _scatter_indices(input_shape, kernel_h, kernel_w, stride, padding, k, i, j)
-    positions = flat.ravel()
-    per_image = channels * padded_h * padded_w
-    padded = np.empty((batch, per_image), dtype=np.float64)
-    for image in range(batch):
-        padded[image] = np.bincount(positions, weights=cols[image].reshape(-1),
-                                    minlength=per_image)
-    padded = padded.reshape(batch, channels, padded_h, padded_w)
-    if padding:
-        padded = padded[:, :, padding:-padding, padding:-padding]
-    # Cropping first, so a float32 cast writes only the image (contiguous).
-    return padded.astype(scatter_dtype, copy=False)
+    dtype = cols.dtype if np.issubdtype(cols.dtype, np.floating) else np.float64
+    out_h, out_w = _output_size(channels, height, width, kernel_h, kernel_w, stride, padding)
+    taps = cols.reshape(batch, channels, kernel_h, kernel_w, out_h, out_w)
+    padded = np.zeros((channels, batch, height + 2 * padding, width + 2 * padding),
+                      dtype=np.float64)
+    _add_taps(padded, taps.transpose(1, 2, 3, 0, 4, 5), stride)
+    return _crop_image(padded, padding, dtype)
+
+
+def _conv_input_grad(weight_t: np.ndarray, grad: np.ndarray, input_shape,
+                     kernel_h: int, kernel_w: int, stride: int, padding: int,
+                     out_h: int, out_w: int) -> np.ndarray:
+    """The convolution input gradient: ``col2im(Wᵀ·G)``, formed in channel
+    blocks so the full ``(C·kh·kw, N·L)`` column matrix never exists.
+
+    ``weight_t`` is ``Wᵀ`` per group, ``(groups, features, Og)``, and
+    ``grad`` the ``(batch, groups·Og, out_h, out_w)`` output gradient.  A
+    block is a run of input channels (whole groups when ``groups > 1``),
+    so its rows are rows of the one unblocked GEMM.
+    """
+    batch, channels, height, width = input_shape
+    groups, features, out_per_group = weight_t.shape
+    # (groups, Og, batch*positions): the output gradient in the fat layout.
+    g = (grad.reshape(batch, groups, out_per_group, out_h * out_w)
+         .transpose(1, 2, 0, 3).reshape(groups, out_per_group, -1))
+    padded = np.zeros((channels, batch, height + 2 * padding, width + 2 * padding),
+                      dtype=np.float64)
+    taps = kernel_h * kernel_w
+    if groups == 1:
+        # Blocks of input channels: row runs of the one Wᵀ.
+        unit_rows, units, unit_channels = taps, channels, 1
+    else:
+        # Blocks of whole groups.
+        unit_rows, units, unit_channels = features, groups, features // taps
+    step = max(1, _COL2IM_BLOCK_BYTES // (unit_rows * g.shape[2] * g.itemsize))
+    for first in range(0, units, step):
+        last = min(units, first + step)
+        if groups == 1:
+            block = np.matmul(weight_t[:, first * taps:last * taps], g)
+        else:
+            block = np.matmul(weight_t[first:last], g[first:last])
+        block = block.reshape(-1, kernel_h, kernel_w, batch, out_h, out_w)
+        _add_taps(padded[first * unit_channels:last * unit_channels], block, stride)
+    return _crop_image(padded, padding, block.dtype)
 
 
 def _gather_fat(x: np.ndarray, kernel_h: int, kernel_w: int, stride: int, padding: int,
@@ -326,9 +357,10 @@ def conv2d(
     single batched product over the group axis.
 
     The backward pass reuses the forward's fat patch matrix ``cols``
-    (features x batch*positions): ``grad_W = grad @ colsᵀ`` and
-    ``grad_cols = Wᵀ @ grad`` are one GEMM each (per group), with the output
-    gradient brought into the same (channel, batch*position) layout once.
+    (features x batch*positions): ``grad_W = grad @ colsᵀ`` is one GEMM
+    (per group), after which ``cols`` is dropped, and the input gradient
+    ``col2im(Wᵀ @ grad)`` is formed in channel blocks
+    (:func:`_conv_input_grad`).
     """
     x = as_tensor(x)
     weight = as_tensor(weight)
@@ -348,22 +380,22 @@ def conv2d(
     positions = out_h * out_w
 
     def backward(grad):
+        nonlocal cols
         grad_matrix = grad.reshape(batch, groups, out_per_group, positions)
         if bias is not None and bias.requires_grad:
             bias._accumulate(grad_matrix.sum(axis=(0, 3)).reshape(-1), owned=True)
-        # (groups, Og, batch*positions): the output gradient in the fat layout.
-        grad_fat = grad_matrix.transpose(1, 2, 0, 3).reshape(groups, out_per_group, -1)
         if weight.requires_grad:
+            # (groups, Og, batch*positions): the output gradient in the fat layout.
+            grad_fat = grad_matrix.transpose(1, 2, 0, 3).reshape(groups, out_per_group, -1)
             grad_weight = np.matmul(grad_fat, cols.reshape(groups, features, -1)
                                     .transpose(0, 2, 1))
+            del grad_fat
             weight._accumulate(grad_weight.reshape(weight.shape), owned=True)
+        cols = None
         if x.requires_grad:
-            grad_cols = np.matmul(weight.data.reshape(groups, out_per_group, features)
-                                  .transpose(0, 2, 1), grad_fat)
-            # col2im takes (batch, features, positions): a transposed view.
-            grad_cols = grad_cols.reshape(-1, batch, positions).transpose(1, 0, 2)
-            x._accumulate(col2im(grad_cols, input_shape, kernel_h, kernel_w, stride, padding),
-                          owned=True)
+            weight_t = weight.data.reshape(groups, out_per_group, features).transpose(0, 2, 1)
+            x._accumulate(_conv_input_grad(weight_t, grad, input_shape, kernel_h, kernel_w,
+                                           stride, padding, out_h, out_w), owned=True)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     return Tensor._make(out_data, parents, backward, "conv2d")
@@ -388,6 +420,33 @@ def _pool_cols(x_data: np.ndarray, kernel_size: int, stride: int):
     return _gather_patches(folded, k, i, j, 0), folded.shape, out_h, out_w
 
 
+def _first_winners(hits, shape):
+    """Yield, per window element in order, the windows whose *first* hit it
+    is: ``hits`` yields one boolean mask of ``shape`` per window element."""
+    taken = np.zeros(shape, dtype=bool)
+    for hit in hits:
+        yield np.greater(hit, taken)
+        taken |= hit
+
+
+def _scatter_to_winners(grad: np.ndarray, winners, input_shape, kernel_size: int) -> np.ndarray:
+    """The input gradient of non-overlapping pooling: window element ``t``
+    receives ``grad``'s bits where ``winners`` (one mask per element, in
+    window order) marks it, every other input +0.0.
+
+    A product of the bits with a 0/1 mask is exact, NaN payloads and -0.0
+    included, and each input is in exactly one window.
+    """
+    bits = np.dtype(f"u{grad.dtype.itemsize}")
+    grad_bits = grad.view(bits)
+    grad_x = np.empty(input_shape, dtype=grad.dtype)
+    grad_x_bits = grad_x.view(bits)
+    for t, winner in enumerate(winners):
+        di, dj = divmod(t, kernel_size)
+        np.multiply(grad_bits, winner, out=grad_x_bits[:, :, di::kernel_size, dj::kernel_size])
+    return grad_x
+
+
 def _max_pool_windows(x: np.ndarray, kernel_size: int):
     """Non-overlapping max pooling with argmax's first-winner rule.
 
@@ -406,18 +465,21 @@ def _max_pool_windows(x: np.ndarray, kernel_size: int):
         stack[t] = x[:, :, t // kernel_size::kernel_size, t % kernel_size::kernel_size]
     peak = np.maximum.reduce(stack)
     has_nan = bool(np.isnan(peak).any())
+
+    def hits():
+        for element in stack:
+            hit = element == peak
+            if has_nan:
+                hit |= np.isnan(element)
+            yield hit
+
     winners = np.empty(stack.shape, dtype=bool)
-    taken = np.zeros(peak.shape, dtype=bool)
     bits = np.dtype(f"u{x.dtype.itemsize}")
     stack_bits = stack.view(bits)
     out_bits = np.zeros(peak.shape, dtype=bits)
-    for t, element in enumerate(stack):
-        hit = element == peak
-        if has_nan:
-            hit |= np.isnan(element)
-        np.greater(hit, taken, out=winners[t])
-        taken |= hit
-        out_bits |= stack_bits[t] * winners[t]
+    for t, winner in enumerate(_first_winners(hits(), peak.shape)):
+        winners[t] = winner
+        out_bits |= stack_bits[t] * winner
     return out_bits.view(x.dtype), winners
 
 
@@ -450,21 +512,62 @@ def max_pool2d(x: Tensor, kernel_size: int, stride: Optional[int] = None) -> Ten
         def backward(grad):
             if not x.requires_grad:
                 return
-            # Each input is in exactly one window: its winner receives the
-            # gradient's bits (a product with a 0/1 mask is exact, NaN and
-            # -0.0 included), every other input +0.0.
-            bits = np.dtype(f"u{out_data.dtype.itemsize}")
-            grad_bits = np.asarray(grad, dtype=out_data.dtype).view(bits)
-            grad_x = np.empty(x.shape, dtype=out_data.dtype)
-            grad_x_bits = grad_x.view(bits)
-            for t, winner in enumerate(winners):
-                di, dj = divmod(t, kernel_size)
-                np.multiply(grad_bits, winner,
-                            out=grad_x_bits[:, :, di::kernel_size, dj::kernel_size])
-            x._accumulate(grad_x, owned=True)
+            x._accumulate(_scatter_to_winners(np.asarray(grad, dtype=out_data.dtype),
+                                              winners, x.shape, kernel_size), owned=True)
 
         return Tensor._make(out_data, (x,), backward, "max_pool2d")
     return _max_pool2d_im2col(x, kernel_size, stride)
+
+
+def relu_max_pool2d(x: Tensor, kernel_size: int, stride: Optional[int] = None) -> Tensor:
+    """``max_pool2d(x.relu(), kernel_size, stride)``, bit for bit, in one op.
+
+    On the strided route the peak of each window is taken from ``x``
+    itself with chained ``np.maximum`` over its ``kernel*kernel`` strided
+    views.  A window whose peak is > 0 outputs the peak, which is the ReLU
+    output's peak too.  Any other window holds only ReLU zeros, and outputs
+    ``x[window element 0] * 0``: the signed zero the composition's first
+    winner, element 0, carries.  The backward pass scales the gradient by
+    ``peak > 0`` on the pooled grid -- the ReLU mask at each winner -- and
+    scatters it to the first winner in window order (element 0 for a
+    non-positive window).  Nothing the size of ``x`` is saved or written on
+    the forward pass.
+
+    Windows that do not tile the input, and inputs holding NaN or ``-inf``
+    (whose ReLU is NaN), run the composition itself.
+    """
+    x = as_tensor(x)
+    stride = stride if stride is not None else kernel_size
+    data = x.data
+    if (not _pool_uses_reshape(*data.shape[2:], kernel_size, stride)
+            or (data.size and not data.min() > -np.inf)):
+        return max_pool2d(x.relu(), kernel_size, stride)
+    views = [data[:, :, di::kernel_size, dj::kernel_size]
+             for di in range(kernel_size) for dj in range(kernel_size)]
+    out_data = views[0].copy()
+    for view in views[1:]:
+        np.maximum(out_data, view, out=out_data)
+    np.multiply(views[0], data.dtype.type(0), out=out_data, where=~(out_data > 0))
+
+    def backward(grad):
+        if not x.requires_grad:
+            return
+        positive = out_data > 0
+
+        def hits():
+            # A positive window's winner is its first element equal to the
+            # peak; a non-positive window's is element 0.
+            for t, view in enumerate(views):
+                hit = view == out_data
+                if t == 0:
+                    hit |= ~positive
+                yield hit
+
+        grad = np.multiply(grad, positive, dtype=data.dtype)
+        x._accumulate(_scatter_to_winners(grad, _first_winners(hits(), out_data.shape),
+                                          data.shape, kernel_size), owned=True)
+
+    return Tensor._make(out_data, (x,), backward, "relu_max_pool2d")
 
 
 def _max_pool2d_im2col(x: Tensor, kernel_size: int, stride: int) -> Tensor:

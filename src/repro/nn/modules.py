@@ -433,7 +433,13 @@ class Identity(Module):
 
 
 class Sequential(Module):
-    """Compose modules in order."""
+    """Compose modules in order.
+
+    One fusion rule: a :class:`ReLU` immediately followed by a
+    :class:`MaxPool2d` runs as one :func:`~repro.nn.functional.relu_max_pool2d`,
+    which equals the two modules run in turn bit for bit (values and
+    gradients) but keeps neither the ReLU output nor its mask in the graph.
+    """
 
     def __init__(self, *modules: Module):
         super().__init__()
@@ -459,8 +465,17 @@ class Sequential(Module):
         return len(self._order)
 
     def forward(self, x):
-        for name in self._order:
-            x = self._modules[name](x)
+        modules = list(self)
+        index = 0
+        while index < len(modules):
+            module = modules[index]
+            following = modules[index + 1] if index + 1 < len(modules) else None
+            if type(module) is ReLU and type(following) is MaxPool2d:
+                x = F.relu_max_pool2d(as_tensor(x), following.kernel_size, following.stride)
+                index += 2
+                continue
+            x = module(x)
+            index += 1
         return x
 
 

@@ -25,7 +25,8 @@ __all__ = [
     "group_values_reference", "ungroup_values_reference", "shared_exponents_reference",
     "quantize_groups_reference", "bfp_quantize_reference", "fmac_group_dot",
     "fmac_dot_product_reference",
-    "resolve_groups", "im2col_indices", "col2im", "conv2d", "max_pool2d", "avg_pool2d",
+    "resolve_groups", "im2col_indices", "col2im", "conv2d", "max_pool2d", "relu_max_pool2d",
+    "avg_pool2d",
 ]
 
 
@@ -270,6 +271,11 @@ def max_pool2d(x, kernel_size: int, stride: Optional[int] = None) -> Tensor:
     first-winner rule, which the strided route must reproduce."""
     stride = kernel_size if stride is None else stride
     return F._max_pool2d_im2col(as_tensor(x), kernel_size, stride)
+
+
+def relu_max_pool2d(x, kernel_size: int, stride: Optional[int] = None) -> Tensor:
+    """ReLU, then :func:`max_pool2d`: the composition the fused op folds."""
+    return max_pool2d(as_tensor(x).relu(), kernel_size, stride)
 
 
 def avg_pool2d(x, kernel_size: int, stride: Optional[int] = None) -> Tensor:

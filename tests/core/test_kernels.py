@@ -174,6 +174,34 @@ class TestDtypePropagation:
         assert out.dtype == np.float32
         assert out.shape == x.shape
 
+    @pytest.mark.parametrize("rounding", ["nearest", "stochastic"])
+    def test_padded_conversion_is_contiguous(self, rng, rounding):
+        """A (32, 10) tensor at group 16 -- the benchmark CNN's linear output
+        gradient -- pads each row; its conversion comes back C-contiguous."""
+        values = rng.standard_normal((32, 10)).astype(np.float32)
+        fast = bfp_quantize_fast(values, 4, 16, 8, rounding, rng=NoisePool(1))
+        assert fast.flags.c_contiguous
+        grouped = kernels.GroupedTensor(values, 16, 8)
+        assert grouped.ungroup(grouped.quantize(4)).flags.c_contiguous
+        along_rows = bfp_quantize_fast(values.T, 4, 16, 8, axis=0)
+        assert along_rows.flags.c_contiguous
+        np.testing.assert_array_equal(
+            along_rows, bfp_quantize_reference(values.T.astype(np.float64), 4, 16, 8, axis=0))
+
+    def test_padded_gradient_conversion_is_adopted(self, rng):
+        from repro.nn import functional as F
+        from repro.nn.tensor import Tensor
+
+        converted = []
+
+        def convert(grad):
+            converted.append(bfp_quantize_fast(grad, 4, 16, 8))
+            return converted[-1]
+
+        x = Tensor(rng.standard_normal((32, 10)).astype(np.float32), requires_grad=True)
+        F.quantize_gradient(x, convert).backward(np.ones((32, 10), dtype=np.float32))
+        assert x.grad is converted[0]
+
     def test_bfp_quantize_float32_stays_float32_end_to_end(self, rng):
         values = rng.standard_normal((5, 48)).astype(np.float32)
         assert bfp_quantize(values, 4, 16, 8).dtype == np.float32

@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.core.kernels import bfp_quantize_fast
-from repro.core.rounding import LFSR, NoisePool, VectorizedLFSR, draw_noise
+from repro.core.rounding import LFSR, NoisePool, VectorizedLFSR, draw_levels, draw_noise
 from repro.reference import bfp_quantize_reference
 
 
@@ -34,13 +37,13 @@ class TestDeterminism:
         np.testing.assert_array_equal(reference[:drawn.size], drawn)
 
     def test_whole_block_draws_are_views_of_fresh_refills(self):
-        """A draw that starts on an exhausted buffer is served from the next
-        refill without a copy; the stream is unchanged."""
+        """A levels draw that starts on an exhausted buffer is served from
+        the next refill without a copy; the stream is unchanged."""
         pool = NoisePool(3, capacity=512)
-        draws = [pool.uniform((512,)) for _ in range(3)] + [pool.uniform((300,))]
+        draws = [pool.levels((512,)) for _ in range(3)] + [pool.levels((300,))]
         assert not any(draw.flags.writeable for draw in draws)
         np.testing.assert_array_equal(np.concatenate(draws),
-                                      NoisePool(3, capacity=512).uniform((1836,)))
+                                      NoisePool(3, capacity=512).levels((1836,)))
 
     def test_draw_larger_than_capacity(self):
         small = NoisePool(1, capacity=128)
@@ -48,6 +51,59 @@ class TestDeterminism:
         chunked = np.concatenate([small.uniform((100,)) for _ in range(10)])
         at_once = large.uniform((1000,))
         np.testing.assert_array_equal(chunked, at_once)
+
+
+class TestLevels:
+    """``levels()`` serves the integer levels ``k`` that ``uniform()``
+    serves as ``k * 2**-noise_bits``, from one stream."""
+
+    @pytest.mark.parametrize("noise_bits,dtype", [(1, np.uint8), (4, np.uint8),
+                                                  (8, np.uint8), (12, np.uint16)])
+    def test_levels_times_the_step_equal_uniform(self, noise_bits, dtype):
+        levels = NoisePool(6, capacity=1024).levels((3000,), noise_bits=noise_bits)
+        uniform = NoisePool(6, capacity=1024).uniform((3000,), noise_bits=noise_bits)
+        assert levels.dtype == dtype and uniform.dtype == np.float32
+        assert levels.max() < 1 << noise_bits
+        np.testing.assert_array_equal(levels * 2.0 ** -noise_bits, uniform)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(st.tuples(st.booleans(), st.integers(0, 1300)), min_size=1, max_size=6),
+           st.sampled_from([4, 8, 12]))
+    def test_stream_is_partition_invariant_across_both_readers(self, draws, noise_bits):
+        pool = NoisePool(21, capacity=512)
+        drawn = np.concatenate([
+            (pool.levels((count,), noise_bits) * 2.0 ** -noise_bits) if as_levels
+            else pool.uniform((count,), noise_bits) for as_levels, count in draws])
+        total = sum(count for _, count in draws)
+        np.testing.assert_array_equal(
+            drawn, NoisePool(21, capacity=512).uniform((total,), noise_bits))
+
+    def test_uniform_returns_fresh_arrays(self):
+        pool = NoisePool(2, capacity=512)
+        first = pool.uniform((100,))
+        first[0] = 0.5  # writeable, and the stream is untouched
+        np.testing.assert_array_equal(pool.uniform((100,)),
+                                      NoisePool(2, capacity=512).uniform((200,))[100:])
+
+    def test_lfsr_levels_are_the_uniform_numerators(self):
+        for source in (LFSR(seed=3), VectorizedLFSR(seed=3)):
+            levels = source.levels((600,), noise_bits=8)
+            twin = type(source)(seed=3)
+            np.testing.assert_array_equal(levels / 256.0, twin.uniform((600,), noise_bits=8))
+        pooled = NoisePool(VectorizedLFSR(seed=9), capacity=256).levels((512,), 8)
+        np.testing.assert_array_equal(pooled, VectorizedLFSR(seed=9).levels((512,), 8))
+
+    def test_levels_need_explicit_noise_bits(self):
+        with pytest.raises(ValueError, match="noise_bits"):
+            NoisePool(0).levels((10,), noise_bits=None)
+
+    @pytest.mark.parametrize("make", [lambda: np.random.default_rng(8), lambda: NoisePool(8),
+                                      lambda: VectorizedLFSR(seed=8)])
+    def test_draw_levels_consumes_the_stream_like_draw_noise(self, make):
+        source, twin = make(), make()
+        levels = np.concatenate([draw_levels(source, (300,), 8), draw_levels(source, (5,), 8)])
+        noise = np.concatenate([draw_noise(twin, (300,), 8), draw_noise(twin, (5,), 8)])
+        np.testing.assert_array_equal(levels / 256.0, noise)
 
 
 class TestValues:
@@ -68,9 +124,9 @@ class TestValues:
         assert np.unique(draws).size > 990  # not quantized to a coarse grid
 
     def test_served_draws_are_read_only(self):
-        draws = NoisePool(0).uniform((100,))
+        draws = NoisePool(0).levels((100,))
         with pytest.raises(ValueError):
-            draws[0] = 0.5
+            draws[0] = 5
 
     def test_shape_is_respected(self):
         assert NoisePool(0).uniform((3, 5, 7)).shape == (3, 5, 7)
@@ -155,6 +211,24 @@ class TestQuantizationIntegration:
         assert noise.dtype == np.float32
         np.testing.assert_array_equal(noise.astype(np.float64), noise)
         assert fast.dtype == np.float64
+
+    @pytest.mark.parametrize("noise_bits", [1, 4, 8, 12])
+    @pytest.mark.parametrize("mantissa_bits", [2, 4, 8])
+    def test_float32_level_rounding_bit_equals_float64_reference(self, rng, noise_bits,
+                                                                 mantissa_bits):
+        """The float32 kernel adds the integer levels before the 2**-b scale;
+        the reference adds k / 2**b in float64.  Same results, bit for bit."""
+        values = (rng.standard_normal(4096) * 10.0 ** rng.integers(-3, 4, 4096)).astype(np.float32)
+        values[:16] = [0.0, -0.0, 1.0, -1.0, 2.0 ** -11, 1.9375] + [0.5] * 10
+        fast = bfp_quantize_fast(values, mantissa_bits, 16, 8, "stochastic",
+                                 rng=NoisePool(7, capacity=1000), noise_bits=noise_bits)
+        ref = bfp_quantize_reference(values.astype(np.float64), mantissa_bits, 16, 8,
+                                     "stochastic", rng=NoisePool(7, capacity=1000),
+                                     noise_bits=noise_bits)
+        # The fast path keeps the sign of -0.0 (the reference's sign product drops it).
+        expected = np.copysign(np.abs(ref), values).astype(np.float32)
+        assert fast.dtype == np.float32
+        np.testing.assert_array_equal(fast.view(np.uint32), expected.view(np.uint32))
 
     def test_mean_preservation(self, rng):
         """Theorem 1 sanity: pooled stochastic rounding stays unbiased."""

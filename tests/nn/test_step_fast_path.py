@@ -1,19 +1,25 @@
 """Tests for the step-level fast paths in ``repro.nn.functional``, each
 against its golden model in :mod:`repro.reference`:
 
-* memoized im2col/scatter indices vs. indices built afresh,
-* the BLAS/bincount convolution vs. the einsum/add.at reference,
-* the fat-layout convolution gather and backward GEMMs,
+* memoized im2col indices vs. indices built afresh,
+* the BLAS/shifted-add convolution vs. the einsum/add.at reference,
+* the fat-layout convolution gather and backward GEMMs, and the input
+  gradient formed in channel blocks,
 * the strided non-overlapping max-pool route (first-winner masks) vs.
-  im2col pooling,
+  im2col pooling, and ReLU folded into it,
 * the ``im2col`` kernel metric of the convolution gather,
 * dtype preservation in ``dropout`` and ``one_hot``.
 """
 
+import weakref
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from repro import reference
+from repro import nn, reference
 from repro.nn import functional as F
 from repro.nn.tensor import Tensor
 
@@ -71,13 +77,14 @@ class TestConvFastPath:
         for fast_arr, slow_arr in zip(fast, slow):
             np.testing.assert_allclose(fast_arr, slow_arr, rtol=1e-12, atol=1e-12)
 
-    def test_col2im_bincount_bit_equals_add_at(self, rng):
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_col2im_shifted_adds_bit_equal_add_at(self, rng, stride):
         shape = (3, 3, 8, 8)
-        out_side = (8 + 2 * 1 - 2) // 1 + 1
+        out_side = (8 + 2 * 1 - 2) // stride + 1
         cols = rng.standard_normal((3, 3 * 4, out_side * out_side))
-        fast = F.col2im(cols, shape, 2, 2, 1, 1)
-        slow = reference.col2im(cols, shape, 2, 2, 1, 1)
-        np.testing.assert_array_equal(fast, slow)
+        fast = F.col2im(cols, shape, 2, 2, stride, 1)
+        slow = reference.col2im(cols, shape, 2, 2, stride, 1)
+        assert_bits_equal(fast, slow)
 
     def test_col2im_float32_keeps_dtype(self, rng):
         cols = rng.standard_normal((2, 4, 16)).astype(np.float32)
@@ -188,6 +195,53 @@ class TestFatLayoutConvGeometry:
         fat = F._gather_fat(x, 3, 2, 2, 1, out_h, out_w)
         np.testing.assert_array_equal(
             fat, cols.transpose(1, 0, 2).reshape(cols.shape[1], -1))
+
+
+class TestConvInputGradient:
+    """The input gradient, formed in channel blocks, is ``col2im`` of the
+    one unblocked ``Wᵀ·G`` GEMM's float64 columns, rounded once."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("groups", [1, "depthwise"])
+    @pytest.mark.parametrize("padding", [0, 1])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_equals_reference_col2im_of_float64_columns(self, monkeypatch, stride,
+                                                        padding, groups, dtype):
+        # One channel (or group) per block, so every block boundary is crossed.
+        monkeypatch.setattr(F, "_COL2IM_BLOCK_BYTES", 1)
+        rng = np.random.default_rng(stride * 10 + padding)
+        channels, out_channels, kernel = 4, 8, 3
+        groups = channels if groups == "depthwise" else groups
+        x = Tensor(rng.standard_normal((3, channels, 9, 9)).astype(dtype), requires_grad=True)
+        weight = rng.standard_normal((out_channels, channels // groups, kernel, kernel))
+        out = F.conv2d(x, Tensor(weight.astype(dtype)), stride=stride, padding=padding,
+                       groups=groups)
+        grad = rng.standard_normal(out.shape).astype(dtype)
+        grad[0, 0, 0, :] = -0.0
+        out.backward(grad)
+
+        batch, _, out_h, out_w = out.shape
+        per_group = out_channels // groups
+        weight_t = weight.astype(dtype).reshape(groups, per_group, -1).transpose(0, 2, 1)
+        grad_fat = (grad.reshape(batch, groups, per_group, out_h * out_w)
+                    .transpose(1, 2, 0, 3).reshape(groups, per_group, -1))
+        cols = np.matmul(weight_t, grad_fat).reshape(-1, batch, out_h * out_w)
+        expected = reference.col2im(cols.transpose(1, 0, 2).astype(np.float64), x.shape,
+                                    kernel, kernel, stride, padding).astype(dtype)
+        assert x.grad.flags.c_contiguous
+        assert_bits_equal(x.grad, expected)
+
+    def test_blocked_gemm_rows_equal_the_unblocked_gemm(self):
+        """Rows of ``Wᵀ·G`` per channel block are the rows of one GEMM, at
+        the benchmark CNN's conv2 shape."""
+        rng = np.random.default_rng(5)
+        weight_t = (rng.standard_normal((64, 32 * 9)).astype(np.float32)
+                    .T.reshape(1, 32 * 9, 64))
+        grad_fat = rng.standard_normal((1, 64, 32 * 16 * 16)).astype(np.float32)
+        whole = np.matmul(weight_t, grad_fat)
+        for first, last in ((0, 6), (6, 12), (30, 32), (0, 1)):
+            block = np.matmul(weight_t[:, first * 9:last * 9], grad_fat)
+            assert_bits_equal(block, whole[:, first * 9:last * 9])
 
 
 class _RecordingProfiler:
@@ -350,6 +404,112 @@ class TestMaxPoolFastPath:
         slow_out, slow_grad = self.run_pool(x, False, 3, stride=2)
         np.testing.assert_array_equal(fast_out, slow_out)
         np.testing.assert_array_equal(fast_grad, slow_grad)
+
+
+def _bits_table(dtype):
+    """Window values: ties, signed zeros, infinities and NaN payloads (a
+    quiet NaN, a negative one and a signaling one)."""
+    dtype = np.dtype(dtype)
+    values = np.array([-0.0, 0.0, 1.0, 1.0, 2.0, 0.5, -1.0, -3.0, np.inf], dtype=dtype)
+    unsigned = np.dtype(f"u{dtype.itemsize}")
+    exponent = {4: 0x7F800000, 8: 0x7FF0000000000000}[dtype.itemsize]
+    sign = 1 << (8 * dtype.itemsize - 1)
+    nans = np.array([exponent | (exponent >> 9) | 5, sign | exponent | (exponent >> 9) | 3,
+                     exponent | 1], dtype=unsigned).view(dtype)
+    return values, np.concatenate([nans, np.array([-np.inf], dtype=dtype)])
+
+
+@st.composite
+def relu_pool_cases(draw):
+    """``(x, grad, kernel, stride)``: tiling windows mostly, and inputs
+    with or without NaN and -inf (which take the composition)."""
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    kernel = draw(st.sampled_from([2, 3]))
+    stride = draw(st.sampled_from([None, None, None, 1]))
+    batch, channels, rows, cols = (draw(st.integers(1, 2)), draw(st.integers(1, 2)),
+                                   draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    finite, special = _bits_table(dtype)
+    table = np.concatenate([finite, special]) if draw(st.booleans()) else finite
+    picks = draw(hnp.arrays(np.intp, (batch, channels, rows * kernel, cols * kernel),
+                            elements=st.integers(0, len(table) - 1)))
+    x = table[picks]
+    out_rows = rows if stride is None else rows * kernel - kernel + 1
+    out_cols = cols if stride is None else cols * kernel - kernel + 1
+    grad_table = np.concatenate([np.array([-0.0, 0.0, 1.5, -2.0, np.inf], dtype=dtype),
+                                 special[:2]])
+    grad_picks = draw(hnp.arrays(np.intp, (batch, channels, out_rows, out_cols),
+                                 elements=st.integers(0, len(grad_table) - 1)))
+    return x, grad_table[grad_picks], kernel, stride
+
+
+class TestReluMaxPool:
+    """``relu_max_pool2d`` is ``max_pool2d(relu(x))`` bit for bit."""
+
+    @staticmethod
+    def run(op, x, grad, kernel, stride):
+        tensor = Tensor(x.copy(), requires_grad=True)
+        out = op(tensor, kernel, stride)
+        out.backward(grad)
+        return out.data, tensor.grad
+
+    @settings(max_examples=150, deadline=None)
+    @given(relu_pool_cases())
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    def test_property_bit_equals_the_composition(self, case):
+        x, grad, kernel, stride = case
+        fused = self.run(F.relu_max_pool2d, x, grad, kernel, stride)
+        composed = self.run(lambda t, k, s: F.max_pool2d(t.relu(), k, s), x, grad, kernel, stride)
+        golden = self.run(lambda t, k, s: reference.max_pool2d(t.relu(), k, s),
+                          x, grad, kernel, stride)
+        assert_bits_equal(fused[0], composed[0])
+        assert_bits_equal(fused[1], composed[1])
+        assert_bits_equal(fused[0], golden[0])
+        # The golden im2col route scatters through col2im, whose sums start
+        # at +0.0, so it returns a -0.0 gradient as +0.0.
+        np.testing.assert_array_equal(fused[1], golden[1])
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("kernel", [2, 3])
+    def test_edge_cases_bit_equal_the_composition(self, kernel, dtype):
+        x = pool_edge_cases(kernel, dtype)
+        x = np.where(np.isnan(x), dtype(-2.0), x)  # NaN-free: the fused route
+        grad = (np.arange(2 * 3 * 4 * 4).reshape(2, 3, 4, 4) - 20).astype(dtype)
+        grad[0, 0, 0, 0] = np.nan
+        grad[1, 2, 0, 0] = -0.0
+        fused = self.run(F.relu_max_pool2d, x, grad, kernel, None)
+        composed = self.run(lambda t, k, s: F.max_pool2d(t.relu(), k, s), x, grad, kernel, None)
+        assert np.signbit(fused[0][fused[0] == 0]).any()
+        assert_bits_equal(fused[0], composed[0])
+        assert_bits_equal(fused[1], composed[1])
+
+    def test_sequential_runs_relu_then_pool_as_one_op(self, rng):
+        fused = nn.Sequential(nn.Conv2d(2, 3, 3, padding=1, rng=np.random.default_rng(0)),
+                              nn.ReLU(), nn.MaxPool2d(2))
+        apart = nn.Sequential(nn.Conv2d(2, 3, 3, padding=1, rng=np.random.default_rng(0)),
+                              nn.ReLU(), nn.Identity(), nn.MaxPool2d(2))
+        x = rng.standard_normal((2, 2, 6, 6))
+        outs, grads = [], []
+        for model in (fused, apart):
+            out = model(Tensor(x))
+            outs.append((out.op, out.data))
+            out.sum().backward()
+            grads.append(model[0].weight.grad)
+        assert [op for op, _ in outs] == ["relu_max_pool2d", "max_pool2d"]
+        assert_bits_equal(outs[0][1], outs[1][1])
+        assert_bits_equal(grads[0], grads[1])
+
+    def test_graph_holds_no_intermediate_after_backward(self, rng):
+        x = Tensor(rng.standard_normal((2, 2, 4, 4)), requires_grad=True)
+        features = x * 2.0
+        pooled = F.relu_max_pool2d(features, 2)
+        alive = [weakref.ref(features), weakref.ref(pooled)]
+        loss = (pooled * pooled).sum()
+        del features, pooled
+        assert all(ref() is not None for ref in alive)
+        loss.backward()
+        assert all(ref() is None for ref in alive)
+        with pytest.raises(RuntimeError, match="freed"):
+            loss.backward()
 
 
 class TestDtypePreservation:
