@@ -28,18 +28,55 @@ from .bfp import BFPConfig
 __all__ = ["AdaptiveConversion", "relative_improvement"]
 
 
+#: Values per float64 partial sum of ``r(X)``: a leaf of NumPy's pairwise
+#: summation tree (at least its 128-value block), whose float64 copy stays
+#: in cache.
+_SUM_LEAF = 1 << 15
+
+
+def _float64_sums(low: np.ndarray, high: np.ndarray, start: int, count: int):
+    """Float64 sums of ``low`` and of ``|high - low|`` over the flat range
+    ``[start, start + count)``, as ``(low_sum, difference_sum)``.
+
+    Ranges longer than :data:`_SUM_LEAF` split exactly where NumPy's
+    pairwise summation splits them -- half the count, rounded down to a
+    multiple of 8 -- and add the two halves' sums, so each sum is the same
+    float64 number as ``x.astype(np.float64).sum()`` over the whole range,
+    while only one leaf at a time is copied to float64.
+
+    This copies two internals of NumPy: where its pairwise summation splits,
+    and that a contiguous float64 ``sum`` reaches that summation unbuffered.
+    Verified bit for bit on NumPy 2.4.6 (the split, with its 128-value
+    block, dates from NumPy 1.9).  ``tests/core/test_converter.py``'s
+    ``TestChunkedSums`` pins it; should it fail after a NumPy upgrade, the
+    split must be re-derived from that NumPy, not the test loosened.
+    """
+    if count > _SUM_LEAF:
+        half = count // 2
+        half -= half % 8
+        low_left, difference_left = _float64_sums(low, high, start, half)
+        low_right, difference_right = _float64_sums(low, high, start + half, count - half)
+        return low_left + low_right, difference_left + difference_right
+    low, high = low[start:start + count], high[start:start + count]
+    difference = np.subtract(high, low)
+    np.abs(difference, out=difference)
+    return (float(low.astype(np.float64, copy=False).sum()),
+            float(difference.astype(np.float64, copy=False).sum()))
+
+
 def _improvement_ratio(low: np.ndarray, high: np.ndarray) -> float:
     """Equation 2 from the two unsigned quantized results, summed in float64.
 
     Both results lie on BFP grids with the same exponents, so ``high - low``
-    is exact in their own dtype; the sums run over contiguous float64
-    arrays, so float32 and float64 inputs of the same values give the same
-    ``r`` to the last bit.
+    is exact in their own dtype.  The sums stream over cache-sized chunks
+    along NumPy's pairwise-summation tree (:func:`_float64_sums`): there is
+    no float64 copy of either result and no full-size difference, yet each
+    sum equals ``astype(np.float64).sum()`` of the whole result bit for bit,
+    so float32 and float64 inputs of the same values give the same ``r`` to
+    the last bit.
     """
-    denominator = float(low.astype(np.float64).sum())
-    difference = np.subtract(high, low)
-    np.abs(difference, out=difference)
-    numerator = float(difference.astype(np.float64).sum())
+    low, high = low.reshape(-1), high.reshape(-1)
+    denominator, numerator = _float64_sums(low, high, 0, low.size)
     if denominator == 0.0:
         # An all-zero low-precision tensor means everything was truncated
         # away; any non-zero difference is an infinite relative improvement.
@@ -93,7 +130,10 @@ class AdaptiveConversion:
         result already computed for ``r(X)``; any other width or rounding
         mode quantizes once more from the same exponents, drawing noise of
         the same shape (and from the same stream) as
-        :func:`~repro.core.bfp.bfp_quantize`.
+        :func:`~repro.core.bfp.bfp_quantize`.  The first call frees every
+        nearest result it does not return before it rounds again, so a
+        stochastic rounding never runs next to two full-size results it
+        will not use; later calls quantize from the exponents.
 
         Each call is one conversion of the tensor, so an installed kernel
         profiler records it as ``bfp_quantize_fast``; the first call's time
@@ -102,7 +142,8 @@ class AdaptiveConversion:
         start, self._unrecorded_start = self._unrecorded_start, None
         if start is None:
             start = time.perf_counter()
-        nearest = self._nearest.get(mantissa_bits) if rounding == "nearest" else None
+        nearest = self._nearest.pop(mantissa_bits, None) if rounding == "nearest" else None
+        self._nearest.clear()
         if nearest is not None:
             grouped = self._grouped.restore_signs(nearest)
         else:
@@ -129,8 +170,9 @@ def relative_improvement(x, config: Optional[BFPConfig] = None, low_bits: int = 
     (:class:`AdaptiveConversion`).  There is no float64 copy of the tensor:
     float32 tensors are quantized in float32 -- bit-identical to float64
     quantization of the same values -- and only the two sums accumulate in
-    float64, so ``r`` equals the float64 computation exactly.  Padded
-    positions quantize to zero at both precisions and therefore do not
-    perturb either sum.
+    float64, chunk by chunk along NumPy's pairwise-summation tree, so ``r``
+    equals the float64 computation exactly while no full-size float64 copy
+    or difference array exists.  Padded positions quantize to zero at both
+    precisions and therefore do not perturb either sum.
     """
     return AdaptiveConversion(x, config, low_bits, high_bits).relative_improvement

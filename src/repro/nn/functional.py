@@ -581,10 +581,24 @@ def _max_pool2d_im2col(x: Tensor, kernel_size: int, stride: int) -> Tensor:
     def backward(grad):
         if not x.requires_grad:
             return
-        grad_flat = grad.reshape(batch * channels, 1, -1)
+        grad_flat = grad.reshape(batch * channels, -1)
         grad_cols = np.zeros_like(cols)
-        np.put_along_axis(grad_cols, max_idx[:, None, :], grad_flat, axis=1)
+        np.put_along_axis(grad_cols, max_idx[:, None, :], grad_flat[:, None, :], axis=1)
         grad_x = col2im(grad_cols, folded_shape, kernel_size, kernel_size, stride, 0)
+        grad_x = grad_x.reshape(batch * channels, -1)
+        # An input that wins one window takes that window's gradient bits, as
+        # on the strided route: col2im's float64 sum from +0.0 would turn a
+        # -0.0 into +0.0 and quiet a signaling NaN.  Inputs that win several
+        # windows keep the sum, and inputs that win none +0.0.
+        _, rows, columns, _, _ = im2col_indices(folded_shape, kernel_size, kernel_size,
+                                                stride, 0)
+        window = np.arange(max_idx.shape[1])
+        won = rows[max_idx, window] * folded_shape[3] + columns[max_idx, window]
+        wins = np.zeros(grad_x.shape, dtype=np.intp)
+        np.add.at(wins, (np.arange(batch * channels)[:, None], won), 1)
+        lone = np.zeros_like(grad_x)
+        np.put_along_axis(lone, won, grad_flat, axis=1)
+        np.copyto(grad_x, lone, where=wins == 1)
         x._accumulate(grad_x.reshape(x.shape), owned=True)
 
     return Tensor._make(out_data, (x,), backward, "max_pool2d")

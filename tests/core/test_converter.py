@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core import converter
 from repro.core.bfp import BFPConfig, bfp_quantize
 from repro.core.converter import AdaptiveConversion, relative_improvement
 from repro.core.precision_policy import FASTAdaptivePolicy
@@ -97,3 +98,55 @@ class TestAdaptiveConversion:
         values = rng.standard_normal((2, 32))
         conversion = AdaptiveConversion(values)
         assert conversion.relative_improvement == relative_improvement(values)
+
+
+def float64_bits(value) -> int:
+    return int(np.float64(value).view(np.uint64))
+
+
+class TestChunkedSums:
+    """``r(X)``'s sums stream over leaves of NumPy's pairwise-summation tree;
+    they must equal the whole-array float64 sums bit for bit.  Should NumPy
+    change its pairwise blocking, these fail instead of ``r`` shifting, and
+    ``converter._float64_sums`` must follow NumPy's new split (verified on
+    NumPy 2.4.6)."""
+
+    LEAF = converter._SUM_LEAF
+    SIZES = [1, 5, 7, 1003, LEAF - 1, LEAF, LEAF + 1, 2 * LEAF + 8, 1_000_048]
+
+    @staticmethod
+    def values(size, dtype, special):
+        # Magnitudes over ~17 decades, so every pairing order rounds its own way.
+        rng = np.random.default_rng(size)
+        low = np.abs(rng.standard_normal(size) * np.exp(rng.uniform(-20.0, 20.0, size)))
+        high = low * (1.0 + rng.uniform(-0.25, 0.25, size))
+        if special == "zeros":
+            low[::3] = 0.0
+            high[::5] = 0.0
+        elif special == "inf":
+            low[size // 2] = np.inf
+            high[size // 3] = np.inf
+        elif special == "nan":
+            low[size // 2] = np.nan
+            high[size // 4] = np.nan
+        return low.astype(dtype), high.astype(dtype)
+
+    @pytest.mark.parametrize("special", ["finite", "zeros", "inf", "nan"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("size", SIZES)
+    def test_sums_equal_whole_array_float64_sums(self, size, dtype, special):
+        low, high = self.values(size, dtype, special)
+        with np.errstate(invalid="ignore"):
+            sums = converter._float64_sums(low, high, 0, size)
+            expected = (low.astype(np.float64).sum(),
+                        np.abs(high - low).astype(np.float64).sum())
+        assert [float64_bits(value) for value in sums] == [float64_bits(value)
+                                                            for value in expected]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_ratio_equals_whole_array_equation_2(self, dtype):
+        low, high = self.values(2 * self.LEAF + 8, dtype, "zeros")
+        low, high = low.reshape(-1, 2, 4), high.reshape(-1, 2, 4)
+        expected = (np.abs(high - low).astype(np.float64).sum()
+                    / low.astype(np.float64).sum())
+        assert converter._improvement_ratio(low, high) == expected

@@ -413,16 +413,19 @@ def _bits_table(dtype):
     values = np.array([-0.0, 0.0, 1.0, 1.0, 2.0, 0.5, -1.0, -3.0, np.inf], dtype=dtype)
     unsigned = np.dtype(f"u{dtype.itemsize}")
     exponent = {4: 0x7F800000, 8: 0x7FF0000000000000}[dtype.itemsize]
+    quiet = 1 << (np.finfo(dtype).nmant - 1)
     sign = 1 << (8 * dtype.itemsize - 1)
-    nans = np.array([exponent | (exponent >> 9) | 5, sign | exponent | (exponent >> 9) | 3,
+    nans = np.array([exponent | quiet | 5, sign | exponent | quiet | 3,
                      exponent | 1], dtype=unsigned).view(dtype)
     return values, np.concatenate([nans, np.array([-np.inf], dtype=dtype)])
 
 
 @st.composite
 def relu_pool_cases(draw):
-    """``(x, grad, kernel, stride)``: tiling windows mostly, and inputs
-    with or without NaN and -inf (which take the composition)."""
+    """``(x, grad, kernel, stride)``: tiling windows mostly (the strided
+    route), overlapping ones (the im2col route), inputs with or without NaN
+    and -inf (which take the composition), and gradients that are negative,
+    -0.0 or NaN."""
     dtype = draw(st.sampled_from([np.float32, np.float64]))
     kernel = draw(st.sampled_from([2, 3]))
     stride = draw(st.sampled_from([None, None, None, 1]))
@@ -464,9 +467,75 @@ class TestReluMaxPool:
         assert_bits_equal(fused[0], composed[0])
         assert_bits_equal(fused[1], composed[1])
         assert_bits_equal(fused[0], golden[0])
-        # The golden im2col route scatters through col2im, whose sums start
-        # at +0.0, so it returns a -0.0 gradient as +0.0.
-        np.testing.assert_array_equal(fused[1], golden[1])
+        assert_bits_equal(fused[1], golden[1])
+
+    @staticmethod
+    def expected_pool(x, grad, kernel, stride):
+        """Max pooling spelled out window by window: each window's first
+        winner (``argmax``: the first NaN, else the first maximum) outputs
+        its value.  An input winning one window takes that gradient's bits,
+        one winning several the float64 sum of their gradients in kernel-tap
+        order from +0.0, rounded once, and one winning none +0.0.  Also
+        returns where such a sum is NaN: which NaN payload a sum keeps
+        depends on NumPy's inner loop (a strided slice add and ``add.at``
+        can differ), so those positions are compared as NaN only."""
+        stride = kernel if stride is None else stride
+        out_h, out_w = (np.array(x.shape[2:]) - kernel) // stride + 1
+        out = np.empty(grad.shape, dtype=x.dtype)
+        won = np.empty(grad.shape + (2,), dtype=np.intp)
+        for n, c, i, j in np.ndindex(out.shape):
+            window = x[n, c, i * stride:i * stride + kernel, j * stride:j * stride + kernel]
+            tap = np.unravel_index(np.argmax(window), window.shape)
+            out[n, c, i, j] = window[tap]
+            won[n, c, i, j] = tap
+        total = np.zeros(x.shape, dtype=np.float64)
+        wins = np.zeros(x.shape, dtype=np.intp)
+        for tap in np.ndindex(kernel, kernel):
+            n, c, i, j = np.nonzero((won == tap).all(axis=-1))
+            pixel = (n, c, i * stride + tap[0], j * stride + tap[1])
+            np.add.at(total, pixel, grad[n, c, i, j].astype(np.float64))
+            np.add.at(wins, pixel, 1)
+        lone = total.astype(x.dtype)
+        for tap in np.ndindex(kernel, kernel):
+            n, c, i, j = np.nonzero((won == tap).all(axis=-1))
+            pixel = (n, c, i * stride + tap[0], j * stride + tap[1])
+            alone = wins[pixel] == 1
+            lone[tuple(index[alone] for index in pixel)] = grad[n, c, i, j][alone]
+        return out, lone, (wins > 1) & np.isnan(lone)
+
+    @settings(max_examples=150, deadline=None)
+    @given(relu_pool_cases())
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    def test_property_pool_routes_bit_equal_the_spelled_out_pool(self, case):
+        """Without the ReLU: the routes ``max_pool2d`` takes -- strided for
+        tiling windows, im2col for overlapping ones -- and the golden im2col
+        route against pooling spelled out window by window, negative, -0.0
+        and NaN gradients included."""
+        x, grad, kernel, stride = case
+        out, grad_x, nan_sums = self.expected_pool(x, grad, kernel, stride)
+        for op in (F.max_pool2d, reference.max_pool2d):
+            actual_out, actual_grad = self.run(op, x, grad, kernel, stride)
+            assert_bits_equal(actual_out, out)
+            assert_bits_equal(actual_grad[~nan_sums], grad_x[~nan_sums])
+            assert np.isnan(actual_grad[nan_sums]).all()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_im2col_route_keeps_a_lone_winners_gradient_bits(self, dtype):
+        # 3x3 windows at stride 2 overlap on row and column 2; the last row
+        # and column lie in no window.  Each window has its own winner.
+        x = np.zeros((1, 1, 6, 6), dtype=dtype)
+        winners = [(0, 0), (1, 3), (3, 1), (4, 4)]
+        for value, position in enumerate(winners, start=4):
+            x[(0, 0) + position] = value
+        grad = np.array([[[[-0.0, -2.0], [1.5, -0.0]]]], dtype=dtype)
+        _, golden = self.run(reference.max_pool2d, x, grad, 3, 2)
+        _, fast = self.run(F.max_pool2d, x, grad, 3, 2)
+        expected = np.zeros_like(x)
+        for value, position in zip(grad.ravel(), winners):
+            expected[(0, 0) + position] = value
+        assert np.signbit(expected).sum() == 3
+        assert_bits_equal(golden, expected)
+        assert_bits_equal(fast, expected)
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("kernel", [2, 3])
