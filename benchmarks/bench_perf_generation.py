@@ -5,21 +5,26 @@ incremental decode over a packed-BFP KV cache and a continuous-batching
 ``GenerationServer``.  This benchmark measures what each layer buys:
 
 * **KV-cached decode vs. full recompute** -- per-token cost of the
-  incremental ``decode_step`` path against re-running the decoder over the
-  whole prefix every step (the O(T^2) legacy path), at several sequence
+  incremental ``decode_step`` path over a ``KVCacheManager`` against
+  re-running the decoder over the whole prefix every step (the O(T^2)
+  path of ``repro.reference.greedy_decode``), at several sequence
   lengths.  Gate: >= 3x faster at T=64.
 * **Continuous vs. static bucketed batching** -- the same mixed-length
   open-loop request stream (``loadgen.GenerationLoadGenerator``) served by
   the continuous-batching ``GenerationServer`` and by a static baseline
   that decodes fixed batches to completion (both KV-cached, so the gate
   isolates *scheduling*, not cache reuse).  Gate: >= 1.5x tokens/sec.
-* **Quantized KV cache** -- per-step logit divergence of a BFP-grid cache
-  against the exact cache across mantissa widths, plus the cache-memory
-  table (bytes/token per storage format).
+* **Quantized KV cache** -- per-step logit divergence of the 4-bit model
+  decoding over a BFP-grid cache against the same model over the exact
+  cache, across cache mantissa widths.  It measures the model around the
+  cache, not the cache alone: the model re-rounds its activations to 4
+  bits, which can flip a small cache error into a large one downstream.
+  Plus the cache-memory table (bytes/token per storage format).
 
 An equivalence harness runs first -- timings of a wrong decode path are
 worthless: KV-cached greedy decode must be **token-identical** to the
-legacy full-recompute decode (quantization off, float64 and float32), and
+full-recompute oracle ``repro.reference.greedy_decode`` (quantization off,
+float64 and float32), and
 the continuous-batching server's tokens must match solo decodes of the
 same prompts.
 
@@ -46,6 +51,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro import reference
 from repro.core.bfp import BFPConfig
 from repro.models import transformer_small
 from repro.serving import (
@@ -93,12 +99,12 @@ def verify_generation(rng) -> None:
     frozen = frozen_seq2seq(max_length=24)
     root = frozen.root
     src = rng.integers(3, 50, size=(5, 10))
-    reference = root.greedy_decode(src, BOS, EOS)
-    assert np.array_equal(root.greedy_decode_cached(src, BOS, EOS), reference), \
+    assert np.array_equal(root.greedy_decode_cached(src, BOS, EOS),
+                          reference.greedy_decode(root, src, BOS, EOS)), \
         "KV-cached greedy decode diverges from full recompute (float64)"
     root32 = frozen_seq2seq(max_length=24).cast(np.float32).root
     assert np.array_equal(root32.greedy_decode_cached(src, BOS, EOS),
-                          root32.greedy_decode(src, BOS, EOS)), \
+                          reference.greedy_decode(root32, src, BOS, EOS)), \
         "KV-cached greedy decode diverges from full recompute (float32)"
     # Continuous batching must not perturb any sequence's tokens.
     prompts = [rng.integers(3, 50, size=int(rng.integers(5, 11)))
@@ -121,30 +127,17 @@ def verify_generation(rng) -> None:
 # KV-cached decode vs. full recompute
 # --------------------------------------------------------------------------- #
 def _rollout_cached(root, src, steps: int) -> float:
-    """Wall time of a forced ``steps``-token incremental rollout."""
+    """Wall time of a forced ``steps``-token KV-cached greedy decode: no
+    token is the end id -1, so every row runs all ``steps`` steps."""
     start = time.perf_counter()
-    _, memory_kv = root.prefill(src)
-    cache = root.start_cache()
-    batch = src.shape[0]
-    tokens = np.full(batch, BOS, dtype=np.int64)
-    for step in range(steps):
-        logits = root.decode_step(tokens, np.full(batch, step, dtype=np.int64),
-                                  cache, memory_kv)
-        tokens = logits.argmax(axis=-1)
+    root.greedy_decode_cached(src, BOS, -1, max_length=steps + 1)
     return time.perf_counter() - start
 
 
 def _rollout_recompute(root, src, steps: int) -> float:
     """Wall time of the same rollout re-decoding the full prefix per step."""
     start = time.perf_counter()
-    memory = root.encode(src)
-    memory_kv = root.memory_kv(memory)
-    generated = np.full((src.shape[0], 1), BOS, dtype=np.int64)
-    for _ in range(steps):
-        decoded = root.decode(generated, memory, memory_kv=memory_kv)
-        logits = root.output_projection.run(decoded)[:, -1, :]
-        generated = np.concatenate(
-            [generated, logits.argmax(axis=-1)[:, None]], axis=1)
+    reference.greedy_decode(root, src, BOS, -1, max_length=steps + 1)
     return time.perf_counter() - start
 
 
@@ -391,38 +384,55 @@ def bench_continuous_batching(duration_s: float, qps: float, rng):
 # --------------------------------------------------------------------------- #
 # Quantized KV cache: divergence + memory per storage format
 # --------------------------------------------------------------------------- #
+def _batch_cache(root, batch: int, quantizer=None):
+    """A KV cache holding rows ``0 .. batch - 1``, one ``max_length``
+    block each, for a step-by-step rollout."""
+    cache = root.kv_cache(batch, block_tokens=root.max_length, quantizer=quantizer)
+    for row in range(batch):
+        cache.reserve(row, root.max_length)
+    return cache
+
+
 def bench_quantized_cache(steps: int, rng) -> dict:
+    """Divergence of the 4-bit model around a BFP KV cache, and cache bytes.
+
+    The divergence rows compare the 4-bit frozen model decoding over a cache
+    quantized to each mantissa width with the same model over the exact
+    cache, on the same forced tokens.  They describe the model around the
+    cache, not the cache alone: the model re-rounds its own activations to 4
+    bits, which can turn a small cache error into a flipped value
+    downstream, so ``argmax_agreement`` need not grow with the width.
+    """
     root = frozen_seq2seq(max_length=max(DECODE_LENGTHS) + 8).root
     src = rng.integers(3, 50, size=(4, 12))
     _, memory_kv = root.prefill(src)
 
     # Reference rollout with the exact cache; forced tokens shared by all.
-    exact = root.start_cache()
+    exact = _batch_cache(root, 4)
     generated = np.full((4, 1), BOS, dtype=np.int64)
     exact_logits = []
     for step in range(steps):
         logits = root.decode_step(generated[:, -1],
                                   np.full(4, step, dtype=np.int64),
-                                  exact, memory_kv)
+                                  exact.step(range(4)), memory_kv)
         exact_logits.append(logits)
         generated = np.concatenate(
             [generated, logits.argmax(axis=-1)[:, None]], axis=1)
 
     divergence = []
     for mantissa_bits in (8, 4, 2):
-        grid = root.start_cache(
-            quantizer=ActivationQuantizer(mantissa_bits, 16, 8))
+        grid = _batch_cache(root, 4, ActivationQuantizer(mantissa_bits, 16, 8))
         worst_mean = 0.0
         agree = 0
         for step in range(steps):
             logits = root.decode_step(generated[:, step],
                                       np.full(4, step, dtype=np.int64),
-                                      grid, memory_kv)
-            reference = exact_logits[step]
+                                      grid.step(range(4)), memory_kv)
+            exact_step = exact_logits[step]
             worst_mean = max(worst_mean,
-                             float(np.abs(logits - reference).mean()
-                                   / np.abs(reference).mean()))
-            agree += int((logits.argmax(-1) == reference.argmax(-1)).sum())
+                             float(np.abs(logits - exact_step).mean()
+                                   / np.abs(exact_step).mean()))
+            agree += int((logits.argmax(-1) == exact_step.argmax(-1)).sum())
         divergence.append({"mantissa_bits": mantissa_bits,
                            "steps": steps,
                            "worst_mean_relative_error": worst_mean,
@@ -515,7 +525,9 @@ def main(argv=None) -> int:
         [(str(d["mantissa_bits"]), f"{d['worst_mean_relative_error']:.4f}",
           f"{d['argmax_agreement']:.0%}")
          for d in quantized["divergence"]],
-        title="Quantized KV cache: per-step logit divergence vs. exact cache")
+        title=("4-bit model around a BFP KV cache: per-step logit divergence vs. "
+               "the exact cache (the model's own 4-bit re-rounding included, "
+               "not the cache alone)"))
     print_rows(
         ["format", "bytes/token", "compression vs fp32"],
         [(f["format"], f"{f['bytes_per_token']:.0f}",

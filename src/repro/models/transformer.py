@@ -10,7 +10,7 @@ small configuration that learns the synthetic transduction task of
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -18,7 +18,7 @@ from .. import nn
 from ..nn.attention import TransformerDecoderLayer, TransformerEncoderLayer, causal_mask, positional_encoding
 from ..nn.quantized import QuantizedLinear
 
-__all__ = ["Seq2SeqTransformer", "transformer_small", "transformer_base"]
+__all__ = ["Seq2SeqTransformer", "greedy_tokens", "transformer_small", "transformer_base"]
 
 
 class Seq2SeqTransformer(nn.Module):
@@ -102,26 +102,36 @@ class Seq2SeqTransformer(nn.Module):
         """
         max_length = max_length if max_length is not None else self.max_length
         src_tokens = np.asarray(src_tokens, dtype=np.int64)
-        batch = src_tokens.shape[0]
         was_training = self.training
         self.eval()
         try:
             with nn.no_grad():
                 memory = self.encode(src_tokens)
-                generated = np.full((batch, 1), bos_index, dtype=np.int64)
-                finished = np.zeros(batch, dtype=bool)
-                for _ in range(max_length - 1):
-                    decoded = self.decode(generated, memory)
-                    logits = self.output_projection(decoded).data[:, -1, :]
-                    next_tokens = logits.argmax(axis=-1)
-                    next_tokens = np.where(finished, self.pad_index, next_tokens)
-                    generated = np.concatenate([generated, next_tokens[:, None]], axis=1)
-                    finished = finished | (next_tokens == eos_index)
-                    if finished.all():
-                        break
+
+                def next_logits(generated):
+                    return self.output_projection(self.decode(generated, memory)).data[:, -1, :]
+
+                return greedy_tokens(next_logits, src_tokens.shape[0], bos_index, eos_index,
+                                     self.pad_index, max_length)
         finally:
             self.train(was_training)
-        return generated
+
+
+def greedy_tokens(next_logits: Callable[[np.ndarray], np.ndarray], batch: int, bos: int,
+                  eos: int, pad: int, max_length: int) -> np.ndarray:
+    """The greedy loop every decoder shares: from ``bos``, append the argmax
+    of ``next_logits(generated)`` -- the (batch, vocab) logits after the
+    (batch, steps) prefix -- until every row has emitted ``eos`` or holds
+    ``max_length`` tokens; finished rows are padded with ``pad``."""
+    generated = np.full((batch, 1), bos, dtype=np.int64)
+    finished = np.zeros(batch, dtype=bool)
+    for _ in range(max_length - 1):
+        next_tokens = np.where(finished, pad, next_logits(generated).argmax(axis=-1))
+        generated = np.concatenate([generated, next_tokens[:, None]], axis=1)
+        finished = finished | (next_tokens == eos)
+        if finished.all():
+            break
+    return generated
 
 
 def transformer_small(vocab_size: int, max_length: int = 32, rng=None) -> Seq2SeqTransformer:

@@ -194,7 +194,11 @@ def col2im(
     (ki, kj) order (:func:`_add_taps`).  For float64 columns this is
     bit-identical to the unbuffered ``np.add.at`` of the golden model
     (:func:`repro.reference.col2im`): every output element sums the same
-    contributions in the same order, starting from +0.0.  The output dtype
+    contributions in the same order, starting from +0.0.  One exception:
+    where two NaNs with different payloads meet at one pixel, both give NaN
+    there, but not the same NaN -- the strided add and ``add.at`` keep
+    different operands' payloads (on NumPy 2.4.6 the earlier tap's and the
+    later tap's, in either order of the two).  The output dtype
     matches the columns' floating dtype; float32 columns are accumulated in
     float64 and rounded once at the end -- at least as accurate as the
     chained float32 adds of ``add.at``.

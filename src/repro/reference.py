@@ -4,7 +4,8 @@ benchmarks import this module (repro-lint RL007).
 It keeps the seed BFP pipeline and the per-group fMAC walk verbatim, plus
 the training step's ops as they ran before its fast path, each with the
 signature of the :mod:`repro.nn.functional` op (or of
-:func:`repro.core.kernels.resolve_groups`) it stands in for.
+:func:`repro.core.kernels.resolve_groups`) it stands in for, and the
+full-recompute greedy decode the KV-cached one is held to.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from .core.chunks import decompose_mantissas, passes_required
 from .core.kernels import MIN_EXPONENT
 from .core.rounding import apply_rounding
 from .hardware.fmac import FMACResult
+from .models.transformer import greedy_tokens
 from .nn import functional as F
 from .nn.tensor import Tensor, as_tensor, concat
 
@@ -26,7 +28,7 @@ __all__ = [
     "quantize_groups_reference", "bfp_quantize_reference", "fmac_group_dot",
     "fmac_dot_product_reference",
     "resolve_groups", "im2col_indices", "col2im", "conv2d", "max_pool2d", "relu_max_pool2d",
-    "avg_pool2d",
+    "avg_pool2d", "greedy_decode",
 ]
 
 
@@ -282,3 +284,26 @@ def avg_pool2d(x, kernel_size: int, stride: Optional[int] = None) -> Tensor:
     """Average pooling through im2col for every window geometry."""
     stride = kernel_size if stride is None else stride
     return F._avg_pool2d_im2col(as_tensor(x), kernel_size, stride)
+
+
+# --------------------------------------------------------------------------- #
+# Greedy decode without the KV cache
+# --------------------------------------------------------------------------- #
+def greedy_decode(root, src_tokens, bos_index: int, eos_index: int,
+                  max_length: Optional[int] = None) -> np.ndarray:
+    """Full-recompute greedy decode of a frozen seq2seq transformer ``root``:
+    the O(T^2) oracle its ``greedy_decode_cached`` is held to.
+
+    Every step re-runs the decoder over the whole prefix of every row; the
+    cross-attention memory K/V are projected once up front.
+    """
+    max_length = root.max_length if max_length is None else max_length
+    src_tokens = np.asarray(src_tokens, dtype=np.int64)
+    memory, memory_kv = root.prefill(src_tokens)
+
+    def next_logits(generated):
+        decoded = root.decode(generated, memory, memory_kv=memory_kv)
+        return root.output_projection.run(decoded)[:, -1, :]
+
+    return greedy_tokens(next_logits, src_tokens.shape[0], bos_index, eos_index,
+                         root.pad_index, max_length)

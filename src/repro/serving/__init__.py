@@ -92,8 +92,9 @@ Sequence generation (the continuous-batching tier)::
 ``GenerationConfig(kv_mantissa_bits=...)``) and a per-decode-step
 admit/retire scheduler: short sequences retire and new ones join mid-flight
 instead of waiting for the longest member of a static batch.  The cache is
-a preallocated block pool (``KVCacheManager``) with worst-case reservation
-at admission, so a running sequence can never hit pool exhaustion.
+a preallocated block pool (``KVCacheManager``, which ``greedy_decode_cached``
+also runs over) with worst-case reservation at admission, so a running
+sequence can never hit pool exhaustion.
 ``loadgen.GenerationLoadGenerator`` drives it open-loop for
 tokens/sec-vs-streams and TTFT measurements.
 """
@@ -116,16 +117,14 @@ from .cluster import (
 from .engine import EngineCrash, EngineStats, InferenceEngine
 from .faults import FaultInjectingEngine, FaultPlan, TransientEngineError
 from .generation import (
-    CacheExhausted,
-    CacheStats,
     GenerationConfig,
     GenerationResult,
     GenerationServer,
     GenerationStats,
     GenerationTiming,
-    KVCacheManager,
     TokenStream,
 )
+from .kv_cache import CacheExhausted, CacheStats, KVCacheManager
 from .loadgen import (
     FamilyLoad,
     GenerationLoadGenerator,

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, fields
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from .frozen import FrozenModel
+if TYPE_CHECKING:  # frozen -> kv_cache -> server -> engine: no runtime import back
+    from .frozen import FrozenModel
 
 __all__ = ["EngineCrash", "EngineStats", "InferenceEngine"]
 

@@ -35,15 +35,16 @@ the same names as the module's attributes, otherwise a function registered
 with :func:`register_freezer`.
 
 The frozen Transformer additionally exposes an **incremental decode** path
-(:meth:`FrozenSeq2SeqTransformer.decode_step` over a :class:`DecodeCache`):
-each generated token's K/V projections are appended to a per-sequence cache
-and attention runs over the cached prefix -- O(T) per token instead of the
-O(T^2) full recompute.  :meth:`FrozenModel.predict` decodes this way.  With
-cache quantization off the cached path's greedy tokens are bit-identical to
-the recompute oracle :meth:`FrozenSeq2SeqTransformer.greedy_decode` (and, on
-BLAS-regime-stable shapes, the per-step logits are bit-identical too -- see
-:func:`_row_matmul`); with an :class:`ActivationQuantizer` attached the cache
-itself lives on the BFP grid, trading bounded divergence for the paper's
+(:meth:`FrozenSeq2SeqTransformer.decode_step` over the one K/V cache, a
+:class:`~repro.serving.kv_cache.KVCacheManager`): attention runs over the
+cached prefix -- O(T) per token instead of the O(T^2) full recompute.
+:meth:`FrozenModel.predict` decodes this way.  The live model, the cached
+path and the recompute oracle ``repro.reference.greedy_decode`` run the one
+greedy loop :func:`~repro.models.transformer.greedy_tokens`; with cache
+quantization off the cached path's tokens are bit-identical to the
+oracle's (and, on BLAS-regime-stable shapes, the per-step logits too --
+see :func:`_row_matmul`).  A cache with an :class:`ActivationQuantizer`
+lives on the BFP grid, trading bounded divergence for the paper's
 activation-format memory footprint.
 
 One serving-relevant caveat: BFP activation quantization shares its exponent
@@ -71,7 +72,7 @@ from ..formats.registry import available_formats, get_format
 from ..models.mlp import MLP
 from ..models.mobilenet import InvertedResidual, MobileNetV2
 from ..models.resnet import BasicBlock, BottleneckBlock, ResNet
-from ..models.transformer import Seq2SeqTransformer
+from ..models.transformer import Seq2SeqTransformer, greedy_tokens
 from ..models.vgg import VGG
 from ..models.yolo import TinyYOLO
 from ..nn import attention as attention_mod
@@ -80,11 +81,11 @@ from ..nn import modules as M
 from ..nn.attention import causal_mask
 from ..nn.quantized import BFPScheme, FormatScheme
 from ..nn.tensor import Tensor
+from .kv_cache import BLOCK_TOKENS, KVCacheManager
 
 __all__ = [
     "FrozenOp",
     "FrozenModel",
-    "DecodeCache",
     "ActivationQuantizer",
     "freeze",
     "freeze_module",
@@ -704,55 +705,6 @@ def _row_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return doubled[..., :1, :]
 
 
-class DecodeCache:
-    """Preallocated per-layer self-attention K/V cache for incremental decode.
-
-    One contiguous (batch, heads, capacity, head_dim) buffer per decoder
-    layer, written in place; :meth:`append` returns views of the filled
-    prefix (the prefix of a row-contiguous buffer stays row-contiguous, so
-    the attention products see the same memory layout a freshly-assembled
-    array would).  With a ``quantizer`` (an :class:`ActivationQuantizer`)
-    every cached K/V row is snapped to the BFP grid on write -- the paper's
-    activation quantization applied to the cache itself -- and bit-exactness
-    vs recompute becomes bounded divergence, measured in the benchmark
-    harness.  Grid values are exactly representable, so a quantized cache
-    can be *packed* to BFP storage losslessly (see ``serving.generation``).
-    """
-
-    def __init__(self, num_layers: int, capacity: int, quantizer=None):
-        if capacity <= 0:
-            raise ValueError(f"capacity must be positive, got {capacity}")
-        self.num_layers = int(num_layers)
-        self.capacity = int(capacity)
-        self.quantizer = quantizer
-        self._k: List[Optional[np.ndarray]] = [None] * self.num_layers
-        self._v: List[Optional[np.ndarray]] = [None] * self.num_layers
-        self.length = 0
-
-    def append(self, layer: int, k_new: np.ndarray, v_new: np.ndarray):
-        """Append one step's (batch, heads, 1, head_dim) K/V; return the
-        cached (K, V) prefixes including it."""
-        if self.quantizer is not None:
-            k_new = self.quantizer(k_new)
-            v_new = self.quantizer(v_new)
-        if self._k[layer] is None:
-            batch, heads, _, head_dim = k_new.shape
-            shape = (batch, heads, self.capacity, head_dim)
-            self._k[layer] = np.empty(shape, dtype=k_new.dtype)
-            self._v[layer] = np.empty(shape, dtype=v_new.dtype)
-        step = k_new.shape[2]
-        if self.length + step > self.capacity:
-            raise ValueError(
-                f"DecodeCache capacity {self.capacity} exceeded at length {self.length}")
-        self._k[layer][:, :, self.length:self.length + step] = k_new
-        self._v[layer][:, :, self.length:self.length + step] = v_new
-        filled = self.length + step
-        if layer == self.num_layers - 1:  # all layers saw this step
-            self.length = filled
-        return self._k[layer][:, :, :filled], self._v[layer][:, :, :filled]
-
-
-
 @_register_op
 class FrozenMultiHeadAttention(FrozenOp):
     kind = "multi_head_attention"
@@ -925,15 +877,20 @@ class FrozenSeq2SeqTransformer(FrozenOp):
         """Encode the source and project the per-layer cross-attention K/V.
 
         Returns ``(memory, memory_kv)`` -- everything a sequence needs
-        besides its (initially empty) self-attention :class:`DecodeCache`.
+        besides its (initially empty) slots in a :meth:`kv_cache`.
         """
         memory = self.encode(np.asarray(src_tokens, dtype=np.int64))
         return memory, self.memory_kv(memory)
 
-    def start_cache(self, max_length: Optional[int] = None,
-                    quantizer=None) -> DecodeCache:
-        capacity = self.max_length if max_length is None else int(max_length)
-        return DecodeCache(len(self.decoder_layers), capacity, quantizer=quantizer)
+    def kv_cache(self, total_blocks: int, block_tokens: int = BLOCK_TOKENS,
+                 quantizer=None) -> KVCacheManager:
+        """A self-attention K/V block pool shaped for this decoder, in the
+        dtype of its arrays (float32 after :meth:`FrozenModel.cast`)."""
+        num_heads = self.decoder_layers[0].self_attention.num_heads
+        return KVCacheManager(len(self.decoder_layers), num_heads,
+                              self.embed_dim // num_heads, total_blocks,
+                              block_tokens=block_tokens, quantizer=quantizer,
+                              dtype=self.positional.dtype)
 
     def decode_step(self, tokens: np.ndarray, positions: np.ndarray,
                     cache, memory_kv, self_mask=None,
@@ -964,65 +921,36 @@ class FrozenSeq2SeqTransformer(FrozenOp):
         return self.output_projection.run(x)[:, 0, :]
 
     def greedy_decode_cached(self, src_tokens: np.ndarray, bos_index: int,
-                             eos_index: int, max_length: Optional[int] = None,
-                             cache_quantizer=None) -> np.ndarray:
+                             eos_index: int, max_length: Optional[int] = None) -> np.ndarray:
         """KV-cached greedy decode: O(T) attention per emitted token.
 
-        Token-identical to :meth:`greedy_decode` when ``cache_quantizer`` is
-        ``None`` (gated in ``benchmarks/bench_perf_generation.py``); with an
-        :class:`ActivationQuantizer` the cached K/V live on the BFP grid and
-        the divergence is bounded, not zero.
+        Runs :func:`~repro.models.transformer.greedy_tokens` over a
+        :meth:`kv_cache` that reserves ``max_length`` tokens per row.  Its
+        tokens are identical to the full-recompute oracle
+        ``repro.reference.greedy_decode`` (gated in tests and in
+        ``benchmarks/bench_perf_generation.py``).
         """
         max_length = max_length if max_length is not None else self.max_length
         src_tokens = np.asarray(src_tokens, dtype=np.int64)
         batch = src_tokens.shape[0]
         _, memory_kv = self.prefill(src_tokens)
-        cache = self.start_cache(max_length=max_length, quantizer=cache_quantizer)
-        generated = np.full((batch, 1), bos_index, dtype=np.int64)
-        finished = np.zeros(batch, dtype=bool)
-        tokens = generated[:, -1]
-        for step in range(max_length - 1):
-            logits = self.decode_step(tokens, np.full(batch, step, dtype=np.int64),
-                                      cache, memory_kv)
-            next_tokens = np.where(finished, self.pad_index, logits.argmax(axis=-1))
-            generated = np.concatenate([generated, next_tokens[:, None]], axis=1)
-            finished = finished | (next_tokens == eos_index)
-            if finished.all():
-                break
-            tokens = next_tokens
-        return generated
+        cache = self.kv_cache(batch * -(-max_length // BLOCK_TOKENS))
+        rows = range(batch)
+        for row in rows:
+            cache.reserve(row, max_length)
+
+        def next_logits(generated):
+            positions = np.full(batch, generated.shape[1] - 1, dtype=np.int64)
+            return self.decode_step(generated[:, -1], positions, cache.step(rows), memory_kv)
+
+        return greedy_tokens(next_logits, batch, bos_index, eos_index, self.pad_index,
+                             max_length)
 
     def run(self, src_tokens: np.ndarray, tgt_tokens: np.ndarray) -> np.ndarray:
         """Teacher-forced logits (batch, tgt_len, vocab)."""
         memory = self.encode(src_tokens)
         decoded = self.decode(tgt_tokens, memory)
         return self.output_projection.run(decoded)
-
-    def greedy_decode(self, src_tokens: np.ndarray, bos_index: int, eos_index: int,
-                      max_length: Optional[int] = None) -> np.ndarray:
-        """Full-recompute greedy decode: the O(T^2) oracle that tests and
-        benchmarks hold :meth:`greedy_decode_cached` to.
-
-        Every step re-runs the decoder over the whole prefix of every row;
-        cross-attention memory K/V are projected once up front instead of
-        once per step.
-        """
-        max_length = max_length if max_length is not None else self.max_length
-        src_tokens = np.asarray(src_tokens, dtype=np.int64)
-        batch = src_tokens.shape[0]
-        memory = self.encode(src_tokens)
-        memory_kv = self.memory_kv(memory)
-        generated = np.full((batch, 1), bos_index, dtype=np.int64)
-        finished = np.zeros(batch, dtype=bool)
-        for _ in range(max_length - 1):
-            decoded = self.decode(generated, memory, memory_kv=memory_kv)
-            logits = self.output_projection.run(decoded)[:, -1, :]
-            next_tokens = np.where(finished, self.pad_index, logits.argmax(axis=-1))
-            generated = np.concatenate([generated, next_tokens[:, None]], axis=1)
-            finished = finished | (next_tokens == eos_index)
-            if finished.all():
-                break
-        return generated
 
 
 # --------------------------------------------------------------------------- #

@@ -6,18 +6,20 @@ so one long generation stalls its companions.  This module serves
 autoregressive traffic the way modern LLM servers do:
 
 * **Incremental decode** -- each active sequence keeps its self-attention
-  K/V in a :class:`KVCacheManager` block pool (O(T) attention per emitted
-  token, not O(T^2) recompute; see ``frozen.FrozenSeq2SeqTransformer.
-  decode_step``).  The pool is preallocated; a sequence reserves its
-  worst-case blocks at admission, so an admitted sequence can never die of
-  cache exhaustion mid-flight.
+  K/V in the one cache, a :class:`~repro.serving.kv_cache.KVCacheManager`
+  block pool in the root's dtype (O(T) attention per emitted token, not
+  O(T^2) recompute; see ``frozen.FrozenSeq2SeqTransformer.decode_step``).
+  A sequence reserves its worst-case blocks at admission, so an admitted
+  sequence can never die of cache exhaustion mid-flight.
 * **Quantized cache** -- with ``kv_mantissa_bits`` set, every cached K/V row
   is snapped to the BFP grid by the same :class:`~repro.serving.frozen.
   ActivationQuantizer` the frozen forward uses, so cache memory scales with
   the paper's activation formats (a 4-bit-mantissa cache packs to ~8x less
   than float32; the grid values pack losslessly -- see
-  :meth:`KVCacheManager.packed_block`).  Decode is bit-identical to full
-  recompute with quantization off, boundedly divergent with it on.
+  :meth:`~repro.serving.kv_cache.KVCacheManager.packed_block`).  Each row's
+  tokens equal ``greedy_decode_cached``'s for it alone, and so the
+  full-recompute oracle ``repro.reference.greedy_decode``'s, with
+  quantization off.
 * **Continuous batching** -- the scheduler admits new sequences and retires
   finished ones *between decode steps*: a batch is whatever sequences are
   alive right now, not a request-granularity bucket.  Tokens stream back
@@ -53,240 +55,33 @@ import time
 from collections import deque
 from concurrent.futures import CancelledError, Future
 from dataclasses import dataclass, fields
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from .. import observability
-from ..core.bfp import bfp_quantize_tensor
-from ..core.chunks import bits_per_group
 from ..observability.metrics import LatencyHistogram
-from .frozen import (
-    ActivationQuantizer,
-    FrozenModel,
-    FrozenSeq2SeqTransformer,
-)
+from .frozen import ActivationQuantizer, FrozenModel, FrozenSeq2SeqTransformer
+from .kv_cache import CacheExhausted
 from .server import (
     AdmissionGate,
     DeadlineExceeded,
     InvalidRequest,
     LifecycleServer,
-    ServerOverloaded,
     settle,
     validate_admission,
 )
 
 __all__ = [
-    "CacheExhausted",
-    "CacheStats",
     "GenerationConfig",
     "GenerationResult",
     "GenerationServer",
     "GenerationStats",
     "GenerationTiming",
-    "KVCacheManager",
     "TokenStream",
 ]
 
 _MASK_FILL = -1e9  # matches nn.attention.causal_mask: exp() underflows to 0.0
-
-
-class CacheExhausted(ServerOverloaded):
-    """The KV block pool cannot reserve the requested sequence."""
-
-
-# --------------------------------------------------------------------------- #
-# KV cache manager: a preallocated block pool shared by active sequences
-# --------------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class CacheStats:
-    """Occupancy accounting for the block pool."""
-
-    total_blocks: int
-    blocks_in_use: int
-    block_tokens: int
-    sequences: int
-    tokens_cached: int
-    utilization: float          # blocks_in_use / total_blocks
-    cache_bytes: float          # at the configured storage format
-    fp32_bytes: float           # same tokens at float32
-    compression_vs_fp32: float
-
-    def as_dict(self) -> dict:
-        return dict(self.__dict__)
-
-
-class KVCacheManager:
-    """Block-pool K/V storage for many concurrent sequences.
-
-    One preallocated pool array holds every sequence's per-layer K and V,
-    chunked into blocks of ``block_tokens`` positions; a sequence owns a list
-    of block ids (its "block table") plus a filled length.  ``reserve`` takes
-    the sequence's *worst-case* block count up front -- admission control in
-    one place, no mid-flight exhaustion -- and ``release`` returns the blocks.
-
-    With a ``quantizer`` every appended K/V row is fake-quantized onto the
-    BFP grid before storage.  The floats in the pool then *are* grid points,
-    so :meth:`packed_block` can pack them into a
-    :class:`~repro.core.bfp.BFPTensor` losslessly, and :meth:`stats` accounts
-    cache bytes at the packed size (the paper's Figure 15 layout) rather
-    than the staging dtype's.
-    """
-
-    def __init__(self, num_layers: int, num_heads: int, head_dim: int,
-                 total_blocks: int, block_tokens: int = 16,
-                 quantizer: Optional[ActivationQuantizer] = None,
-                 dtype=np.float64):
-        if total_blocks <= 0 or block_tokens <= 0:
-            raise ValueError("total_blocks and block_tokens must be positive")
-        self.num_layers = int(num_layers)
-        self.num_heads = int(num_heads)
-        self.head_dim = int(head_dim)
-        self.total_blocks = int(total_blocks)
-        self.block_tokens = int(block_tokens)
-        self.quantizer = quantizer
-        self.dtype = np.dtype(dtype)
-        # (block, layer, k/v, head, slot, head_dim): one block holds
-        # `block_tokens` positions of every layer's K and V.
-        self._pool = np.zeros(
-            (self.total_blocks, self.num_layers, 2, self.num_heads,
-             self.block_tokens, self.head_dim), dtype=self.dtype)
-        self._free: List[int] = list(range(self.total_blocks - 1, -1, -1))
-        self._tables: Dict[int, List[int]] = {}
-        self._lengths: Dict[int, int] = {}
-
-    # ------------------------------ lifecycle ------------------------- #
-    def blocks_for(self, max_tokens: int) -> int:
-        return -(-int(max_tokens) // self.block_tokens)
-
-    @property
-    def free_blocks(self) -> int:
-        return len(self._free)
-
-    def can_reserve(self, max_tokens: int) -> bool:
-        return self.blocks_for(max_tokens) <= len(self._free)
-
-    def reserve(self, seq_id: int, max_tokens: int) -> None:
-        """Claim the worst-case block count for ``seq_id`` up front."""
-        if seq_id in self._tables:
-            raise ValueError(f"sequence {seq_id} already holds a reservation")
-        needed = self.blocks_for(max_tokens)
-        if needed > len(self._free):
-            raise CacheExhausted(
-                f"KV cache pool exhausted: need {needed} blocks for "
-                f"{max_tokens} tokens, {len(self._free)} of "
-                f"{self.total_blocks} free")
-        self._tables[seq_id] = [self._free.pop() for _ in range(needed)]
-        self._lengths[seq_id] = 0
-
-    def release(self, seq_id: int) -> None:
-        blocks = self._tables.pop(seq_id, None)
-        if blocks:
-            self._free.extend(blocks)
-        self._lengths.pop(seq_id, None)
-
-    def length(self, seq_id: int) -> int:
-        return self._lengths[seq_id]
-
-    # ------------------------------ data path ------------------------- #
-    def append_step(self, seq_ids: Sequence[int], layer: int,
-                    k_new: np.ndarray, v_new: np.ndarray) -> None:
-        """Write one decode step's (batch, heads, 1, head_dim) K/V rows into
-        each sequence's next position.  Lengths advance only when the last
-        layer has written (every layer sees the same step)."""
-        if self.quantizer is not None:
-            k_new = self.quantizer(k_new)
-            v_new = self.quantizer(v_new)
-        for row, seq_id in enumerate(seq_ids):
-            position = self._lengths[seq_id]
-            block = self._tables[seq_id][position // self.block_tokens]
-            slot = position % self.block_tokens
-            self._pool[block, layer, 0, :, slot, :] = k_new[row, :, 0, :]
-            self._pool[block, layer, 1, :, slot, :] = v_new[row, :, 0, :]
-            if layer == self.num_layers - 1:
-                self._lengths[seq_id] = position + 1
-
-    def gather(self, seq_ids: Sequence[int], layer: int,
-               lengths: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
-        """Assemble padded (batch, heads, max_len, head_dim) K and V for the
-        given sequences; padding rows are zero (masked by the caller)."""
-        max_len = max(lengths)
-        batch = len(seq_ids)
-        k = np.zeros((batch, self.num_heads, max_len, self.head_dim), dtype=self.dtype)
-        v = np.zeros_like(k)
-        for row, (seq_id, length) in enumerate(zip(seq_ids, lengths)):
-            table = self._tables[seq_id]
-            for start in range(0, length, self.block_tokens):
-                count = min(self.block_tokens, length - start)
-                block = self._pool[table[start // self.block_tokens], layer]
-                k[row, :, start:start + count, :] = block[0, :, :count, :]
-                v[row, :, start:start + count, :] = block[1, :, :count, :]
-        return k, v
-
-    def packed_block(self, seq_id: int, layer: int):
-        """Pack one sequence's cached K for ``layer`` into a BFP tensor.
-
-        Only meaningful with a quantizer attached: the pool floats already
-        sit on the BFP grid, so packing is lossless (``to_float`` round-trips
-        bit-identically) -- the proof that the cache can be *stored* in the
-        packed Figure 15 layout, not just accounted at its size.  Lossless
-        requires ``head_dim % group_size == 0`` (true for every model here,
-        head_dim 16): then the flattened row's groups coincide with the
-        per-head groups the quantizer used at append time.
-        """
-        if self.quantizer is None:
-            raise ValueError("packed_block requires a quantized cache")
-        length = self._lengths[seq_id]
-        k, _ = self.gather([seq_id], layer, [length])
-        flat = k[0].transpose(1, 0, 2).reshape(length, -1)  # (tokens, h*d)
-        return bfp_quantize_tensor(
-            flat, mantissa_bits=self.quantizer.mantissa_bits,
-            group_size=self.quantizer.group_size,
-            exponent_bits=self.quantizer.exponent_bits, rounding="nearest")
-
-    # ------------------------------ accounting ------------------------ #
-    def stats(self) -> CacheStats:
-        blocks_in_use = self.total_blocks - len(self._free)
-        tokens = sum(self._lengths.values())
-        values = tokens * self.num_layers * 2 * self.num_heads * self.head_dim
-        values_per_token = self.num_layers * 2 * self.num_heads * self.head_dim
-        if self.quantizer is not None:
-            group = self.quantizer.group_size
-            groups_per_row = -(-self.num_heads * self.head_dim // group)
-            group_bits = bits_per_group(self.quantizer.exponent_bits or 8, group,
-                                        self.quantizer.mantissa_bits)
-            bytes_per_token = self.num_layers * 2 * groups_per_row * group_bits / 8.0
-        else:
-            bytes_per_token = values_per_token * float(self.dtype.itemsize)
-        cache_bytes = tokens * bytes_per_token
-        fp32_bytes = values * 4.0
-        return CacheStats(
-            total_blocks=self.total_blocks,
-            blocks_in_use=blocks_in_use,
-            block_tokens=self.block_tokens,
-            sequences=len(self._tables),
-            tokens_cached=tokens,
-            utilization=blocks_in_use / self.total_blocks,
-            cache_bytes=cache_bytes,
-            fp32_bytes=fp32_bytes,
-            # Format property, not occupancy: ratio per cached token.
-            compression_vs_fp32=(values_per_token * 4.0) / bytes_per_token,
-        )
-
-
-class _BatchCache:
-    """Adapter giving one decode step the ``DecodeCache.append`` protocol
-    over the block pool, for whatever sequences are active right now."""
-
-    def __init__(self, manager: KVCacheManager, seq_ids: Sequence[int],
-                 lengths: Sequence[int]):
-        self.manager = manager
-        self.seq_ids = list(seq_ids)
-        self.lengths = [length + 1 for length in lengths]  # incl. this step
-
-    def append(self, layer: int, k_new: np.ndarray, v_new: np.ndarray):
-        self.manager.append_step(self.seq_ids, layer, k_new, v_new)
-        return self.manager.gather(self.seq_ids, layer, self.lengths)
 
 
 def _padding_mask(lengths: Sequence[int], dtype) -> Optional[np.ndarray]:
@@ -429,7 +224,8 @@ class GenerationConfig:
 
 @dataclass(frozen=True)
 class GenerationStats:
-    """Counters + latency summaries (``cache`` is a :class:`CacheStats` dict)."""
+    """Counters + latency summaries (``cache`` is a
+    :class:`~repro.serving.kv_cache.CacheStats` dict)."""
 
     submitted: int
     completed: int
@@ -511,9 +307,6 @@ class GenerationServer(LifecycleServer):
         self.config = config or GenerationConfig()
         self.bos_index = int(meta.get("bos_index", 1))
         self.eos_index = int(meta.get("eos_index", 2))
-        first_layer = root.decoder_layers[0].self_attention
-        num_heads = first_layer.num_heads
-        head_dim = root.embed_dim // num_heads
         self._step_cap = self.config.max_new_tokens or (root.max_length - 1)
         self._step_cap = min(self._step_cap, root.max_length - 1)
         quantizer = None
@@ -525,10 +318,8 @@ class GenerationServer(LifecycleServer):
         if blocks is None:
             per_seq = -(-self._step_cap // self.config.block_tokens)
             blocks = self.config.max_active * per_seq
-        self.cache = KVCacheManager(
-            len(root.decoder_layers), num_heads, head_dim, blocks,
-            block_tokens=self.config.block_tokens, quantizer=quantizer,
-            dtype=np.dtype(meta.get("compute_dtype") or np.float64))
+        self.cache = root.kv_cache(blocks, block_tokens=self.config.block_tokens,
+                                   quantizer=quantizer)
         self._dtype = self.cache.dtype
 
         self._seq_ids = itertools.count()
@@ -752,12 +543,10 @@ class GenerationServer(LifecycleServer):
         seq_ids = [s.seq_id for s in batch]
         positions = np.array([s.position for s in batch], dtype=np.int64)
         tokens = np.array([s.token for s in batch], dtype=np.int64)
-        cache_lengths = [self.cache.length(s.seq_id) for s in batch]
-        adapter = _BatchCache(self.cache, seq_ids, cache_lengths)
-        self_mask = _padding_mask([length + 1 for length in cache_lengths],
-                                  self._dtype)
+        step_cache = self.cache.step(seq_ids)
+        self_mask = _padding_mask(step_cache.lengths, self._dtype)
         memory_kv, memory_mask = self._assemble_memory()
-        logits = self.root.decode_step(tokens, positions, adapter, memory_kv,
+        logits = self.root.decode_step(tokens, positions, step_cache, memory_kv,
                                        self_mask=self_mask,
                                        memory_mask=memory_mask)
         next_tokens = logits.argmax(axis=-1)

@@ -86,6 +86,25 @@ class TestConvFastPath:
         slow = reference.col2im(cols, shape, 2, 2, stride, 1)
         assert_bits_equal(fast, slow)
 
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_col2im_two_nans_at_one_pixel_stay_nan(self, swap):
+        """Two NaNs with different payloads sent to pixel (1, 1) of a 3x3
+        image by 2x2 windows at stride 1: that pixel is NaN on both routes,
+        whose payloads differ (see ``F.col2im``); every other pixel is
+        bit-equal."""
+        nans = np.array([0x7FF80000A0000000, 0xFFF8000060000000],
+                        dtype=np.uint64).view(np.float64)
+        first, second = nans[::-1] if swap else nans
+        cols = np.arange(1.0, 17.0).reshape(1, 4, 4)
+        cols[0, 3, 0] = first   # window (0, 0), tap (1, 1)
+        cols[0, 0, 3] = second  # window (1, 1), tap (0, 0)
+        fast = F.col2im(cols, (1, 1, 3, 3), 2, 2, 1, 0)
+        slow = reference.col2im(cols, (1, 1, 3, 3), 2, 2, 1, 0)
+        assert np.isnan(fast[0, 0, 1, 1]) and np.isnan(slow[0, 0, 1, 1])
+        others = np.ones((3, 3), dtype=bool)
+        others[1, 1] = False
+        assert_bits_equal(fast[0, 0][others], slow[0, 0][others])
+
     def test_col2im_float32_keeps_dtype(self, rng):
         cols = rng.standard_normal((2, 4, 16)).astype(np.float32)
         out = F.col2im(cols, (2, 1, 8, 8), 2, 2, 2, 0)

@@ -21,19 +21,15 @@ import time
 import numpy as np
 import pytest
 
-from repro import observability
+from repro import observability, reference
 from repro.core.bfp import BFPConfig, bfp_quantize
 from repro.models import transformer_base, transformer_small
 from repro.observability import validate_chrome_trace
 from repro.observability.tracing import GENERATION_STAGES
 from repro.serving import freeze
 from repro.serving.frozen import ActivationQuantizer, FrozenSeq2SeqTransformer
-from repro.serving.generation import (
-    CacheExhausted,
-    GenerationConfig,
-    GenerationServer,
-    KVCacheManager,
-)
+from repro.serving.generation import GenerationConfig, GenerationServer
+from repro.serving.kv_cache import CacheExhausted, KVCacheManager
 from repro.serving.server import (
     DeadlineExceeded,
     InvalidRequest,
@@ -60,15 +56,26 @@ def prompts(rng, count, low_len=4, high_len=10, vocab=30):
             for _ in range(count)]
 
 
+def batch_cache(root: FrozenSeq2SeqTransformer, batch, quantizer=None):
+    """A KV cache holding rows ``0 .. batch - 1``, one ``max_length`` block
+    each, for a step-by-step rollout."""
+    cache = root.kv_cache(batch, block_tokens=root.max_length, quantizer=quantizer)
+    for row in range(batch):
+        cache.reserve(row, root.max_length)
+    return cache
+
+
 def step_logits_both_paths(root: FrozenSeq2SeqTransformer, src, steps):
     """(incremental, recompute) per-step logits for a forced greedy rollout."""
     memory, memory_kv = root.prefill(src)
-    cache = root.start_cache()
+    cache = batch_cache(root, src.shape[0])
+    rows = range(src.shape[0])
     generated = np.full((src.shape[0], 1), BOS, dtype=np.int64)
     incremental, recompute = [], []
     for step in range(steps):
         positions = np.full(src.shape[0], step, dtype=np.int64)
-        logits = root.decode_step(generated[:, -1], positions, cache, memory_kv)
+        logits = root.decode_step(generated[:, -1], positions, cache.step(rows),
+                                  memory_kv)
         decoded = root.decode(generated, memory, memory_kv=memory_kv)
         full = root.output_projection.run(decoded)[:, -1, :]
         incremental.append(logits)
@@ -107,7 +114,14 @@ class TestIncrementalDecodeNumerics:
         src = rng.integers(3, 30, size=(6, 10))
         np.testing.assert_array_equal(
             root.greedy_decode_cached(src, BOS, EOS),
-            root.greedy_decode(src, BOS, EOS))
+            reference.greedy_decode(root, src, BOS, EOS))
+
+    def test_cached_greedy_token_identical_to_legacy_float32(self, rng):
+        root = frozen_seq2seq(seed=5).cast(np.float32).root
+        src = rng.integers(3, 30, size=(6, 10))
+        cached = root.greedy_decode_cached(src, BOS, EOS)
+        np.testing.assert_array_equal(cached, reference.greedy_decode(root, src, BOS, EOS))
+        assert cached.shape[1] > 2
 
     def test_memory_kv_precompute_identical(self, rng):
         root = frozen_seq2seq().root
@@ -124,15 +138,17 @@ class TestIncrementalDecodeNumerics:
         src = rng.integers(3, 30, size=(4, 8))
         quantizer = ActivationQuantizer(8, 16, 8)
         memory, memory_kv = root.prefill(src)
-        exact = root.start_cache()
-        grid = root.start_cache(quantizer=quantizer)
+        exact = batch_cache(root, 4)
+        grid = batch_cache(root, 4, quantizer=quantizer)
         generated = np.full((4, 1), BOS, dtype=np.int64)
         worst_mean, worst_max = 0.0, 0.0
         for step in range(6):
             positions = np.full(4, step, dtype=np.int64)
             tokens = generated[:, -1]
-            logits_exact = root.decode_step(tokens, positions, exact, memory_kv)
-            logits_grid = root.decode_step(tokens, positions, grid, memory_kv)
+            logits_exact = root.decode_step(tokens, positions, exact.step(range(4)),
+                                            memory_kv)
+            logits_grid = root.decode_step(tokens, positions, grid.step(range(4)),
+                                           memory_kv)
             error = np.abs(logits_grid - logits_exact)
             worst_mean = max(worst_mean,
                              error.mean() / np.abs(logits_exact).mean())
@@ -160,7 +176,7 @@ class TestFrozenTokenRange:
         _, memory_kv = root.prefill(np.array([[3, 4, 5]]))
         with pytest.raises(ValueError, match=r"\[0, 30\)"):
             root.decode_step(np.array([source[1]]), np.array([0]),
-                             root.start_cache(), memory_kv)
+                             batch_cache(root, 1).step([0]), memory_kv)
 
 
 class TestKVCacheManager:
@@ -210,6 +226,55 @@ class TestKVCacheManager:
                                np.concatenate([r[1] for r in rows[1]], axis=1)])
         np.testing.assert_array_equal(k, expected_k)
         np.testing.assert_array_equal(v, expected_v)
+
+    def test_gather_zero_pads_short_rows_over_reused_blocks(self, rng):
+        """A released sequence's blocks keep their values; a shorter row
+        that reuses them still reads zeros past its length."""
+        cache = self.make(total_blocks=4, block_tokens=4)
+        cache.reserve(0, 16)
+        for _ in range(16):
+            for layer in range(2):
+                cache.append_step([0], layer, rng.standard_normal((1, 2, 1, 8)),
+                                  rng.standard_normal((1, 2, 1, 8)))
+        cache.release(0)
+        cache.reserve(1, 3)
+        cache.reserve(2, 9)
+        rows = {1: [], 2: []}
+        for step in range(9):
+            ids = [1, 2] if step < 3 else [2]
+            k_new = rng.standard_normal((len(ids), 2, 1, 8))
+            v_new = rng.standard_normal((len(ids), 2, 1, 8))
+            for layer in range(2):
+                cache.append_step(ids, layer, k_new, v_new)
+            for row, seq_id in enumerate(ids):
+                rows[seq_id].append((k_new[row], v_new[row]))
+        k, v = cache.gather([1, 2], layer=0, lengths=[3, 9])
+        assert k.shape == v.shape == (2, 2, 9, 8)
+        for which, got in ((0, k), (1, v)):
+            np.testing.assert_array_equal(
+                got[0, :, :3], np.concatenate([r[which] for r in rows[1]], axis=1))
+            np.testing.assert_array_equal(got[0, :, 3:], 0.0)
+            np.testing.assert_array_equal(
+                got[1], np.concatenate([r[which] for r in rows[2]], axis=1))
+
+    def test_append_past_reservation_raises(self, rng):
+        """A row never writes past its own reservation into another
+        sequence's block."""
+        cache = self.make(total_blocks=2, block_tokens=4)
+        cache.reserve(0, 3)
+        cache.reserve(1, 4)
+        k_new = rng.standard_normal((2, 2, 1, 8))
+        for _ in range(3):
+            for layer in range(2):
+                cache.append_step([0, 1], layer, k_new, k_new)
+        neighbour = cache.gather([1], layer=0, lengths=[3])[0].copy()
+        with pytest.raises(ValueError, match=r"sequence 0 reserved 3 tokens"):
+            cache.append_step([1, 0], 0, k_new, k_new)
+        with pytest.raises(ValueError, match=r"sequence 0 reserved 3 tokens"):
+            cache.gather([0], layer=0, lengths=[4])
+        assert cache.length(0) == cache.length(1) == 3
+        np.testing.assert_array_equal(cache.gather([1], layer=0, lengths=[3])[0],
+                                      neighbour)
 
     def test_quantized_blocks_pack_losslessly(self, rng):
         # head_dim == group_size: append-time per-head groups coincide with
@@ -267,14 +332,40 @@ class TestGenerationServer:
     def test_matches_legacy_greedy_decode(self, rng):
         frozen = frozen_seq2seq(seed=9)
         src = rng.integers(3, 30, size=10)
-        reference = frozen.root.greedy_decode(src[None], BOS, EOS)[0]
+        oracle = reference.greedy_decode(frozen.root, src[None], BOS, EOS)[0]
         with GenerationServer(frozen) as server:
             result = server.generate(src, timeout=60)
-        eos_hits = np.flatnonzero(reference == EOS)
-        stop = eos_hits[0] + 1 if eos_hits.size else reference.shape[0]
-        np.testing.assert_array_equal(result.tokens, reference[:stop])
+        eos_hits = np.flatnonzero(oracle == EOS)
+        stop = eos_hits[0] + 1 if eos_hits.size else oracle.shape[0]
+        np.testing.assert_array_equal(result.tokens, oracle[:stop])
         assert result.timing.finish_reason in ("eos", "length")
         assert result.timing.ttft_ms >= 0.0
+
+    def test_bare_float32_root_decodes_in_float32(self, rng):
+        """The cache and the logits follow the root's own arrays, with or
+        without the ``FrozenModel`` (and its meta) around it."""
+        frozen = frozen_seq2seq(seed=9).cast(np.float32)
+        root = frozen.root
+        original = root.decode_step
+        dtypes = []
+
+        def recording_decode_step(*args, **kwargs):
+            logits = original(*args, **kwargs)
+            dtypes.append(logits.dtype)
+            return logits
+
+        src = rng.integers(3, 30, size=10)
+        root.decode_step = recording_decode_step
+        try:
+            with GenerationServer(root) as server:
+                assert server.cache.dtype == np.float32
+                bare = server.generate(src, max_new_tokens=8, timeout=60).tokens
+        finally:
+            root.decode_step = original
+        assert dtypes and set(dtypes) == {np.dtype(np.float32)}
+        with GenerationServer(frozen) as server:
+            wrapped = server.generate(src, max_new_tokens=8, timeout=60).tokens
+        np.testing.assert_array_equal(bare, wrapped)
 
     def test_streaming_tokens_match_future(self, rng):
         frozen = frozen_seq2seq()
