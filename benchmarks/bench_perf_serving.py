@@ -316,11 +316,15 @@ def bench_degraded(num_requests: int, rng) -> dict:
                 # engine hard-crashed (those futures fail descriptively).
                 failed += 1
         wall = time.perf_counter() - start
-        stats = server.stats()
-        final_state = stats.state
+    # Read after close(): the worker has counted every outcome by then.
+    stats = server.stats()
+    final_state = stats.state
 
     assert len(latencies) + shed + failed == num_requests, \
         "degraded mode: request accounting does not close"
+    assert (stats.submitted, stats.completed, stats.shed_deadline, stats.failed) == \
+        (num_requests, len(latencies), shed, failed), \
+        f"degraded mode: the server's counts disagree with its callers' ({stats})"
     assert latencies, "degraded mode: no request survived the fault injection"
     assert faulty.log.crashes >= 1, "degraded mode: the scheduled crash never fired"
     assert final_state == "healthy", \
@@ -601,7 +605,7 @@ def bench_cluster_mixed(duration_s: float, rng) -> dict:
             stats = cluster.stats()
     point = _load_point(report)
     point["models"] = {"cnn": 0.7, "mlp": 0.3}
-    point["per_shard_requests"] = [s.requests for s in stats.shards]
+    point["per_shard_requests"] = [s.completed for s in stats.shards]
     return point
 
 

@@ -147,7 +147,7 @@ def main() -> None:
         print(f"  open-loop Poisson traffic at {report.offered_qps:.0f} qps: "
               f"goodput {report.goodput_rps:.0f} req/s, p50 "
               f"{report.latency_ms_p50:.1f} ms, p99 {report.latency_ms_p99:.1f} ms")
-        print(f"  per-shard requests: {[s.requests for s in stats.shards]}; "
+        print(f"  per-shard completed: {[s.completed for s in stats.shards]}; "
               "batches crossed the process boundary through shared-memory rings")
 
     if args.trace:

@@ -56,6 +56,17 @@ Fault-tolerance semantics (the robustness layer):
   (``None``: no limit), then -- or at once with ``drain=False`` -- fails
   the rest with ``ServerClosed`` when its current call returns.  Leaving a
   ``with`` block is ``close()``.  No future ever leaks, on any path.
+* **One accounting rule** -- every server counts a request in
+  ``stats().submitted`` when it takes it, and in exactly one outcome when
+  it lets go of it: ``completed`` for a result, ``shed_deadline`` for a
+  ``DeadlineExceeded`` (queued, in retry backoff or mid-generation), and
+  ``failed`` for any other error or for its caller's cancel.  A submit
+  refused at capacity (``ServerOverloaded``, ``CacheExhausted``) counts in
+  ``rejected`` and nowhere else; one refused as closed, unavailable or
+  invalid counts nowhere.  So after ``close()``, ``submitted == completed +
+  failed + shed_deadline``.  ``ServerStats`` and ``GenerationStats`` report
+  these five counts under these names; ``ShardedServer`` sums its shards'
+  and adds its own gate's rejections.
 
 ``serving.faults.FaultInjectingEngine`` injects deterministic latency
 spikes, transient errors, hard crashes, NaN-poisoned outputs, hard worker

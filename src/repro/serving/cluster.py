@@ -770,7 +770,6 @@ class ShardedServer:
         self._stats_lock = threading.Lock()
         self._closed = False  # guarded-by: _close_lock
         self._latency_hist = LatencyHistogram("cluster_request_latency_ms")  # guarded-by: _stats_lock
-        self._completed = 0  # guarded-by: _stats_lock
         self._first_enqueued: Optional[float] = None  # guarded-by: _stats_lock
         self._last_completed: Optional[float] = None  # guarded-by: _stats_lock
         self._gate = AdmissionGate(self.config, "cluster")
@@ -908,7 +907,6 @@ class ShardedServer:
             return
         result = future.result()
         with self._stats_lock:
-            self._completed += 1
             self._last_completed = time.monotonic()
             self._latency_hist.observe(result.timing.total_ms)
 
@@ -954,12 +952,12 @@ class ShardedServer:
 
     def stats(self) -> ServerStats:
         """Cluster-level :class:`ServerStats` with one per-shard entry each
-        in ``shards`` (same type, ``shards`` empty in turn)."""
+        in ``shards`` (same type, ``shards`` empty in turn).  Request counts
+        are the shards' sums; ``rejected`` adds the cluster gate's."""
         shard_stats = tuple(shard.server.stats() for shard in self._shards)
         with self._stats_lock:
             mean = self._latency_hist.mean
             p50, p95, p99 = self._latency_hist.percentiles()
-            completed = self._completed
             first = self._first_enqueued
             last = self._last_completed
         states = [s.state for s in shard_stats]
@@ -973,9 +971,14 @@ class ShardedServer:
         batch_sizes = [s.mean_batch_size * s.batches for s in shard_stats
                        if s.batches]
         total_batches = sum(s.batches for s in shard_stats)
+        completed = sum(s.completed for s in shard_stats)
         return ServerStats(
             state=state,
-            requests=completed,
+            submitted=sum(s.submitted for s in shard_stats),
+            completed=completed,
+            failed=sum(s.failed for s in shard_stats),
+            shed_deadline=sum(s.shed_deadline for s in shard_stats),
+            rejected=self._gate.rejected + sum(s.rejected for s in shard_stats),
             batches=total_batches,
             mean_batch_size=(sum(batch_sizes) / total_batches
                              if total_batches else float("nan")),
@@ -985,11 +988,8 @@ class ShardedServer:
             latency_ms_p99=p99,
             throughput_rps=(completed / wall) if wall and wall > 0 else float("nan"),
             queue_depth=sum(s.queue_depth for s in shard_stats),
-            shed_deadline=sum(s.shed_deadline for s in shard_stats),
             shed_watermark=sum(s.shed_watermark for s in shard_stats),
-            rejected=self._gate.rejected + sum(s.rejected for s in shard_stats),
             requeues=sum(s.requeues for s in shard_stats),
-            failed_requests=sum(s.failed_requests for s in shard_stats),
             nonfinite_outputs=sum(s.nonfinite_outputs for s in shard_stats),
             engine_crashes=sum(s.engine_crashes for s in shard_stats),
             engine_restarts=sum(s.engine_restarts for s in shard_stats),

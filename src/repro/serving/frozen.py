@@ -733,8 +733,8 @@ class FrozenMultiHeadAttention(FrozenOp):
         exps = np.exp(shifted)
         weights = exps / exps.sum(axis=-1, keepdims=True)
         attended = product(weights, v)
-        batch, _, length, _ = attended.shape
-        merged = attended.transpose(0, 2, 1, 3).reshape(batch, length, -1)
+        batch, heads, length, head_dim = attended.shape
+        merged = attended.transpose(0, 2, 1, 3).reshape(batch, length, heads * head_dim)
         return self.out_proj.run(merged)
 
     def run(self, query, key=None, value=None, mask=None, cached_kv=None):
@@ -934,7 +934,8 @@ class FrozenSeq2SeqTransformer(FrozenOp):
         src_tokens = np.asarray(src_tokens, dtype=np.int64)
         batch = src_tokens.shape[0]
         _, memory_kv = self.prefill(src_tokens)
-        cache = self.kv_cache(batch * -(-max_length // BLOCK_TOKENS))
+        # A pool needs one block; an empty batch reserves none of it.
+        cache = self.kv_cache(max(batch, 1) * -(-max_length // BLOCK_TOKENS))
         rows = range(batch)
         for row in rows:
             cache.reserve(row, max_length)

@@ -53,7 +53,7 @@ import queue
 import threading
 import time
 from collections import deque
-from concurrent.futures import CancelledError, Future
+from concurrent.futures import Future
 from dataclasses import dataclass, fields
 from typing import Dict, List, Optional, Sequence
 
@@ -63,14 +63,7 @@ from .. import observability
 from ..observability.metrics import LatencyHistogram
 from .frozen import ActivationQuantizer, FrozenModel, FrozenSeq2SeqTransformer
 from .kv_cache import CacheExhausted
-from .server import (
-    AdmissionGate,
-    DeadlineExceeded,
-    InvalidRequest,
-    LifecycleServer,
-    settle,
-    validate_admission,
-)
+from .server import InvalidRequest, LifecycleServer, validate_admission
 
 __all__ = [
     "GenerationConfig",
@@ -163,18 +156,18 @@ class TokenStream:
 class _Sequence:
     """Scheduler-side state for one request."""
 
-    __slots__ = ("seq_id", "src", "max_new_tokens", "deadline", "stream",
+    __slots__ = ("seq_id", "src", "max_new_tokens", "deadline_ms", "stream",
                  "submitted", "admitted_at", "prefill_ms", "first_token_at",
                  "memory_kv", "src_length", "position", "token", "generated",
                  "steps")
 
     def __init__(self, seq_id: int, src: np.ndarray, max_new_tokens: int,
-                 deadline: Optional[float], stream: TokenStream,
+                 deadline_ms: Optional[float], stream: TokenStream,
                  submitted: float):
         self.seq_id = seq_id
         self.src = src
         self.max_new_tokens = max_new_tokens
-        self.deadline = deadline
+        self.deadline_ms = deadline_ms
         self.stream = stream
         self.submitted = submitted
         self.admitted_at = 0.0
@@ -225,11 +218,13 @@ class GenerationConfig:
 @dataclass(frozen=True)
 class GenerationStats:
     """Counters + latency summaries (``cache`` is a
-    :class:`~repro.serving.kv_cache.CacheStats` dict)."""
+    :class:`~repro.serving.kv_cache.CacheStats` dict); the first five
+    follow the :mod:`repro.serving` accounting rule."""
 
     submitted: int
     completed: int
     failed: int
+    shed_deadline: int
     rejected: int
     tokens_generated: int
     decode_steps: int
@@ -328,11 +323,6 @@ class GenerationServer(LifecycleServer):
         self._active: List[_Sequence] = []
         self._batch_mkv = None      # rebuilt when batch composition changes
         self._batch_mmask = None
-        self._gate = AdmissionGate(self.config, self._label)
-        self._stats_lock = threading.Lock()
-        self._submitted = 0  # guarded-by: _stats_lock
-        self._completed = 0  # guarded-by: _stats_lock
-        self._failed = 0  # guarded-by: _stats_lock
         self._tokens = 0  # guarded-by: _stats_lock
         self._steps = 0  # guarded-by: _stats_lock
         self._step_batch_total = 0  # guarded-by: _stats_lock
@@ -380,23 +370,16 @@ class GenerationServer(LifecycleServer):
                 f"but the pool only has {self.cache.total_blocks}"))
         release = self._gate.admit()
         stream = TokenStream()
-        now = time.monotonic()
-        deadline = None if deadline_ms is None else now + deadline_ms / 1e3
-        sequence = _Sequence(next(self._seq_ids), src, steps, deadline,
-                             stream, now)
+        sequence = _Sequence(next(self._seq_ids), src, steps, deadline_ms,
+                             stream, time.monotonic())
         try:
-            self._accept(self._put, sequence)
+            self._accept(self._pending.append, sequence)
         except BaseException:
             release()
             raise
         stream.future.add_done_callback(release)
         self._wake.set()
         return stream
-
-    def _put(self, sequence: _Sequence) -> None:
-        with self._stats_lock:
-            self._submitted += 1
-        self._pending.append(sequence)
 
     def submit(self, src_tokens, max_new_tokens: Optional[int] = None,
                deadline_ms: Optional[float] = None) -> "Future[GenerationResult]":
@@ -438,17 +421,19 @@ class GenerationServer(LifecycleServer):
                 self._wake.wait()
                 self._wake.clear()
 
+    def _shed(self, sequence: _Sequence, now: float, where: str) -> bool:
+        """Finish ``sequence`` if :meth:`_shed_error` sheds it."""
+        error = self._shed_error(sequence.stream.future, sequence.submitted,
+                                 sequence.deadline_ms, now, where)
+        if error is not None:
+            self._finish(sequence, error=error)
+        return error is not None
+
     def _retire(self) -> None:
-        """Before a decode step: drop sequences their caller cancelled and
-        fail those whose deadline expired."""
+        """Before a decode step: shed active sequences."""
         now = time.monotonic()
         for sequence in list(self._active):
-            if sequence.stream.future.cancelled():
-                self._finish(sequence, error=CancelledError())
-            elif sequence.deadline is not None and now > sequence.deadline:
-                self._finish(sequence, error=DeadlineExceeded(
-                    f"deadline expired mid-generation after "
-                    f"{len(sequence.generated)} tokens"))
+            self._shed(sequence, now, "mid-generation")
 
     def _admit(self) -> None:
         admitted = []
@@ -457,13 +442,7 @@ class GenerationServer(LifecycleServer):
                 sequence = self._pending.popleft()
             except IndexError:
                 break
-            now = time.monotonic()
-            if sequence.stream.future.cancelled():
-                self._finish(sequence, error=CancelledError())
-                continue
-            if sequence.deadline is not None and now > sequence.deadline:
-                self._finish(sequence, error=DeadlineExceeded(
-                    "deadline expired while queued for admission"))
+            if self._shed(sequence, time.monotonic(), "while queued for admission"):
                 continue
             if not self.cache.can_reserve(sequence.max_new_tokens):
                 # Pool momentarily full: put it back in front and stop
@@ -601,18 +580,12 @@ class GenerationServer(LifecycleServer):
                 result: Optional[GenerationResult] = None,
                 error: Optional[BaseException] = None) -> None:
         """The one way a sequence leaves the server: free its blocks,
-        resolve its future (unless the caller cancelled it), close its
-        stream.  A cancelled sequence counts as failed."""
+        :meth:`_resolve` its future, close its stream."""
         if sequence in self._active:
             self._active.remove(sequence)
             self._batch_mkv = None
         self.cache.release(sequence.seq_id)
-        resolved = settle(sequence.stream.future, result, error)
-        with self._stats_lock:
-            if resolved and error is None:
-                self._completed += 1
-            else:
-                self._failed += 1
+        self._resolve(sequence.stream.future, result, error)
         sequence.stream._close()
 
     def _abort_all(self, error: BaseException) -> None:
@@ -645,6 +618,7 @@ class GenerationServer(LifecycleServer):
 
     # ------------------------------ stats ----------------------------- #
     def stats(self) -> GenerationStats:
+        outcomes = self._outcomes()
         with self._stats_lock:
             ttft = self._ttft_hist.percentiles()
             step = self._step_hist.percentiles()
@@ -652,10 +626,7 @@ class GenerationServer(LifecycleServer):
             if self._first_token_at is not None and self._last_token_at is not None:
                 window = self._last_token_at - self._first_token_at
             return GenerationStats(
-                submitted=self._submitted,
-                completed=self._completed,
-                failed=self._failed,
-                rejected=self._gate.rejected,
+                **outcomes,
                 tokens_generated=self._tokens,
                 decode_steps=self._steps,
                 mean_batch_per_step=(self._step_batch_total / self._steps

@@ -155,8 +155,9 @@ class KVCacheManager:
     def gather(self, seq_ids: Sequence[int], layer: int,
                lengths: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
         """Assemble padded (batch, heads, max_len, head_dim) K and V for the
-        given sequences; padding rows are zero (masked by the caller)."""
-        max_len = max(lengths)
+        given sequences; padding rows are zero (masked by the caller).  No
+        sequences read one position, so attention keeps a non-empty key axis."""
+        max_len = max(lengths, default=1)
         width = self.blocks_for(max_len)
         rows = []
         for seq_id, length in zip(seq_ids, lengths):

@@ -64,7 +64,7 @@ import queue
 import threading
 import time
 import traceback
-from concurrent.futures import Future, InvalidStateError
+from concurrent.futures import CancelledError, Future, InvalidStateError
 from dataclasses import dataclass, field, fields
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -88,7 +88,6 @@ __all__ = [
     "ServerClosed",
     "ServerUnavailable",
     "NonFiniteOutput",
-    "settle",
     "validate_admission",
     "validate_payload",
 ]
@@ -204,24 +203,6 @@ class AdmissionGate:
         return release
 
 
-def settle(future: Future, result=None,
-           error: Optional[BaseException] = None) -> bool:
-    """Resolve ``future`` with ``result`` (or ``error``) unless it is done.
-
-    A caller may cancel a pending future at any moment, so checking
-    ``done()`` before ``set_result`` is a race; this is how every server
-    resolves a request.  Returns whether this call resolved the future.
-    """
-    try:
-        if error is None:
-            future.set_result(result)
-        else:
-            future.set_exception(error)
-    except InvalidStateError:
-        return False
-    return True
-
-
 #: How long ``close()`` waits for the worker past the close horizon.
 CLOSE_GRACE_S = 1.0
 
@@ -233,19 +214,27 @@ class _Stopped(Exception):
 class LifecycleServer:
     """The lifecycle every front end runs on: one worker thread, its
     ``closed`` / ``state`` / ``failure`` under one lock, the submit-side
-    check, the close horizon and the worker-death capture.
+    check, the close horizon, the worker-death capture, the admission gate
+    and the request accounting (:meth:`_resolve`, :meth:`_shed_error`).
 
-    A subclass sets ``_label``, builds what its hooks use, then calls
-    ``super().__init__()``, which starts the worker.  The hooks:
-    ``_serve``, the loop, which asks :meth:`_closing` / :meth:`_expired`
-    when to return; ``_wake_worker``, which unblocks that loop; and
-    ``_abort_all(error)``, which fails all the server holds and runs on the
-    worker once ``_serve`` ends, so only the worker resolves what it holds.
+    A subclass sets ``_label`` and ``config`` (the gate's), builds what its
+    hooks use, then calls ``super().__init__()``, which starts the worker.
+    The hooks: ``_serve``, the loop, which asks :meth:`_closing` /
+    :meth:`_expired` when to return; ``_wake_worker``, which unblocks that
+    loop; and ``_abort_all(error)``, which fails all the server holds and
+    runs on the worker once ``_serve`` ends, so only the worker resolves
+    what it holds.
     """
 
     _label = "server"  # names the worker thread and this server's errors
 
     def __init__(self):
+        self._gate = AdmissionGate(self.config, self._label)
+        self._stats_lock = threading.Lock()
+        self._submitted = 0  # guarded-by: _stats_lock
+        self._completed = 0  # guarded-by: _stats_lock
+        self._failed = 0  # guarded-by: _stats_lock
+        self._shed_deadline = 0  # guarded-by: _stats_lock
         self._lock = threading.Lock()
         self._closed = False  # guarded-by: _lock
         self._horizon = math.inf  # monotonic close horizon  # guarded-by: _lock
@@ -259,15 +248,71 @@ class LifecycleServer:
         self._thread.start()
 
     def _accept(self, put: Callable[[object], None], item: object) -> None:
-        """``put(item)`` while the server accepts work, else raise.  Under
-        the lock ``close()`` takes, so no item lands behind the exit."""
+        """``put(item)`` and count it submitted while the server accepts
+        work, else raise.  Under the lock ``close()`` takes, so no item
+        lands behind the exit."""
         with self._lock:
             if self._closed:
                 raise ServerClosed(f"{self._label} is closed")
             if self._state == "failed":
                 raise ServerUnavailable(
                     f"{self._label} is unavailable: {self._reason}")
+            with self._stats_lock:
+                self._submitted += 1
             put(item)
+
+    def _resolve(self, future: Future, result=None,
+                 error: Optional[BaseException] = None) -> bool:
+        """Settle a request's ``future`` unless its caller cancelled it,
+        count the outcome by the :mod:`repro.serving` accounting rule, and
+        return whether this call resolved it.  The worker calls this once
+        for every request it took; a cancel may land at any moment, so
+        checking ``done()`` before ``set_result`` would be a race."""
+        try:
+            if error is None:
+                future.set_result(result)
+            else:
+                future.set_exception(error)
+            resolved = True
+        except InvalidStateError:
+            resolved = False
+        with self._stats_lock:
+            if resolved and error is None:
+                self._completed += 1
+            elif resolved and isinstance(error, DeadlineExceeded):
+                self._shed_deadline += 1
+            else:
+                self._failed += 1
+        return resolved
+
+    def _shed_error(self, future: Future, submitted: float,
+                    deadline_ms: Optional[float], now: float,
+                    where: str) -> Optional[BaseException]:
+        """The one shed check before a request's next step: the error it
+        leaves with (a :class:`CancelledError` if its caller cancelled it, a
+        :class:`DeadlineExceeded` once ``now`` is ``deadline_ms`` past
+        ``submitted``), or ``None``.  ``where`` names the step."""
+        if future.cancelled():
+            return CancelledError()
+        if deadline_ms is None or now < submitted + deadline_ms / 1e3:
+            return None
+        return DeadlineExceeded(
+            f"request deadline of {deadline_ms:.1f} ms expired {where}, "
+            f"{(now - submitted) * 1e3:.1f} ms after submit")
+
+    def _outcomes(self) -> Dict[str, int]:
+        """The counts both stats types report under the same names."""
+        with self._stats_lock:
+            counts = {"submitted": self._submitted, "completed": self._completed,
+                      "failed": self._failed, "shed_deadline": self._shed_deadline}
+        counts["rejected"] = self._gate.rejected
+        return counts
+
+    def _held(self) -> int:
+        """Requests taken and not yet let go of."""
+        with self._stats_lock:
+            return (self._submitted - self._completed - self._failed
+                    - self._shed_deadline)
 
     @property
     def state(self) -> str:
@@ -463,8 +508,10 @@ class ServerStats:
     :class:`InferenceServer` and the multi-process
     :class:`~repro.serving.cluster.ShardedServer`.
 
-    Counts (requests, sheds, rejects, ...) are exact since server start;
-    latency percentiles come from a fixed-bucket log-scale histogram
+    Counts are exact since server start; ``submitted``, ``completed``,
+    ``failed``, ``shed_deadline`` and ``rejected`` follow the
+    :mod:`repro.serving` accounting rule.  Latency percentiles come from a
+    fixed-bucket log-scale histogram
     (:class:`~repro.observability.metrics.LatencyHistogram`) covering every
     request since start in O(buckets) memory.  For a sharded server the
     top-level object aggregates the cluster and ``shards`` holds one per-shard
@@ -473,7 +520,11 @@ class ServerStats:
     """
 
     state: str
-    requests: int
+    submitted: int
+    completed: int
+    failed: int
+    shed_deadline: int
+    rejected: int
     batches: int
     mean_batch_size: float
     latency_ms_mean: float
@@ -482,11 +533,8 @@ class ServerStats:
     latency_ms_p99: float
     throughput_rps: float
     queue_depth: int
-    shed_deadline: int
     shed_watermark: int
-    rejected: int
     requeues: int
-    failed_requests: int
     nonfinite_outputs: int
     engine_crashes: int
     engine_restarts: int
@@ -549,7 +597,7 @@ class InferenceResult:
 
 
 class _Request:
-    __slots__ = ("payload", "future", "enqueued", "deadline", "deadline_ms",
+    __slots__ = ("payload", "future", "enqueued", "deadline_ms",
                  "requeues", "failures", "tag", "ready_at", "trace_id")
 
     def __init__(self, payload: np.ndarray, future: Future, enqueued: float,
@@ -559,7 +607,6 @@ class _Request:
         self.future = future
         self.enqueued = enqueued
         self.deadline_ms = deadline_ms
-        self.deadline = None if deadline_ms is None else enqueued + deadline_ms / 1e3
         self.requeues = 0     # total re-enqueues (bisection splits + solo retries)
         self.failures = 0     # solo (singleton-batch) failures, vs. max_retries
         self.tag: Tuple[int, ...] = ()  # bisection lineage: halves never re-merge
@@ -605,8 +652,6 @@ class InferenceServer(LifecycleServer):
         self.config = config if config is not None else BatchingConfig()
         self.name = name  # label on this server's global-registry metrics
         self._queue: "queue.Queue" = queue.Queue()
-        self._stats_lock = threading.Lock()
-        self._gate = AdmissionGate(self.config, self._label)
         # Worker-owned batching state.  Instance attributes (not _serve
         # locals) so the abort-all -- worker death, engine failure, drain
         # expiry -- can resolve every pending future.
@@ -620,13 +665,9 @@ class InferenceServer(LifecycleServer):
         self._latency_hist = LatencyHistogram("serving_request_latency_ms")  # guarded-by: _stats_lock
         self._batched_requests = 0  # sum of executed batch sizes  # guarded-by: _stats_lock
         self._metrics = observability.LazyMetrics(_server_metrics, server=name)
-        self._completed = 0  # guarded-by: _stats_lock
         self._batches = 0  # guarded-by: _stats_lock
-        self._inflight = 0  # guarded-by: _stats_lock
-        self._shed_deadline = 0  # guarded-by: _stats_lock
         self._shed_watermark = 0  # guarded-by: _stats_lock
         self._requeues = 0  # guarded-by: _stats_lock
-        self._failed_requests = 0  # guarded-by: _stats_lock
         self._nonfinite_outputs = 0  # guarded-by: _stats_lock
         self._engine_crashes = 0  # guarded-by: _stats_lock
         self._engine_restarts = 0  # guarded-by: _stats_lock
@@ -669,17 +710,15 @@ class InferenceServer(LifecycleServer):
                              args={"trace_id": trace_id, "server": self.name})
         future: "Future[InferenceResult]" = Future()
         future.add_done_callback(release)
-        future.add_done_callback(self._on_resolved)
         now = time.monotonic()
         with self._stats_lock:
             if self._first_enqueued is None:
                 self._first_enqueued = now
-            self._inflight += 1
         try:
             self._accept(self._queue.put, _Request(
                 payload, future, now, deadline_ms, trace_id=trace_id))
         except BaseException:
-            # The future will never resolve; undo its admission accounting.
+            # The future will never resolve; free its admission unit.
             future.set_exception(ServerClosed("request was never enqueued"))
             raise
         if trace_id is not None:
@@ -687,10 +726,6 @@ class InferenceServer(LifecycleServer):
                              time.monotonic() - submit_started,
                              args={"trace_id": trace_id, "server": self.name})
         return future
-
-    def _on_resolved(self, _future) -> None:
-        with self._stats_lock:
-            self._inflight -= 1
 
     def predict(self, request, timeout: Optional[float] = None,
                 deadline_ms: Optional[float] = None) -> InferenceResult:
@@ -702,9 +737,8 @@ class InferenceServer(LifecycleServer):
     # -------------------------------------------------------------- #
     @property
     def queue_depth(self) -> int:
-        """Unresolved requests currently held (queued, batched, or retrying)."""
-        with self._stats_lock:
-            return self._inflight
+        """Requests the server holds (queued, batched, or retrying)."""
+        return self._held()
 
     # -------------------------------------------------------------- #
     # Bucketing / assembly
@@ -738,45 +772,21 @@ class InferenceServer(LifecycleServer):
     # -------------------------------------------------------------- #
     # Worker: request lifecycle
     # -------------------------------------------------------------- #
-    def _settle(self, request: _Request, result=None,
-                error: Optional[BaseException] = None) -> bool:
-        """:func:`settle` the request's future; one its caller cancelled
-        meanwhile counts as failed, as :meth:`_shed_expired` counts it."""
-        if settle(request.future, result, error):
-            return True
-        if request.future.cancelled():
-            with self._stats_lock:
-                self._failed_requests += 1
-        return False
-
-    def _fail_request(self, request: _Request, error: BaseException) -> None:
-        if self._settle(request, error=error):
-            with self._stats_lock:
-                if isinstance(error, DeadlineExceeded):
-                    self._shed_deadline += 1
-                else:
-                    self._failed_requests += 1
-
     def _shed_expired(self, requests: List[_Request], now: float,
                       watermark: bool = False) -> List[_Request]:
-        """Resolve expired requests with :class:`DeadlineExceeded` and drop
-        the ones their caller cancelled (counted as failed, as
-        :class:`GenerationServer` counts them); return the rest."""
+        """Resolve the requests :meth:`_shed_error` sheds, oldest first;
+        return the rest."""
         alive = []
         for request in sorted(requests, key=lambda r: r.enqueued):
-            if request.future.cancelled():
-                with self._stats_lock:
-                    self._failed_requests += 1
-            elif request.deadline is not None and request.deadline <= now:
-                waited_ms = (now - request.enqueued) * 1e3
-                self._fail_request(request, DeadlineExceeded(
-                    f"request deadline of {request.deadline_ms:.1f} ms expired after "
-                    f"waiting {waited_ms:.1f} ms (retries={request.requeues})"))
-                if watermark:
-                    with self._stats_lock:
-                        self._shed_watermark += 1
-            else:
+            error = self._shed_error(request.future, request.enqueued,
+                                     request.deadline_ms, now, "while queued")
+            if error is None:
                 alive.append(request)
+                continue
+            self._resolve(request.future, error=error)
+            if watermark and isinstance(error, DeadlineExceeded):
+                with self._stats_lock:
+                    self._shed_watermark += 1
         return alive
 
     def _backlog_depth(self) -> int:
@@ -810,10 +820,11 @@ class InferenceServer(LifecycleServer):
             delay = min(self.config.retry_backoff_ms * (2 ** max(request.failures - 1, 0)),
                         self.config.retry_backoff_max_ms) / 1e3
         request.ready_at = now + delay
-        if request.deadline is not None and request.deadline <= request.ready_at:
-            self._fail_request(request, DeadlineExceeded(
-                f"request deadline of {request.deadline_ms:.1f} ms expired during "
-                f"retry backoff (retries={request.requeues}): last error: {error!r}"))
+        shed = self._shed_error(request.future, request.enqueued,
+                                request.deadline_ms, request.ready_at,
+                                f"before retry {request.requeues} (last error: {error!r})")
+        if shed is not None:
+            self._resolve(request.future, error=shed)
             return
         self._retry_buffer.append(request)
 
@@ -833,7 +844,7 @@ class InferenceServer(LifecycleServer):
             request = requests[0]
             request.failures += 1
             if request.failures > self.config.max_retries:
-                self._fail_request(request, error)
+                self._resolve(request.future, error=error)
             else:
                 self._schedule_retry(request, error, now, backoff=True)
             return
@@ -847,7 +858,7 @@ class InferenceServer(LifecycleServer):
                              error: BaseException) -> None:
         """Engine supervision: degrade, fail the in-flight batch, bounded rewarm."""
         for request in requests:
-            self._fail_request(request, EngineCrash(
+            self._resolve(request.future, error=EngineCrash(
                 f"engine crashed while serving this batch: {error!r}"))
         self._set_state("degraded")
         with self._stats_lock:
@@ -923,7 +934,7 @@ class InferenceServer(LifecycleServer):
             if index in poisoned:
                 with self._stats_lock:
                     self._nonfinite_outputs += 1
-                self._fail_request(request, poisoned[index])
+                self._resolve(request.future, error=poisoned[index])
                 continue
             respond_started = time.monotonic() if request.trace_id is not None else 0.0
             timing = RequestTiming(
@@ -938,10 +949,9 @@ class InferenceServer(LifecycleServer):
                 transport_ms=transport_ms,
                 trace_id=request.trace_id,
             )
-            if not self._settle(request, InferenceResult(outputs[index], timing)):
+            if not self._resolve(request.future, InferenceResult(outputs[index], timing)):
                 continue
             with self._stats_lock:
-                self._completed += 1
                 self._last_completed = done
                 self._latency_hist.observe(timing.total_ms)
             if observed:
@@ -1085,11 +1095,11 @@ class InferenceServer(LifecycleServer):
         leak: this runs on worker death, engine failure, and drain expiry."""
         for requests in self._pending.values():
             for request in requests:
-                self._fail_request(request, error)
+                self._resolve(request.future, error=error)
         self._pending.clear()
         self._flush_deadlines.clear()
         for request in self._retry_buffer:
-            self._fail_request(request, error)
+            self._resolve(request.future, error=error)
         self._retry_buffer.clear()
         while True:
             try:
@@ -1097,7 +1107,7 @@ class InferenceServer(LifecycleServer):
             except queue.Empty:
                 return
             if isinstance(item, _Request):
-                self._fail_request(item, error)
+                self._resolve(item.future, error=error)
 
     # -------------------------------------------------------------- #
     # Accounting
@@ -1106,30 +1116,27 @@ class InferenceServer(LifecycleServer):
         """Request/batch counts, robustness counters, throughput, and latency
         aggregates covering every request since the server started (bounded
         memory: latency lives in a fixed-bucket log-scale histogram)."""
+        outcomes = self._outcomes()
         with self._stats_lock:
             mean = self._latency_hist.mean
             p50, p95, p99 = self._latency_hist.percentiles()
             batched = self._batched_requests
-            completed = self._completed
             batches = self._batches
             first = self._first_enqueued
             last = self._last_completed
             counters = {
-                "queue_depth": self._inflight,
-                "shed_deadline": self._shed_deadline,
                 "shed_watermark": self._shed_watermark,
                 "requeues": self._requeues,
-                "failed_requests": self._failed_requests,
                 "nonfinite_outputs": self._nonfinite_outputs,
                 "engine_crashes": self._engine_crashes,
                 "engine_restarts": self._engine_restarts,
             }
         wall = (last - first) if (first is not None and last is not None) else None
+        completed = outcomes["completed"]
         return ServerStats(
             state=self.state,
-            requests=completed,
+            queue_depth=self._held(),
             batches=batches,
-            rejected=self._gate.rejected,
             mean_batch_size=(batched / batches) if batches else float("nan"),
             latency_ms_mean=mean,
             latency_ms_p50=p50,
@@ -1138,6 +1145,7 @@ class InferenceServer(LifecycleServer):
             throughput_rps=(completed / wall) if wall and wall > 0 else float("nan"),
             worker_respawns=getattr(self.engine, "respawns", 0),
             oversized_transfers=getattr(self.engine, "oversized_transfers", 0),
+            **outcomes,
             **counters,
         )
 

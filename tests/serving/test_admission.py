@@ -10,9 +10,10 @@ step, and a schedule says which actor takes the next step.  The hook is
 the one lock of the servers' shared
 :class:`~repro.serving.server.LifecycleServer`.  After every ordering each
 future has resolved exactly once, the gate's capacity is whole again,
-``rejected`` equals the ``ServerOverloaded`` raised, the worker died only
-where the scenario killed it, and the lock-order detector has recorded no
-cycle.
+``rejected`` equals the ``ServerOverloaded`` raised, every outcome count
+equals what the callers saw (the :mod:`repro.serving` accounting rule),
+the worker died only where the scenario killed it, and the lock-order
+detector has recorded no cycle.
 
 The same enumeration runs with the lifecycle's faults in it: a worker
 death in place of the cancel (both servers), a close whose horizon the
@@ -28,7 +29,7 @@ import sys
 import threading
 import time
 from collections import Counter
-from concurrent.futures import Future
+from concurrent.futures import CancelledError, Future
 
 import numpy as np
 import pytest
@@ -39,6 +40,7 @@ from repro.models import transformer_small
 from repro.serving import (
     BatchingConfig,
     ClusterConfig,
+    DeadlineExceeded,
     GenerationConfig,
     GenerationServer,
     EngineCrash,
@@ -200,6 +202,7 @@ class FrontEnd:
         self.submit = submit  # actor name -> future
         self.kill = kill
         self.engine = engine
+        self.injected = []  # futures of requests put past submit()
 
 
 def depth_for(fault):
@@ -221,14 +224,17 @@ def make_inference_server(policy, _seq2seq, fault=None, recovers=True):
 
     def kill():
         # A request the worker cannot bucket: the worker dies of it.
-        server._queue.put(_Request(None, Future(), time.monotonic()))
+        future = Future()
+        front.injected.append(future)
+        server._queue.put(_Request(None, future, time.monotonic()))
 
     def submit(name):
         # Overrun: two shapes, two buckets, two engine calls in the drain.
         width = 5 if fault == "overrun" and name == "s2" else 4
         return server.submit(np.ones(width))
 
-    return FrontEnd(server, depth_for(fault), submit, kill, engine)
+    front = FrontEnd(server, depth_for(fault), submit, kill, engine)
+    return front
 
 
 def make_generation_server(policy, seq2seq, fault=None, recovers=True):
@@ -255,6 +261,16 @@ def make_generation_server(policy, seq2seq, fault=None, recovers=True):
     return FrontEnd(server, depth_for(fault),
                     lambda name: server.submit(np.array([3, 4, 5, 6]),
                                                max_new_tokens=4), kill)
+
+
+def tally(futures):
+    """The outcome counts the accounting rule gives resolved ``futures``."""
+    seen = {"completed": 0, "failed": 0, "shed_deadline": 0}
+    for future in futures:
+        error = CancelledError() if future.cancelled() else future.exception()
+        seen["completed" if error is None else "shed_deadline"
+             if isinstance(error, DeadlineExceeded) else "failed"] += 1
+    return seen
 
 
 def run_ordering(make_server, policy, seq2seq, schedule, drain, fault=None):
@@ -319,7 +335,15 @@ def run_ordering(make_server, policy, seq2seq, schedule, drain, fault=None):
         assert future.done(), schedule
         assert resolutions[id(future)] == 1, schedule
     overloaded = sum(isinstance(o, ServerOverloaded) for o in outcomes.values())
-    assert server.stats().rejected == overloaded, schedule
+    stats = server.stats()
+    assert stats.rejected == overloaded, schedule
+    # The books close: every count equals what the callers saw.  A request
+    # put past submit() counts when resolved, but was never submitted.
+    resolved_injected = [f for f in front.injected if f.done()]
+    assert stats.submitted == len(futures), schedule
+    assert {name: getattr(stats, name)
+            for name in ("completed", "failed", "shed_deadline")} == \
+        tally(futures + resolved_injected), schedule
     if isinstance(server, GenerationServer):
         assert server.cache.free_blocks == server.cache.total_blocks, schedule
     # Capacity is whole again: exactly `depth` admissions fit.

@@ -134,7 +134,7 @@ class TestRoutingAndFamilies:
         with ShardedServer(specs, config) as cluster:
             for _ in range(8):
                 cluster.predict(rng.standard_normal(32), timeout=60)
-            shard_requests = [s.requests for s in cluster.stats().shards]
+            shard_requests = [s.completed for s in cluster.stats().shards]
         assert shard_requests == [4, 4]
 
     def test_least_loaded_routing_serves_correctly(self, mlp_checkpoint, rng):
@@ -190,7 +190,7 @@ class TestRoutingAndFamilies:
                     for _ in range(6)]
             for future in short + long:
                 future.result(timeout=60)
-            shard_requests = [s.requests for s in cluster.stats().shards]
+            shard_requests = [s.completed for s in cluster.stats().shards]
         # Bucket 0 (len<=6) -> shard 0, bucket 1 (len<=12) -> shard 1.
         assert shard_requests == [6, 6]
 
@@ -286,8 +286,8 @@ class TestStatsAndLifecycle:
             stats = cluster.stats()
         assert isinstance(stats, ServerStats)
         assert stats.workers == 2 and len(stats.shards) == 2
-        assert stats.requests == 16
-        assert sum(s.requests for s in stats.shards) == 16
+        assert stats.completed == 16
+        assert sum(s.completed for s in stats.shards) == 16
         assert stats.state == "healthy"
         assert stats.latency_ms_p95 >= stats.latency_ms_p50 > 0
         assert all(isinstance(s, ServerStats) and s.shards == ()

@@ -134,7 +134,7 @@ class TestPoisonIsolation:
                     np.testing.assert_array_equal(result.output, expected)
                     assert result.timing.retries >= 1  # rode through a bisection
             stats = server.stats()
-        assert stats.failed_requests == 1
+        assert stats.failed == 1
         assert stats.requeues > 0
         assert stats.state == "healthy"
         assert engine.log.poison_hits >= 2  # original batch + poisoned halves
@@ -160,8 +160,8 @@ class TestPoisonIsolation:
                     expected = engine.model.predict(inputs[index][None])[0]
                     np.testing.assert_array_equal(result.output, expected)
             stats = server.stats()
-        assert stats.failed_requests == len(poison_indices)
-        assert stats.requests == 24 - len(poison_indices)
+        assert stats.failed == len(poison_indices)
+        assert stats.completed == 24 - len(poison_indices)
 
 
 class TestTransientErrors:
@@ -183,7 +183,7 @@ class TestTransientErrors:
             with pytest.raises(TransientEngineError):
                 future.result(timeout=10)
             stats = server.stats()
-        assert stats.failed_requests == 1
+        assert stats.failed == 1
         assert stats.requeues == 2  # bounded by max_retries
 
 
@@ -210,7 +210,7 @@ class TestNaNOutputIsolation:
                     np.testing.assert_array_equal(result.output, expected)
             stats = server.stats()
         assert stats.nonfinite_outputs == 1
-        assert stats.requests == 4  # plug + 3 healthy
+        assert stats.completed == 4  # plug + 3 healthy
 
 
 class TestDeadlines:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from recording_policy import recorded
-from repro import nn
+from repro import nn, reference
 from repro.core.bfp import BFPConfig
 from repro.core.precision_policy import FixedPrecisionPolicy, PrecisionDecision, PrecisionPolicy
 from repro.formats.registry import available_formats
@@ -99,14 +99,18 @@ class TestBitIdentity:
         frozen = freeze(model)
         np.testing.assert_array_equal(frozen.forward_logits(src, tgt), live)
 
-    def test_transformer_greedy_decode_bit_identical(self, rng):
+    @pytest.mark.parametrize("batch", [4, 0])
+    def test_transformer_greedy_decode_bit_identical(self, rng, batch):
         model = transformer_small(vocab_size=30, max_length=12,
                                   rng=np.random.default_rng(11))
         attach(model, FixedBFPSchedule(4, config=CONFIG, seed=0))
-        src = rng.integers(3, 30, size=(4, 8))
+        src = rng.integers(3, 30, size=(batch, 8))
         live = model.greedy_decode(src, bos_index=1, eos_index=2)
         frozen = freeze(model, meta={"bos_index": 1, "eos_index": 2})
-        np.testing.assert_array_equal(frozen.predict(src), live)
+        assert live.shape == (batch, live.shape[1])
+        np.testing.assert_array_equal(frozen.predict(src), live, strict=True)
+        np.testing.assert_array_equal(
+            reference.greedy_decode(frozen.root, src, 1, 2), live, strict=True)
 
 
 class TestFormatSchedules:

@@ -397,7 +397,8 @@ class TestGenerationServer:
                 assert first_step_done.wait(timeout=30)
                 with pytest.raises(DeadlineExceeded):
                     stream.result(timeout=60)
-            assert server.stats().failed == 1
+            stats = server.stats()
+            assert stats.shed_deadline == 1 and stats.failed == 0
         finally:
             root.decode_step = original
 

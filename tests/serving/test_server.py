@@ -166,7 +166,7 @@ class TestAccountingAndErrors:
         # stats() is a typed ServerStats dataclass (shared with the sharded
         # server); attribute access is the API, as_dict() the plain-dict view.
         assert isinstance(stats, ServerStats)
-        assert stats.requests == 16
+        assert stats.completed == 16
         assert stats.batches >= 2
         assert stats.latency_ms_p95 >= stats.latency_ms_p50 > 0
         assert stats.throughput_rps > 0
@@ -174,7 +174,7 @@ class TestAccountingAndErrors:
         assert stats.as_dict()["batches"] == stats.batches
         with pytest.raises(AttributeError):
             stats.no_such_counter
-        assert stats.as_dict()["requests"] == 16
+        assert stats.as_dict()["completed"] == 16
 
     def test_cancelled_requests_never_reach_the_engine(self):
         engine = GatedEngine()
@@ -187,8 +187,8 @@ class TestAccountingAndErrors:
             first.result(timeout=10)
         stats = server.stats()
         assert engine.rows == 1
-        assert stats.requests == 1
-        assert stats.failed_requests == 3
+        assert stats.completed == 1
+        assert stats.failed == 3
         assert stats.queue_depth == 0
 
     @pytest.mark.parametrize("value", [0.0, np.nan])
@@ -204,8 +204,8 @@ class TestAccountingAndErrors:
             engine.release.set()
         stats = server.stats()
         assert engine.rows == 1
-        assert stats.requests == 0
-        assert stats.failed_requests == 1
+        assert stats.completed == 0
+        assert stats.failed == 1
         assert stats.nonfinite_outputs == int(np.isnan(value))
         assert np.isnan(stats.latency_ms_mean)
         assert stats.queue_depth == 0
