@@ -22,7 +22,8 @@ configuration, and the sanitizer-off overhead gate below.  PERFORMANCE.md's
 Both modes also time one evaluation-iteration gradient conversion
 (``AdaptiveConversion`` then a stochastic requantize, see
 :func:`evaluation_iteration_case`) and report its ms/call ungated, so the
-trajectory tracks the FAST converter kernel itself.
+trajectory tracks the FAST converter kernel itself, and the per-call floor
+of one decode-step activation (:func:`activation_call_case`), ungated too.
 
 Also gates the runtime invariant sanitizer (:mod:`repro.devtools.sanitize`):
 with the sanitizer *uninstalled*, packed-tensor construction
@@ -35,16 +36,17 @@ free at benchmark resolution.
 import argparse
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from repro.core import bfp, kernels
+from repro.core.bfp import bfp_quantize
 from repro.core.converter import AdaptiveConversion
-from repro.core.kernels import bfp_quantize_fast
 from repro.reference import bfp_quantize_reference
 from repro.core.rounding import LFSR, NoisePool, VectorizedLFSR
+from repro.serving.frozen import ActivationQuantizer
 
 from bench_utils import best_time, finish_report, gate, print_banner, print_rows
 
@@ -60,17 +62,17 @@ def verify_equivalence() -> None:
         for group_size in (8, 16, 17):
             values = (rng.standard_normal((7, 130))).astype(dtype)
             for mode in ("nearest", "truncate"):
-                fast = bfp_quantize_fast(values, 4, group_size, 8, mode)
+                fast = bfp_quantize(values, 4, group_size, 8, mode)
                 ref = bfp_quantize_reference(values, 4, group_size, 8, mode)
                 assert np.array_equal(fast, ref), (dtype, group_size, mode)
     values = rng.standard_normal(4096)
-    fast = bfp_quantize_fast(values, 4, 16, 8, "stochastic", rng=np.random.default_rng(7))
+    fast = bfp_quantize(values, 4, 16, 8, "stochastic", rng=np.random.default_rng(7))
     ref = bfp_quantize_reference(values, 4, 16, 8, "stochastic", rng=np.random.default_rng(7))
     assert np.array_equal(fast, ref), "stochastic path is not seed-reproducible"
-    fast = bfp_quantize_fast(values, 4, 16, 8, "stochastic", rng=VectorizedLFSR(seed=9))
+    fast = bfp_quantize(values, 4, 16, 8, "stochastic", rng=VectorizedLFSR(seed=9))
     ref = bfp_quantize_reference(values, 4, 16, 8, "stochastic", rng=LFSR(seed=9))
     assert np.array_equal(fast, ref), "vectorized LFSR diverged from the scalar stream"
-    fast = bfp_quantize_fast(values, 4, 16, 8, "stochastic", rng=NoisePool(11))
+    fast = bfp_quantize(values, 4, 16, 8, "stochastic", rng=NoisePool(11))
     ref = bfp_quantize_reference(values, 4, 16, 8, "stochastic", rng=NoisePool(11))
     assert np.array_equal(fast, ref), "pooled noise is not seed-reproducible"
 
@@ -88,7 +90,7 @@ def run_case(size, group_size, mantissa_bits, rounding, repeats, lfsr=False, poo
             noise_pool = NoisePool(0, capacity=1 << 21)
 
             def run_fast():
-                return bfp_quantize_fast(values, mantissa_bits, group_size, 8,
+                return bfp_quantize(values, mantissa_bits, group_size, 8,
                                          "stochastic", rng=noise_pool)
             ref_time = best_time(run_ref, repeats)
         elif lfsr:
@@ -97,7 +99,7 @@ def run_case(size, group_size, mantissa_bits, rounding, repeats, lfsr=False, poo
                                               "stochastic", rng=LFSR())
 
             def run_fast():
-                return bfp_quantize_fast(values, mantissa_bits, group_size, 8,
+                return bfp_quantize(values, mantissa_bits, group_size, 8,
                                          "stochastic", rng=VectorizedLFSR())
             # The scalar LFSR draws bits one Python call at a time; a single
             # timed run is plenty (and the honest measurement).
@@ -108,7 +110,7 @@ def run_case(size, group_size, mantissa_bits, rounding, repeats, lfsr=False, poo
                                               "stochastic", rng=np.random.default_rng(0))
 
             def run_fast():
-                return bfp_quantize_fast(values, mantissa_bits, group_size, 8,
+                return bfp_quantize(values, mantissa_bits, group_size, 8,
                                          "stochastic", rng=np.random.default_rng(0))
             ref_time = best_time(run_ref, repeats)
     else:
@@ -116,7 +118,7 @@ def run_case(size, group_size, mantissa_bits, rounding, repeats, lfsr=False, poo
             return bfp_quantize_reference(values, mantissa_bits, group_size, 8, rounding)
 
         def run_fast():
-            return bfp_quantize_fast(values, mantissa_bits, group_size, 8, rounding)
+            return bfp_quantize(values, mantissa_bits, group_size, 8, rounding)
         ref_time = best_time(run_ref, repeats)
     fast_time = best_time(run_fast, repeats)
     label = rounding + ("(lfsr)" if lfsr else "") + ("(pool)" if pool else "")
@@ -152,6 +154,28 @@ def evaluation_iteration_case(repeats: int) -> dict:
             "ms_per_call": best_time(run, repeats) * 1e3}
 
 
+def activation_call_case(calls: int = 2000) -> dict:
+    """One ``ActivationQuantizer(4, 16, 8)`` call on an (8, 1, 32) input --
+    a batch-8 decode step's activation -- in float32 and float64 (ungated).
+
+    At this size the conversion is per-call overhead, not arithmetic, so
+    the row reports the median of ``calls`` timed calls, in microseconds.
+    """
+    shape = (8, 1, 32)
+    row = {"case": "activation_quantizer(4, 16, 8)", "shape": list(shape), "calls": calls}
+    for dtype in (np.float32, np.float64):
+        quantizer = ActivationQuantizer(4, 16, 8)
+        values = make_input(int(np.prod(shape)), dtype).reshape(shape)
+        quantizer(values)  # derive the layout before timing
+        times = np.empty(calls)
+        for index in range(calls):
+            start = time.perf_counter()
+            quantizer(values)
+            times[index] = time.perf_counter() - start
+        row[f"{np.dtype(dtype).name}_us_per_call"] = float(np.median(times)) * 1e6
+    return row
+
+
 @dataclass
 class _PreSanitizerTensor:
     """Field-for-field clone of BFPTensor with no ``__post_init__``.
@@ -171,15 +195,27 @@ class _PreSanitizerTensor:
     _moved_shape: tuple = field(default=None, repr=False)
 
 
-def _baseline_quantize_tensor(x, config, axis=-1):
+def _baseline_quantize_tensor(x, config=None, rng=None, axis=-1, **overrides):
     """The body of ``bfp_quantize_tensor`` minus the sanitizer hook."""
-    groups, pad, moved_shape = kernels.resolve_groups(x, config.group_size, axis=axis)
-    exponents = bfp.compute_group_exponents(groups, config.exponent_bits)
-    _, signs, mantissas = kernels.quantize_groups(
-        groups, exponents, config.mantissa_bits, config.rounding,
-        rng=None, noise_bits=config.noise_bits, return_packed=True)
-    return _PreSanitizerTensor(signs, mantissas, exponents, config,
-                               tuple(x.shape), axis, pad, moved_shape)
+    if config is None:
+        config = bfp.BFPConfig(**overrides)
+    elif overrides:
+        config = replace(config, **overrides)
+
+    x = np.asarray(x)
+    grouped = kernels.GroupedTensor(x, config.group_size, config.exponent_bits, axis=axis)
+    signs, mantissas, exponents = grouped.pack(config.mantissa_bits, config.rounding,
+                                               rng=rng, noise_bits=config.noise_bits)
+    return _PreSanitizerTensor(
+        signs=signs,
+        mantissas=mantissas,
+        exponents=exponents,
+        config=config,
+        shape=tuple(x.shape) if x.ndim else (1,),
+        axis=axis,
+        pad=grouped.pad,
+        _moved_shape=grouped.moved_shape,
+    )
 
 
 def sanitizer_gate_overhead(repeats: int) -> dict:
@@ -267,6 +303,13 @@ def main(argv=None) -> int:
           f"{'x'.join(map(str, evaluation['shape']))} float32): "
           f"{evaluation['ms_per_call']:.2f} ms/call (ungated)")
 
+    per_call = activation_call_case()
+    print(f"\nactivation quantizer ({per_call['case']}, "
+          f"{'x'.join(map(str, per_call['shape']))}): "
+          f"{per_call['float32_us_per_call']:.1f} us/call float32, "
+          f"{per_call['float64_us_per_call']:.1f} us/call float64 "
+          f"(median of {per_call['calls']}, ungated)")
+
     sanitizer = sanitizer_gate_overhead(repeats)
     print(f"\nsanitizer gate (off): {sanitizer['shipped_ms_per_call']:.3f} ms/call "
           f"vs pre-hook baseline {sanitizer['baseline_ms_per_call']:.3f} ms/call "
@@ -281,7 +324,9 @@ def main(argv=None) -> int:
         # The sanitizer's disabled gate must stay under 1% of construction cost.
         gate("sanitizer_off_overhead", sanitizer["overhead_ratio"], 1.01, better="lower"),
     ]
-    headline = {"evaluation_iteration_ms": evaluation["ms_per_call"]}
+    headline = {"evaluation_iteration_ms": evaluation["ms_per_call"],
+                "activation_call_us.float32": per_call["float32_us_per_call"],
+                "activation_call_us.float64": per_call["float64_us_per_call"]}
     for r in results:
         if r["size"] == max(sizes) and r["group_size"] == 16 and r["mantissa_bits"] == 4:
             headline[f"{r['rounding']}.fast_ms"] = r["fast_ms"]
@@ -289,7 +334,8 @@ def main(argv=None) -> int:
     return finish_report(args.output, "bench_perf_quantization",
                          "quick" if args.quick else "full", gates, headline,
                          repeats=repeats, sanitizer_gate=sanitizer,
-                         evaluation_iteration=evaluation, results=results)
+                         evaluation_iteration=evaluation, activation_call=per_call,
+                         results=results)
 
 
 if __name__ == "__main__":

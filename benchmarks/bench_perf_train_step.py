@@ -14,11 +14,14 @@ The uncached arm is the step as it ran before those caches existed.  It is
 composed from the golden models in `repro.reference`: for the duration of
 the arm, `uncached_step()` patches `repro.nn.functional`'s `conv2d`,
 `max_pool2d`, `relu_max_pool2d`, `avg_pool2d`, `col2im` and
-`im2col_indices` and `repro.core.kernels.resolve_groups` with their
-`repro.reference` namesakes (einsum convolution products with a per-group
-loop, ReLU then im2col pooling, the `np.add.at` scatter, indices rebuilt
-per call, a layout derived per conversion), and the schedule draws noise per call instead of
+`im2col_indices` and `repro.core.kernels.resolve_groups` (the BFP
+converter's one grouping entry point) with their `repro.reference`
+namesakes (einsum convolution products with a per-group loop, ReLU then
+im2col pooling, the `np.add.at` scatter, indices rebuilt per call, a layout
+derived per conversion), and the schedule draws noise per call instead of
 from a pool.  Production code has no switch for any of this.
+`tests/benchmarks/test_uncached_step.py` checks that a step run in the arm
+calls every one of those golden models.
 
 Small CNN / MLP / transformer configurations run under three schemes (fixed
 BFP with nearest gradients, fixed BFP with stochastic gradients, and
@@ -61,8 +64,7 @@ import numpy as np
 
 from repro import nn, reference
 from repro.core import kernels
-from repro.core.bfp import BFPConfig, bfp_quantize_tensor
-from repro.core.kernels import bfp_quantize_fast
+from repro.core.bfp import BFPConfig, bfp_quantize, bfp_quantize_tensor
 from repro.core.rounding import NoisePool
 from repro.hardware.fmac import fmac_dot_product
 from repro.models.mlp import MLP
@@ -265,10 +267,10 @@ def verify_layout_cache() -> None:
         for dtype in (np.float32, np.float64):
             values = rng.standard_normal(shape).astype(dtype)
             kernels.default_layout_cache().clear()
-            first = bfp_quantize_fast(values, 4, group_size, 8, "nearest", axis=axis)
-            second = bfp_quantize_fast(values, 4, group_size, 8, "nearest", axis=axis)
+            first = bfp_quantize(values, 4, group_size, 8, "nearest", axis=axis)
+            second = bfp_quantize(values, 4, group_size, 8, "nearest", axis=axis)
             with uncached_step():
-                uncached = bfp_quantize_fast(values, 4, group_size, 8, "nearest", axis=axis)
+                uncached = bfp_quantize(values, 4, group_size, 8, "nearest", axis=axis)
             assert np.array_equal(first, uncached), (shape, dtype, axis, "cached != uncached")
             assert np.array_equal(first, second), (shape, dtype, axis, "cache hit changed result")
 
@@ -286,7 +288,7 @@ def verify_noise_pool() -> None:
     assert np.array_equal(stream_a, stream_b), "NoisePool stream depends on partitioning"
     # Fast vs. reference quantization with equal pooled sources is bit-exact.
     values = np.random.default_rng(5).standard_normal(4096)
-    fast = bfp_quantize_fast(values, 4, 16, 8, "stochastic", rng=NoisePool(7))
+    fast = bfp_quantize(values, 4, 16, 8, "stochastic", rng=NoisePool(7))
     ref = reference.bfp_quantize_reference(values, 4, 16, 8, "stochastic", rng=NoisePool(7))
     assert np.array_equal(fast, ref), "pooled stochastic path not seed-reproducible"
 
@@ -378,11 +380,11 @@ def bench_noise_pool(repeats: int):
     values = (rng.standard_normal(1_000_000)
               * 10.0 ** rng.integers(-2, 3, size=1_000_000)).astype(np.float32)
 
-    generator_s = best_time(lambda: bfp_quantize_fast(values, 4, 16, 8, "stochastic",
+    generator_s = best_time(lambda: bfp_quantize(values, 4, 16, 8, "stochastic",
                                                       rng=np.random.default_rng(0)),
                             repeats)
     pool = NoisePool(0, capacity=1 << 21)
-    pooled_s = best_time(lambda: bfp_quantize_fast(values, 4, 16, 8, "stochastic", rng=pool),
+    pooled_s = best_time(lambda: bfp_quantize(values, 4, 16, 8, "stochastic", rng=pool),
                          repeats)
     return {
         "size": 1_000_000,

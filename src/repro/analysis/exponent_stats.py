@@ -16,7 +16,7 @@ from typing import Dict, Iterable, Sequence
 
 import numpy as np
 
-from ..core.bfp import MIN_EXPONENT, compute_group_exponents, group_values
+from ..core.kernels import MIN_EXPONENT, GroupedTensor
 
 __all__ = ["exponent_differences", "difference_histogram", "ExponentSpreadReport", "exponent_spread_report"]
 
@@ -27,14 +27,12 @@ def exponent_differences(values: np.ndarray, group_size: int, axis: int = -1) ->
     Zero values are excluded (they have no exponent).  The result is clipped
     below at 0 (a value cannot exceed its group maximum).
     """
-    values = np.asarray(values, dtype=np.float64)
-    groups, pad, _ = group_values(values, group_size, axis=axis)
-    shared = compute_group_exponents(groups, exponent_bits=None)
+    grouped = GroupedTensor(np.asarray(values, dtype=np.float64), group_size,
+                            exponent_bits=None, axis=axis)
+    groups, shared = grouped.groups, grouped.exponents
     magnitudes = np.abs(groups)
+    # Padded positions are zero, so the nonzero mask excludes them.
     nonzero = magnitudes > 0
-    if pad:
-        # Padded positions are zero, so the nonzero mask already excludes them.
-        pass
     # Per-value floor(log2 |x|) via exact frexp extraction (x = m * 2**e with
     # m in [0.5, 1) implies floor(log2 x) == e - 1), vectorized over the
     # whole tensor instead of a masked log2.

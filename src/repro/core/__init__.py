@@ -6,20 +6,11 @@ from .bfp import (
     BFPTensor,
     bfp_quantize,
     bfp_quantize_tensor,
-    compute_group_exponents,
-    group_values,
     ungroup_values,
 )
 from .chunks import decompose_mantissas, num_chunks, passes_required, reconstruct_mantissas
 from .converter import relative_improvement
-from .kernels import (
-    GroupedLayout,
-    LayoutCache,
-    bfp_quantize_fast,
-    default_layout_cache,
-    quantize_groups,
-    shared_exponents,
-)
+from .kernels import GroupedLayout, LayoutCache, default_layout_cache
 from .memory_layout import BFPMemoryLayout, bits_per_group, bits_per_value, pack_group, unpack_group
 from .precision_policy import (
     SETTING_ORDER,
@@ -49,8 +40,6 @@ __all__ = [
     "BFPTensor",
     "bfp_quantize",
     "bfp_quantize_tensor",
-    "compute_group_exponents",
-    "group_values",
     "ungroup_values",
     "MIN_EXPONENT",
     "decompose_mantissas",
@@ -81,9 +70,6 @@ __all__ = [
     "round_nearest",
     "round_truncate",
     "round_stochastic",
-    "bfp_quantize_fast",
-    "quantize_groups",
-    "shared_exponents",
     "GroupedLayout",
     "LayoutCache",
     "default_layout_cache",

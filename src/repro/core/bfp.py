@@ -10,7 +10,9 @@ from FP32 follows Figure 4:
 3. optionally add stochastic noise (gradients only),
 4. truncate (or round) the aligned mantissa to ``m`` bits.
 
-Two entry points are provided:
+Both entry points are the two outputs of the one converter,
+:class:`~repro.core.kernels.GroupedTensor`, which groups the tensor and finds
+its shared exponents once:
 
 * :func:`bfp_quantize` -- "fake quantization": returns an FP32 array whose
   values lie exactly on the BFP grid.  This is what the training substrate
@@ -22,7 +24,8 @@ Two entry points are provided:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import time
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -36,8 +39,6 @@ __all__ = [
     "BFPTensor",
     "bfp_quantize",
     "bfp_quantize_tensor",
-    "compute_group_exponents",
-    "group_values",
     "ungroup_values",
     "MIN_EXPONENT",
     "set_sanitizer",
@@ -116,38 +117,6 @@ class BFPConfig:
         return bits_per_group(exponent_bits, self.group_size, self.mantissa_bits) / self.group_size
 
 
-def group_values(x: np.ndarray, group_size: int, axis: int = -1):
-    """Reshape ``x`` into BFP groups of ``group_size`` along ``axis``.
-
-    Returns ``(groups, pad, moved_shape)`` where ``groups`` has shape
-    ``(n_rows, n_groups, group_size)``, ``pad`` is the number of zero values
-    appended to make the grouped axis divisible by ``group_size``, and
-    ``moved_shape`` is the shape after moving ``axis`` to the end (needed to
-    undo the transformation).
-
-    The floating dtype of ``x`` is preserved (integer inputs are promoted to
-    float64), and when the grouped axis is contiguous and already divisible by
-    ``group_size`` the returned ``groups`` is a view of ``x`` -- treat it as
-    read-only.
-    """
-    x = np.asarray(x)
-    layout = kernels.GroupedLayout(x.shape, kernels.grouping_dtype(x), group_size, axis=axis)
-    return layout.group(x), layout.pad, layout.moved_shape
-
-
-def compute_group_exponents(groups: np.ndarray, exponent_bits: Optional[int] = None) -> np.ndarray:
-    """Compute the shared exponent of each group (Figure 4a).
-
-    The shared exponent is ``floor(log2(max |x|))`` over the group, derived
-    exactly from the float representation via ``np.frexp`` (see
-    :func:`repro.core.kernels.shared_exponents`).  All-zero groups receive
-    :data:`MIN_EXPONENT`.  When ``exponent_bits`` is given the exponents are
-    clamped to a window of ``2**exponent_bits`` values anchored at the
-    tensor-wide maximum.
-    """
-    return kernels.shared_exponents(groups, exponent_bits)
-
-
 def bfp_quantize(
     x,
     mantissa_bits: int = 4,
@@ -163,29 +132,27 @@ def bfp_quantize(
 
     This is the ``BFP(X, m)`` function of Algorithm 1.  The output has the
     same shape and dtype-family as the input but every value is exactly
-    representable in the requested BFP format.  Dispatches to the fused
-    fast-path kernel (:func:`repro.core.kernels.bfp_quantize_fast`), which is
+    representable in the requested BFP format.  It is one rounding of the
+    converter (:class:`repro.core.kernels.GroupedTensor`), which is
     bit-compatible with the seed reference implementation wherever the old
     ``floor(log2)`` exponent derivation was correct -- on values one ulp
     below a power of two the frexp-based kernel is strictly more accurate
-    (the rounded log2 landed on the wrong integer there).
+    (the rounded log2 landed on the wrong integer there).  An installed
+    kernel profiler records each call as ``bfp_quantize_fast``.
 
     ``layout`` optionally passes a precomputed
     :class:`~repro.core.kernels.GroupedLayout` (see
     :class:`~repro.core.kernels.LayoutCache`); quantized layers keep one per
     tensor so repeated conversions skip layout re-derivation entirely.
     """
-    return kernels.bfp_quantize_fast(
-        x,
-        mantissa_bits=mantissa_bits,
-        group_size=group_size,
-        exponent_bits=exponent_bits,
-        rounding=rounding,
-        axis=axis,
-        rng=rng,
-        noise_bits=noise_bits,
-        layout=layout,
-    )
+    profiler = kernels._PROFILER
+    start = time.perf_counter() if profiler is not None else 0.0
+    grouped = kernels.GroupedTensor(x, group_size, exponent_bits, axis=axis, layout=layout)
+    result = grouped.ungroup(grouped.quantize(mantissa_bits, rounding, rng=rng,
+                                              noise_bits=noise_bits))
+    if profiler is not None:
+        profiler.record("bfp_quantize_fast", time.perf_counter() - start, result.size)
+    return result
 
 
 @dataclass
@@ -279,28 +246,12 @@ def bfp_quantize_tensor(
     if config is None:
         config = BFPConfig(**overrides)
     elif overrides:
-        params = {
-            "mantissa_bits": config.mantissa_bits,
-            "group_size": config.group_size,
-            "exponent_bits": config.exponent_bits,
-            "rounding": config.rounding,
-            "noise_bits": config.noise_bits,
-        }
-        params.update(overrides)
-        config = BFPConfig(**params)
+        config = replace(config, **overrides)
 
     x = np.asarray(x)
-    groups, pad, moved_shape = kernels.resolve_groups(x, config.group_size, axis=axis)
-    exponents = compute_group_exponents(groups, config.exponent_bits)
-    _, signs, mantissas = kernels.quantize_groups(
-        groups,
-        exponents,
-        config.mantissa_bits,
-        config.rounding,
-        rng=rng,
-        noise_bits=config.noise_bits,
-        return_packed=True,
-    )
+    grouped = kernels.GroupedTensor(x, config.group_size, config.exponent_bits, axis=axis)
+    signs, mantissas, exponents = grouped.pack(config.mantissa_bits, config.rounding,
+                                               rng=rng, noise_bits=config.noise_bits)
     return BFPTensor(
         signs=signs,
         mantissas=mantissas,
@@ -308,6 +259,6 @@ def bfp_quantize_tensor(
         config=config,
         shape=tuple(x.shape) if x.ndim else (1,),
         axis=axis,
-        pad=pad,
-        _moved_shape=moved_shape,
+        pad=grouped.pad,
+        _moved_shape=grouped.moved_shape,
     )

@@ -111,7 +111,7 @@ class AdaptiveConversion:
         if config is None:
             config = BFPConfig()
         x = np.asarray(x)
-        self._dtype = x.dtype if np.issubdtype(x.dtype, np.floating) else np.dtype(np.float64)
+        self._dtype = kernels.grouping_dtype(x)
         if x.dtype != np.float32 and x.dtype != np.float64:
             # A layout for the original dtype cannot group the float64 copy.
             x, layout = x.astype(np.float64), None

@@ -1,10 +1,16 @@
-"""Fused fast-path kernels for BFP quantization.
+"""The BFP converter: one group -> exponent -> round pipeline.
 
 This module is the hot path of the whole training substrate: every quantized
-layer converts its weights, activations and gradients to BFP on each step, so
-:func:`repro.core.bfp.bfp_quantize` is called three times per layer per
-iteration.  The kernels here replace the readable-but-slow reference pipeline
-with a fused implementation that is bit-compatible with it:
+layer converts its weights, activations and gradients to BFP on each step.
+:class:`GroupedTensor` is the one converter, as in the hardware (Figure 4a,
+Figure 14): it groups a tensor once and finds its shared exponents once, and
+every output is a rounding of those groups -- fake quantization
+(:meth:`GroupedTensor.quantize`, behind :func:`repro.core.bfp.bfp_quantize`),
+the packed signs and mantissas (:meth:`GroupedTensor.pack`, behind
+:func:`repro.core.bfp.bfp_quantize_tensor`) and both FAST widths at once
+(:meth:`GroupedTensor.nearest_magnitudes`, behind
+:class:`repro.core.converter.AdaptiveConversion`).  It is bit-compatible with
+the readable-but-slow reference pipeline:
 
 * **Exact exponents** -- shared exponents come from :func:`numpy.frexp`
   instead of ``floor(log2(x))``.  ``frexp`` decomposes ``x = m * 2**e`` with
@@ -24,9 +30,11 @@ with a fused implementation that is bit-compatible with it:
   float64 reference.
 * **Fusion** -- one pass with ``np.ldexp``/``out=`` arguments replaces the
   reference chain of ~8 temporaries, and the grouping step avoids the pad
-  copy entirely when the grouped axis is already divisible by ``group_size``.
-  The group max is a tree of stride-2 ``np.maximum`` folds, signs are
-  restored by OR-ing sign bits into the magnitudes' integer view, and
+  copy entirely when the grouped axis is already divisible by ``group_size``
+  (and the axis move when it is already last).  The group max is a tree of
+  stride-2 ``np.maximum`` folds over ``|x|``, and that ``|x|`` buffer becomes
+  the working buffer of the first rounding.  Signs are restored by OR-ing
+  sign bits into the magnitudes' integer view, and
   :meth:`GroupedTensor.nearest_magnitudes` rounds one scaled pass at both
   FAST widths, the ``r(X)`` by-product of Figure 14.
 
@@ -55,10 +63,7 @@ __all__ = [
     "grouping_dtype",
     "resolve_groups",
     "ungroup_values",
-    "shared_exponents",
-    "quantize_groups",
     "GroupedTensor",
-    "bfp_quantize_fast",
 ]
 
 #: Exponent assigned to all-zero groups.  Matches the smallest normal FP32
@@ -142,7 +147,7 @@ class GroupedLayout:
             x = x.reshape(1)
         if x.shape != self.shape:
             raise ValueError(f"layout built for shape {self.shape}, got {x.shape}")
-        moved = np.moveaxis(x, self.axis, -1)
+        moved = x if self.axis == len(self.shape) - 1 else np.moveaxis(x, self.axis, -1)
         if self.pad == 0 and moved.flags.c_contiguous:
             return moved.reshape(self.rows, self.n_groups, self.group_size)
         workspace = self._workspace
@@ -159,11 +164,6 @@ class GroupedLayout:
         else:
             np.copyto(destination, moved)
         return workspace.reshape(self.rows, self.n_groups, self.group_size)
-
-    def ungroup(self, groups: np.ndarray, original_shape) -> np.ndarray:
-        """Invert :meth:`group`, restoring ``original_shape``."""
-        result = ungroup_values(groups, self.pad, self.moved_shape, axis=self.axis)
-        return result.reshape(original_shape)
 
 
 class LayoutCache:
@@ -223,16 +223,15 @@ def default_layout_cache() -> LayoutCache:
 
 def grouping_dtype(x: np.ndarray) -> np.dtype:
     """The floating dtype ``x`` is grouped and quantized in (integers -> float64)."""
-    return x.dtype if np.issubdtype(x.dtype, np.floating) else np.dtype(np.float64)
+    return x.dtype if x.dtype.kind == "f" else np.dtype(np.float64)
 
 
 def resolve_groups(x, group_size: int, axis: int = -1, layout: Optional[GroupedLayout] = None):
     """Group ``x`` for quantization through a layout.
 
-    Single entry point for the three grouping consumers (fake quantization,
-    packed quantization, ``relative_improvement``): an explicit ``layout`` is
-    validated and used, otherwise one comes from the default cache.
-    Returns ``(groups, pad, moved_shape)``.
+    The one grouping entry point (:class:`GroupedTensor` groups through it):
+    an explicit ``layout`` is validated and used, otherwise one comes from
+    the default cache.  Returns ``(groups, pad, moved_shape)``.
     """
     x = np.asarray(x)
     if layout is not None:
@@ -259,15 +258,15 @@ def ungroup_values(groups: np.ndarray, pad: int, moved_shape, axis: int = -1) ->
     only contiguous arrays) does not copy them again.
     """
     rows = groups.reshape(groups.shape[0], math.prod(groups.shape[1:]))
-    if not pad:
-        return np.moveaxis(rows.reshape(moved_shape), -1, axis)
-    return np.ascontiguousarray(np.moveaxis(rows[:, :-pad].reshape(moved_shape), -1, axis))
+    values = (rows[:, :-pad] if pad else rows).reshape(moved_shape)
+    if axis % len(moved_shape) != len(moved_shape) - 1:
+        values = np.moveaxis(values, -1, axis)
+    return np.ascontiguousarray(values) if pad else values
 
 
 # --------------------------------------------------------------------------- #
-# Fast path
+# The converter
 # --------------------------------------------------------------------------- #
-
 def _fold_group_max(magnitudes: np.ndarray) -> np.ndarray:
     """``magnitudes.max(axis=-1)`` via a tree of stride-2 ``np.maximum`` folds.
 
@@ -310,21 +309,6 @@ def _exponents_from_group_max(group_max: np.ndarray, exponent_bits: Optional[int
     return exponents
 
 
-def shared_exponents(groups: np.ndarray, exponent_bits: Optional[int] = None) -> np.ndarray:
-    """Shared exponent of each group via exact ``frexp`` extraction.
-
-    Equivalent to ``floor(log2(max |group|))`` -- but exact, because ``frexp``
-    reads the exponent field instead of rounding a transcendental: for
-    ``x = m * 2**e`` with ``m in [0.5, 1)``, ``floor(log2(x))`` is ``e - 1``.
-    All-zero groups receive :data:`MIN_EXPONENT`, lowered to the top
-    exponent when an ``exponent_bits`` window applies and every value is
-    below ``2**MIN_EXPONENT``; the window clamp matches the reference
-    implementation.
-    """
-    group_max = _fold_group_max(np.abs(np.asarray(groups)))
-    return _exponents_from_group_max(group_max, exponent_bits)
-
-
 def _rounding_grid(dtype: np.dtype, mantissa_bits: int, rounding: str,
                    noise_bits: Optional[int]):
     """The dtype a rounding runs in and the grid ``2**-f`` of its offset.
@@ -351,17 +335,15 @@ def _rounding_grid(dtype: np.dtype, mantissa_bits: int, rounding: str,
 
 
 def _scale_shifts(exponents: np.ndarray, mantissa_bits: int,
-                  group_max: Optional[np.ndarray]) -> np.ndarray:
+                  group_max: np.ndarray) -> np.ndarray:
     """Per-group ``mantissa_bits - 1 - exponent``, broadcastable over groups."""
     shift = np.subtract(mantissa_bits - 1, exponents).astype(np.int32)[..., None]
-    if group_max is not None:
-        # All-zero groups quantize to zero under any scale, but their
-        # MIN_EXPONENT sentinel would otherwise push the shift range past
-        # the float32 normal range and route the whole tensor down the slow
-        # elementwise-ldexp path (ReLU activations routinely contain a few
-        # all-zero groups).  Neutralize their shift.
-        shift = np.where(group_max[..., None] > 0, shift, np.int32(0))
-    return shift
+    # All-zero groups quantize to zero under any scale, but their
+    # MIN_EXPONENT sentinel would otherwise push the shift range past the
+    # float32 normal range and route the whole tensor down the slow
+    # elementwise-ldexp path (ReLU activations routinely contain a few
+    # all-zero groups).  Neutralize their shift.
+    return np.where(group_max[..., None] > 0, shift, np.int32(0))
 
 
 def _broadcastable(shift: np.ndarray, dtype: np.dtype, *offsets: int) -> bool:
@@ -423,68 +405,23 @@ def _restore_signs(magnitudes: np.ndarray, source: np.ndarray) -> np.ndarray:
     return magnitudes
 
 
-def quantize_groups(
-    groups: np.ndarray,
-    exponents: np.ndarray,
-    mantissa_bits: int,
-    rounding: str = "nearest",
-    rng=None,
-    noise_bits: Optional[int] = 8,
-    return_packed: bool = False,
-    magnitudes: Optional[np.ndarray] = None,
-    group_max: Optional[np.ndarray] = None,
-):
-    """Fused scale -> round -> clip -> rescale on grouped values.
-
-    ``groups`` is never mutated (it may be a view of the caller's tensor).
-    ``magnitudes`` may pass in a precomputed ``np.abs(groups)`` -- it is
-    consumed (overwritten) as the working buffer, saving one full-size pass;
-    :func:`bfp_quantize_fast` reuses the buffer that already fed the exponent
-    reduction.  ``group_max`` may pass in the per-group maximum magnitudes so
-    all-zero groups (whose :data:`MIN_EXPONENT` sentinel would otherwise
-    inflate the shift range) keep the tensor on the broadcast fast path.
-    Returns ``(quantized, signs, mantissas)``; ``signs`` and
-    ``mantissas`` are ``None`` unless ``return_packed`` is set.  Float32
-    groups are quantized in float32 when :func:`_rounding_grid` makes every
-    step exact there, otherwise in float64 (callers cast back); either way
-    the result is bit-identical to the float64 reference.
-    """
-    profiler = _PROFILER
-    start = time.perf_counter() if profiler is not None else 0.0
-    if rounding not in VALID_MODES:
-        raise ValueError(f"unknown rounding mode {rounding!r}; expected one of {VALID_MODES}")
-    groups = np.asarray(groups)
-    dtype, grid = _rounding_grid(groups.dtype, mantissa_bits, rounding, noise_bits)
-    if groups.dtype != dtype:
-        groups = groups.astype(dtype)
-        magnitudes = None
-    shift = _scale_shifts(exponents, mantissa_bits, group_max)
-    broadcast = _broadcastable(shift, dtype, 0, grid)
-    if magnitudes is None:
-        magnitudes = np.abs(groups)
-    _times_pow2(magnitudes, shift + grid, broadcast)
-    _round_magnitudes(magnitudes, mantissa_bits, rounding, grid, rng, noise_bits)
-    signs = mantissas = None
-    if return_packed:
-        mantissas = magnitudes.astype(np.int64)
-        signs = np.sign(groups).astype(np.int8)
-        signs[mantissas == 0] = 0
-    _restore_signs(magnitudes, groups)
-    quantized = _times_pow2(magnitudes, np.negative(shift), broadcast)
-    if profiler is not None:
-        profiler.record("quantize_groups", time.perf_counter() - start,
-                        quantized.size)
-    return quantized, signs, mantissas
-
-
 class GroupedTensor:
-    """One tensor after grouping and the shared-exponent search (Figure 4a).
+    """The BFP converter: one tensor after grouping and the shared-exponent
+    search (Figure 4a), and every rounding of it.
 
     The shared exponents do not depend on the mantissa width, so a grouped
     tensor can be quantized at several widths -- and with different rounding
     modes -- from one grouping and one ``|x|``/group-max/exponent pass.  This
     is how the hardware converter produces both the 2- and 4-bit results of
-    a tensor from one conversion (Section V-D).
+    a tensor from one conversion (Section V-D).  Its outputs are fake
+    quantization (:meth:`quantize`, then :meth:`ungroup`), the packed
+    integers (:meth:`pack`) and both nearest widths from one scaled pass
+    (:meth:`nearest_magnitudes`).
+
+    The ``|x|`` buffer that fed the group max is handed to the first
+    rounding as its working buffer, which saves a conversion that rounds
+    once one full-size pass; later roundings take ``|x|`` afresh, so no
+    full-size ``|x|`` outlives the first rounding.
 
     ``groups`` may be a view of the caller's tensor or of a layout's padded
     workspace, so a ``GroupedTensor`` is valid until the next grouping
@@ -492,7 +429,7 @@ class GroupedTensor:
     """
 
     __slots__ = ("shape", "dtype", "axis", "groups", "pad", "moved_shape",
-                 "group_max", "exponents")
+                 "group_max", "exponents", "_magnitudes")
 
     def __init__(self, x, group_size: int, exponent_bits: Optional[int] = 8,
                  axis: int = -1, layout: Optional[GroupedLayout] = None):
@@ -502,16 +439,67 @@ class GroupedTensor:
         self.axis = axis
         self.groups, self.pad, self.moved_shape = resolve_groups(
             x, group_size, axis=axis, layout=layout)
-        self.group_max = _fold_group_max(np.abs(self.groups))
+        self._magnitudes = np.abs(self.groups)
+        self.group_max = _fold_group_max(self._magnitudes)
         self.exponents = _exponents_from_group_max(self.group_max, exponent_bits)
+
+    def _scaled(self, mantissa_bits: int, dtype: np.dtype, grid: int, rise: int = 0):
+        """``|x| * 2**(shift + grid)`` in ``dtype``, in the handed-over ``|x|``
+        buffer when it has that dtype; returns ``(scaled, shift, broadcast)``.
+
+        ``rise`` is a further power of two the caller will scale by
+        (:func:`_broadcastable`).
+        """
+        shift = _scale_shifts(self.exponents, mantissa_bits, self.group_max)
+        broadcast = _broadcastable(shift, dtype, 0, grid, rise)
+        magnitudes, self._magnitudes = self._magnitudes, None
+        if magnitudes is None or magnitudes.dtype != dtype:
+            magnitudes = np.abs(self.groups, dtype=dtype)
+        return _times_pow2(magnitudes, shift + grid, broadcast), shift, broadcast
+
+    def _round(self, mantissa_bits: int, rounding: str, rng, noise_bits: Optional[int]):
+        """Unsigned integer mantissas at ``mantissa_bits`` (as floats), with
+        the shifts that scaled them: ``(mantissas, shift, broadcast)``.
+
+        Float32 groups round in float32 when :func:`_rounding_grid` makes
+        every step exact there, otherwise in float64; either way the result
+        is bit-identical to the float64 reference.
+        """
+        if rounding not in VALID_MODES:
+            raise ValueError(f"unknown rounding mode {rounding!r}; expected one of {VALID_MODES}")
+        dtype, grid = _rounding_grid(self.groups.dtype, mantissa_bits, rounding, noise_bits)
+        magnitudes, shift, broadcast = self._scaled(mantissa_bits, dtype, grid)
+        _round_magnitudes(magnitudes, mantissa_bits, rounding, grid, rng, noise_bits)
+        return magnitudes, shift, broadcast
 
     def quantize(self, mantissa_bits: int, rounding: str = "nearest", rng=None,
                  noise_bits: Optional[int] = 8) -> np.ndarray:
-        """Quantized groups at ``mantissa_bits`` (see :func:`quantize_groups`)."""
-        quantized, _, _ = quantize_groups(
-            self.groups, self.exponents, mantissa_bits, rounding, rng=rng,
-            noise_bits=noise_bits, group_max=self.group_max)
+        """Fused scale -> round -> clip -> rescale: the groups on the BFP grid
+        at ``mantissa_bits``, signed (:meth:`ungroup` restores the tensor)."""
+        profiler = _PROFILER
+        start = time.perf_counter() if profiler is not None else 0.0
+        magnitudes, shift, broadcast = self._round(mantissa_bits, rounding, rng, noise_bits)
+        self.restore_signs(magnitudes)
+        quantized = _times_pow2(magnitudes, np.negative(shift), broadcast)
+        if profiler is not None:
+            profiler.record("quantize_groups", time.perf_counter() - start, quantized.size)
         return quantized
+
+    def pack(self, mantissa_bits: int, rounding: str = "nearest", rng=None,
+             noise_bits: Optional[int] = 8):
+        """The packed BFP integers at ``mantissa_bits``: ``(signs, mantissas,
+        exponents)``, with ``int8`` signs in ``{-1, 0, +1}`` (0 where the
+        mantissa is 0) and ``int64`` mantissa magnitudes, both shaped like
+        the groups, and the shared exponent of each group."""
+        profiler = _PROFILER
+        start = time.perf_counter() if profiler is not None else 0.0
+        magnitudes, _, _ = self._round(mantissa_bits, rounding, rng, noise_bits)
+        mantissas = magnitudes.astype(np.int64)
+        signs = np.sign(self.groups).astype(np.int8)
+        signs[mantissas == 0] = 0
+        if profiler is not None:
+            profiler.record("quantize_groups", time.perf_counter() - start, mantissas.size)
+        return signs, mantissas, self.exponents
 
     def nearest_magnitudes(self, low_bits: int, high_bits: int):
         """``|quantize(low_bits)|`` and ``|quantize(high_bits)|`` from one
@@ -527,10 +515,7 @@ class GroupedTensor:
         start = time.perf_counter() if profiler is not None else 0.0
         dtype, grid = _rounding_grid(self.groups.dtype, high_bits, RoundingMode.NEAREST, None)
         rise = high_bits - low_bits
-        shift = _scale_shifts(self.exponents, low_bits, self.group_max)
-        broadcast = _broadcastable(shift, dtype, 0, grid, rise)
-        low = np.abs(self.groups, dtype=dtype)
-        _times_pow2(low, shift + grid, broadcast)
+        low, shift, broadcast = self._scaled(low_bits, dtype, grid, rise)
         high = low * dtype.type(2.0 ** rise)
         _round_magnitudes(low, low_bits, RoundingMode.NEAREST, grid)
         _round_magnitudes(high, high_bits, RoundingMode.NEAREST, grid)
@@ -548,41 +533,3 @@ class GroupedTensor:
         """Quantized groups back in the tensor's shape and floating dtype."""
         result = ungroup_values(quantized, self.pad, self.moved_shape, axis=self.axis)
         return result.reshape(self.shape).astype(self.dtype, copy=False)
-
-
-def bfp_quantize_fast(
-    x,
-    mantissa_bits: int = 4,
-    group_size: int = 16,
-    exponent_bits: Optional[int] = 8,
-    rounding: str = "nearest",
-    axis: int = -1,
-    rng=None,
-    noise_bits: Optional[int] = 8,
-    layout: Optional[GroupedLayout] = None,
-) -> np.ndarray:
-    """Fast-path fake quantization (same contract as the reference ``BFP(X, m)``).
-
-    ``layout`` may pass a :class:`GroupedLayout` for the input's exact
-    ``(shape, dtype, axis, group_size)``; when omitted one is fetched from the
-    default :class:`LayoutCache` so repeated conversions of
-    same-shaped tensors -- the per-iteration W/A/G pattern of training --
-    skip layout re-derivation and reuse the padded-grouping workspace.
-    """
-    profiler = _PROFILER
-    start = time.perf_counter() if profiler is not None else 0.0
-    x = np.asarray(x)
-    groups, pad, moved_shape = resolve_groups(x, group_size, axis=axis, layout=layout)
-    magnitudes = np.abs(groups)
-    group_max = _fold_group_max(magnitudes)
-    exponents = _exponents_from_group_max(group_max, exponent_bits)
-    quantized, _, _ = quantize_groups(
-        groups, exponents, mantissa_bits, rounding,
-        rng=rng, noise_bits=noise_bits, magnitudes=magnitudes, group_max=group_max,
-    )
-    result = ungroup_values(quantized, pad, moved_shape, axis=axis)
-    result = result.reshape(x.shape).astype(grouping_dtype(x), copy=False)
-    if profiler is not None:
-        profiler.record("bfp_quantize_fast", time.perf_counter() - start,
-                        result.size)
-    return result

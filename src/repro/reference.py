@@ -4,7 +4,8 @@ benchmarks import this module (repro-lint RL007).
 It keeps the seed BFP pipeline and the per-group fMAC walk verbatim, plus
 the training step's ops as they ran before its fast path, each with the
 signature of the :mod:`repro.nn.functional` op (or of
-:func:`repro.core.kernels.resolve_groups`) it stands in for, and the
+:func:`repro.core.kernels.resolve_groups`, the converter's one grouping
+entry point) it stands in for, and the
 full-recompute greedy decode the KV-cached one is held to.
 """
 
@@ -14,9 +15,9 @@ from typing import Optional
 
 import numpy as np
 
-from .core.bfp import BFPTensor, group_values
+from .core.bfp import BFPTensor
 from .core.chunks import decompose_mantissas, passes_required
-from .core.kernels import MIN_EXPONENT
+from .core.kernels import MIN_EXPONENT, GroupedLayout, grouping_dtype
 from .core.rounding import apply_rounding
 from .hardware.fmac import FMACResult
 from .models.transformer import greedy_tokens
@@ -207,7 +208,9 @@ def fmac_dot_product_reference(a: BFPTensor, b: BFPTensor, chunk_bits: int = 2) 
 def resolve_groups(x, group_size: int, axis: int = -1, layout=None):
     """Grouping without the layout caches: ``layout`` is ignored and a fresh
     one is derived on every call."""
-    return group_values(x, group_size, axis=axis)
+    x = np.asarray(x)
+    layout = GroupedLayout(x.shape, grouping_dtype(x), group_size, axis=axis)
+    return layout.group(x), layout.pad, layout.moved_shape
 
 
 def im2col_indices(input_shape, kernel_h: int, kernel_w: int, stride: int, padding: int):

@@ -11,10 +11,9 @@ from repro.core.bfp import (
     BFPConfig,
     bfp_quantize,
     bfp_quantize_tensor,
-    compute_group_exponents,
-    group_values,
     ungroup_values,
 )
+from repro.core.kernels import GroupedTensor
 
 
 class TestBFPConfig:
@@ -49,48 +48,46 @@ class TestBFPConfig:
 class TestGrouping:
     def test_roundtrip_without_padding(self, rng):
         values = rng.standard_normal((3, 32))
-        groups, pad, moved_shape = group_values(values, 16)
-        assert pad == 0
-        assert groups.shape == (3, 2, 16)
-        restored = ungroup_values(groups, pad, moved_shape)
+        grouped = GroupedTensor(values, 16)
+        assert grouped.pad == 0
+        assert grouped.groups.shape == (3, 2, 16)
+        restored = ungroup_values(grouped.groups, grouped.pad, grouped.moved_shape)
         np.testing.assert_array_equal(restored, values)
 
     def test_roundtrip_with_padding(self, rng):
         values = rng.standard_normal((2, 21))
-        groups, pad, moved_shape = group_values(values, 16)
-        assert pad == 11
-        restored = ungroup_values(groups, pad, moved_shape)
+        grouped = GroupedTensor(values, 16)
+        assert grouped.pad == 11
+        restored = ungroup_values(grouped.groups, grouped.pad, grouped.moved_shape)
         np.testing.assert_array_equal(restored, values)
 
     def test_grouping_along_other_axis(self, rng):
         values = rng.standard_normal((6, 4))
-        groups, pad, moved_shape = group_values(values, 3, axis=0)
-        restored = ungroup_values(groups, pad, moved_shape, axis=0)
+        grouped = GroupedTensor(values, 3, axis=0)
+        restored = ungroup_values(grouped.groups, grouped.pad, grouped.moved_shape, axis=0)
         np.testing.assert_array_equal(restored, values)
 
     def test_scalar_input_handled(self):
-        groups, pad, _ = group_values(np.float64(3.0), 16)
-        assert groups.shape[-1] == 16
-        assert pad == 15
+        grouped = GroupedTensor(np.float64(3.0), 16)
+        assert grouped.groups.shape[-1] == 16
+        assert grouped.pad == 15
 
 
 class TestGroupExponents:
     def test_exponent_is_floor_log2_of_max(self):
-        groups = np.array([[[0.75, 3.2, -1.5, 0.1]]])
-        exponents = compute_group_exponents(groups)
+        exponents = GroupedTensor([0.75, 3.2, -1.5, 0.1], 4, exponent_bits=None).exponents
         assert exponents[0, 0] == 1  # floor(log2(3.2)) == 1
 
     def test_all_zero_group_gets_min_exponent(self):
-        groups = np.zeros((1, 2, 4))
-        exponents = compute_group_exponents(groups)
+        exponents = GroupedTensor(np.zeros(8), 4, exponent_bits=None).exponents
         assert np.all(exponents == MIN_EXPONENT)
 
     def test_exponent_window_clamps_small_groups(self):
         # One huge group and one tiny group; with a 2-bit exponent field the
         # tiny group's exponent is clamped up to the window bottom.
-        groups = np.array([[[1024.0, 512.0], [1e-6, 2e-6]]])
-        unbounded = compute_group_exponents(groups, exponent_bits=None)
-        bounded = compute_group_exponents(groups, exponent_bits=2)
+        values = [1024.0, 512.0, 1e-6, 2e-6]
+        unbounded = GroupedTensor(values, 2, exponent_bits=None).exponents
+        bounded = GroupedTensor(values, 2, exponent_bits=2).exponents
         assert unbounded[0, 1] < bounded[0, 1]
         assert bounded[0, 1] == unbounded[0, 0] - 3
 
@@ -111,10 +108,9 @@ class TestBFPQuantize:
         values = rng.standard_normal((8, 64))
         for bits in (2, 3, 4, 5):
             quantized = bfp_quantize(values, mantissa_bits=bits, group_size=16, exponent_bits=8)
-            groups, _, _ = group_values(values, 16)
-            exponents = compute_group_exponents(groups)
+            exponents = GroupedTensor(values, 16, exponent_bits=None).exponents
             steps = np.power(2.0, exponents.astype(float) - (bits - 1))
-            errors, _, _ = group_values(np.abs(quantized - values), 16)
+            errors = GroupedTensor(np.abs(quantized - values), 16).groups
             assert np.all(errors <= steps[..., None] + 1e-12)
 
     def test_more_mantissa_bits_reduce_error(self, rng):
@@ -207,8 +203,8 @@ def test_property_relative_group_error_bound(values):
     """For every group, the max error is at most 2^-(m-1) of the group maximum."""
     mantissa_bits = 4
     quantized = bfp_quantize(values, mantissa_bits=mantissa_bits, group_size=16, exponent_bits=None)
-    groups, _, _ = group_values(values, 16)
-    quantized_groups, _, _ = group_values(quantized, 16)
+    groups = GroupedTensor(values, 16).groups.copy()
+    quantized_groups = GroupedTensor(quantized, 16).groups
     group_max = np.abs(groups).max(axis=-1)
     errors = np.abs(quantized_groups - groups).max(axis=-1)
     bound = group_max * 2.0 ** (-(mantissa_bits - 1)) + 1e-12

@@ -13,13 +13,20 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.core import kernels
-from repro.core.bfp import (BFPConfig, bfp_quantize, bfp_quantize_tensor,
-                            compute_group_exponents, group_values)
+from repro.core.bfp import BFPConfig, bfp_quantize, bfp_quantize_tensor
 from repro.core.converter import AdaptiveConversion
-from repro.core.kernels import bfp_quantize_fast, shared_exponents
 from repro.core.rounding import LFSR, NoisePool, VectorizedLFSR
 from repro.nn.functional import col2im, im2col
 from repro.reference import bfp_quantize_reference, shared_exponents_reference
+
+
+def converter_exponents(groups, exponent_bits=None):
+    """The converter's shared exponents of values already laid out in
+    groups along the last axis."""
+    groups = np.asarray(groups)
+    grouped = kernels.GroupedTensor(groups.reshape(-1, groups.shape[-1]), groups.shape[-1],
+                                    exponent_bits)
+    return grouped.exponents.reshape(groups.shape[:-1])
 
 
 class TestFastPathBitExact:
@@ -68,7 +75,7 @@ class TestFastPathBitExact:
 
     def test_zero_and_scalar_inputs(self):
         np.testing.assert_array_equal(bfp_quantize(np.zeros((2, 16))), np.zeros((2, 16)))
-        assert bfp_quantize_fast(np.float64(3.0)).shape == ()
+        assert bfp_quantize(np.float64(3.0)).shape == ()
 
     def test_relu_sparse_float32_with_zero_groups_bit_exact(self, rng):
         """All-zero groups (MIN_EXPONENT sentinel) must not perturb results.
@@ -113,10 +120,10 @@ class TestFrexpExponents:
         powers = np.array([2.0 ** k for k in range(-60, 61)])
         groups = powers.reshape(1, -1, 1)
         np.testing.assert_array_equal(
-            shared_exponents(groups), shared_exponents_reference(groups)
+            converter_exponents(groups), shared_exponents_reference(groups)
         )
         expected = np.arange(-60, 61)
-        np.testing.assert_array_equal(shared_exponents(groups)[0], expected)
+        np.testing.assert_array_equal(converter_exponents(groups)[0], expected)
 
     def test_exact_just_below_powers_of_two(self):
         """One ulp below 2**k the true floor(log2 x) is k-1; frexp gets it right.
@@ -127,44 +134,43 @@ class TestFrexpExponents:
         for k in (-10, -1, 0, 1, 3, 20):
             value = np.nextafter(2.0 ** k, 0.0)
             groups = np.array([[[value]]])
-            assert shared_exponents(groups)[0, 0] == k - 1
+            assert converter_exponents(groups)[0, 0] == k - 1
 
     def test_window_clamp_matches_reference(self, rng):
         groups = rng.standard_normal((2, 8, 16)) * 10.0 ** rng.integers(-30, 30, size=(2, 8, 16))
         for bits in (2, 3, 8):
             np.testing.assert_array_equal(
-                shared_exponents(groups, bits), shared_exponents_reference(groups, bits)
+                converter_exponents(groups, bits), shared_exponents_reference(groups, bits)
             )
 
     def test_zero_groups_clamped_into_window_like_reference(self):
         groups = np.array([[[1024.0] * 4, [0.0] * 4]])
         np.testing.assert_array_equal(
-            shared_exponents(groups, 2), shared_exponents_reference(groups, 2)
+            converter_exponents(groups, 2), shared_exponents_reference(groups, 2)
         )
 
 
 class TestDtypePropagation:
-    def test_group_values_preserves_float32(self, rng):
+    def test_grouping_preserves_float32(self, rng):
         values = rng.standard_normal((3, 32)).astype(np.float32)
-        groups, pad, _ = group_values(values, 16)
-        assert groups.dtype == np.float32
-        assert pad == 0
+        grouped = kernels.GroupedTensor(values, 16)
+        assert grouped.groups.dtype == np.float32
+        assert grouped.pad == 0
 
-    def test_group_values_preserves_float32_with_padding(self, rng):
+    def test_grouping_preserves_float32_with_padding(self, rng):
         values = rng.standard_normal((2, 21)).astype(np.float32)
-        groups, pad, _ = group_values(values, 16)
-        assert groups.dtype == np.float32
-        assert pad == 11
+        grouped = kernels.GroupedTensor(values, 16)
+        assert grouped.groups.dtype == np.float32
+        assert grouped.pad == 11
 
-    def test_group_values_promotes_integers(self):
-        groups, _, _ = group_values(np.arange(32), 16)
-        assert groups.dtype == np.float64
+    def test_grouping_promotes_integers(self):
+        assert kernels.GroupedTensor(np.arange(32), 16).groups.dtype == np.float64
 
     def test_grouping_avoids_copy_when_aligned(self, rng):
         values = rng.standard_normal((4, 32))
-        groups, pad, _ = group_values(values, 16)
-        assert pad == 0
-        assert np.shares_memory(groups, values)
+        grouped = kernels.GroupedTensor(values, 16)
+        assert grouped.pad == 0
+        assert np.shares_memory(grouped.groups, values)
 
     def test_col2im_preserves_float32(self, rng):
         x = rng.standard_normal((2, 3, 6, 6)).astype(np.float32)
@@ -179,11 +185,11 @@ class TestDtypePropagation:
         """A (32, 10) tensor at group 16 -- the benchmark CNN's linear output
         gradient -- pads each row; its conversion comes back C-contiguous."""
         values = rng.standard_normal((32, 10)).astype(np.float32)
-        fast = bfp_quantize_fast(values, 4, 16, 8, rounding, rng=NoisePool(1))
+        fast = bfp_quantize(values, 4, 16, 8, rounding, rng=NoisePool(1))
         assert fast.flags.c_contiguous
         grouped = kernels.GroupedTensor(values, 16, 8)
         assert grouped.ungroup(grouped.quantize(4)).flags.c_contiguous
-        along_rows = bfp_quantize_fast(values.T, 4, 16, 8, axis=0)
+        along_rows = bfp_quantize(values.T, 4, 16, 8, axis=0)
         assert along_rows.flags.c_contiguous
         np.testing.assert_array_equal(
             along_rows, bfp_quantize_reference(values.T.astype(np.float64), 4, 16, 8, axis=0))
@@ -195,7 +201,7 @@ class TestDtypePropagation:
         converted = []
 
         def convert(grad):
-            converted.append(bfp_quantize_fast(grad, 4, 16, 8))
+            converted.append(bfp_quantize(grad, 4, 16, 8))
             return converted[-1]
 
         x = Tensor(rng.standard_normal((32, 10)).astype(np.float32), requires_grad=True)
@@ -219,8 +225,8 @@ def test_property_fast_equals_reference(values, mantissa_bits, group_size):
     # The fast path is bit-exact wherever the old log2 exponent derivation
     # was correct; one ulp below a power of two the reference itself is off
     # by one (covered by TestFrexpExponents), so skip those draws.
-    groups, _, _ = group_values(values, group_size)
-    assume(np.array_equal(shared_exponents(groups), shared_exponents_reference(groups)))
+    grouped = kernels.GroupedTensor(values, group_size, None)
+    assume(np.array_equal(grouped.exponents, shared_exponents_reference(grouped.groups)))
     fast = bfp_quantize(values, mantissa_bits, group_size, 8, "nearest")
     ref = bfp_quantize_reference(values, mantissa_bits, group_size, 8, "nearest")
     np.testing.assert_array_equal(fast, ref)
@@ -252,15 +258,15 @@ def test_property_packed_roundtrip_any_axis(values, mantissa_bits, axis_choice):
                   elements=st.floats(min_value=-1e4, max_value=1e4, width=32,
                                      allow_nan=False, allow_infinity=False)))
 def test_property_float32_bit_exact_with_reference(values):
-    groups, _, _ = group_values(values, 16)
-    assume(np.array_equal(shared_exponents(groups), shared_exponents_reference(groups)))
+    grouped = kernels.GroupedTensor(values, 16, None)
+    assume(np.array_equal(grouped.exponents, shared_exponents_reference(grouped.groups)))
     fast = bfp_quantize(values, 4, 16, 8, "nearest")
     ref = bfp_quantize_reference(values, 4, 16, 8, "nearest")
     assert fast.dtype == np.float32
     np.testing.assert_array_equal(fast, ref)
 
 
-@pytest.mark.parametrize("derive", [shared_exponents, shared_exponents_reference])
+@pytest.mark.parametrize("derive", [converter_exponents, shared_exponents_reference])
 def test_zero_groups_never_sit_above_the_top_exponent(derive):
     """With every value below 2**-126, all-zero groups take the top
     exponent, in the kernel and the reference alike, so the 8-bit window
@@ -271,12 +277,11 @@ def test_zero_groups_never_sit_above_the_top_exponent(derive):
                                   [-121, -126])
 
 
-def test_compute_group_exponents_uses_exact_path():
-    """The public helper now routes through the frexp kernel."""
-    groups = np.array([[[0.75, 3.2, -1.5, 0.1]]])
-    assert compute_group_exponents(groups)[0, 0] == 1
+def test_converter_exponents_use_exact_path():
+    """The converter's exponents come from the frexp kernel."""
+    assert kernels.GroupedTensor([0.75, 3.2, -1.5, 0.1], 4, None).exponents[0, 0] == 1
     value = np.nextafter(4.0, 0.0)
-    assert compute_group_exponents(np.array([[[value]]]))[0, 0] == 1
+    assert kernels.GroupedTensor([value], 1, None).exponents[0, 0] == 1
 
 
 @settings(max_examples=60, deadline=None)

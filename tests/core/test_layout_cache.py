@@ -5,8 +5,8 @@ import pytest
 
 from repro import reference
 from repro.core import kernels
-from repro.core.bfp import bfp_quantize_tensor
-from repro.core.kernels import GroupedLayout, LayoutCache, bfp_quantize_fast, default_layout_cache
+from repro.core.bfp import bfp_quantize, bfp_quantize_tensor
+from repro.core.kernels import GroupedLayout, LayoutCache, default_layout_cache, ungroup_values
 from repro.core.rounding import NoisePool
 
 
@@ -63,7 +63,7 @@ class TestGroupedLayout:
     def test_ungroup_inverts_group(self, rng):
         values = rng.standard_normal((5, 23))
         layout = GroupedLayout(values.shape, values.dtype, 16)
-        restored = layout.ungroup(layout.group(values).copy(), values.shape)
+        restored = ungroup_values(layout.group(values).copy(), layout.pad, layout.moved_shape)
         np.testing.assert_array_equal(restored, values)
 
 
@@ -76,25 +76,25 @@ class TestCachedQuantizationBitExactness:
     def test_cached_matches_uncached(self, rng, uncached, dtype, mode):
         for shape, group_size, axis in self.SHAPES:
             values = rng.standard_normal(shape).astype(dtype)
-            cached = bfp_quantize_fast(values, 4, group_size, 8, mode, axis=axis)
-            repeat = bfp_quantize_fast(values, 4, group_size, 8, mode, axis=axis)
-            fresh = uncached(bfp_quantize_fast, values, 4, group_size, 8, mode, axis=axis)
+            cached = bfp_quantize(values, 4, group_size, 8, mode, axis=axis)
+            repeat = bfp_quantize(values, 4, group_size, 8, mode, axis=axis)
+            fresh = uncached(bfp_quantize, values, 4, group_size, 8, mode, axis=axis)
             np.testing.assert_array_equal(cached, fresh)
             np.testing.assert_array_equal(cached, repeat)
 
     def test_cached_stochastic_seed_reproducible(self, rng, uncached):
         values = rng.standard_normal((7, 130))
-        cached = bfp_quantize_fast(values, 4, 16, 8, "stochastic", rng=NoisePool(3))
-        fresh = uncached(bfp_quantize_fast, values, 4, 16, 8, "stochastic", rng=NoisePool(3))
+        cached = bfp_quantize(values, 4, 16, 8, "stochastic", rng=NoisePool(3))
+        fresh = uncached(bfp_quantize, values, 4, 16, 8, "stochastic", rng=NoisePool(3))
         np.testing.assert_array_equal(cached, fresh)
 
     def test_result_never_aliases_the_workspace(self, rng):
         """Back-to-back conversions of the same shape must not clobber results."""
         first_in = rng.standard_normal((3, 50))
         second_in = rng.standard_normal((3, 50))
-        first = bfp_quantize_fast(first_in, 4, 16, 8, "nearest")
+        first = bfp_quantize(first_in, 4, 16, 8, "nearest")
         first_copy = first.copy()
-        bfp_quantize_fast(second_in, 4, 16, 8, "nearest")
+        bfp_quantize(second_in, 4, 16, 8, "nearest")
         np.testing.assert_array_equal(first, first_copy)
 
     def test_packed_quantization_matches_uncached(self, rng, uncached):
@@ -141,14 +141,14 @@ class TestLayoutCache:
         values = rng.standard_normal((4, 64))
         wrong_group = GroupedLayout((4, 64), np.float64, 8)
         with pytest.raises(ValueError, match="layout built for"):
-            bfp_quantize_fast(values, 4, 16, 8, "nearest", layout=wrong_group)
+            bfp_quantize(values, 4, 16, 8, "nearest", layout=wrong_group)
         wrong_axis = GroupedLayout((64, 64), np.float64, 16, axis=0)
         with pytest.raises(ValueError, match="layout built for"):
-            bfp_quantize_fast(rng.standard_normal((64, 64)), 4, 16, 8, "nearest",
+            bfp_quantize(rng.standard_normal((64, 64)), 4, 16, 8, "nearest",
                               layout=wrong_axis)
         wrong_dtype = GroupedLayout((4, 64), np.float32, 16)
         with pytest.raises(ValueError, match="layout built for"):
-            bfp_quantize_fast(values, 4, 16, 8, "nearest", layout=wrong_dtype)
+            bfp_quantize(values, 4, 16, 8, "nearest", layout=wrong_dtype)
 
     def test_negative_axis_shares_the_entry(self):
         cache = LayoutCache()
@@ -162,6 +162,6 @@ class TestLayoutCache:
 
     def test_integer_input_quantizes_identically(self, uncached):
         values = np.arange(-20, 30).reshape(5, 10)
-        cached = bfp_quantize_fast(values, 4, 16, 8, "nearest")
-        fresh = uncached(bfp_quantize_fast, values, 4, 16, 8, "nearest")
+        cached = bfp_quantize(values, 4, 16, 8, "nearest")
+        fresh = uncached(bfp_quantize, values, 4, 16, 8, "nearest")
         np.testing.assert_array_equal(cached, fresh)

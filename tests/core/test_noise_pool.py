@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.kernels import bfp_quantize_fast
+from repro.core.bfp import bfp_quantize
 from repro.core.rounding import LFSR, NoisePool, VectorizedLFSR, draw_levels, draw_noise
 from repro.reference import bfp_quantize_reference
 
@@ -197,7 +197,7 @@ class TestQuantizationIntegration:
 
     def test_fast_vs_reference_bit_exact_with_equal_pools(self, rng):
         values = rng.standard_normal(4096)
-        fast = bfp_quantize_fast(values, 4, 16, 8, "stochastic", rng=NoisePool(7))
+        fast = bfp_quantize(values, 4, 16, 8, "stochastic", rng=NoisePool(7))
         ref = bfp_quantize_reference(values, 4, 16, 8, "stochastic", rng=NoisePool(7))
         np.testing.assert_array_equal(fast, ref)
 
@@ -207,7 +207,7 @@ class TestQuantizationIntegration:
         values = rng.standard_normal(512)
         pool = NoisePool(11)
         noise = NoisePool(11).uniform((512,), noise_bits=8)
-        fast = bfp_quantize_fast(values, 4, 16, None, "stochastic", rng=pool)
+        fast = bfp_quantize(values, 4, 16, None, "stochastic", rng=pool)
         assert noise.dtype == np.float32
         np.testing.assert_array_equal(noise.astype(np.float64), noise)
         assert fast.dtype == np.float64
@@ -220,7 +220,7 @@ class TestQuantizationIntegration:
         the reference adds k / 2**b in float64.  Same results, bit for bit."""
         values = (rng.standard_normal(4096) * 10.0 ** rng.integers(-3, 4, 4096)).astype(np.float32)
         values[:16] = [0.0, -0.0, 1.0, -1.0, 2.0 ** -11, 1.9375] + [0.5] * 10
-        fast = bfp_quantize_fast(values, mantissa_bits, 16, 8, "stochastic",
+        fast = bfp_quantize(values, mantissa_bits, 16, 8, "stochastic",
                                  rng=NoisePool(7, capacity=1000), noise_bits=noise_bits)
         ref = bfp_quantize_reference(values.astype(np.float64), mantissa_bits, 16, 8,
                                      "stochastic", rng=NoisePool(7, capacity=1000),
@@ -233,5 +233,5 @@ class TestQuantizationIntegration:
     def test_mean_preservation(self, rng):
         """Theorem 1 sanity: pooled stochastic rounding stays unbiased."""
         values = np.full(200_000, 0.3)
-        quantized = bfp_quantize_fast(values, 4, 16, 8, "stochastic", rng=NoisePool(0))
+        quantized = bfp_quantize(values, 4, 16, 8, "stochastic", rng=NoisePool(0))
         assert abs(quantized.mean() - 0.3) < 1e-3

@@ -30,12 +30,9 @@ CONFIGS = {"group16": CONFIG, "group1": SINGLETON_CONFIG}
 
 def reference_improvement(values, config, low_bits=2, high_bits=4):
     """Equation 2 on a float64 copy, quantizing each width separately."""
-    groups, _, _ = kernels.resolve_groups(np.asarray(values, dtype=np.float64),
-                                          config.group_size)
-    low = kernels.quantize_groups(groups, kernels.shared_exponents(groups, config.exponent_bits),
-                                  low_bits)[0]
-    high = kernels.quantize_groups(groups, kernels.shared_exponents(groups, config.exponent_bits),
-                                   high_bits)[0]
+    grouped = kernels.GroupedTensor(np.asarray(values, dtype=np.float64), config.group_size,
+                                    config.exponent_bits)
+    low, high = grouped.quantize(low_bits), grouped.quantize(high_bits)
     denominator = float(np.abs(low).sum())
     numerator = float(np.abs(high - low).sum())
     if denominator == 0.0:
@@ -215,18 +212,12 @@ def test_weight_is_grouped_once_per_iteration(monkeypatch):
     shape = layer.weight.data.shape
     groupings = []
     original_init = kernels.GroupedTensor.__init__
-    original_fast = kernels.bfp_quantize_fast
 
     def grouped_init(self, x, *args, **kwargs):
         groupings.append(np.shape(x))
         original_init(self, x, *args, **kwargs)
 
-    def fast(x, *args, **kwargs):
-        groupings.append(np.shape(x))
-        return original_fast(x, *args, **kwargs)
-
     monkeypatch.setattr(kernels.GroupedTensor, "__init__", grouped_init)
-    monkeypatch.setattr(kernels, "bfp_quantize_fast", fast)
     inputs = np.random.default_rng(1).standard_normal((5, 32))
     per_iteration = []
     for iteration in range(5):

@@ -7,7 +7,7 @@ import pytest
 
 from repro import observability
 from repro.core import kernels
-from repro.core.bfp import BFPConfig
+from repro.core.bfp import BFPConfig, bfp_quantize
 from repro.nn import functional
 
 
@@ -27,7 +27,7 @@ CONFIG = BFPConfig(exponent_bits=8, group_size=16)
 def run_quantize(rows=8, cols=64):
     rng = np.random.default_rng(0)
     x = rng.standard_normal((rows, cols))
-    return kernels.bfp_quantize_fast(x, CONFIG.mantissa_bits, CONFIG.group_size)
+    return bfp_quantize(x, CONFIG.mantissa_bits, CONFIG.group_size)
 
 
 class TestGate:
