@@ -91,7 +91,7 @@ def run_case(size, group_size, mantissa_bits, rounding, repeats, lfsr=False, poo
 
             def run_fast():
                 return bfp_quantize(values, mantissa_bits, group_size, 8,
-                                         "stochastic", rng=noise_pool)
+                                    "stochastic", rng=noise_pool)
             ref_time = best_time(run_ref, repeats)
         elif lfsr:
             def run_ref():
@@ -100,7 +100,7 @@ def run_case(size, group_size, mantissa_bits, rounding, repeats, lfsr=False, poo
 
             def run_fast():
                 return bfp_quantize(values, mantissa_bits, group_size, 8,
-                                         "stochastic", rng=VectorizedLFSR())
+                                    "stochastic", rng=VectorizedLFSR())
             # The scalar LFSR draws bits one Python call at a time; a single
             # timed run is plenty (and the honest measurement).
             ref_time = best_time(run_ref, 1)
@@ -111,7 +111,7 @@ def run_case(size, group_size, mantissa_bits, rounding, repeats, lfsr=False, poo
 
             def run_fast():
                 return bfp_quantize(values, mantissa_bits, group_size, 8,
-                                         "stochastic", rng=np.random.default_rng(0))
+                                    "stochastic", rng=np.random.default_rng(0))
             ref_time = best_time(run_ref, repeats)
     else:
         def run_ref():

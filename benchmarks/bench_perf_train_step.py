@@ -381,7 +381,7 @@ def bench_noise_pool(repeats: int):
               * 10.0 ** rng.integers(-2, 3, size=1_000_000)).astype(np.float32)
 
     generator_s = best_time(lambda: bfp_quantize(values, 4, 16, 8, "stochastic",
-                                                      rng=np.random.default_rng(0)),
+                                                 rng=np.random.default_rng(0)),
                             repeats)
     pool = NoisePool(0, capacity=1 << 21)
     pooled_s = best_time(lambda: bfp_quantize(values, 4, 16, 8, "stochastic", rng=pool),

@@ -145,7 +145,7 @@ class TestLayoutCache:
         wrong_axis = GroupedLayout((64, 64), np.float64, 16, axis=0)
         with pytest.raises(ValueError, match="layout built for"):
             bfp_quantize(rng.standard_normal((64, 64)), 4, 16, 8, "nearest",
-                              layout=wrong_axis)
+                         layout=wrong_axis)
         wrong_dtype = GroupedLayout((4, 64), np.float32, 16)
         with pytest.raises(ValueError, match="layout built for"):
             bfp_quantize(values, 4, 16, 8, "nearest", layout=wrong_dtype)

@@ -221,7 +221,7 @@ class TestQuantizationIntegration:
         values = (rng.standard_normal(4096) * 10.0 ** rng.integers(-3, 4, 4096)).astype(np.float32)
         values[:16] = [0.0, -0.0, 1.0, -1.0, 2.0 ** -11, 1.9375] + [0.5] * 10
         fast = bfp_quantize(values, mantissa_bits, 16, 8, "stochastic",
-                                 rng=NoisePool(7, capacity=1000), noise_bits=noise_bits)
+                            rng=NoisePool(7, capacity=1000), noise_bits=noise_bits)
         ref = bfp_quantize_reference(values.astype(np.float64), mantissa_bits, 16, 8,
                                      "stochastic", rng=NoisePool(7, capacity=1000),
                                      noise_bits=noise_bits)
